@@ -155,14 +155,17 @@ let ablations () =
   ignore (Scan.Replace.run d);
   let fp = Core.Floorplan.create d in
   let pl = Core.Place.run d fp in
-  let tf = Flow.Timingfix.run pl in
-  say "before: T_cp %.0f ps, cell area %.0f um2" tf.Flow.Timingfix.t_cp_before
-    tf.Flow.Timingfix.cell_area_before;
-  say "after %d rounds (%d cells upsized): T_cp %.0f ps (%.1f%% faster), cell area %.0f um2 (+%.2f%%)"
-    tf.Flow.Timingfix.rounds tf.Flow.Timingfix.upsized_cells tf.Flow.Timingfix.t_cp_after
-    (100.0 *. (1.0 -. (tf.Flow.Timingfix.t_cp_after /. tf.Flow.Timingfix.t_cp_before)))
-    tf.Flow.Timingfix.cell_area_after
-    (100.0 *. ((tf.Flow.Timingfix.cell_area_after /. tf.Flow.Timingfix.cell_area_before) -. 1.0));
+  let rp = Core.Repair.run pl in
+  say "before: T_cp %.0f ps, cell area %.0f um2" rp.Core.Repair.t_cp_before
+    rp.Core.Repair.cell_area_before;
+  say "after repair: T_cp %.0f ps (%.1f%% faster), cell area %.0f um2 (%+.2f%%)"
+    rp.Core.Repair.t_cp_after
+    (100.0 *. (1.0 -. (rp.Core.Repair.t_cp_after /. rp.Core.Repair.t_cp_before)))
+    rp.Core.Repair.cell_area_after
+    (100.0 *. ((rp.Core.Repair.cell_area_after /. rp.Core.Repair.cell_area_before) -. 1.0));
+  say "accepted %d of %d trials: %d buffers, %d upsizes, %d downsizes, %d pin swaps"
+    rp.Core.Repair.accepted rp.Core.Repair.tried rp.Core.Repair.buffers_inserted
+    rp.Core.Repair.upsized rp.Core.Repair.downsized rp.Core.Repair.swapped;
   say "";
   say "=== Ablation: layout-driven scan reorder (step 3) ===";
   let row = List.nth (rows_for "s38417") 0 in
@@ -217,7 +220,7 @@ let perf () =
         let pl = Core.Place.run d fp in
         let rt = Core.Route.run pl in
         let rc = Core.Extract.run pl rt in
-        ignore (Core.Sta_analysis.run pl rc)))
+        ignore (Core.Tgraph.run d rc)))
   in
   let fig1_kernel =
     Test.make ~name:"fig1/tsff-sim" (Staged.stage (fun () ->
@@ -354,22 +357,21 @@ let perf () =
   let t_sweep_warm = time_best ~reps:3 sweep_cached in
   assert (Core.Report.table2 (sweep_seq ()) = Core.Report.table2 (sweep_cached ()));
   let speedup seq par = if par > 0.0 then seq /. par else 0.0 in
-  (* ---- incremental vs full STA: one ECO test point, cone retime vs
-     whole-design re-extract + re-time ----
+  (* ---- one ECO test point: cone retime vs whole-design re-extract +
+     re-time ----
      The headline number of the incremental timing layer: on a finished
      layout, splicing one more test point in as an ECO (split net,
      control nets and leaf clock re-routed, cone worklist-retimed)
-     against what a full-STA flow pays for the same edit — Extract.run +
-     Sta_analysis.run over the whole design. Exactness is asserted at
-     the end: the retimed context must agree with a from-scratch
-     analysis of its own placement. *)
+     against re-analysing the whole design for the same edit —
+     Extract.run, then a timing-graph compile and propagate. Exactness is
+     asserted at the end: the retimed context must agree with a
+     from-scratch analysis of its own placement. *)
   let eco_r =
     let options =
       { Core.Pipeline.default_options with
         Core.Pipeline.run_atpg = false;
         tp_percent = 2.0;
-        chain_config = Core.Scan_chains.Max_length 100;
-        sta_mode = Core.Pipeline.Incremental_sta }
+        chain_config = Core.Scan_chains.Max_length 100 }
     in
     Core.Pipeline.run ~options (Core.Bench.by_name "s38417" ~scale:0.12)
   in
@@ -406,54 +408,63 @@ let perf () =
   let t_retime = (Unix.gettimeofday () -. t0) /. float_of_int n_edits in
   let eco_pl = Core.Retime.placement ctx in
   let eco_rt = Core.Retime.route ctx in
-  let t_full_sta =
+  let eco_d = Core.Retime.design ctx in
+  let t_reanalyse =
     time_best ~reps:3 (fun () ->
         let rc = Core.Extract.run eco_pl eco_rt in
-        ignore (Core.Sta_analysis.run eco_pl rc))
+        ignore (Core.Tgraph.run eco_d rc))
   in
   assert (
-    Core.Retime.analysis ctx
-    = Core.Sta_analysis.run eco_pl (Core.Extract.run eco_pl eco_rt));
+    Core.Retime.analysis ctx = Core.Tgraph.run eco_d (Core.Extract.run eco_pl eco_rt));
   say "%-24s full %7.2f ms  retime %6.2f ms/edit  speedup %.1fx (%d edits)"
-    "incr/single-tp-retime" (t_full_sta *. 1e3) (t_retime *. 1e3)
-    (speedup t_full_sta t_retime) n_edits;
-  (* ---- timing repair: the same ECO engine under both STA modes ----
-     Every trial the repair stage makes is re-timed and possibly reverted,
-     so its runtime is dominated by how each trial is evaluated: a cone
-     worklist-retime (incremental) or a whole-design propagate (full).
-     Both modes take identical decisions -- asserted below on the
-     bit-pattern of the repaired critical path -- so the speedup is pure
-     evaluation cost. Fresh placements come from the stage cache warmed
-     by the sweeps above. *)
-  let repair_spec = Core.Experiment.spec_for ~scale:0.06 "s38417" in
-  let time_repair mode =
-    let best = ref infinity and last = ref None in
-    for _ = 1 to 3 do
-      let row =
-        Core.Experiment.run_one ~cache:cache_store ~with_atpg:false repair_spec
-          ~tp_pct:1
-      in
-      let r = row.Core.Experiment.result in
-      let t0 = Unix.gettimeofday () in
-      let rep =
-        Core.Repair.run ~mode ~route:r.Core.Pipeline.route ~rc:r.Core.Pipeline.rc
-          r.Core.Pipeline.placement
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      last := Some rep
-    done;
-    (!best, Option.get !last)
+    "incr/single-tp-retime" (t_reanalyse *. 1e3) (t_retime *. 1e3)
+    (speedup t_reanalyse t_retime) n_edits;
+  (* ---- timing repair: one trial, cone retime vs whole-graph propagate ----
+     Each repair trial is an edit, a re-time and usually a revert, so the
+     stage's runtime is dominated by how a trial is re-timed. The trial
+     here is one of the repair stage's levers on the worst net: upsize
+     its driver, then revert. It is timed per edit as repair runs it
+     (incident nets re-routed and re-extracted, cone worklist-retimed)
+     against one Tgraph.propagate of the same Retime graph. After the
+     upsize, the cone-retimed report must equal a propagate from seeds. *)
+  let repair_r =
+    (Core.Experiment.run_one ~cache:cache_store ~with_atpg:false
+       (Core.Experiment.spec_for ~scale:0.06 "s38417") ~tp_pct:1)
+      .Core.Experiment.result
   in
-  let t_repair_full, rep_full = time_repair Core.Repair.Full_sta in
-  let t_repair_incr, rep_incr = time_repair Core.Repair.Incremental_sta in
-  assert (rep_full.Core.Repair.t_cp_after = rep_incr.Core.Repair.t_cp_after);
-  assert (rep_full.Core.Repair.accepted = rep_incr.Core.Repair.accepted);
-  assert (rep_incr.Core.Repair.t_cp_after <= rep_incr.Core.Repair.t_cp_before);
-  say "%-24s full %7.1f ms  incr %8.1f ms  speedup %.2fx (%d/%d ECOs accepted)"
-    "repair/eco-repair" (t_repair_full *. 1e3) (t_repair_incr *. 1e3)
-    (speedup t_repair_full t_repair_incr)
-    rep_incr.Core.Repair.accepted rep_incr.Core.Repair.tried;
+  let rctx =
+    Core.Retime.create repair_r.Core.Pipeline.placement repair_r.Core.Pipeline.route
+      repair_r.Core.Pipeline.rc
+  in
+  let rtg = Core.Retime.tgraph rctx in
+  let rd = Core.Retime.design rctx in
+  let trial_inst =
+    List.find_map
+      (fun nid ->
+        match (Core.Design.net rd nid).Core.Design.driver with
+        | Core.Design.Cell_pin (iid, _)
+          when Core.Library.upsize rd.Core.Design.lib (Core.Design.inst rd iid).Core.Design.cell
+               <> None ->
+          Some iid
+        | _ -> None)
+      (Core.Tgraph.critical_nets rtg ~margin_ps:0.0)
+    |> Option.get
+  in
+  let old_cell = (Core.Design.inst rd trial_inst).Core.Design.cell in
+  let t_trial =
+    time_best ~reps:5 (fun () ->
+        ignore (Core.Retime.upsize rctx ~inst:trial_inst);
+        ignore (Core.Retime.resize rctx ~inst:trial_inst ~cell:old_cell))
+    /. 2.0
+  in
+  let t_propagate = time_best ~reps:5 (fun () -> Core.Tgraph.propagate rtg) in
+  ignore (Core.Retime.upsize rctx ~inst:trial_inst);
+  let retimed = Core.Retime.analysis rctx in
+  Core.Tgraph.propagate rtg;
+  assert (retimed = Core.Tgraph.analysis rtg);
+  say "%-24s propagate %7.2f ms  retime %6.2f ms/edit  speedup %.1fx"
+    "repair/trial-retime" (t_propagate *. 1e3) (t_trial *. 1e3)
+    (speedup t_propagate t_trial);
   say "%-24s seq %8.1f ms  par(j=%d) %8.1f ms  speedup %.2fx"
     "par/fsim-detect-fanout" (t_fsim_seq *. 1e3) par_jobs (t_fsim_par *. 1e3)
     (speedup t_fsim_seq t_fsim_par);
@@ -506,23 +517,20 @@ let perf () =
             Obs.Json.List
               [ Obs.Json.Obj
                   [ ("name", Obs.Json.String "single-tp-retime");
-                    ("full_s", Obs.Json.Float t_full_sta);
+                    ("full_s", Obs.Json.Float t_reanalyse);
                     ("retime_s", Obs.Json.Float t_retime);
                     ("edits", Obs.Json.Int n_edits);
-                    ("speedup", Obs.Json.Float (speedup t_full_sta t_retime)) ]
+                    ("speedup", Obs.Json.Float (speedup t_reanalyse t_retime)) ]
               ]) ]);
       ("repair",
        Obs.Json.Obj
          [ ("kernels",
             Obs.Json.List
               [ Obs.Json.Obj
-                  [ ("name", Obs.Json.String "eco-repair");
-                    ("full_s", Obs.Json.Float t_repair_full);
-                    ("incr_s", Obs.Json.Float t_repair_incr);
-                    ("tried", Obs.Json.Int rep_incr.Core.Repair.tried);
-                    ("accepted", Obs.Json.Int rep_incr.Core.Repair.accepted);
-                    ("speedup",
-                     Obs.Json.Float (speedup t_repair_full t_repair_incr)) ]
+                  [ ("name", Obs.Json.String "trial-retime");
+                    ("propagate_s", Obs.Json.Float t_propagate);
+                    ("retime_s", Obs.Json.Float t_trial);
+                    ("speedup", Obs.Json.Float (speedup t_propagate t_trial)) ]
               ]) ]) ];
   say "wrote BENCH_perf.json (%d kernels + 2 parallel + 1 cache + 1 incremental + 1 repair)"
     (List.length kernels)

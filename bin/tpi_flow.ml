@@ -88,19 +88,6 @@ let cache_arg =
   in
   Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
 
-let sta_arg =
-  let doc =
-    "How the STA stage computes its (identical) timing report: $(b,full) runs \
-     whole-design analysis per level; $(b,incremental) compiles a flat timing \
-     graph and level-propagates it, keeping the graph alive for downstream ECO \
-     retiming. Reports, tables and kernel metrics are byte-identical either way."
-  in
-  Arg.(value
-       & opt (enum [ ("full", Core.Pipeline.Full_sta);
-                     ("incremental", Core.Pipeline.Incremental_sta) ])
-           Core.Pipeline.Full_sta
-       & info [ "sta" ] ~docv:"MODE" ~doc)
-
 let repair_arg =
   let doc =
     "Run the post-route timing-repair ECO stage after STA: buffer insertion, \
@@ -176,13 +163,12 @@ let validated ?scale ~circuit ~levels () =
 (* guarded sweep: under fail-fast the sweep stops at the first failed
    level; under recover/degrade every level is attempted and failures
    become degraded rows *)
-let guarded_sweep ?pool ?cache ?lint ?sta_mode ?repair spec ~policy ~retries ~atpg
-    levels =
+let guarded_sweep ?pool ?cache ?lint ?repair spec ~policy ~retries ~atpg levels =
   let rec loop acc = function
     | [] -> List.rev acc
     | tp_pct :: rest ->
       let g =
-        Core.Experiment.run_one_guarded ?pool ?cache ?lint ?sta_mode ?repair ~policy
+        Core.Experiment.run_one_guarded ?pool ?cache ?lint ?repair ~policy
           ~retries ~with_atpg:atpg spec ~tp_pct
       in
       let failed = g.Core.Experiment.g_report.Core.Guard.result = None in
@@ -192,7 +178,7 @@ let guarded_sweep ?pool ?cache ?lint ?sta_mode ?repair spec ~policy ~retries ~at
   loop [] levels
 
 let run () circuit scale levels atpg tables svg_dir def_file lib_file policy retries
-    trace_file metrics_file prom_file verbose jobs cache_dir lint sta_mode repair =
+    trace_file metrics_file prom_file verbose jobs cache_dir lint repair =
   match validated ?scale ~circuit ~levels () with
   | Error msg ->
     Format.eprintf "tpi_flow: %s@." msg;
@@ -207,7 +193,7 @@ let run () circuit scale levels atpg tables svg_dir def_file lib_file policy ret
   let cache = store_of_dir cache_dir in
   let grows =
     with_jobs jobs (fun pool ->
-        guarded_sweep ?pool ?cache ~lint ~sta_mode ~repair spec ~policy ~retries ~atpg
+        guarded_sweep ?pool ?cache ~lint ~repair spec ~policy ~retries ~atpg
           levels)
   in
   let rows = Core.Experiment.completed_rows grows in
@@ -338,7 +324,7 @@ let run_term =
   Term.(const run $ telemetry_term $ circuit_arg $ scale_arg $ levels_arg $ atpg_arg
         $ tables_arg $ svg_arg $ def_arg $ lib_arg $ policy_arg $ retries_arg
         $ trace_arg $ metrics_arg $ prom_arg $ verbose_arg $ jobs_arg $ cache_arg
-        $ lint_flag_arg $ sta_arg $ repair_arg)
+        $ lint_flag_arg $ repair_arg)
 
 let selftest_cmd =
   let doc = "Run the guarded-flow fault-injection selftest (11 mutation classes)." in

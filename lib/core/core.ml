@@ -45,7 +45,6 @@ module Iscas = Circuits.Iscas
 module Pipeline = Flow.Pipeline
 module Experiment = Flow.Experiment
 module Retime = Flow.Retime
-module Timingfix = Flow.Timingfix
 module Repair = Flow.Repair
 module Report = Flow.Report
 module Guard = Flow.Guard

@@ -29,8 +29,8 @@ type row = {
   result : Pipeline.result;
 }
 
-let options_of ?pool ?cache ?cancel ?(lint = false)
-    ?(sta_mode = Pipeline.Full_sta) ?(repair = false) spec ~with_atpg ~tp_pct =
+let options_of ?pool ?cache ?cancel ?(lint = false) ?(repair = false) spec ~with_atpg
+    ~tp_pct =
   { Pipeline.default_options with
     Pipeline.tp_percent = float_of_int tp_pct;
     chain_config = spec.chain_config;
@@ -40,7 +40,6 @@ let options_of ?pool ?cache ?cancel ?(lint = false)
     cache;
     cancel;
     lint;
-    sta_mode;
     repair }
 
 (* design generation is level-invariant: with a cache every level of the
@@ -57,11 +56,11 @@ let generate ?cache spec =
     in
     Cache.Store.memo store ~key mk
 
-let run_one ?pool ?cache ?lint ?sta_mode ?repair ?(with_atpg = true) spec ~tp_pct =
+let run_one ?pool ?cache ?lint ?repair ?(with_atpg = true) spec ~tp_pct =
   let d = generate ?cache spec in
   let result =
     Pipeline.run
-      ~options:(options_of ?pool ?cache ?lint ?sta_mode ?repair spec ~with_atpg ~tp_pct)
+      ~options:(options_of ?pool ?cache ?lint ?repair spec ~with_atpg ~tp_pct)
       d
   in
   { spec; tp_pct; result }
@@ -77,11 +76,11 @@ let fan_levels pool tp_levels f =
     Array.to_list (Par.Pool.parallel_map p ~n:(Array.length arr) (fun i -> f arr.(i)))
   | _ -> List.map f tp_levels
 
-let sweep ?pool ?cache ?lint ?sta_mode ?repair ?(with_atpg = true)
+let sweep ?pool ?cache ?lint ?repair ?(with_atpg = true)
     ?(tp_levels = [ 0; 1; 2; 3; 4; 5 ]) ?scale circuit =
   let spec = spec_for ?scale circuit in
   fan_levels pool tp_levels (fun tp_pct ->
-      run_one ?pool ?cache ?lint ?sta_mode ?repair ~with_atpg spec ~tp_pct)
+      run_one ?pool ?cache ?lint ?repair ~with_atpg spec ~tp_pct)
 
 type guarded_row = {
   g_spec : spec;
@@ -90,11 +89,11 @@ type guarded_row = {
 }
 
 let run_one_guarded ?pool ?cache ?policy ?retries ?tamper ?cancel ?on_stage ?lint
-    ?sta_mode ?repair ?(with_atpg = true) spec ~tp_pct =
+    ?repair ?(with_atpg = true) spec ~tp_pct =
   let report =
     Guard.run ?policy ?retries ?tamper ?on_stage ~circuit:spec.circuit
       ~options:
-        (options_of ?pool ?cache ?cancel ?lint ?sta_mode ?repair spec ~with_atpg
+        (options_of ?pool ?cache ?cancel ?lint ?repair spec ~with_atpg
            ~tp_pct)
       (fun () -> generate ?cache spec)
   in
@@ -103,12 +102,12 @@ let run_one_guarded ?pool ?cache ?policy ?retries ?tamper ?cancel ?on_stage ?lin
 (* guarded sweep: a failed level becomes a degraded row instead of killing
    the whole experiment matrix *)
 let sweep_guarded ?pool ?cache ?policy ?retries ?tamper ?cancel ?on_stage ?lint
-    ?sta_mode ?repair ?(with_atpg = true) ?(tp_levels = [ 0; 1; 2; 3; 4; 5 ])
+    ?repair ?(with_atpg = true) ?(tp_levels = [ 0; 1; 2; 3; 4; 5 ])
     ?scale circuit =
   let spec = spec_for ?scale circuit in
   fan_levels pool tp_levels (fun tp_pct ->
       run_one_guarded ?pool ?cache ?policy ?retries ?tamper ?cancel ?on_stage ?lint
-        ?sta_mode ?repair ~with_atpg spec ~tp_pct)
+        ?repair ~with_atpg spec ~tp_pct)
 
 let completed_rows grows =
   List.filter_map
@@ -171,15 +170,11 @@ let eco_candidates (d : Netlist.Design.t) =
   done;
   List.sort compare !cand |> List.map snd
 
-let worst_tcp_of (sta : Sta.Analysis.t) =
-  match sta.Sta.Analysis.worst with Some p -> p.Sta.Analysis.t_cp | None -> 0.0
-
 let sweep_eco ?pool ?cache ?lint ?(tp_levels = [ 1; 2; 3; 4; 5 ]) ?scale circuit =
   let spec = spec_for ?scale circuit in
   let d = generate ?cache spec in
   let options =
-    options_of ?pool ?cache ?lint ~sta_mode:Pipeline.Incremental_sta spec
-      ~with_atpg:false ~tp_pct:0
+    options_of ?pool ?cache ?lint spec ~with_atpg:false ~tp_pct:0
   in
   let result = Pipeline.run ~options d in
   let baseline = { spec; tp_pct = 0; result } in
@@ -208,7 +203,7 @@ let sweep_eco ?pool ?cache ?lint ?(tp_levels = [ 1; 2; 3; 4; 5 ]) ?scale circuit
         { e_tp_pct = tp_pct;
           e_tp_count = !inserted;
           e_wns = slack.Sta.Slack.wns;
-          e_tcp = worst_tcp_of sta;
+          e_tcp = Option.value ~default:0.0 (Sta.Analysis.worst_tcp sta);
           e_insts_retimed = !retimed })
       (List.sort compare tp_levels)
   in

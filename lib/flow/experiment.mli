@@ -25,7 +25,6 @@ val run_one :
   ?pool:Par.Pool.t ->
   ?cache:Cache.Store.t ->
   ?lint:bool ->
-  ?sta_mode:Pipeline.sta_mode ->
   ?repair:bool ->
   ?with_atpg:bool ->
   spec ->
@@ -42,7 +41,6 @@ val sweep :
   ?pool:Par.Pool.t ->
   ?cache:Cache.Store.t ->
   ?lint:bool ->
-  ?sta_mode:Pipeline.sta_mode ->
   ?repair:bool ->
   ?with_atpg:bool ->
   ?tp_levels:int list ->
@@ -63,11 +61,10 @@ val sweep :
 (** {1 ECO sweep}
 
     One layout, one compiled timing graph, incremental TP levels: the 0%
-    baseline runs the full flow once (under {!Pipeline.Incremental_sta}),
-    then each level splices in only its {e additional} test points as
-    post-layout ECOs — clocked from CTS leaf buffers, legalized in place,
-    re-routed per net, worklist-retimed per cone ({!Retime}) — instead of
-    re-running six stages per level. *)
+    baseline runs the full flow once, then each level splices in only its
+    {e additional} test points as post-layout ECOs — clocked from CTS leaf
+    buffers, legalized in place, re-routed per net, worklist-retimed per
+    cone ({!Retime}) — instead of re-running six stages per level. *)
 
 type eco_row = {
   e_tp_pct : int;
@@ -121,7 +118,6 @@ val run_one_guarded :
   ?cancel:Cancel.t ->
   ?on_stage:(Guard.stage -> Guard.stage_status -> unit) ->
   ?lint:bool ->
-  ?sta_mode:Pipeline.sta_mode ->
   ?repair:bool ->
   ?with_atpg:bool ->
   spec ->
@@ -137,7 +133,6 @@ val sweep_guarded :
   ?cancel:Cancel.t ->
   ?on_stage:(Guard.stage -> Guard.stage_status -> unit) ->
   ?lint:bool ->
-  ?sta_mode:Pipeline.sta_mode ->
   ?repair:bool ->
   ?with_atpg:bool ->
   ?tp_levels:int list ->

@@ -1,7 +1,5 @@
 module Design = Netlist.Design
 
-type sta_mode = Full_sta | Incremental_sta
-
 type options = {
   tp_percent : float;
   chain_config : Scan.Chains.config;
@@ -14,7 +12,6 @@ type options = {
   cache : Cache.Store.t option;
   cancel : Cancel.t option;
   lint : bool;
-  sta_mode : sta_mode;
   repair : bool;
   repair_config : Repair.config;
 }
@@ -31,7 +28,6 @@ let default_options =
     cache = None;
     cancel = None;
     lint = false;
-    sta_mode = Full_sta;
     repair = false;
     repair_config = Repair.default_config }
 
@@ -52,7 +48,6 @@ type result = {
   rc : Layout.Extract.net_rc array;
   sta : Sta.Analysis.t;
   repair : Repair.report option;
-  tgraph : Sta.Tgraph.t option;
   lint_report : Lint.Engine.report option;
   stats : Netlist.Stats.t;
   drc : Layout.Drc.report;
@@ -81,10 +76,8 @@ type state = {
   mutable s_rc : Layout.Extract.net_rc array option;
   mutable s_sta : Sta.Analysis.t option;
   mutable s_repair : Repair.report option;
-  (* live compiled graph (Incremental_sta only); deliberately outside the
-     stage-cache snapshot — it is a derived accelerator, cheap to recompile
-     and not Marshal-friendly to share across processes *)
-  mutable s_tgraph : Sta.Tgraph.t option;
+  (* post-layout lint report; outside the stage-cache snapshot, like any
+     product of a stage body that only runs on a miss *)
   mutable s_lint : Lint.Engine.report option;
 }
 
@@ -106,7 +99,6 @@ let init ?(options = default_options) (d : Design.t) =
     s_rc = None;
     s_sta = None;
     s_repair = None;
-    s_tgraph = None;
     s_lint = None }
 
 let need what = function
@@ -194,43 +186,31 @@ let stage_extract st =
 (* --- step 6: static timing analysis --- *)
 let stage_sta st =
   stage_span st "sta" @@ fun () ->
-  let placement = need "placement" st.s_placement in
   let rc = need "rc" st.s_rc in
-  match st.s_options.sta_mode with
-  | Full_sta -> st.s_sta <- Some (Sta.Analysis.run ?pool:st.s_options.pool placement rc)
-  | Incremental_sta ->
-    (* compile once, propagate, keep the graph alive for downstream ECO
-       passes; the report is byte-identical to [Analysis.run] (same float
-       ops, same sta.* counters — pinned by the incremental suite) *)
-    let tg = Sta.Tgraph.compile st.s_design rc in
-    Sta.Tgraph.propagate ?pool:st.s_options.pool tg;
-    st.s_tgraph <- Some tg;
-    let a = Sta.Tgraph.analysis tg in
-    st.s_sta <- Some a;
-    (* with the graph still warm, the TPI/timing lint pack gets real
-       post-layout artifacts for free: the slack report and the
-       near-critical net set fall out of the arrival/required arrays
-       instead of the zero-wireload estimate the pack falls back to *)
-    if st.s_options.lint then begin
-      let tcp =
-        match a.Sta.Analysis.worst with
-        | Some p -> p.Sta.Analysis.t_cp
-        | None -> 0.0
-      in
-      let margin_ps = Lint.Tpitiming.near_critical_margin *. tcp in
-      let arts =
-        { Lint.Rule.no_artifacts with
-          Lint.Rule.slack = Some (Sta.Tgraph.slack tg);
-          crit_nets = Some (Sta.Tgraph.critical_nets tg ~margin_ps) }
-      in
-      let rules =
-        List.concat_map
-          (fun pack ->
-            Option.value ~default:[] (Lint.Engine.find_pack pack))
-          [ Lint.Tpitiming.pack_name; Lint.Tpirepair.pack_name ]
-      in
-      st.s_lint <- Some (Lint.Engine.run ~arts ~rules st.s_design)
-    end
+  let tg = Sta.Tgraph.compile st.s_design rc in
+  Sta.Tgraph.propagate ?pool:st.s_options.pool tg;
+  let a = Sta.Tgraph.analysis tg in
+  st.s_sta <- Some a;
+  (* with the graph still warm, the TPI/timing lint pack gets real
+     post-layout artifacts for free: the slack report and the
+     near-critical net set fall out of the arrival/required arrays
+     instead of the zero-wireload estimate the pack falls back to *)
+  if st.s_options.lint then begin
+    let tcp = Option.value ~default:0.0 (Sta.Analysis.worst_tcp a) in
+    let margin_ps = Lint.Tpitiming.near_critical_margin *. tcp in
+    let arts =
+      { Lint.Rule.no_artifacts with
+        Lint.Rule.slack = Some (Sta.Tgraph.slack tg);
+        crit_nets = Some (Sta.Tgraph.critical_nets tg ~margin_ps) }
+    in
+    let rules =
+      List.concat_map
+        (fun pack ->
+          Option.value ~default:[] (Lint.Engine.find_pack pack))
+        [ Lint.Tpitiming.pack_name; Lint.Tpirepair.pack_name ]
+    in
+    st.s_lint <- Some (Lint.Engine.run ~arts ~rules st.s_design)
+  end
 
 (* --- step 7: post-route timing repair (off by default) --- *)
 let stage_repair st =
@@ -239,22 +219,12 @@ let stage_repair st =
     let placement = need "placement" st.s_placement in
     let route = need "route" st.s_route in
     let rc = need "rc" st.s_rc in
-    let mode =
-      match st.s_options.sta_mode with
-      | Full_sta -> Repair.Full_sta
-      | Incremental_sta -> Repair.Incremental_sta
-    in
-    let r =
-      Repair.run ~config:st.s_options.repair_config ~mode ~route ~rc placement
-    in
+    let r = Repair.run ~config:st.s_options.repair_config ~route ~rc placement in
     st.s_repair <- Some r;
-    (* downstream slots move to the repaired state; the stage-6 graph no
-       longer mirrors the edited design, so it is dropped rather than
-       handed out stale *)
+    (* downstream slots move to the repaired state *)
     st.s_route <- Some r.Repair.route;
     st.s_rc <- Some r.Repair.rc;
-    st.s_sta <- Some r.Repair.sta;
-    st.s_tgraph <- None
+    st.s_sta <- Some r.Repair.sta
 
 let finish st =
   { design = st.s_design;
@@ -273,7 +243,6 @@ let finish st =
     rc = need "rc" st.s_rc;
     sta = need "sta" st.s_sta;
     repair = st.s_repair;
-    tgraph = st.s_tgraph;
     lint_report = st.s_lint;
     stats = Netlist.Stats.compute st.s_design;
     drc = need "drc" st.s_drc }
@@ -345,9 +314,7 @@ let restore st c =
   st.s_route <- c.c_route;
   st.s_rc <- c.c_rc;
   st.s_sta <- c.c_sta;
-  st.s_repair <- c.c_repair;
-  (* any live graph mirrors the pre-hit design, not the restored one *)
-  st.s_tgraph <- None
+  st.s_repair <- c.c_repair
 
 (* bump whenever the snapshot layout or any stage semantics change: old
    on-disk entries then simply never match a key again *)
@@ -355,10 +322,10 @@ let cache_version = "tpi-stage-cache-v2"
 
 (* every option a stage outcome can depend on; the pool (execution layout
    only, §6.1), the cache itself, the cancellation token (which only
-   decides whether the next stage starts, never what it computes) and
-   [sta_mode] (both modes produce byte-identical stage products, so cache
-   entries are valid across them) are deliberately excluded. Marshal of
-   this immutable tuple of scalars and plain variants is byte-stable. *)
+   decides whether the next stage starts, never what it computes) and the
+   lint flag (read-only over the design) are deliberately excluded.
+   Marshal of this immutable tuple of scalars and plain variants is
+   byte-stable. *)
 let options_fingerprint o =
   Digest.to_hex
     (Digest.string

@@ -14,14 +14,6 @@
 
     One call = one layout, generated from scratch, as in the paper. *)
 
-type sta_mode =
-  | Full_sta         (** step 6 runs {!Sta.Analysis.run} directly *)
-  | Incremental_sta
-      (** step 6 compiles a flat {!Sta.Tgraph}, propagates it (same float
-          ops, same [sta.*] counters, byte-identical report) and keeps it
-          alive in [result.tgraph] so downstream ECO passes — timing fix,
-          TP% re-sweeps — can worklist-retime instead of re-running STA *)
-
 type options = {
   tp_percent : float;              (** test points as % of flip-flops (0-5) *)
   chain_config : Scan.Chains.config;
@@ -52,12 +44,9 @@ type options = {
           first stage; error-severity findings abort with
           {!Lint.Engine.Lint_failed} (error class ["lint-failed"] under
           {!Guard}). Read-only over the design, so — like the pool, cache
-          and cancel token — excluded from stage-cache keys *)
-  sta_mode : sta_mode;
-      (** how step 6 computes the (identical) timing report; excluded from
-          stage-cache keys for the same reason as the pool. Also selects
-          {!Repair}'s evaluation mode, which likewise never changes the
-          repaired result. Default {!Full_sta} *)
+          and cancel token — excluded from stage-cache keys. When the sta
+          stage runs (not on a cache hit) it also produces the post-layout
+          [lint_report] *)
   repair : bool;
       (** run the step-7 {!Repair} stage: WNS/TNS-driven ECO repair of the
           routed design, updating [route]/[rc]/[sta] to the repaired
@@ -86,16 +75,11 @@ type result = {
       (** post-repair when the repair stage ran; its pre-repair STA is
           then in [repair.pre_sta] *)
   repair : Repair.report option;  (** [Some] iff [options.repair] *)
-  tgraph : Sta.Tgraph.t option;
-      (** the live compiled timing graph when the sta stage actually ran
-          under {!Incremental_sta} ([None] in {!Full_sta} mode, when the
-          stage was restored from the cache, or after a repair stage —
-          whose edits the stage-6 graph does not mirror) *)
   lint_report : Lint.Engine.report option;
-      (** post-layout run of the TPI/timing lint pack, fed the real slack
-          report and near-critical net set straight off the compiled
-          graph; only under [lint = true] + {!Incremental_sta} (the
-          pre-flight lint gate runs in every mode) *)
+      (** post-layout run of the TPI/timing lint packs, fed the real slack
+          report and near-critical net set straight off the sta stage's
+          timing graph; [Some] under [lint = true] whenever the sta stage
+          ran rather than being restored from the cache *)
   stats : Netlist.Stats.t;  (** post-flow netlist statistics *)
   drc : Layout.Drc.report;  (** max-capacitance fixes applied before routing *)
 }
@@ -137,10 +121,8 @@ type state = {
   mutable s_rc : Layout.Extract.net_rc array option;
   mutable s_sta : Sta.Analysis.t option;
   mutable s_repair : Repair.report option;
-  mutable s_tgraph : Sta.Tgraph.t option;
-      (** {!Incremental_sta} only; outside the cache snapshot *)
   mutable s_lint : Lint.Engine.report option;
-      (** lint + {!Incremental_sta} only; outside the cache snapshot *)
+      (** [lint] only; outside the cache snapshot *)
 }
 
 val init : ?options:options -> Netlist.Design.t -> state

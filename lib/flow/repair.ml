@@ -8,14 +8,12 @@
    accepted only if the (WNS, TNS) objective improves lexicographically,
    reverted exactly otherwise. Because each revert restores the context
    byte-for-byte (§6.6), a rejected trial leaves no trace in timing,
-   routing or area — the structural discipline whose absence was the
-   Timingfix accept-worse bug. *)
+   routing or area, and the report always describes a state no worse
+   than the one repair started from. *)
 
 module Design = Netlist.Design
 module Cell = Stdcell.Cell
 module Place = Layout.Place
-
-type mode = Timingfix.mode = Full_sta | Incremental_sta
 
 type config = {
   margin_ps : float;
@@ -282,16 +280,15 @@ let recover_area e =
     (fun iid -> if budget_left e then try_downsize e ~inst:iid)
     (List.rev !candidates)
 
-let run ?(config = default_config) ?(mode = Incremental_sta) ?route ?rc
-    (pl : Place.t) =
+let run ?(config = default_config) ?route ?rc (pl : Place.t) =
   Obs.Trace.with_span ~name:"flow.repair" @@ fun () ->
   let d = pl.Place.design in
   let cell_area_before = cell_area d in
   let route0 = match route with Some r -> r | None -> Layout.Route.run pl in
   let rc0 = match rc with Some r -> r | None -> Layout.Extract.run pl route0 in
-  let ctx = Retime.create ~full_sta:(mode = Full_sta) pl route0 rc0 in
+  let ctx = Retime.create pl route0 rc0 in
   let pre_sta = Retime.analysis ctx in
-  let t_cp_before = Option.value ~default:0.0 (Timingfix.worst_tcp pre_sta) in
+  let t_cp_before = Option.value ~default:0.0 (Sta.Analysis.worst_tcp pre_sta) in
   let e =
     { ctx;
       cfg = config;
@@ -335,7 +332,7 @@ let run ?(config = default_config) ?(mode = Incremental_sta) ?route ?rc
     wns_after;
     tns_after;
     t_cp_before;
-    t_cp_after = Option.value ~default:0.0 (Timingfix.worst_tcp sta);
+    t_cp_after = Option.value ~default:0.0 (Sta.Analysis.worst_tcp sta);
     cell_area_before;
     cell_area_after = cell_area d;
     pre_sta;

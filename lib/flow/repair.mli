@@ -9,13 +9,12 @@
     and reverted {e exactly} otherwise, so a rejected trial leaves no
     trace in timing, routing or area.
 
-    The engine runs identically under full or incremental STA: both
-    evaluation modes leave the graph byte-identical after every edit
-    (§6.6), so every accept/revert decision — and hence the final report
-    — matches bit for bit; only the [sta.*] counters that move differ.
-    This is pinned by the repair test suite and the CI byte-diff. *)
-
-type mode = Timingfix.mode = Full_sta | Incremental_sta
+    Each trial is evaluated by a worklist cone retime
+    ({!Sta.Incremental.retime}), which leaves the graph exactly as a
+    whole-design re-analysis of the edited layout would (§6.6), so every
+    accept/revert decision is taken on exact timing. This is pinned by
+    the repair test suite against a fresh route/extract/analysis of the
+    repaired placement. *)
 
 type config = {
   margin_ps : float;
@@ -72,12 +71,11 @@ val kind_name : eco_kind -> string
 
 val run :
   ?config:config ->
-  ?mode:mode ->
   ?route:Layout.Route.t ->
   ?rc:Layout.Extract.net_rc array ->
   Layout.Place.t ->
   report
 (** Repair the placed design in place. [route]/[rc] reuse an existing
     routing/extraction of exactly this placement (the pipeline passes its
-    stage products); both are recomputed when absent. Defaults:
-    {!default_config}, [Incremental_sta]. *)
+    stage products); both are recomputed when absent. Default config:
+    {!default_config}. *)

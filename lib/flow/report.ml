@@ -149,11 +149,7 @@ let table3 (rows : Experiment.row list) =
    is byte-identical to what the unrepaired flow would have reported *)
 let table3_repaired (rows : Experiment.row list) =
   let base_tcp = ref 0.0 in
-  let worst_tcp (sta : Sta.Analysis.t) =
-    match sta.Sta.Analysis.worst with
-    | Some p -> p.Sta.Analysis.t_cp
-    | None -> 0.0
-  in
+  let worst_tcp sta = Option.value ~default:0.0 (Sta.Analysis.worst_tcp sta) in
   let worst_fmax (sta : Sta.Analysis.t) =
     match sta.Sta.Analysis.worst with
     | Some p -> p.Sta.Analysis.fmax_mhz
@@ -225,9 +221,8 @@ let summary (rows : Experiment.row list) =
       Layout.Floorplan.core_area r.Experiment.result.Pipeline.placement.Layout.Place.fp
     in
     let tcp (r : Experiment.row) =
-      match r.Experiment.result.Pipeline.sta.Sta.Analysis.worst with
-      | Some p -> p.Sta.Analysis.t_cp
-      | None -> 0.0
+      Option.value ~default:0.0
+        (Sta.Analysis.worst_tcp r.Experiment.result.Pipeline.sta)
     in
     let pats (r : Experiment.row) =
       match r.Experiment.result.Pipeline.atpg with

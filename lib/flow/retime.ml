@@ -7,9 +7,9 @@
    terminals moved, then worklist-retime only the dirtied cone. Because
    routing and extraction are pure per-net maps and Incremental.retime is
    exact, the state after any edit sequence is byte-identical to tearing
-   the layout down and re-running Route.run + Extract.run + Analysis.run
-   on the same mutated design — the property the incremental suite and
-   the QCheck random-ECO property pin down. *)
+   the layout down and re-running Route.run + Extract.run + a fresh
+   timing analysis on the same mutated design — the property the
+   incremental suite and the QCheck random-ECO property pin down. *)
 
 module Design = Netlist.Design
 module Cell = Stdcell.Cell
@@ -22,10 +22,6 @@ let m_edits = Obs.Metrics.counter "sta.incremental.eco_edits"
 type t = {
   pl : Place.t;
   tg : Sta.Tgraph.t;
-  (* full-STA evaluation: every edit ends in a whole-graph re-propagation
-     instead of a cone retime. Byte-identical end state (§6.6); this is the
-     reference mode Flow.Repair's incremental mode is diffed against. *)
-  full : bool;
   mutable routes : Route.net_route option array;
   mutable rc : Extract.net_rc array;
   mutable next_tp : int;
@@ -58,8 +54,7 @@ let find_leaf_clocks (d : Design.t) =
       end);
   !leaves
 
-let create ?config ?(full_sta = false) (pl : Place.t) (rt : Route.t)
-    (rc : Extract.net_rc array) =
+let create ?config (pl : Place.t) (rt : Route.t) (rc : Extract.net_rc array) =
   let d = pl.Place.design in
   let tg = Sta.Tgraph.compile ?config d rc in
   Sta.Tgraph.propagate tg;
@@ -68,7 +63,6 @@ let create ?config ?(full_sta = false) (pl : Place.t) (rt : Route.t)
       if i.Design.cell.Cell.kind = Cell.Tsff then incr next_tp);
   { pl;
     tg;
-    full = full_sta;
     routes = Array.copy rt.Route.routes;
     rc = Array.copy rc;
     next_tp = !next_tp;
@@ -124,18 +118,6 @@ let anchor t nid =
     in
     first n.Design.sinks
 
-(* cone retime in the default mode; whole-graph re-propagation in
-   full-STA mode — both leave the arrival/slew/provenance arrays in the
-   exact state a from-scratch propagate would, so the choice never shows
-   in any report, only in which sta counters move *)
-let reeval t ~dirty_nets ~dirty_insts =
-  if t.full then begin
-    Sta.Tgraph.propagate t.tg;
-    { Sta.Incremental.insts_evaluated = 0; nets_changed = 0; nets_settled = 0;
-      required_patched = 0 }
-  end
-  else Sta.Incremental.retime t.tg ~dirty_nets ~dirty_insts
-
 (* absorb one completed design edit: legalize any new cells, mirror the
    topology into the graph, re-route/re-extract the touched nets, retime
    the cone. [old_ni]/[old_nn]/[old_np] are the design sizes before the
@@ -188,7 +170,7 @@ let refresh t ~old_ni ~old_nn ~old_np ~near ~nets ~insts =
       t.rc.(nid) <- Extract.extract_net t.pl t.routes.(nid) n;
       Sta.Tgraph.update_rc t.tg nid t.rc.(nid))
     !dirty;
-  let stats = reeval t ~dirty_nets:!dirty ~dirty_insts:insts in
+  let stats = Sta.Incremental.retime t.tg ~dirty_nets:!dirty ~dirty_insts:insts in
   t.last_stats <- Some stats;
   t.edits <- t.edits + 1;
   Obs.Metrics.incr m_edits;
@@ -317,7 +299,7 @@ let remove_buffer t ~inst =
   t.routes.(net) <- Route.route_net t.pl n;
   t.rc.(net) <- Extract.extract_net t.pl t.routes.(net) n;
   Sta.Tgraph.update_rc t.tg net t.rc.(net);
-  let stats = reeval t ~dirty_nets:[ net ] ~dirty_insts:[] in
+  let stats = Sta.Incremental.retime t.tg ~dirty_nets:[ net ] ~dirty_insts:[] in
   t.last_stats <- Some stats;
   t.edits <- t.edits + 1;
   Obs.Metrics.incr m_edits;

@@ -5,7 +5,7 @@
     re-places only new cells, re-routes and re-extracts only the nets
     whose terminals changed, and worklist-retimes only the dirtied cone —
     yet leaves the context byte-identical to re-running
-    [Route.run → Extract.run → Analysis.run] from scratch on the same
+    [Route.run → Extract.run → Sta.Tgraph.run] from scratch on the same
     mutated design (routing and extraction are pure per-net maps and
     {!Sta.Incremental.retime} is exact). *)
 
@@ -13,20 +13,15 @@ type t
 
 val create :
   ?config:Sta.Analysis.config ->
-  ?full_sta:bool ->
   Layout.Place.t ->
   Layout.Route.t ->
   Layout.Extract.net_rc array ->
   t
-(** Compile the timing graph and snapshot per-net routes/parasitics.
-    The placement (and the design under it) are borrowed and mutated by
-    subsequent edits; the route and rc arrays are copied.
-
-    With [full_sta:true] every edit ends in a whole-graph re-propagation
-    instead of a worklist cone retime. The end state is byte-identical
-    either way (§6.6) — only the sta counters that move differ — which is
-    what lets {!Repair} run under either mode and produce the same
-    report. *)
+(** Compile and propagate the timing graph and snapshot per-net
+    routes/parasitics. The placement (and the design under it) are
+    borrowed and mutated by subsequent edits; the route and rc arrays are
+    copied. Every edit then ends in a worklist cone retime
+    ({!Sta.Incremental.retime}). *)
 
 val insert_tp :
   t -> net:int -> Netlist.Design.instance * Sta.Incremental.stats

@@ -1,7 +1,7 @@
 (* Deterministic fork-join domain pool on stdlib Domain/Mutex/Condition
    (the switch has no domainslib).
 
-   Determinism contract, relied on by Atpg.Patgen, Sta.Analysis and
+   Determinism contract, relied on by Atpg.Patgen, Sta.Tgraph and
    Flow.Experiment: work is split into *fixed* contiguous index ranges
    ([partition]) whose boundaries depend only on (n, slots), results land
    in preallocated arrays by index, and every reduction happens on the

@@ -9,9 +9,7 @@ type config = {
 
 let default_config = { input_slew_ps = 100.0; input_arrival_ps = 0.0 }
 
-let m_arcs = Obs.Metrics.counter "sta.arcs_evaluated"
 let m_endpoints = Obs.Metrics.counter "sta.endpoints"
-let g_slow_nodes = Obs.Metrics.gauge "sta.slow_nodes"
 
 exception Combinational_cycle of { inst : int; iname : string }
 exception Backtrack_diverged of { net : int; nname : string }
@@ -82,24 +80,13 @@ let is_launch (i : Design.instance) =
 let app_arcs (cell : Cell.t) =
   List.filter (fun (a : Cell.arc) -> not a.Cell.test_only) (Array.to_list cell.Cell.arcs)
 
-(* timing input pins of an instance in application mode *)
-let timing_inputs (i : Design.instance) =
-  if is_launch i then
-    match Cell.clock_pin i.Design.cell with Some ck -> [ ck ] | None -> []
-  else List.map (fun (a : Cell.arc) -> a.Cell.from_pin) (app_arcs i.Design.cell)
-
-(* below this many instances a level is evaluated inline: the fork-join
-   hand-shake would cost more than the arithmetic *)
-let level_par_min = 16
-
 (* ---- shared result construction ----
 
    Everything after arrival propagation — endpoint enumeration, path
    backtracking, the eq. 3 breakdown — reads the propagated state only
-   through the arrival/slew/provenance arrays and a sink-Elmore lookup.
-   Factoring it out lets the flat timing graph (Tgraph) reuse the exact
-   same code path, which is what keeps its reports byte-identical to
-   [run]'s. *)
+   through the arrival/slew/provenance arrays and a sink-Elmore lookup,
+   so the propagator (Tgraph) and any reference propagator a test
+   compares it against share one report builder. *)
 let build_result (d : Design.t) ~elmore ~(arrival : float array) ~(slew : float array)
     ~(from_pin : int array) ~slow_nodes =
   let pin_arrival nid iid pin = arrival.(nid) +. elmore nid ~inst:iid ~pin in
@@ -247,192 +234,7 @@ let build_result (d : Design.t) ~elmore ~(arrival : float array) ~(slew : float 
   in
   { arrival; slew; slow_nodes; per_domain; worst }
 
-let run ?pool ?(config = default_config) (pl : Layout.Place.t) (rc : Layout.Extract.net_rc array) =
-  let d = pl.Layout.Place.design in
-  let nn = Design.num_nets d in
-  let arrival = Array.make nn neg_infinity in
-  let slew = Array.make nn config.input_slew_ps in
-  (* which (instance, input pin) set each net's worst arrival *)
-  let from_inst = Array.make nn (-1) and from_pin = Array.make nn (-1) in
-  let slow_flag = Array.make (Design.num_insts d) false in
-  (* seed: ports and constants *)
-  List.iter
-    (fun (p : Design.port) ->
-      if p.Design.pnet >= 0 then begin
-        arrival.(p.Design.pnet) <- config.input_arrival_ps;
-        slew.(p.Design.pnet) <- config.input_slew_ps
-      end)
-    (Design.input_ports d);
-  Design.iter_insts d (fun i ->
-      match i.Design.cell.Cell.kind with
-      | Cell.Tiehi | Cell.Tielo ->
-        let out = Design.net_of_output d i in
-        if out >= 0 then begin
-          arrival.(out) <- 0.0;
-          slew.(out) <- config.input_slew_ps
-        end
-      | _ -> ());
-  (* Kahn order over instances: a cell is ready when all nets feeding its
-     timing input pins have been finalised *)
-  let pending = Array.make (Design.num_insts d) 0 in
-  let driven_by_cell nid =
-    match (Design.net d nid).Design.driver with
-    | Design.Cell_pin (src, _) ->
-      let s = Design.inst d src in
-      (match s.Design.cell.Cell.kind with
-       | Cell.Tiehi | Cell.Tielo | Cell.Filler -> None
-       | _ -> Some src)
-    | Design.Port_in _ | Design.No_driver -> None
-  in
-  let queue = Queue.create () in
-  let considered = Array.make (Design.num_insts d) false in
-  Design.iter_insts d (fun i ->
-      match i.Design.cell.Cell.kind with
-      | Cell.Filler | Cell.Tiehi | Cell.Tielo -> ()
-      | _ ->
-        considered.(i.Design.id) <- true;
-        let count = ref 0 in
-        List.iter
-          (fun pin ->
-            let nid = i.Design.conns.(pin) in
-            if nid >= 0 && driven_by_cell nid <> None then incr count)
-          (timing_inputs i);
-        pending.(i.Design.id) <- !count;
-        if !count = 0 then Queue.add i.Design.id queue);
-  let processed = ref 0 and total = ref 0 in
-  Array.iter (fun c -> if c then incr total) considered;
-  let pin_arrival nid iid pin =
-    arrival.(nid) +. Layout.Extract.sink_elmore rc.(nid) ~inst:iid ~pin
-  in
-  let pin_slew nid iid pin =
-    slew.(nid) +. (2.0 *. Layout.Extract.sink_elmore rc.(nid) ~inst:iid ~pin)
-  in
-  (* evaluate one instance's arcs: reads finalised arrivals of its input
-     nets, writes only cells owned by this instance (its unique output
-     net's arrival/slew/provenance and its own slow flag), so instances of
-     the same topological level can be evaluated concurrently — and in any
-     order — without changing a single bit of the result *)
-  let eval_inst iid =
-    let i = Design.inst d iid in
-    let cell = i.Design.cell in
-    let update_out out_net cand_arr cand_slew pin extrapolated =
-      Obs.Metrics.incr m_arcs;
-      if cand_arr > arrival.(out_net) then begin
-        arrival.(out_net) <- cand_arr;
-        slew.(out_net) <- cand_slew;
-        from_inst.(out_net) <- iid;
-        from_pin.(out_net) <- pin
-      end;
-      if extrapolated then slow_flag.(iid) <- true
-    in
-    match is_launch i with
-    | true ->
-      (match Cell.clock_pin cell with
-       | Some ck ->
-         let cknet = i.Design.conns.(ck) in
-         if cknet >= 0 && arrival.(cknet) > neg_infinity then begin
-           let ck_arr = pin_arrival cknet iid ck and ck_slew = pin_slew cknet iid ck in
-           List.iter
-             (fun (a : Cell.arc) ->
-               if a.Cell.from_pin = ck then begin
-                 let out_net = i.Design.conns.(a.Cell.to_pin) in
-                 if out_net >= 0 then begin
-                   let load = rc.(out_net).Layout.Extract.total_cap_ff in
-                   let dl = Lut.eval a.Cell.delay ~slew:ck_slew ~load in
-                   let sl = Lut.eval a.Cell.out_slew ~slew:ck_slew ~load in
-                   update_out out_net (ck_arr +. dl.Lut.value) sl.Lut.value ck
-                     (dl.Lut.extrapolated || sl.Lut.extrapolated)
-                 end
-               end)
-             (app_arcs cell)
-         end
-       | None -> ())
-    | false ->
-      List.iter
-        (fun (a : Cell.arc) ->
-          let in_net = i.Design.conns.(a.Cell.from_pin) in
-          let out_net = i.Design.conns.(a.Cell.to_pin) in
-          if in_net >= 0 && out_net >= 0 && arrival.(in_net) > neg_infinity then begin
-            let pa = pin_arrival in_net iid a.Cell.from_pin in
-            let ps = pin_slew in_net iid a.Cell.from_pin in
-            let load = rc.(out_net).Layout.Extract.total_cap_ff in
-            let dl = Lut.eval a.Cell.delay ~slew:ps ~load in
-            let sl = Lut.eval a.Cell.out_slew ~slew:ps ~load in
-            update_out out_net (pa +. dl.Lut.value) sl.Lut.value a.Cell.from_pin
-              (dl.Lut.extrapolated || sl.Lut.extrapolated)
-          end)
-        (app_arcs cell)
-  in
-  (* release an instance's dependents; [on_edge sink] fires once per
-     released timing edge (the levelizer uses it to take the max) *)
-  let release ~on_edge iid =
-    let i = Design.inst d iid in
-    match Design.net_of_output d i with
-    | -1 -> ()
-    | out_net ->
-      List.iter
-        (fun (sink, pin) ->
-          let s = Design.inst d sink in
-          if considered.(sink) && List.mem pin (timing_inputs s) then begin
-            on_edge sink;
-            pending.(sink) <- pending.(sink) - 1;
-            if pending.(sink) = 0 then Queue.add sink queue
-          end)
-        (Design.net d out_net).Design.sinks
-  in
-  Obs.Trace.with_span ~name:"sta.propagate" (fun () ->
-  (match pool with
-   | Some p when Par.Pool.size p > 1 ->
-     (* level-parallel propagation: run the Kahn mechanics first, purely
-        to levelize (level = 1 + max level over released timing edges),
-        then evaluate each level bucket across the pool. Values are
-        bit-identical to the sequential pass because evaluation order
-        within a level is immaterial (see [eval_inst]). *)
-     let ninsts = Design.num_insts d in
-     let level = Array.make ninsts 0 in
-     let order = Queue.create () in
-     let max_level = ref 0 in
-     while not (Queue.is_empty queue) do
-       let iid = Queue.pop queue in
-       incr processed;
-       Queue.add iid order;
-       if level.(iid) > !max_level then max_level := level.(iid);
-       release iid ~on_edge:(fun sink ->
-           if level.(iid) + 1 > level.(sink) then level.(sink) <- level.(iid) + 1)
-     done;
-     let buckets = Array.make (!max_level + 1) [] in
-     Queue.iter (fun iid -> buckets.(level.(iid)) <- iid :: buckets.(level.(iid))) order;
-     Array.iter
-       (fun bucket ->
-         let barr = Array.of_list bucket in
-         let nb = Array.length barr in
-         if nb < level_par_min then Array.iter eval_inst barr
-         else
-           Par.Pool.iter_slots p ~n:nb (fun ~slot:_ ~lo ~hi ->
-               for k = lo to hi - 1 do
-                 eval_inst barr.(k)
-               done))
-       buckets
-   | _ ->
-     while not (Queue.is_empty queue) do
-       let iid = Queue.pop queue in
-       incr processed;
-       eval_inst iid;
-       release iid ~on_edge:(fun _ -> ())
-     done);
-  if !processed <> !total then begin
-    (* name a cell stuck on the cycle: considered but never released *)
-    let offender = ref (-1) in
-    Design.iter_insts d (fun i ->
-        if !offender < 0 && considered.(i.Design.id) && pending.(i.Design.id) > 0 then
-          offender := i.Design.id);
-    let iname = if !offender >= 0 then (Design.inst d !offender).Design.iname else "?" in
-    raise (Combinational_cycle { inst = !offender; iname })
-  end);
-  let slow_nodes = Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 slow_flag in
-  Obs.Metrics.set g_slow_nodes (float_of_int slow_nodes);
-  build_result d ~arrival ~slew ~from_pin ~slow_nodes
-    ~elmore:(fun nid ~inst ~pin -> Layout.Extract.sink_elmore rc.(nid) ~inst ~pin)
+let worst_tcp a = Option.map (fun p -> p.t_cp) a.worst
 
 let pp_path (d : Design.t) ppf p =
   let name iid = (Design.inst d iid).Design.iname in

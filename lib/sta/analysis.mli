@@ -1,13 +1,16 @@
-(** Static timing analysis (step 6, the PEARL stand-in).
+(** Static timing analysis reports (step 6, the PEARL stand-in).
 
-    Application-mode worst-arrival propagation over the placed, routed and
-    extracted design: NLDM table lookups for cell arcs (with explicit slow
-    nodes when slew/load leave the characterised range, as the paper
-    describes), Elmore interconnect delays, clock latency and skew obtained
-    by propagating the clock ports through the inserted buffer trees, and
-    test-mode-only arcs blocked as false paths. The critical path report
-    decomposes T_cp per equation (3):
-    T_cp = T_wires + T_intrinsic + T_load-dep + T_setup + T_skew. *)
+    The types of an application-mode timing report over the placed,
+    routed and extracted design, and the report builder: NLDM table
+    lookups for cell arcs (with explicit slow nodes when slew/load leave
+    the characterised range, as the paper describes), Elmore interconnect
+    delays, clock latency and skew obtained by propagating the clock ports
+    through the inserted buffer trees, and test-mode-only arcs blocked as
+    false paths. The critical path report decomposes T_cp per equation
+    (3): T_cp = T_wires + T_intrinsic + T_load-dep + T_setup + T_skew.
+
+    Arrivals are propagated by {!Tgraph} ({!Tgraph.run} for a one-shot
+    analysis); this module holds no propagator of its own. *)
 
 type config = {
   input_slew_ps : float;    (** slew assumed at primary inputs *)
@@ -78,14 +81,6 @@ val app_arcs : Stdcell.Cell.t -> Stdcell.Cell.arc list
 (** Application-mode timing arcs: the cell's arcs minus test-only ones
     (blocked as false paths), in declaration order. *)
 
-val timing_inputs : Netlist.Design.instance -> int list
-(** Input pins that participate in application-mode timing: the clock pin
-    for a launch element, else the from-pins of {!app_arcs}. *)
-
-val level_par_min : int
-(** Below this many instances a level bucket is evaluated inline rather
-    than fanned across a pool. *)
-
 val build_result :
   Netlist.Design.t ->
   elmore:(int -> inst:int -> pin:int -> float) ->
@@ -96,20 +91,14 @@ val build_result :
   t
 (** Endpoint enumeration, critical-path backtracking and the eq. 3
     breakdown, from already-propagated per-net state. [elmore nid ~inst
-    ~pin] must return the sink wire delay the propagation used. Shared by
-    {!run} and the flat timing graph ({!Tgraph.analysis}) so both produce
-    byte-identical reports. Bumps [sta.endpoints]; raises
-    {!Backtrack_diverged} on inconsistent provenance. *)
+    ~pin] must return the sink wire delay the propagation used. Called by
+    {!Tgraph.analysis}, and by the test suite's reference propagator, so
+    the two are compared on the propagated state alone. Bumps
+    [sta.endpoints]; raises {!Backtrack_diverged} on inconsistent
+    provenance. *)
 
-val run :
-  ?pool:Par.Pool.t -> ?config:config -> Layout.Place.t -> Layout.Extract.net_rc array -> t
-(** Raises {!Combinational_cycle} on a combinational loop and
-    {!Backtrack_diverged} if path reconstruction fails to terminate.
-
-    With [pool], arrival propagation is levelized and each level bucket is
-    evaluated across the pool's domains. Instances within a level write
-    disjoint state (each owns its unique output net), so the result — every
-    float, provenance index and slow-node flag — is bit-identical to the
-    sequential pass at any domain count. *)
+val worst_tcp : t -> float option
+(** Worst-domain critical-path delay; [None] when the design has no
+    constrained timing path (no sequential endpoint). *)
 
 val pp_path : Netlist.Design.t -> Format.formatter -> critical_path -> unit

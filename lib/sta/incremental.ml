@@ -13,11 +13,15 @@
    The contract (DESIGN.md §6.6): after [Tgraph.sync_topology] and
    [update_rc] for every touched net, [retime] leaves the graph in the
    exact state a full [Tgraph.propagate] would — enforced by the QCheck
-   random-ECO property and the full-vs-incremental CI diff.
+   random-ECO property against an independent reference propagator.
 
    Bookkeeping lands in its own [sta.incremental.*] counters, never in
-   the full-STA ones, so full-mode and incremental-mode sweeps stay
-   metric-identical modulo that namespace. *)
+   the whole-graph [sta.*] ones.
+
+   The worklist membership flags are the graph's own scratch arrays
+   (sized with it, all-false between calls): a repair sweep retimes
+   thousands of times, and fresh instance- and net-sized arrays per call
+   would go straight to the major heap. *)
 
 module Design = Netlist.Design
 
@@ -47,7 +51,7 @@ let retime t ~dirty_nets ~dirty_insts =
   let ni = Tgraph.num_insts t in
   let nlev = Tgraph.max_level t + 1 in
   let buckets = Array.make nlev [] in
-  let queued = Array.make ni false in
+  let queued = Tgraph.inst_scratch t in
   let enqueue iid =
     if iid >= 0 && iid < ni && not queued.(iid) then begin
       queued.(iid) <- true;
@@ -106,7 +110,7 @@ let retime t ~dirty_nets ~dirty_insts =
   if Tgraph.required_is_valid t then begin
     let required = Tgraph.required_array t in
     let nn = Tgraph.num_nets t in
-    let nqueued = Array.make nn false in
+    let nqueued = Tgraph.net_scratch t in
     let nbuckets = Array.make nlev [] in
     let nenqueue nid =
       if nid >= 0 && nid < nn && not nqueued.(nid) then begin

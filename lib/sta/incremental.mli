@@ -5,16 +5,14 @@
     {!Tgraph.sync_topology}s every touched net and instance, then
     {!Tgraph.update_rc}s every re-extracted net, then calls {!retime}
     with those same sets. The graph then holds {e exactly} the state a
-    full {!Tgraph.propagate} (or {!Analysis.run}) would produce — bit
-    for bit, including provenance and slow-node flags — because a cone
+    full {!Tgraph.propagate} would produce — bit for bit, including
+    provenance and slow-node flags — because a cone
     re-evaluation resets each output net to its seed and replays the
     driver's arcs in declaration order, and stops at nets whose
     (arrival, slew, provenance) came out bitwise unchanged.
 
-    Bookkeeping lands in [sta.incremental.*] counters only; the full-STA
-    counters ([sta.arcs_evaluated], ...) are never touched, so a
-    full-mode and an incremental-mode sweep stay metric-identical
-    modulo that namespace. *)
+    Bookkeeping lands in [sta.incremental.*] counters only; the
+    whole-graph counters ([sta.arcs_evaluated], ...) are never touched. *)
 
 type stats = {
   insts_evaluated : int;   (** instances re-evaluated forward *)

@@ -4,10 +4,9 @@
    arrivals, slews, provenance, loads, sink Elmores, levels and timing
    arcs all live in flat int/float arrays indexed by net/instance/arc id —
    no per-node records on the hot path. [propagate] re-times the whole
-   design from seeds and is byte-identical to [Analysis.run] (same float
-   op order per arc, same [sta.arcs_evaluated]/[sta.endpoints] counters,
-   same critical-path report via the shared [Analysis.build_result]);
-   [Incremental.retime] re-evaluates only a dirty cone.
+   design from seeds in level order and [analysis] builds the report
+   through [Analysis.build_result]; [Incremental.retime] re-evaluates only
+   a dirty cone and must land on exactly the state [propagate] would.
 
    Mutators keep the mirror in sync with the (mutable) design:
    [update_rc] refreshes one net's parasitics after re-extraction,
@@ -19,10 +18,12 @@ module Design = Netlist.Design
 module Cell = Stdcell.Cell
 module Lut = Stdcell.Lut
 
-(* same interned cells as Analysis: full propagation on the graph must
-   move the same counters by the same amounts as [Analysis.run] *)
 let m_arcs = Obs.Metrics.counter "sta.arcs_evaluated"
 let g_slow_nodes = Obs.Metrics.gauge "sta.slow_nodes"
+
+(* below this many instances a level is evaluated inline: the fork-join
+   hand-shake would cost more than the arithmetic *)
+let level_par_min = 16
 
 let empty_ints : int array = [||]
 let empty_floats : float array = [||]
@@ -46,6 +47,7 @@ type t = {
   mutable elm_vals : float array array;
   mutable driver : int array;           (* considered driving instance or -1 *)
   mutable required : float array;       (* required arrival at driver output *)
+  mutable net_mark : bool array;        (* worklist scratch, all-false at rest *)
   (* --- per-instance (length >= num_insts d; [ni] live) --- *)
   mutable ni : int;
   mutable considered : bool array;
@@ -56,6 +58,7 @@ type t = {
   mutable out_pin : int array;          (* output pin index or -1 *)
   mutable arc_lo : int array;           (* CSR range into the arc arrays *)
   mutable arc_hi : int array;
+  mutable inst_mark : bool array;       (* worklist scratch, all-false at rest *)
   (* --- flat application-mode arcs (append-only CSR) --- *)
   mutable na : int;
   mutable a_from : int array;
@@ -122,7 +125,8 @@ let ensure_net_capacity t n =
     t.elm_keys <- grow_ints_arr t.elm_keys c;
     t.elm_vals <- grow_floats_arr t.elm_vals c;
     t.driver <- grow_ints t.driver c (-1);
-    t.required <- grow_floats t.required c infinity
+    t.required <- grow_floats t.required c infinity;
+    t.net_mark <- grow_bools t.net_mark c
   end
 
 let ensure_inst_capacity t n =
@@ -136,7 +140,8 @@ let ensure_inst_capacity t n =
     t.ck_pin <- grow_ints t.ck_pin c (-1);
     t.out_pin <- grow_ints t.out_pin c (-1);
     t.arc_lo <- grow_ints t.arc_lo c 0;
-    t.arc_hi <- grow_ints t.arc_hi c 0
+    t.arc_hi <- grow_ints t.arc_hi c 0;
+    t.inst_mark <- grow_bools t.inst_mark c
   end
 
 (* [filler] seeds the slots of a freshly grown arc array; every live slot
@@ -158,8 +163,8 @@ let considered_kind = function
   | Cell.Filler | Cell.Tiehi | Cell.Tielo -> false
   | _ -> true
 
-(* out-pin is a timing input when it feeds an application-mode arc (the
-   clock pin for launch elements): the release predicate of Analysis *)
+(* [pin] is a timing input when it feeds an application-mode arc (the
+   clock pin for launch elements) *)
 let is_timing_input t iid pin =
   if t.launch.(iid) then pin = t.ck_pin.(iid)
   else begin
@@ -238,8 +243,8 @@ let out_net t iid =
 (* ---- levelization ---- *)
 
 (* structural Kahn pass: assigns levels (1 + max over released timing
-   edges), detects combinational cycles with the same offender rule as
-   Analysis (first considered instance, in id order, still pending) *)
+   edges) and detects combinational cycles, naming the first considered
+   instance, in id order, still pending *)
 let levelize t =
   let d = t.d in
   let pending = Array.make t.ni 0 in
@@ -316,7 +321,7 @@ let rebuild_order t =
    only mean the edit closed a combinational cycle. *)
 let relevel t ~seeds =
   let d = t.d in
-  let inq = Array.make t.ni false in
+  let inq = t.inst_mark in
   let q = Queue.create () in
   let push iid =
     if iid >= 0 && iid < t.ni && t.considered.(iid) && not inq.(iid) then begin
@@ -343,8 +348,10 @@ let relevel t ~seeds =
       for k = t.arc_lo.(iid) to t.arc_hi.(iid) - 1 do
         consider i.Design.conns.(t.a_from.(k))
       done;
-    if !lr > t.ni then
-      raise (Analysis.Combinational_cycle { inst = iid; iname = i.Design.iname });
+    if !lr > t.ni then begin
+      Array.fill inq 0 t.ni false;
+      raise (Analysis.Combinational_cycle { inst = iid; iname = i.Design.iname })
+    end;
     if !lr > t.level.(iid) then begin
       t.level.(iid) <- !lr;
       if !lr > t.max_level then t.max_level <- !lr;
@@ -424,8 +431,10 @@ let reset_net t nid =
   t.from_inst.(nid) <- -1;
   t.from_pin.(nid) <- -1
 
-(* one instance's arcs; the float op order mirrors [Analysis.eval_inst]
-   expression for expression, which is what keeps results bit-identical *)
+(* one instance's arcs. Reads only finalised arrivals of its input nets
+   and writes only state this instance owns (its unique output net's
+   arrival/slew/provenance and its own slow flag), so instances of one
+   level can be evaluated concurrently, in any order, bit-identically *)
 let eval_inst t counter iid =
   let i = Design.inst t.d iid in
   let conns = i.Design.conns in
@@ -487,7 +496,7 @@ let count_slow t =
   !c
 
 (* full propagation from seeds, level-ordered; moves [sta.arcs_evaluated]
-   and [sta.slow_nodes] exactly as [Analysis.run] does *)
+   once per evaluated arc and sets [sta.slow_nodes] *)
 let propagate ?pool t =
   for nid = 0 to t.nn - 1 do
     reset_net t nid
@@ -501,7 +510,7 @@ let propagate ?pool t =
       | Some p when Par.Pool.size p > 1 ->
         (* bucket the precomputed order by level, then fan each bucket
            across the pool — bit-identical because instances of a level
-           write disjoint state (see Analysis.eval_inst) *)
+           write disjoint state (see [eval_inst]) *)
         let lo = ref 0 in
         let n = Array.length t.order in
         while !lo < n do
@@ -511,7 +520,7 @@ let propagate ?pool t =
             incr hi
           done;
           let base = !lo and nb = !hi - !lo in
-          if nb < Analysis.level_par_min then
+          if nb < level_par_min then
             for k = base to !hi - 1 do
               eval_inst t m_arcs t.order.(k)
             done
@@ -553,6 +562,7 @@ let compile ?(config = Analysis.default_config) (d : Design.t)
       elm_vals = Array.make (max nn 1) empty_floats;
       driver = Array.make (max nn 1) (-1);
       required = Array.make (max nn 1) infinity;
+      net_mark = Array.make (max nn 1) false;
       ni;
       considered = Array.make (max ni 1) false;
       launch = Array.make (max ni 1) false;
@@ -562,6 +572,7 @@ let compile ?(config = Analysis.default_config) (d : Design.t)
       out_pin = Array.make (max ni 1) (-1);
       arc_lo = Array.make (max ni 1) 0;
       arc_hi = Array.make (max ni 1) 0;
+      inst_mark = Array.make (max ni 1) false;
       na = 0;
       a_from = empty_ints;
       a_to = empty_ints;
@@ -581,6 +592,11 @@ let compile ?(config = Analysis.default_config) (d : Design.t)
   levelize t;
   rebuild_order t;
   t
+
+let run d rc =
+  let t = compile d rc in
+  propagate t;
+  analysis t
 
 (* ---- required times / slacks ---- *)
 
@@ -694,9 +710,6 @@ let slack t =
 
 let wns t = (slack t).Slack.wns
 
-(* nets within margin of the worst per-net slack: the lint pack's
-   critical-net artifact, read straight off the flat graph instead of the
-   zero-wireload estimator *)
 (* ---- internal surface for Sta.Incremental ---- *)
 
 let arrival t nid = t.arrival.(nid)
@@ -708,6 +721,8 @@ let required_array t = t.required
 let required_is_valid t = t.required_valid
 let set_required_valid t = t.required_valid <- true
 let driver_of t nid = t.driver.(nid)
+let inst_scratch t = t.inst_mark
+let net_scratch t = t.net_mark
 
 (* data nets of the sequential elements clocked by [cknet]: their setup
    checks read the clock arrival, so a changed clock net dirties their
@@ -727,6 +742,9 @@ let data_sinks_of_clock t cknet =
     (Design.net t.d cknet).Design.sinks;
   !out
 
+(* nets within margin of the worst per-net slack: the lint pack's
+   critical-net artifact, read straight off the flat graph instead of the
+   zero-wireload estimator *)
 let critical_nets t ~margin_ps =
   if not t.required_valid then compute_required t;
   let worst = ref infinity in

@@ -4,11 +4,12 @@
     arrays, compiled once from the placed-and-extracted design and kept
     alive across netlist edits.
 
-    {!propagate} + {!analysis} are byte-identical to {!Analysis.run} —
-    same float-op order per arc, same [sta.arcs_evaluated] /
-    [sta.endpoints] / [sta.slow_nodes] metrics, same critical-path report
-    (both funnel through {!Analysis.build_result}). {!Incremental.retime}
-    re-evaluates only a dirty cone on top of this graph.
+    This is the design's one arrival propagator: the STA stage, ECO
+    re-timing and timing repair all read their reports off it.
+    {!propagate} re-times the whole graph from seeds in level order,
+    {!analysis} builds the report ({!Analysis.build_result}), and
+    {!Incremental.retime} re-evaluates only a dirty cone, landing on
+    exactly the state {!propagate} would.
 
     The graph mirrors a {e mutable} design. After editing the netlist,
     callers must (in order) {!sync_topology} with every net/instance they
@@ -19,8 +20,8 @@ type t
 val compile :
   ?config:Analysis.config -> Netlist.Design.t -> Layout.Extract.net_rc array -> t
 (** Build the flat mirror and levelize. Raises
-    {!Analysis.Combinational_cycle} (same offender as [Analysis.run])
-    on a combinational loop. Does not propagate. *)
+    {!Analysis.Combinational_cycle}, naming the first instance (in id
+    order) left pending, on a combinational loop. Does not propagate. *)
 
 val propagate : ?pool:Par.Pool.t -> t -> unit
 (** Full from-seed level-ordered propagation. With [pool], level buckets
@@ -29,6 +30,11 @@ val propagate : ?pool:Par.Pool.t -> t -> unit
 val analysis : t -> Analysis.t
 (** Endpoint/critical-path report from the current propagated state, via
     {!Analysis.build_result}. *)
+
+val run : Netlist.Design.t -> Layout.Extract.net_rc array -> Analysis.t
+(** One-shot sequential analysis: {!compile}, {!propagate}, {!analysis}.
+    Raises {!Analysis.Combinational_cycle} on a combinational loop and
+    {!Analysis.Backtrack_diverged} if path reconstruction fails. *)
 
 (** {1 Keeping the mirror in sync} *)
 
@@ -95,3 +101,9 @@ val required_is_valid : t -> bool
 val set_required_valid : t -> unit
 val driver_of : t -> int -> int
 val data_sinks_of_clock : t -> int -> int list
+
+(* worklist membership flags, at least [num_insts]/[num_nets] long and
+   grown by [sync_topology]; all-false between calls, so a user must
+   clear every flag it sets before returning *)
+val inst_scratch : t -> bool array
+val net_scratch : t -> bool array

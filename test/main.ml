@@ -15,7 +15,6 @@ let () =
       ("sta", Test_sta.suite);
       ("incremental", Test_incremental.suite);
       ("extra", Test_extra.suite);
-      ("timingfix", Test_timingfix.suite);
       ("repair", Test_repair.suite);
       ("properties", Test_props.suite);
       ("edge-cases", Test_more.suite);

@@ -1,0 +1,134 @@
+(* Reference arrival propagator: the test oracle for Sta.Tgraph.
+
+   A deliberately independent, sequential Kahn-order pass over the design
+   records — no flat mirror, no precomputed level order, no pool — that
+   computes what a from-scratch static timing analysis must produce.
+   Tgraph (whole-graph propagate) and Sta.Incremental (cone retime) are
+   checked against it bit for bit: both replay the same per-arc float
+   operations in an order that only has to respect the same dependencies,
+   so any divergence is a propagation-order or mirroring bug in the
+   engine. The report is built by the shared Analysis.build_result. *)
+
+module Design = Netlist.Design
+module Cell = Stdcell.Cell
+module Lut = Stdcell.Lut
+module A = Sta.Analysis
+
+(* timing input pins of an instance in application mode *)
+let timing_inputs (i : Design.instance) =
+  if A.is_launch i then
+    match Cell.clock_pin i.Design.cell with Some ck -> [ ck ] | None -> []
+  else List.map (fun (a : Cell.arc) -> a.Cell.from_pin) (A.app_arcs i.Design.cell)
+
+let run (pl : Layout.Place.t) (rc : Layout.Extract.net_rc array) =
+  let config = A.default_config in
+  let d = pl.Layout.Place.design in
+  let nn = Design.num_nets d in
+  let arrival = Array.make nn neg_infinity in
+  let slew = Array.make nn config.A.input_slew_ps in
+  (* which input pin set each net's worst arrival *)
+  let from_pin = Array.make nn (-1) in
+  let slow_flag = Array.make (Design.num_insts d) false in
+  (* seed: ports and constants *)
+  List.iter
+    (fun (p : Design.port) ->
+      if p.Design.pnet >= 0 then begin
+        arrival.(p.Design.pnet) <- config.A.input_arrival_ps;
+        slew.(p.Design.pnet) <- config.A.input_slew_ps
+      end)
+    (Design.input_ports d);
+  Design.iter_insts d (fun i ->
+      match i.Design.cell.Cell.kind with
+      | Cell.Tiehi | Cell.Tielo ->
+        let out = Design.net_of_output d i in
+        if out >= 0 then begin
+          arrival.(out) <- 0.0;
+          slew.(out) <- config.A.input_slew_ps
+        end
+      | _ -> ());
+  (* Kahn order over instances: a cell is ready when all nets feeding its
+     timing input pins have been finalised *)
+  let pending = Array.make (Design.num_insts d) 0 in
+  let driven_by_cell nid =
+    match (Design.net d nid).Design.driver with
+    | Design.Cell_pin (src, _) ->
+      (match (Design.inst d src).Design.cell.Cell.kind with
+       | Cell.Tiehi | Cell.Tielo | Cell.Filler -> false
+       | _ -> true)
+    | Design.Port_in _ | Design.No_driver -> false
+  in
+  let queue = Queue.create () in
+  let considered = Array.make (Design.num_insts d) false in
+  Design.iter_insts d (fun i ->
+      match i.Design.cell.Cell.kind with
+      | Cell.Filler | Cell.Tiehi | Cell.Tielo -> ()
+      | _ ->
+        considered.(i.Design.id) <- true;
+        let count =
+          List.length
+            (List.filter
+               (fun pin ->
+                 let nid = i.Design.conns.(pin) in
+                 nid >= 0 && driven_by_cell nid)
+               (timing_inputs i))
+        in
+        pending.(i.Design.id) <- count;
+        if count = 0 then Queue.add i.Design.id queue);
+  let elmore nid ~inst ~pin = Layout.Extract.sink_elmore rc.(nid) ~inst ~pin in
+  let eval_arc iid pin in_net out_net (a : Cell.arc) =
+    let pa = arrival.(in_net) +. elmore in_net ~inst:iid ~pin in
+    let ps = slew.(in_net) +. (2.0 *. elmore in_net ~inst:iid ~pin) in
+    let load = rc.(out_net).Layout.Extract.total_cap_ff in
+    let dl = Lut.eval a.Cell.delay ~slew:ps ~load in
+    let sl = Lut.eval a.Cell.out_slew ~slew:ps ~load in
+    if pa +. dl.Lut.value > arrival.(out_net) then begin
+      arrival.(out_net) <- pa +. dl.Lut.value;
+      slew.(out_net) <- sl.Lut.value;
+      from_pin.(out_net) <- pin
+    end;
+    if dl.Lut.extrapolated || sl.Lut.extrapolated then slow_flag.(iid) <- true
+  in
+  let eval_inst iid =
+    let i = Design.inst d iid in
+    let launch_ck =
+      if A.is_launch i then
+        match Cell.clock_pin i.Design.cell with Some ck -> Some ck | None -> Some (-1)
+      else None
+    in
+    List.iter
+      (fun (a : Cell.arc) ->
+        let timed = match launch_ck with Some ck -> a.Cell.from_pin = ck | None -> true in
+        let in_net = i.Design.conns.(a.Cell.from_pin) in
+        let out_net = i.Design.conns.(a.Cell.to_pin) in
+        if timed && in_net >= 0 && out_net >= 0 && arrival.(in_net) > neg_infinity then
+          eval_arc iid a.Cell.from_pin in_net out_net a)
+      (A.app_arcs i.Design.cell)
+  in
+  let processed = ref 0 in
+  while not (Queue.is_empty queue) do
+    let iid = Queue.pop queue in
+    incr processed;
+    eval_inst iid;
+    match Design.net_of_output d (Design.inst d iid) with
+    | -1 -> ()
+    | out_net ->
+      List.iter
+        (fun (sink, pin) ->
+          if considered.(sink) && List.mem pin (timing_inputs (Design.inst d sink)) then begin
+            pending.(sink) <- pending.(sink) - 1;
+            if pending.(sink) = 0 then Queue.add sink queue
+          end)
+        (Design.net d out_net).Design.sinks
+  done;
+  let total = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 considered in
+  if !processed <> total then begin
+    (* name a cell stuck on the cycle: considered but never released *)
+    let offender = ref (-1) in
+    Design.iter_insts d (fun i ->
+        if !offender < 0 && considered.(i.Design.id) && pending.(i.Design.id) > 0 then
+          offender := i.Design.id);
+    let iname = if !offender >= 0 then (Design.inst d !offender).Design.iname else "?" in
+    raise (A.Combinational_cycle { inst = !offender; iname })
+  end;
+  let slow_nodes = Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 slow_flag in
+  A.build_result d ~arrival ~slew ~from_pin ~slow_nodes ~elmore

@@ -16,7 +16,7 @@ let analysed d =
   let pl = Layout.Place.run d fp in
   let rt = Layout.Route.run pl in
   let rc = Layout.Extract.run pl rt in
-  (pl, rc, Sta.Analysis.run pl rc)
+  (pl, rc, Sta.Tgraph.run d rc)
 
 let test_slack_consistency () =
   let d = Circuits.Bench.tiny ~ffs:40 ~gates:500 () in

@@ -111,7 +111,6 @@ let test_sta_typed_exceptions () =
      offending instance *)
   let d = mk_tiny () in
   let r = P.run ~options:tiny_options d in
-  let pl = r.P.placement in
   let module D = Netlist.Design in
   let module C = Stdcell.Cell in
   let g1 = ref None and g2 = ref None in
@@ -131,7 +130,7 @@ let test_sta_typed_exceptions () =
      D.connect d ~inst:a.D.id ~pin:0 ~net:ob;
      D.disconnect d ~inst:b.D.id ~pin:0;
      D.connect d ~inst:b.D.id ~pin:0 ~net:oa;
-     (match Sta.Analysis.run pl r.P.rc with
+     (match Sta.Tgraph.run d r.P.rc with
       | _ -> Alcotest.fail "expected Combinational_cycle"
       | exception Sta.Analysis.Combinational_cycle { inst; iname } ->
         Alcotest.(check bool) "carries an instance" true (inst >= 0 && iname <> ""))
@@ -159,7 +158,7 @@ let test_staged_equals_straightline () =
   let run_straight () =
     let d = mk_tiny () in
     let r = P.run ~options:tiny_options d in
-    match r.P.sta.Sta.Analysis.worst with Some p -> p.Sta.Analysis.t_cp | None -> 0.0
+    Option.value ~default:0.0 (Sta.Analysis.worst_tcp r.P.sta)
   in
   let run_staged () =
     let d = mk_tiny () in
@@ -171,7 +170,7 @@ let test_staged_equals_straightline () =
     P.stage_extract st;
     P.stage_sta st;
     let r = P.finish st in
-    match r.P.sta.Sta.Analysis.worst with Some p -> p.Sta.Analysis.t_cp | None -> 0.0
+    Option.value ~default:0.0 (Sta.Analysis.worst_tcp r.P.sta)
   in
   Helpers.check_approx "staged flow = straight-line flow" (run_straight ()) (run_staged ())
 

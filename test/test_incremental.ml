@@ -1,5 +1,6 @@
-(* incremental STA: flat timing graph vs the reference Analysis engine,
-   worklist re-timing after ECO edits, required-time patching *)
+(* incremental STA: flat timing graph vs the reference propagator
+   (Sta_reference), worklist re-timing after ECO edits, required-time
+   patching *)
 module Design = Netlist.Design
 module Cell = Stdcell.Cell
 module A = Sta.Analysis
@@ -33,7 +34,7 @@ let check_analysis_equal msg (x : A.t) (y : A.t) =
   Alcotest.(check bool) (msg ^ " worst") true (x.A.worst = y.A.worst)
 
 let check_tgraph_matches msg pl rc =
-  let full = A.run pl rc in
+  let full = Sta_reference.run pl rc in
   let tg = T.compile pl.Layout.Place.design rc in
   T.propagate tg;
   let inc = T.analysis tg in
@@ -56,7 +57,8 @@ let test_tgraph_full_flow () =
   let d = Circuits.Bench.tiny ~seed:7 ~ffs:60 ~gates:600 () in
   let options = { Flow.Pipeline.default_options with Flow.Pipeline.tp_percent = 3.0 } in
   let r = Flow.Pipeline.run ~options d in
-  let full = A.run r.Flow.Pipeline.placement r.Flow.Pipeline.rc in
+  let full = Sta_reference.run r.Flow.Pipeline.placement r.Flow.Pipeline.rc in
+  check_analysis_equal "pipeline sta stage" full r.Flow.Pipeline.sta;
   let tg = T.compile r.Flow.Pipeline.design r.Flow.Pipeline.rc in
   T.propagate tg;
   check_analysis_equal "pipeline design" full (T.analysis tg)
@@ -74,7 +76,7 @@ let test_tgraph_pool_identical () =
 let test_tgraph_wns_matches_slack_report () =
   let d = Circuits.Bench.tiny ~seed:11 ~ffs:50 ~gates:400 () in
   let pl, _, rc = analysed d in
-  let a = A.run pl rc in
+  let a = Sta_reference.run pl rc in
   let expected = Sta.Slack.report pl rc a in
   let tg = T.compile pl.Layout.Place.design rc in
   T.propagate tg;
@@ -113,7 +115,7 @@ let check_ctx_matches_full msg (ctx : Flow.Retime.t) =
   let pl = Flow.Retime.placement ctx in
   let rt = Layout.Route.run pl in
   let rc = Layout.Extract.run pl rt in
-  let full = A.run pl rc in
+  let full = Sta_reference.run pl rc in
   check_analysis_equal msg full (Flow.Retime.analysis ctx);
   let crc = Flow.Retime.rc ctx in
   Array.iteri
@@ -206,44 +208,6 @@ let test_eco_cone_bounded () =
     true
     (stats.I.insts_evaluated < total / 2)
 
-let test_timingfix_modes_equal () =
-  (* the per-edit incremental engine must reproduce the per-pass engine's
-     report bit for bit: two identical designs, one run each way *)
-  let mk () =
-    let d = Circuits.Bench.tiny ~seed:29 ~ffs:40 ~gates:400 () in
-    let fp = Layout.Floorplan.create d in
-    Layout.Place.run d fp
-  in
-  let full = Flow.Timingfix.run ~mode:Flow.Timingfix.Full_sta (mk ()) in
-  let inc = Flow.Timingfix.run ~mode:Flow.Timingfix.Incremental_sta (mk ()) in
-  Alcotest.(check int) "rounds" full.Flow.Timingfix.rounds inc.Flow.Timingfix.rounds;
-  Alcotest.(check int) "upsized" full.Flow.Timingfix.upsized_cells
-    inc.Flow.Timingfix.upsized_cells;
-  List.iter
-    (fun (name, a, b) ->
-      if bits a <> bits b then Alcotest.failf "%s: %h <> %h" name a b)
-    [ ("t_cp_before", full.Flow.Timingfix.t_cp_before, inc.Flow.Timingfix.t_cp_before);
-      ("t_cp_after", full.Flow.Timingfix.t_cp_after, inc.Flow.Timingfix.t_cp_after);
-      ("area_after", full.Flow.Timingfix.cell_area_after, inc.Flow.Timingfix.cell_area_after);
-      ( "wirelength",
-        full.Flow.Timingfix.route.Layout.Route.total_wirelength,
-        inc.Flow.Timingfix.route.Layout.Route.total_wirelength ) ];
-  check_analysis_equal "final sta" full.Flow.Timingfix.sta inc.Flow.Timingfix.sta
-
-let test_pipeline_sta_modes_equal () =
-  let mk () = Circuits.Bench.tiny ~seed:31 ~ffs:40 ~gates:400 () in
-  let opts mode =
-    { Flow.Pipeline.default_options with
-      Flow.Pipeline.tp_percent = 2.0;
-      run_atpg = false;
-      sta_mode = mode }
-  in
-  let full = Flow.Pipeline.run ~options:(opts Flow.Pipeline.Full_sta) (mk ()) in
-  let inc = Flow.Pipeline.run ~options:(opts Flow.Pipeline.Incremental_sta) (mk ()) in
-  check_analysis_equal "pipeline sta modes" full.Flow.Pipeline.sta inc.Flow.Pipeline.sta;
-  Alcotest.(check bool) "graph kept alive" true (inc.Flow.Pipeline.tgraph <> None);
-  Alcotest.(check bool) "full mode has no graph" true (full.Flow.Pipeline.tgraph = None)
-
 let test_sweep_eco () =
   let s = Flow.Experiment.sweep_eco ~tp_levels:[ 1; 2; 3 ] ~scale:0.05 "s38417" in
   let counts = List.map (fun r -> r.Flow.Experiment.e_tp_count) s.Flow.Experiment.eco_rows in
@@ -308,7 +272,7 @@ let prop_random_eco_sequence =
           let pl = Flow.Retime.placement ctx in
           let rt = Layout.Route.run pl in
           let rc = Layout.Extract.run pl rt in
-          let full = A.run pl rc in
+          let full = Sta_reference.run pl rc in
           let inc = Flow.Retime.analysis ctx in
           Array.for_all2 (fun a b -> bits a = bits b) full.A.arrival inc.A.arrival
           && Array.for_all2 (fun a b -> bits a = bits b) full.A.slew inc.A.slew
@@ -323,8 +287,7 @@ let test_lint_reuses_graph () =
     { Flow.Pipeline.default_options with
       Flow.Pipeline.tp_percent = 3.0;
       run_atpg = false;
-      lint = true;
-      sta_mode = Flow.Pipeline.Incremental_sta }
+      lint = true }
   in
   let r = Flow.Pipeline.run ~options d in
   match r.Flow.Pipeline.lint_report with
@@ -349,8 +312,6 @@ let suite =
     Alcotest.test_case "eco upsize = full rerun" `Quick test_eco_upsize;
     Alcotest.test_case "eco buffer = full rerun" `Quick test_eco_buffer;
     Alcotest.test_case "eco cone bounded" `Quick test_eco_cone_bounded;
-    Alcotest.test_case "timingfix modes equal" `Quick test_timingfix_modes_equal;
-    Alcotest.test_case "pipeline sta modes equal" `Quick test_pipeline_sta_modes_equal;
     Alcotest.test_case "eco sweep exact" `Quick test_sweep_eco;
     Alcotest.test_case "lint reuses graph" `Quick test_lint_reuses_graph;
     QCheck_alcotest.to_alcotest prop_random_eco_sequence ]

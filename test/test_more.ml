@@ -115,7 +115,7 @@ let test_sta_slow_node_flagging () =
   let pl = Layout.Place.run d fp in
   let rt = Layout.Route.run pl in
   let rc = Layout.Extract.run pl rt in
-  let sta = Sta.Analysis.run pl rc in
+  let sta = Sta.Tgraph.run d rc in
   Alcotest.(check bool) "slow node flagged" true (sta.Sta.Analysis.slow_nodes >= 1)
 
 let test_pipeline_tdv_equations () =

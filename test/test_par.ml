@@ -127,9 +127,11 @@ let test_sta_identical () =
   let pl = Layout.Place.run d fp in
   let rt = Layout.Route.run pl in
   let rc = Layout.Extract.run pl rt in
-  let seq = Sta.Analysis.run pl rc in
+  let seq = Sta.Tgraph.run d rc in
   Pool.with_pool ~domains:4 (fun p ->
-      let par = Sta.Analysis.run ~pool:p pl rc in
+      let tg = Sta.Tgraph.compile d rc in
+      Sta.Tgraph.propagate ~pool:p tg;
+      let par = Sta.Tgraph.analysis tg in
       Alcotest.(check bool) "arrivals" true
         (seq.Sta.Analysis.arrival = par.Sta.Analysis.arrival);
       Alcotest.(check bool) "slews" true (seq.Sta.Analysis.slew = par.Sta.Analysis.slew);

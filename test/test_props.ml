@@ -90,7 +90,7 @@ let prop_sta_breakdown_sums =
       let pl = Layout.Place.run d fp in
       let rt = Layout.Route.run pl in
       let rc = Layout.Extract.run pl rt in
-      let sta = Sta.Analysis.run pl rc in
+      let sta = Sta.Tgraph.run d rc in
       Array.for_all
         (fun path ->
           match path with

@@ -1,11 +1,11 @@
 (* flow.Repair: post-route WNS/TNS-driven ECO repair, its exactness
-   contract across STA modes, and the Timingfix accept-worse regression *)
+   contract against a fresh analysis of the repaired layout, and the
+   section 5 area-for-delay trade *)
 module Design = Netlist.Design
 module Cell = Stdcell.Cell
 module A = Sta.Analysis
 module T = Sta.Tgraph
 module R = Flow.Repair
-module TF = Flow.Timingfix
 
 let bits = Int64.bits_of_float
 
@@ -24,7 +24,7 @@ let check_analysis_equal msg (x : A.t) (y : A.t) =
   Alcotest.(check bool) (msg ^ " worst") true (x.A.worst = y.A.worst)
 
 (* a placed+TPI'd design fresh out of the pipeline; rebuilt identically on
-   every call so each STA mode can mutate its own copy *)
+   every call so each test can mutate its own copy *)
 let placed ?(seed = 9) ?(ffs = 50) ?(gates = 500) ?(tp_percent = 2.0) () =
   let d = Circuits.Bench.tiny ~seed ~ffs ~gates () in
   let options =
@@ -58,7 +58,7 @@ let test_repair_state_coherent () =
   let rep = R.run ~route:rt ~rc pl in
   let rt' = Layout.Route.run pl in
   let rc' = Layout.Extract.run pl rt' in
-  let fresh = A.run pl rc' in
+  let fresh = Sta_reference.run pl rc' in
   check_analysis_equal "report sta vs fresh analysis" fresh rep.R.sta;
   Alcotest.(check bool) "t_cp_after is the fresh worst" true
     (match fresh.A.worst with
@@ -71,63 +71,25 @@ let test_repair_state_coherent () =
     (bits rep.R.cell_area_after
     = bits (Netlist.Stats.compute pl.Layout.Place.design).Netlist.Stats.cell_area)
 
-let test_repair_modes_identical () =
-  let run mode =
-    let pl, rt, rc = placed ~seed:21 () in
-    R.run ~mode ~route:rt ~rc pl
-  in
-  let full = run R.Full_sta in
-  let inc = run R.Incremental_sta in
-  Alcotest.(check int) "passes" full.R.passes inc.R.passes;
-  Alcotest.(check int) "tried" full.R.tried inc.R.tried;
-  Alcotest.(check int) "accepted" full.R.accepted inc.R.accepted;
-  Alcotest.(check int) "buffers" full.R.buffers_inserted inc.R.buffers_inserted;
-  Alcotest.(check int) "upsized" full.R.upsized inc.R.upsized;
-  Alcotest.(check int) "downsized" full.R.downsized inc.R.downsized;
-  Alcotest.(check int) "swapped" full.R.swapped inc.R.swapped;
-  List.iter
-    (fun (name, a, b) ->
-      if bits a <> bits b then Alcotest.failf "%s: %h <> %h" name a b)
-    [ ("wns_before", full.R.wns_before, inc.R.wns_before);
-      ("wns_after", full.R.wns_after, inc.R.wns_after);
-      ("tns_after", full.R.tns_after, inc.R.tns_after);
-      ("t_cp_after", full.R.t_cp_after, inc.R.t_cp_after);
-      ("area_after", full.R.cell_area_after, inc.R.cell_area_after);
-      ( "wirelength",
-        full.R.route.Layout.Route.total_wirelength,
-        inc.R.route.Layout.Route.total_wirelength ) ];
-  (* every trial — target, verdict and objective movement — matches *)
-  List.iter2
-    (fun (a : R.eco) (b : R.eco) ->
-      if
-        a.R.kind <> b.R.kind || a.R.target <> b.R.target
-        || a.R.accepted <> b.R.accepted
-        || bits a.R.wns_gain_ps <> bits b.R.wns_gain_ps
-      then
-        Alcotest.failf "trial diverges: %s %s vs %s %s" (R.kind_name a.R.kind)
-          a.R.target (R.kind_name b.R.kind) b.R.target)
-    full.R.edits inc.R.edits;
-  check_analysis_equal "pre_sta" full.R.pre_sta inc.R.pre_sta;
-  check_analysis_equal "post sta" full.R.sta inc.R.sta
-
 let test_repair_pre_sta_is_unrepaired () =
   (* pre_sta must be byte-identical to the STA an unrepaired flow reports —
      the contract that lets one repaired sweep fill both Table 3 columns *)
   let _, _, rc0 = placed ~seed:29 () in
   let pl, rt, rc = placed ~seed:29 () in
-  let unrepaired = A.run pl rc0 in
+  let unrepaired = Sta_reference.run pl rc0 in
   let rep = R.run ~route:rt ~rc pl in
   check_analysis_equal "pre_sta vs unrepaired flow" unrepaired rep.R.pre_sta
 
 (* regression for the stale-level rebirth bug: a rejected buffer frees the
-   newest instance slot, a later propagate rebuilds the evaluation order
-   without it, and the next buffer reuses the slot. Its true level sits at
-   or below the dead occupant's, so the raise-only releveler used to leave
-   [order_valid] standing — and full-STA propagate skipped the reborn cell,
-   leaving its output net at the -inf seed. *)
-let test_full_sta_slot_rebirth () =
+   newest instance slot and the next buffer reuses it. Its true level sits
+   at or below the dead occupant's, so the raise-only releveler used to
+   leave [order_valid] standing — and a whole-graph propagate replayed an
+   order without the reborn cell, leaving its output net at the -inf
+   seed. Both the cone-retimed state and a propagate on the synced graph
+   must equal the reference analysis of the freshly routed design. *)
+let test_slot_rebirth () =
   let pl, rt, rc = placed ~seed:9 () in
-  let ctx = Flow.Retime.create ~full_sta:true pl rt rc in
+  let ctx = Flow.Retime.create pl rt rc in
   let d = Flow.Retime.design ctx in
   let tg = Flow.Retime.tgraph ctx in
   (* deepest and shallowest cell-driven nets with sinks *)
@@ -145,59 +107,33 @@ let test_full_sta_slot_rebirth () =
     (T.net_level tg !deep > T.net_level tg !shallow);
   let b1, _ = Flow.Retime.insert_buffer ctx ~net:!deep in
   ignore (Flow.Retime.remove_buffer ctx ~inst:b1.Design.id);
+  (* a whole-graph propagate here rebuilds the evaluation order without
+     the dead buffer, the order the next insert must not inherit *)
+  T.propagate tg;
   let b2, _ = Flow.Retime.insert_buffer ctx ~net:!shallow in
-  let out = (Design.inst d b2.Design.id).Design.conns.(1) in
-  let arrival, _, _, _ = T.arrival_arrays tg in
-  Alcotest.(check bool) "reborn buffer was propagated" true
-    (arrival.(out) > neg_infinity);
-  (* and the whole graph equals a from-scratch analysis of the edited design *)
+  Alcotest.(check int) "buffer reused the freed slot" b1.Design.id b2.Design.id;
   let rt' = Layout.Route.run pl in
-  let rc' = Layout.Extract.run pl rt' in
-  check_analysis_equal "post-rebirth" (A.run pl rc') (Flow.Retime.analysis ctx)
+  let reference = Sta_reference.run pl (Layout.Extract.run pl rt') in
+  let retimed = Flow.Retime.analysis ctx in
+  check_analysis_equal "cone retime after rebirth" reference retimed;
+  T.propagate tg;
+  let out = (Design.inst d b2.Design.id).Design.conns.(1) in
+  Alcotest.(check bool) "reborn buffer was propagated" true (T.arrival tg out > neg_infinity);
+  check_analysis_equal "propagate after rebirth" reference (T.analysis tg)
 
-(* ---- the Timingfix accept-worse regression ---- *)
-
-let test_timingfix_reports_best_state () =
-  (* the final round may regress timing; the report — and the design left
-     in the placement — must be the best state seen, not the last tried *)
-  List.iter
-    (fun mode ->
-      let d = Circuits.Bench.tiny ~seed:29 ~ffs:40 ~gates:400 () in
-      let fp = Layout.Floorplan.create d in
-      let pl = Layout.Place.run d fp in
-      let r = TF.run ~max_rounds:10 ~mode pl in
-      Alcotest.(check bool) "never worse than start" true
-        (r.TF.t_cp_after <= r.TF.t_cp_before);
-      (* a fresh analysis of the mutated design reports exactly t_cp_after:
-         the degrading round's upsizes were rolled back cell-for-cell *)
-      let rt = Layout.Route.run pl in
-      let rc = Layout.Extract.run pl rt in
-      let fresh = A.run pl rc in
-      (match fresh.A.worst with
-       | Some p ->
-         if bits p.A.t_cp <> bits r.TF.t_cp_after then
-           Alcotest.failf "reported %h but the design times at %h" r.TF.t_cp_after
-             p.A.t_cp
-       | None -> Alcotest.fail "no worst path");
-      check_analysis_equal "report sta vs live design" fresh r.TF.sta)
-    [ TF.Full_sta; TF.Incremental_sta ]
-
-let test_worst_tcp_option () =
-  (* constrained design: Some of the worst path's t_cp *)
-  let pl, _, rc = placed ~seed:9 () in
-  let sta = A.run pl rc in
-  (match (TF.worst_tcp sta, sta.A.worst) with
-   | Some t, Some p -> Alcotest.(check bool) "some" true (bits t = bits p.A.t_cp)
-   | _ -> Alcotest.fail "expected a constrained path");
-  (* purely combinational design: no endpoint, no sentinel leaking out *)
-  let d = Circuits.Iscas.parse "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n" in
-  let fp = Layout.Floorplan.create d in
-  let pl = Layout.Place.run d fp in
-  let rt = Layout.Route.run pl in
-  let rc = Layout.Extract.run pl rt in
-  let sta = A.run pl rc in
-  Alcotest.(check bool) "none on unconstrained design" true
-    (TF.worst_tcp sta = None)
+(* section 5: timing optimisation buys delay with drive strength. With
+   area recovery off, every accepted ECO adds or enlarges a cell, so a
+   faster layout must cost cell area *)
+let test_repair_trades_area_for_delay () =
+  let pl, rt, rc = placed ~seed:9 ~tp_percent:0.0 () in
+  let config = { R.default_config with R.area_recovery = false } in
+  let rep = R.run ~config ~route:rt ~rc pl in
+  Alcotest.(check bool) "upsized or buffered" true
+    (rep.R.upsized + rep.R.buffers_inserted > 0);
+  Alcotest.(check int) "no downsizing" 0 rep.R.downsized;
+  Alcotest.(check bool) "delay improves" true (rep.R.t_cp_after < rep.R.t_cp_before);
+  Alcotest.(check bool) "area grows" true (rep.R.cell_area_after > rep.R.cell_area_before);
+  Netlist.Check.assert_clean pl.Layout.Place.design
 
 (* ---- typed generator/parser errors (the retired assert-false paths) ---- *)
 
@@ -232,12 +168,9 @@ let suite =
   [ Alcotest.test_case "repair improves" `Slow test_repair_improves;
     Alcotest.test_case "repair leaves coherent state" `Slow
       test_repair_state_coherent;
-    Alcotest.test_case "STA modes byte-identical" `Slow test_repair_modes_identical;
     Alcotest.test_case "pre_sta = unrepaired flow" `Slow
       test_repair_pre_sta_is_unrepaired;
-    Alcotest.test_case "full-STA slot rebirth" `Slow test_full_sta_slot_rebirth;
-    Alcotest.test_case "timingfix reports best state" `Slow
-      test_timingfix_reports_best_state;
-    Alcotest.test_case "worst_tcp option" `Quick test_worst_tcp_option;
+    Alcotest.test_case "full-STA slot rebirth" `Slow test_slot_rebirth;
+    Alcotest.test_case "area-for-delay" `Slow test_repair_trades_area_for_delay;
     Alcotest.test_case "typed circuit errors" `Quick test_typed_circuit_errors;
     QCheck_alcotest.to_alcotest prop_repaired_never_worse ]

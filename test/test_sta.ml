@@ -8,7 +8,7 @@ let analysed d =
   let pl = Layout.Place.run d fp in
   let rt = Layout.Route.run pl in
   let rc = Layout.Extract.run pl rt in
-  (pl, rc, A.run pl rc)
+  (pl, rc, Sta.Tgraph.run d rc)
 
 let test_mini_path () =
   let d = Helpers.mini_design () in
@@ -62,7 +62,7 @@ let test_clock_latency_after_cts () =
   ignore (Layout.Cts.run pl);
   let rt = Layout.Route.run pl in
   let rc = Layout.Extract.run pl rt in
-  let sta = A.run pl rc in
+  let sta = Sta.Tgraph.run d rc in
   (* all FF clock pins now see a positive latency through the buffer tree *)
   Design.iter_insts d (fun i ->
       if Design.is_ff i then begin
@@ -104,10 +104,24 @@ let test_test_mode_arcs_blocked () =
      far below any clock-launched value in this tiny design *)
   Alcotest.(check bool) "analysis completes with TSFF" true (sta.A.worst <> None)
 
+let test_worst_tcp_option () =
+  (* constrained design: Some of the worst path's t_cp *)
+  let _, _, sta = analysed (Helpers.mini_design ()) in
+  (match (A.worst_tcp sta, sta.A.worst) with
+   | Some t, Some p ->
+     Alcotest.(check bool) "some" true
+       (Int64.bits_of_float t = Int64.bits_of_float p.A.t_cp)
+   | _ -> Alcotest.fail "expected a constrained path");
+  (* purely combinational design: no endpoint, no sentinel leaking out *)
+  let d = Circuits.Iscas.parse "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n" in
+  let _, _, sta = analysed d in
+  Alcotest.(check bool) "none on unconstrained design" true (A.worst_tcp sta = None)
+
 let suite =
   [ Alcotest.test_case "mini path" `Quick test_mini_path;
     Alcotest.test_case "breakdown identity" `Quick test_breakdown_identity_tiny;
     Alcotest.test_case "tsff on path" `Quick test_tsff_appears_on_path;
     Alcotest.test_case "clock latency" `Quick test_clock_latency_after_cts;
     Alcotest.test_case "cross-domain excluded" `Quick test_cross_domain_excluded;
-    Alcotest.test_case "test arcs blocked" `Quick test_test_mode_arcs_blocked ]
+    Alcotest.test_case "test arcs blocked" `Quick test_test_mode_arcs_blocked;
+    Alcotest.test_case "worst_tcp option" `Quick test_worst_tcp_option ]

@@ -21,11 +21,20 @@ let area_scale : float option ref = ref None
 
 let circuits = [ "s38417"; "pcore_a"; "pcore_b" ]
 
+(* every layout runs through the guarded flow; a failed level stops the
+   bench instead of silently dropping out of a table *)
+let sweep ?pool ?cache ~with_atpg ?scale c =
+  List.map Core.Experiment.row_exn
+    (Core.Experiment.sweep_guarded ?pool ?cache ~with_atpg ?scale c)
+
+let run_flow ~options d =
+  Core.Guard.result_exn (Core.Guard.run ~options ~circuit:"bench" (fun () -> d))
+
 let table1 () =
   say "=== Table 1: impact of TPI on test data (ATPG scale %.2f) ===" !table1_scale;
   List.iter
     (fun c ->
-      let rows = Core.Experiment.sweep ~with_atpg:true ~scale:!table1_scale c in
+      let rows = sweep ~with_atpg:true ~scale:!table1_scale c in
       print_string (Core.Report.table1 rows);
       print_newline ())
     circuits
@@ -36,7 +45,7 @@ let rows_for c =
   match Hashtbl.find_opt area_rows c with
   | Some rows -> rows
   | None ->
-    let rows = Core.Experiment.sweep ~with_atpg:false ?scale:!area_scale c in
+    let rows = sweep ~with_atpg:false ?scale:!area_scale c in
     Hashtbl.replace area_rows c rows;
     rows
 
@@ -122,7 +131,9 @@ let fig3 () =
 let ablations () =
   say "=== Ablation (paper section 5): excluding test points from critical paths ===";
   let spec = Core.Experiment.spec_for ~scale:0.35 "s38417" in
-  let unrestricted = Core.Experiment.run_one ~with_atpg:true spec ~tp_pct:2 in
+  let unrestricted =
+    Core.Experiment.row_exn (Core.Experiment.run_one_guarded ~with_atpg:true spec ~tp_pct:2)
+  in
   let restricted =
     Core.Experiment.blocked_critical_nets spec ~tp_pct:2 ~slack_margin_ps:400.0
   in
@@ -239,7 +250,7 @@ let perf () =
             Core.Pipeline.run_atpg = false;
             chain_config = Core.Scan_chains.Max_length 20 }
         in
-        ignore (Core.Pipeline.run ~options d)))
+        ignore (run_flow ~options d)))
   in
   let fig3_kernel =
     Test.make ~name:"fig3/render" (Staged.stage (fun () ->
@@ -339,12 +350,12 @@ let perf () =
                 done)))
   in
   assert (masks_seq = masks_par);
-  let sweep_seq () = Core.Experiment.sweep ~with_atpg:false ~scale:0.06 "s38417" in
+  let sweep_seq () = sweep ~with_atpg:false ~scale:0.06 "s38417" in
   let t_sweep_seq = time_best ~reps:3 sweep_seq in
   let t_sweep_par =
     Par.Pool.with_pool ~domains:par_jobs (fun p ->
         time_best ~reps:3 (fun () ->
-            Core.Experiment.sweep ~pool:p ~with_atpg:false ~scale:0.06 "s38417"))
+            sweep ~pool:p ~with_atpg:false ~scale:0.06 "s38417"))
   in
   (* ---- cold vs warm: the content-addressed stage cache ----
      The same sweep, once uncached and once against a memory-only store;
@@ -352,7 +363,7 @@ let perf () =
      reps are all served from cache. The tables must not notice. *)
   let cache_store = Core.Stage_cache.create () in
   let sweep_cached () =
-    Core.Experiment.sweep ~cache:cache_store ~with_atpg:false ~scale:0.06 "s38417"
+    sweep ~cache:cache_store ~with_atpg:false ~scale:0.06 "s38417"
   in
   let t_sweep_warm = time_best ~reps:3 sweep_cached in
   assert (Core.Report.table2 (sweep_seq ()) = Core.Report.table2 (sweep_cached ()));
@@ -373,7 +384,7 @@ let perf () =
         tp_percent = 2.0;
         chain_config = Core.Scan_chains.Max_length 100 }
     in
-    Core.Pipeline.run ~options (Core.Bench.by_name "s38417" ~scale:0.12)
+    run_flow ~options (Core.Bench.by_name "s38417" ~scale:0.12)
   in
   let ctx =
     Core.Retime.create eco_r.Core.Pipeline.placement eco_r.Core.Pipeline.route
@@ -428,8 +439,9 @@ let perf () =
      against one Tgraph.propagate of the same Retime graph. After the
      upsize, the cone-retimed report must equal a propagate from seeds. *)
   let repair_r =
-    (Core.Experiment.run_one ~cache:cache_store ~with_atpg:false
-       (Core.Experiment.spec_for ~scale:0.06 "s38417") ~tp_pct:1)
+    (Core.Experiment.row_exn
+       (Core.Experiment.run_one_guarded ~cache:cache_store ~with_atpg:false
+          (Core.Experiment.spec_for ~scale:0.06 "s38417") ~tp_pct:1))
       .Core.Experiment.result
   in
   let rctx =

@@ -5,7 +5,10 @@
    dune exec examples/area_timing_tradeoff.exe *)
 
 let () =
-  let rows = Core.Experiment.sweep ~with_atpg:false ~scale:0.35 "s38417" in
+  let rows =
+    List.map Core.Experiment.row_exn
+      (Core.Experiment.sweep_guarded ~with_atpg:false ~scale:0.35 "s38417")
+  in
   print_string (Core.Report.table2 rows);
   print_newline ();
   print_string (Core.Report.table3 rows);

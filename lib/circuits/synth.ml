@@ -532,5 +532,20 @@ let generate (p : Profile.t) =
       let port = Design.add_port d (Printf.sprintf "po_spare%d" k) Design.Out in
       Design.connect_out_port d ~port:port.Design.pid ~net)
     (mop_up st);
+  (* the mop-up only collects gate outputs; an output still driving nothing
+     (in practice a flip-flop Q no gate drew on) gets an observation output
+     of its own *)
+  let sinkless = ref [] in
+  Design.iter_insts d (fun i ->
+      let o = Design.net_of_output d i in
+      if o >= 0 then begin
+        let n = Design.net d o in
+        if n.Design.sinks = [] && n.Design.out_port < 0 then sinkless := o :: !sinkless
+      end);
+  List.iteri
+    (fun k net ->
+      let port = Design.add_port d (Printf.sprintf "po_q%d" k) Design.Out in
+      Design.connect_out_port d ~port:port.Design.pid ~net)
+    (List.rev !sinkless);
   fix_fanout st;
   d

@@ -77,8 +77,10 @@ module Recorder = Obs.Recorder
 module Perfgate = Obs.Perfgate
 
 (** Run the complete Figure-2 flow on a named benchmark circuit at the
-    given test point percentage; the fastest way to see everything work. *)
+    given test point percentage; the fastest way to see everything work.
+    Raises {!Flow.Guard.Stage_failure} if a stage fails. *)
 let quickstart ?(circuit = "s38417") ?(scale = 0.25) ?(tp_percent = 1.0)
     ?(with_atpg = true) () =
   let spec = Flow.Experiment.spec_for ~scale circuit in
-  Flow.Experiment.run_one ~with_atpg spec ~tp_pct:(int_of_float tp_percent)
+  Flow.Experiment.row_exn
+    (Flow.Experiment.run_one_guarded ~with_atpg spec ~tp_pct:(int_of_float tp_percent))

@@ -3,13 +3,6 @@ type t = {
   deadline_us : float option;  (* absolute, on the Obs.Clock timeline *)
 }
 
-exception Cancelled of string
-
-let () =
-  Printexc.register_printer (function
-    | Cancelled reason -> Some (Printf.sprintf "Flow.Cancel.Cancelled(%s)" reason)
-    | _ -> None)
-
 let create ?deadline_ms () =
   { cancelled = Atomic.make None;
     deadline_us =
@@ -31,10 +24,3 @@ let state t =
        Atomic.get t.cancelled
      | _ -> None)
 
-let is_cancelled t = state t <> None
-
-let check t =
-  match state t with Some reason -> raise (Cancelled reason) | None -> ()
-
-let deadline_ms_left t =
-  Option.map (fun d -> (d -. Obs.Clock.now_us ()) /. 1000.0) t.deadline_us

@@ -1,23 +1,20 @@
 (** Cooperative cancellation tokens for the guarded flow.
 
-    A token is handed to a run through {!Pipeline.options.cancel} (and
-    {!Guard.run}'s [?cancel]); the pipeline polls it between stages, so a
-    cancelled or expired job stops at the next stage boundary instead of
-    running the flow to completion. Cancellation is cooperative — a stage
-    body already underway finishes — which keeps the §6.1/§6.2 determinism
-    contracts intact: a token never changes {e what} a surviving stage
+    A token enters a run only through {!Guard.run}'s [?cancel] (which
+    {!Experiment}'s guarded entry points pass straight on); the guard
+    polls it at every stage boundary, so a cancelled or expired job stops
+    there instead of running the flow to completion. Cancellation is
+    cooperative — a stage body already underway finishes — which keeps the
+    §6.1/§6.2 determinism contracts intact: a token never changes {e what} a surviving stage
     computes, only whether the next one starts.
 
     Tokens carry an optional deadline; once it passes, the token behaves
     as if [cancel] had been called with reason ["deadline"]. Both the
     manual reason and the deadline check are visible through {!state},
-    and {!check} converts them into the {!Cancelled} exception that
-    {!Guard} classifies under the ["cancelled"] error class. *)
+    which {!Guard} turns into a typed error under the ["cancelled"]
+    class. *)
 
 type t
-
-exception Cancelled of string
-(** Raised by {!check}; the payload is the cancellation reason. *)
 
 val create : ?deadline_ms:float -> unit -> t
 (** A fresh, uncancelled token. [deadline_ms] is a time budget from now;
@@ -32,10 +29,3 @@ val state : t -> string option
 (** [Some reason] once cancelled (or past the deadline), [None] while the
     token is live. *)
 
-val is_cancelled : t -> bool
-
-val check : t -> unit
-(** Raise {!Cancelled} if the token is cancelled or expired. *)
-
-val deadline_ms_left : t -> float option
-(** Remaining budget, for reporting; [None] without a deadline. *)

@@ -29,8 +29,7 @@ type row = {
   result : Pipeline.result;
 }
 
-let options_of ?pool ?cache ?cancel ?(lint = false) ?(repair = false) spec ~with_atpg
-    ~tp_pct =
+let options_of ?pool ?cache ?(lint = false) ?(repair = false) spec ~with_atpg ~tp_pct =
   { Pipeline.default_options with
     Pipeline.tp_percent = float_of_int tp_pct;
     chain_config = spec.chain_config;
@@ -38,7 +37,6 @@ let options_of ?pool ?cache ?cancel ?(lint = false) ?(repair = false) spec ~with
     run_atpg = with_atpg;
     pool;
     cache;
-    cancel;
     lint;
     repair }
 
@@ -56,15 +54,6 @@ let generate ?cache spec =
     in
     Cache.Store.memo store ~key mk
 
-let run_one ?pool ?cache ?lint ?repair ?(with_atpg = true) spec ~tp_pct =
-  let d = generate ?cache spec in
-  let result =
-    Pipeline.run
-      ~options:(options_of ?pool ?cache ?lint ?repair spec ~with_atpg ~tp_pct)
-      d
-  in
-  { spec; tp_pct; result }
-
 (* fan the (independent, each internally deterministic) levels across the
    pool; parallel_map keeps results in level order, and a nested Pool.run
    inside a worker-side pipeline degrades to inline, so the rows are
@@ -76,12 +65,6 @@ let fan_levels pool tp_levels f =
     Array.to_list (Par.Pool.parallel_map p ~n:(Array.length arr) (fun i -> f arr.(i)))
   | _ -> List.map f tp_levels
 
-let sweep ?pool ?cache ?lint ?repair ?(with_atpg = true)
-    ?(tp_levels = [ 0; 1; 2; 3; 4; 5 ]) ?scale circuit =
-  let spec = spec_for ?scale circuit in
-  fan_levels pool tp_levels (fun tp_pct ->
-      run_one ?pool ?cache ?lint ?repair ~with_atpg spec ~tp_pct)
-
 type guarded_row = {
   g_spec : spec;
   g_tp_pct : int;
@@ -91,10 +74,8 @@ type guarded_row = {
 let run_one_guarded ?pool ?cache ?policy ?retries ?tamper ?cancel ?on_stage ?lint
     ?repair ?(with_atpg = true) spec ~tp_pct =
   let report =
-    Guard.run ?policy ?retries ?tamper ?on_stage ~circuit:spec.circuit
-      ~options:
-        (options_of ?pool ?cache ?cancel ?lint ?repair spec ~with_atpg
-           ~tp_pct)
+    Guard.run ?policy ?retries ?tamper ?cancel ?on_stage ~circuit:spec.circuit
+      ~options:(options_of ?pool ?cache ?lint ?repair spec ~with_atpg ~tp_pct)
       (fun () -> generate ?cache spec)
   in
   { g_spec = spec; g_tp_pct = tp_pct; g_report = report }
@@ -108,6 +89,9 @@ let sweep_guarded ?pool ?cache ?policy ?retries ?tamper ?cancel ?on_stage ?lint
   fan_levels pool tp_levels (fun tp_pct ->
       run_one_guarded ?pool ?cache ?policy ?retries ?tamper ?cancel ?on_stage ?lint
         ?repair ~with_atpg spec ~tp_pct)
+
+let row_exn g =
+  { spec = g.g_spec; tp_pct = g.g_tp_pct; result = Guard.result_exn g.g_report }
 
 let completed_rows grows =
   List.filter_map
@@ -123,8 +107,8 @@ let degraded_rows grows =
 (* ---- ECO sweep: one layout, one compiled timing graph, incremental TP
    levels ----
 
-   The classic [sweep] builds every TP% level from scratch — six stages
-   per level, full route/extract/STA each time. The ECO sweep lays out the
+   [sweep_guarded] builds every TP% level from scratch — six stages per
+   level, full route/extract/STA each time. The ECO sweep lays out the
    0% baseline once, compiles its timing graph once, then walks the levels
    by splicing in only the *additional* test points each level asks for
    and worklist-retiming their cones. What it measures is the layout
@@ -172,12 +156,10 @@ let eco_candidates (d : Netlist.Design.t) =
 
 let sweep_eco ?pool ?cache ?lint ?(tp_levels = [ 1; 2; 3; 4; 5 ]) ?scale circuit =
   let spec = spec_for ?scale circuit in
-  let d = generate ?cache spec in
-  let options =
-    options_of ?pool ?cache ?lint spec ~with_atpg:false ~tp_pct:0
+  let baseline =
+    row_exn (run_one_guarded ?pool ?cache ?lint ~with_atpg:false spec ~tp_pct:0)
   in
-  let result = Pipeline.run ~options d in
-  let baseline = { spec; tp_pct = 0; result } in
+  let result = baseline.result in
   let ctx =
     Retime.create result.Pipeline.placement result.Pipeline.route result.Pipeline.rc
   in
@@ -213,9 +195,8 @@ let sweep_eco ?pool ?cache ?lint ?(tp_levels = [ 1; 2; 3; 4; 5 ]) ?scale circuit
    STA identifies the worst paths per domain; nets within the slack margin
    of them are off limits for insertion. *)
 let blocked_critical_nets ?pool spec ~tp_pct ~slack_margin_ps =
-  let d0 = Circuits.Bench.by_name spec.circuit ~scale:spec.scale in
   let baseline =
-    Pipeline.run ~options:(options_of ?pool spec ~with_atpg:false ~tp_pct:0) d0
+    (row_exn (run_one_guarded ?pool ~with_atpg:false spec ~tp_pct:0)).result
   in
   let blocked_names =
     (* blocked nets must survive into the *fresh* design of the real run:
@@ -223,11 +204,10 @@ let blocked_critical_nets ?pool spec ~tp_pct ~slack_margin_ps =
     Sta.Slack.nets_on_worst_paths baseline.Pipeline.placement baseline.Pipeline.sta
       ~margin_ps:slack_margin_ps
   in
-  let d = Circuits.Bench.by_name spec.circuit ~scale:spec.scale in
   let options =
     { (options_of ?pool spec ~with_atpg:true ~tp_pct) with
       Pipeline.tpi_config =
         { Tpi.Select.default_config with Tpi.Select.blocked_nets = blocked_names } }
   in
-  let result = Pipeline.run ~options d in
-  { spec; tp_pct; result }
+  let report = Guard.run ~options ~circuit:spec.circuit (fun () -> generate spec) in
+  { spec; tp_pct; result = Guard.result_exn report }

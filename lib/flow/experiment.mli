@@ -1,7 +1,12 @@
 (** The paper's experimental matrix (§4.1): for each circuit, six layouts —
     no test points, then 1% to 5% — each generated from scratch through the
     full flow, with the per-circuit settings of the paper (chain limits,
-    row utilization targets). *)
+    row utilization targets).
+
+    Every layout runs under {!Guard}, so each one passes the post-stage
+    invariant checks or reports a typed error. {!run_one_guarded} and
+    {!sweep_guarded} return the guard's reports; {!row_exn} turns one into
+    a plain {!row} for the table renderers, raising on a failed level. *)
 
 type spec = {
   circuit : string;               (** "s38417" | "pcore_a" | "pcore_b" *)
@@ -20,43 +25,6 @@ type row = {
   tp_pct : int;
   result : Pipeline.result;
 }
-
-val run_one :
-  ?pool:Par.Pool.t ->
-  ?cache:Cache.Store.t ->
-  ?lint:bool ->
-  ?repair:bool ->
-  ?with_atpg:bool ->
-  spec ->
-  tp_pct:int ->
-  row
-(** [lint] (default false) turns on the {!Pipeline.preflight} gate:
-    error-severity {!Lint} findings on the generated design raise
-    {!Lint.Engine.Lint_failed} before the first stage. [repair] (default
-    false) appends the step-7 {!Repair} stage, so the row's [result.sta]
-    is the repaired timing and [result.repair] carries the report
-    (including the unrepaired [pre_sta]). *)
-
-val sweep :
-  ?pool:Par.Pool.t ->
-  ?cache:Cache.Store.t ->
-  ?lint:bool ->
-  ?repair:bool ->
-  ?with_atpg:bool ->
-  ?tp_levels:int list ->
-  ?scale:float ->
-  string ->
-  row list
-(** Default levels [0;1;2;3;4;5]. With [pool], the independent levels fan
-    out across the pool's domains (and the pool is also handed to each
-    level's pipeline, where the innermost non-nested layer uses it); rows
-    come back in level order and are bit-identical to the sequential
-    sweep. With [cache], level-invariant work is shared: design generation
-    runs once per sweep (single-flighted across concurrent levels) and
-    every stage consults the content-addressed stage cache
-    ({!Pipeline.cached_stage}), so a repeated sweep is served almost
-    entirely from cache — still byte-identical to a cold, cache-less
-    run. *)
 
 (** {1 ECO sweep}
 
@@ -93,15 +61,16 @@ val sweep_eco :
     baseline netlist, the same signal {!Tpi.Select} batches on. Timing at
     every level is exact — each ECO leaves the context byte-identical to a
     from-scratch route/extract/STA of the same netlist — but the layouts
-    differ from {!sweep}'s by construction: test points are spliced into a
-    finished placement rather than placed before it, which is precisely
-    the ECO-style flow whose timing cost the rows measure. *)
+    differ from {!sweep_guarded}'s by construction: test points are
+    spliced into a finished placement rather than placed before it, which
+    is precisely the ECO-style flow whose timing cost the rows measure.
+    The baseline runs under {!Guard}; raises {!Guard.Stage_failure} if it
+    fails. *)
 
 (** {1 Guarded experiments}
 
-    Same matrix, but each level runs under {!Guard}: a stage failure in one
-    layout becomes a degraded row (reported by {!Report.guarded_summary})
-    instead of aborting the sweep. *)
+    A stage failure in one layout becomes a degraded row (reported by
+    {!Report.guarded_summary}) instead of aborting the sweep. *)
 
 type guarded_row = {
   g_spec : spec;
@@ -123,6 +92,13 @@ val run_one_guarded :
   spec ->
   tp_pct:int ->
   guarded_row
+(** [lint] (default false) turns on the {!Pipeline.preflight} gate:
+    error-severity {!Lint} findings on the generated design fail the level
+    with a ["lint-failed"] error before the first stage. [repair] (default
+    false) appends the step-7 {!Repair} stage, so the row's [result.sta]
+    is the repaired timing and [result.repair] carries the report
+    (including the unrepaired [pre_sta]). [cancel] goes straight to
+    {!Guard.run}. *)
 
 val sweep_guarded :
   ?pool:Par.Pool.t ->
@@ -139,14 +115,32 @@ val sweep_guarded :
   ?scale:float ->
   string ->
   guarded_row list
-(** Never raises on a stage failure; [tamper] is the chaos/fault-injection
-    hook threaded through to {!Guard.run} (tampered runs bypass the
-    cache). [cancel] and [on_stage] are the service layer's cancellation
-    token and per-stage streaming hook ({!Guard.run}); a cancelled level
-    surfaces as a degraded row with a typed ["cancelled"] error. *)
+(** Default levels [0;1;2;3;4;5]. Never raises on a stage failure;
+    [tamper] is the chaos/fault-injection hook threaded through to
+    {!Guard.run} (tampered runs bypass the cache). [cancel] and [on_stage]
+    are the service layer's cancellation token and per-stage streaming
+    hook ({!Guard.run}); a cancelled level surfaces as a degraded row with
+    a typed ["cancelled"] error.
+
+    With [pool], the independent levels fan out across the pool's domains
+    (and the pool is also handed to each level's flow, where the innermost
+    non-nested layer uses it); rows come back in level order and are
+    bit-identical to the sequential sweep. With [cache], level-invariant
+    work is shared: design generation runs once per sweep (single-flighted
+    across concurrent levels) and every stage consults the
+    content-addressed stage cache ({!Pipeline.cached_stage}), so a
+    repeated sweep is served almost entirely from cache — still
+    byte-identical to a cold, cache-less run. *)
+
+val row_exn : guarded_row -> row
+(** The level as a plain row; raises {!Guard.Stage_failure} with the
+    level's error when its flow did not complete. Use it wherever a failed
+    level must stop the run rather than silently vanish — the paper
+    tables, tests, examples. *)
 
 val completed_rows : guarded_row list -> row list
-(** The levels whose flow completed, as plain rows for the table renderers. *)
+(** The levels whose flow completed, as plain rows; failed levels are
+    dropped (report them with {!degraded_rows}). *)
 
 val degraded_rows : guarded_row list -> guarded_row list
 
@@ -154,4 +148,5 @@ val blocked_critical_nets :
   ?pool:Par.Pool.t -> spec -> tp_pct:int -> slack_margin_ps:float -> row
 (** The §5 ablation: run a baseline layout + STA first, collect nets on
     paths within [slack_margin_ps] of the critical path, then insert test
-    points with those nets excluded. *)
+    points with those nets excluded. Both layouts run under {!Guard};
+    raises {!Guard.Stage_failure} if either fails. *)

@@ -82,6 +82,9 @@ let outcome r =
   | None, None ->
     Error { stage = Tpi_scan; circuit = r.circuit; detail = "internal: empty report" }
 
+let result_exn r =
+  match outcome r with Ok res -> res | Error e -> raise (Stage_failure e)
+
 let completed_stages r =
   List.filter_map
     (fun (s, st) -> match st with Completed _ -> Some s | _ -> None)
@@ -103,7 +106,6 @@ let reseed base k = (base lxor (k * 0x9E3779B1)) land 0x3FFFFFFF
 let describe_exn = function
   | Stage_failure e -> e.detail
   | Transient m -> "transient: " ^ m
-  | Cancel.Cancelled reason -> "cancelled: " ^ reason
   | Netlist.Check.Check_failed vs ->
     let first =
       match vs with v :: _ -> Netlist.Check.class_name v | [] -> "none"
@@ -157,39 +159,38 @@ let layout_check ~stage ~circuit d vs =
    errors whose detail leads with the violation-class tag. *)
 let post_check ~circuit stage (st : P.state) =
   Obs.Trace.with_span ~name:("check." ^ stage_name stage) @@ fun () ->
-  let d = st.P.s_design in
+  let p = st.P.s_products in
+  let d = p.P.design in
   match stage with
   | Tpi_scan -> netlist_check ~stage ~circuit d
   | Placement ->
-    let pl = Option.get st.P.s_placement in
+    let pl = Option.get p.P.placement in
     layout_check ~stage ~circuit d (Layout.Check.check_placement ~overlaps:true pl)
   | Reorder_atpg ->
     netlist_check ~stage ~circuit d;
-    (match st.P.s_chains with
+    (match p.P.chains with
      | Some chains ->
        (match Scan.Chains.verify d chains with
         | None -> ()
         | Some msg -> fail stage circuit ("scan-chain-order: " ^ msg))
      | None -> ())
   | Eco_cts_route ->
-    let pl = Option.get st.P.s_placement in
+    let pl = Option.get p.P.placement in
     (* overlaps off: ECO legalisation and DRC upsizing legitimately crowd
        rows; a generous margin still catches cells flung out of the core *)
     layout_check ~stage ~circuit d
       (Layout.Check.check_placement ~overlaps:false ~margin:10.0 pl);
-    layout_check ~stage ~circuit d
-      (Layout.Check.check_route pl (Option.get st.P.s_route))
-  | Extract ->
-    layout_check ~stage ~circuit d (Layout.Check.check_rc (Option.get st.P.s_rc))
+    layout_check ~stage ~circuit d (Layout.Check.check_route pl (Option.get p.P.route))
+  | Extract -> layout_check ~stage ~circuit d (Layout.Check.check_rc (Option.get p.P.rc))
   | Sta -> ()
   | Repair ->
     (* repair rewires, resizes and inserts cells post-route: re-check the
        netlist, the (ECO-crowded) placement and the refreshed parasitics *)
     netlist_check ~stage ~circuit d;
-    let pl = Option.get st.P.s_placement in
+    let pl = Option.get p.P.placement in
     layout_check ~stage ~circuit d
       (Layout.Check.check_placement ~overlaps:false ~margin:10.0 pl);
-    layout_check ~stage ~circuit d (Layout.Check.check_rc (Option.get st.P.s_rc))
+    layout_check ~stage ~circuit d (Layout.Check.check_rc (Option.get p.P.rc))
 
 let stage_body = function
   | Tpi_scan -> P.stage_tpi_scan
@@ -212,7 +213,7 @@ let notify on_stage stage status =
   | None -> ()
   | Some f -> (try f stage status with _ -> ())
 
-(* One pass over the stages. Returns the stage log (all six stages, in
+(* One pass over the stages. Returns the stage log (all seven stages, in
    order), the reached state and the first error, never raising.
 
    Stage timing comes from the {!Obs.Trace} span clock: each stage
@@ -242,7 +243,7 @@ let attempt ~circuit ~options ~tamper ~cancel ~on_stage ~k mk_design =
     let st = P.init ~options d in
     (* fault-injection runs bypass the cache: a tampered stage must not
        store (or be served) an entry a clean run could share *)
-    let ctx = match tamper with None -> P.cache_ctx options | Some _ -> None in
+    let ctx = match tamper with None -> P.cache_ctx st | Some _ -> None in
     let log = ref [] in
     let error = ref None in
     let record stage status =
@@ -294,9 +295,7 @@ let attempt ~circuit ~options ~tamper ~cancel ~on_stage ~k mk_design =
               | e ->
                 let detail = describe_exn e in
                 error := Some { stage; circuit; detail };
-                Obs.Metrics.incr
-                  (if String.starts_with ~prefix:"cancelled:" detail then m_cancelled
-                   else m_stage_failures);
+                Obs.Metrics.incr m_stage_failures;
                 Obs.Recorder.fault
                   ~label:("stage." ^ stage_name stage)
                   ~detail:(Printf.sprintf "%s: %s" circuit detail)
@@ -307,15 +306,6 @@ let attempt ~circuit ~options ~tamper ~cancel ~on_stage ~k mk_design =
 
 let run ?(policy = Fail_fast) ?(retries = default_retries) ?(options = P.default_options)
     ?tamper ?cancel ?on_stage ~circuit mk_design =
-  (* the explicit token wins; otherwise the one already threaded through
-     the options (which the pipeline polls inside cached_stage) is also
-     the one the guard polls between stages *)
-  let cancel = match cancel with Some _ as c -> c | None -> options.P.cancel in
-  let options =
-    match (cancel, options.P.cancel) with
-    | Some _, None -> { options with P.cancel }
-    | _ -> options
-  in
   let rec go k options =
     let log, state, error =
       attempt ~circuit ~options ~tamper ~cancel ~on_stage ~k mk_design

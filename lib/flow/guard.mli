@@ -1,6 +1,7 @@
-(** Guarded execution of the Figure-2 flow.
+(** Guarded execution of the Figure-2 flow: the one runner every layout
+    is built through.
 
-    Wraps each of the six {!Pipeline} stages with wall-clock timing, typed
+    Wraps each of the seven {!Pipeline} stages with wall-clock timing, typed
     stage errors and inter-stage invariant checks ({!Netlist.Check} after
     the netlist transformations, {!Layout.Check} after placement/ECO/
     extraction, {!Scan.Chains.verify} after reordering), under a failure
@@ -82,7 +83,7 @@ type report = {
   circuit : string;
   policy : policy;
   attempts : int;                         (** 1 + retries actually used *)
-  stage_log : (stage * stage_status) list; (** all six stages, flow order *)
+  stage_log : (stage * stage_status) list; (** all seven stages, flow order *)
   error : stage_error option;
   state : Pipeline.state option;
       (** partial stage products of the last attempt; dropped under
@@ -93,6 +94,12 @@ type report = {
 val succeeded : report -> bool
 val outcome : report -> (Pipeline.result, stage_error) result
 val completed_stages : report -> stage list
+
+val result_exn : report -> Pipeline.result
+(** The completed flow's result; raises {!Stage_failure} carrying the
+    report's error (the one {!outcome} returns) when the flow did not
+    complete. For callers — tables, tests, examples — where a failed
+    layout must stop the run rather than vanish from it. *)
 
 val default_retries : int
 
@@ -111,10 +118,10 @@ val run :
     called after each stage's body and before its invariant checks; it may
     mutate the state (fault injection) or raise (simulated tool crash).
 
-    [cancel] is polled at every stage boundary (both here and inside
-    {!Pipeline.cached_stage}); once it fires, the remaining stages are
-    skipped and the report carries a typed ["cancelled"] error, which
-    {!Recover} never retries. When absent, [options.cancel] is used.
+    [cancel] is polled at every stage boundary; once it fires, the
+    remaining stages are skipped and the report carries a typed
+    ["cancelled"] error, which {!Recover} never retries. A stage already
+    underway always runs to completion.
 
     [on_stage], the service layer's streaming hook, is called with each
     stage's resolution (completed, failed or skipped) as it happens;

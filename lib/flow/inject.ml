@@ -181,7 +181,7 @@ let make_comb_cycle d =
   | _ -> no_candidate "combinational cycle"
 
 let make_broken_scan_order (st : P.state) =
-  match st.P.s_chains with
+  match st.P.s_products.P.chains with
   | Some { Scan.Chains.chains; _ } ->
     let k = ref (-1) in
     Array.iteri (fun c chain -> if !k < 0 && Array.length chain >= 2 then k := c) chains;
@@ -193,8 +193,8 @@ let make_broken_scan_order (st : P.state) =
   | None -> no_candidate "chains"
 
 let make_overlap (st : P.state) =
-  let pl = Option.get st.P.s_placement in
-  let d = st.P.s_design in
+  let pl = Option.get st.P.s_products.P.placement in
+  let d = st.P.s_products.P.design in
   let seen = Hashtbl.create 64 in
   let done_ = ref false in
   Design.iter_insts d (fun i ->
@@ -213,8 +213,8 @@ let make_overlap (st : P.state) =
   if not !done_ then no_candidate "two cells in one row"
 
 let make_out_of_core (st : P.state) =
-  let pl = Option.get st.P.s_placement in
-  let d = st.P.s_design in
+  let pl = Option.get st.P.s_products.P.placement in
+  let d = st.P.s_products.P.design in
   match
     find_inst d (fun i ->
         i.Design.cell.Cell.kind <> Cell.Filler && Layout.Place.is_placed pl i.Design.id)
@@ -225,7 +225,7 @@ let make_out_of_core (st : P.state) =
       pl.Layout.Place.fp.Layout.Floorplan.core.Geom.Rect.lx -. 50.0
 
 let make_zero_length_row (st : P.state) =
-  let fp = (Option.get st.P.s_placement).Layout.Place.fp in
+  let fp = (Option.get st.P.s_products.P.placement).Layout.Place.fp in
   if Array.length fp.Layout.Floorplan.rows = 0 then no_candidate "row";
   let r = fp.Layout.Floorplan.rows.(0) in
   fp.Layout.Floorplan.rows.(0) <-
@@ -236,8 +236,8 @@ let make_zero_length_row (st : P.state) =
    list untouched: exactly the inconsistent netlist a buggy speculative
    buffer-revert in the repair stage would leave behind *)
 let make_orphan_repair_buffer (st : P.state) =
-  let d = st.P.s_design in
-  let pl = Option.get st.P.s_placement in
+  let d = st.P.s_products.P.design in
+  let pl = Option.get st.P.s_products.P.placement in
   let cand (i : Design.instance) =
     is_plain_comb i
     && Design.net_of_output d i >= 0
@@ -253,14 +253,14 @@ let make_orphan_repair_buffer (st : P.state) =
       ~near:(Layout.Place.position pl g.Design.id)
 
 let make_corrupt_rc (st : P.state) =
-  match st.P.s_rc with
+  match st.P.s_products.P.rc with
   | Some rc when Array.length rc > 0 ->
     let k = Array.length rc / 2 in
     rc.(k) <- { rc.(k) with Layout.Extract.total_cap_ff = Float.nan }
   | _ -> no_candidate "rc array"
 
 let corrupt m (st : P.state) =
-  let d = st.P.s_design in
+  let d = st.P.s_products.P.design in
   match m with
   | Dangling_output -> make_dangling_output d
   | Floating_input -> make_floating_input d
@@ -350,7 +350,9 @@ let degrade_keeps_partials () =
   && List.assoc Guard.Sta r.Guard.stage_log = Guard.Skipped
   &&
   match r.Guard.state with
-  | Some st -> st.P.s_placement <> None && st.P.s_route <> None && st.P.s_sta = None
+  | Some st ->
+    let p = st.P.s_products in
+    p.P.placement <> None && p.P.route <> None && p.P.sta = None
   | None -> false
 
 (* ---- service-level fault matrix (executed by Serve.Chaos) ---- *)

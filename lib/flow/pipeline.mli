@@ -1,4 +1,4 @@
-(** The complete tool flow of Figure 2:
+(** The complete tool flow of Figure 2, as seven stages:
 
     {ol
     {- test point insertion and scan insertion on the gate-level netlist;}
@@ -12,7 +12,12 @@
     {- (optionally) post-route timing repair ({!Repair}), off by default
        — the paper's layouts are deliberately unoptimised (§5).}}
 
-    One call = one layout, generated from scratch, as in the paper. *)
+    This module holds the options, the stage bodies, the products they
+    fill in and the stage cache. It does not sequence them: every layout
+    is built from scratch by {!Guard.run}, which runs the stages in order
+    with post-stage invariant checks, typed errors, retries and
+    cancellation ({!Guard.result_exn} turns its report into a
+    {!result}). *)
 
 type options = {
   tp_percent : float;              (** test points as % of flip-flops (0-5) *)
@@ -28,24 +33,18 @@ type options = {
           pool produces bit-identical results at any domain count *)
   cache : Cache.Store.t option;
       (** content-addressed stage cache consulted before each stage
-          ({!cached_stage}): a hit restores the stage's serialized state
-          and replays its metrics delta instead of recomputing. Cached and
+          ({!cached_stage}): a hit restores the stage's products and
+          replays its metrics delta instead of recomputing. Cached and
           uncached runs are byte-identical in results and kernel metrics
           (DESIGN.md §6.2); like the pool, the cache never affects {e
           what} is computed, only how fast *)
-  cancel : Cancel.t option;
-      (** cooperative cancellation token, polled at every stage boundary
-          ({!cached_stage} raises {!Cancel.Cancelled} before starting the
-          next stage once the token is cancelled or past its deadline).
-          Like the pool and the cache, excluded from cache keys: it never
-          changes what a completed stage computes *)
   lint : bool;
       (** pre-flight the input design through {!Lint.Engine} before the
           first stage; error-severity findings abort with
           {!Lint.Engine.Lint_failed} (error class ["lint-failed"] under
-          {!Guard}). Read-only over the design, so — like the pool, cache
-          and cancel token — excluded from stage-cache keys. When the sta
-          stage runs (not on a cache hit) it also produces the post-layout
+          {!Guard}). Read-only over the design, so — like the pool and the
+          cache — excluded from stage-cache keys. When the sta stage runs
+          (not on a cache hit) it also produces the post-layout
           [lint_report] *)
   repair : bool;
       (** run the step-7 {!Repair} stage: WNS/TNS-driven ECO repair of the
@@ -55,6 +54,29 @@ type options = {
 }
 
 val default_options : options
+
+type products = {
+  design : Netlist.Design.t;
+  tp_count : int;
+  tpi_report : Tpi.Select.report option;
+  placement : Layout.Place.t option;
+  chains : Scan.Chains.t option;
+  reorder : Scan.Reorder.result option;
+  atpg : Atpg.Patgen.outcome option;
+  tdv_bits : int;
+  tat_cycles : int;
+  cts : Layout.Cts.report option;
+  drc : Layout.Drc.report option;
+  filler : Layout.Filler.report option;
+  route : Layout.Route.t option;
+  rc : Layout.Extract.net_rc array option;
+  sta : Sta.Analysis.t option;
+  repair : Repair.report option;
+}
+(** Everything the stages have produced so far: the design plus one slot
+    per stage product, [None] until its stage has run. Immutable — a
+    stage replaces the whole record — and exactly what a stage-cache
+    entry stores. *)
 
 type result = {
   design : Netlist.Design.t;
@@ -88,41 +110,20 @@ val preflight : options:options -> Netlist.Design.t -> unit
 (** Lint gate ahead of the first stage: when [options.lint] is set, run
     {!Lint.Engine.run} over the input design and raise
     {!Lint.Engine.Lint_failed} on any error-severity finding. Read-only;
-    no-op when the flag is off. Called by {!run} and by {!Guard}
-    (which maps the escape to the ["lint-failed"] error class). *)
+    no-op when the flag is off. Called by {!Guard}, which maps the escape
+    to the ["lint-failed"] error class. *)
 
-val run : ?options:options -> Netlist.Design.t -> result
-(** Mutates the design (TPI, scan, buffers, fillers). *)
+(** {1 Stages}
 
-(** {1 Staged execution}
-
-    The same flow, one stage at a time, for guarded/recoverable execution
-    (see {!Guard}). A [state] accumulates the per-stage products; stages
-    must be run in Figure-2 order and raise [Invalid_argument] when a
-    prerequisite is missing. [run] is exactly
-    [init |> the six stages |> finish]. *)
+    A [state] holds the options and the current {!products}; stages must
+    run in Figure-2 order and raise [Invalid_argument] when a prerequisite
+    is missing. *)
 
 type state = {
-  mutable s_design : Netlist.Design.t;
-      (** mutable so a cache hit can swap in the deserialized design *)
   s_options : options;
-  mutable s_tp_count : int;
-  mutable s_tpi_report : Tpi.Select.report option;
-  mutable s_placement : Layout.Place.t option;
-  mutable s_chains : Scan.Chains.t option;
-  mutable s_reorder : Scan.Reorder.result option;
-  mutable s_atpg : Atpg.Patgen.outcome option;
-  mutable s_tdv_bits : int;
-  mutable s_tat_cycles : int;
-  mutable s_cts : Layout.Cts.report option;
-  mutable s_drc : Layout.Drc.report option;
-  mutable s_filler : Layout.Filler.report option;
-  mutable s_route : Layout.Route.t option;
-  mutable s_rc : Layout.Extract.net_rc array option;
-  mutable s_sta : Sta.Analysis.t option;
-  mutable s_repair : Repair.report option;
+  mutable s_products : products;
   mutable s_lint : Lint.Engine.report option;
-      (** [lint] only; outside the cache snapshot *)
+      (** [lint] only; outside the stage cache *)
 }
 
 val init : ?options:options -> Netlist.Design.t -> state
@@ -145,30 +146,25 @@ val finish : state -> result
 
 (** {1 Stage cache}
 
-    Content-addressed memoization of whole stages (see DESIGN.md §6.2). A
-    stage's key chains [Design.fingerprint] of the state's design, a
-    fingerprint of the result-relevant options (pool and cache excluded)
-    and the previous stage's key, so products living outside the netlist
-    (placement, route, ...) are pinned transitively. Used by both {!run}
-    and {!Guard}; fault-injection runs (a [tamper] hook) bypass it. *)
-
-type snapshot
-(** The design plus every stage slot, as restored by a cache hit. *)
-
-val snapshot : state -> snapshot
-val restore : state -> snapshot -> unit
+    Content-addressed memoization of whole stages (see DESIGN.md §6.2).
+    The chain's root key digests the cache version, a fingerprint of the
+    result-relevant options (pool, cache and lint excluded) and
+    [Design.fingerprint] of the input design; each stage's key is its
+    name plus the previous key, so the products living outside the
+    netlist (placement, route, ...) are pinned transitively. {!Guard}
+    bypasses the cache for fault-injection runs (a [tamper] hook). *)
 
 type cache_ctx
 (** Per-run chaining state; create one per attempt. *)
 
-val cache_ctx : options -> cache_ctx option
-(** [None] when the options carry no cache. *)
+val cache_ctx : state -> cache_ctx option
+(** [None] when the options carry no cache; otherwise a chain rooted at
+    the state's options and (freshly initialised) design. *)
 
 val cached_stage : cache_ctx option -> string -> (state -> unit) -> state -> unit
 (** [cached_stage ctx name body st] runs [body st], consulting the cache
-    first when [ctx] is present: on a hit the stored snapshot is restored
-    into [st] and the stage's recorded metrics delta replayed; on a miss
+    first when [ctx] is present: on a hit the stored products are assigned
+    to [st] and the stage's recorded metrics delta replayed; on a miss
     [body] runs under {!Obs.Metrics.with_scoped} and the resulting
-    snapshot + delta are stored. [name] must be the stage's flow name
-    (["tpi-scan"], ["place"], ...). Raises {!Cancel.Cancelled} before
-    doing anything when the options carry a cancelled token. *)
+    products + delta are stored. [name] must be the stage's flow name
+    (["tpi-scan"], ["place"], ...). *)

@@ -361,6 +361,8 @@ let run ?(seed = 0x914C) d fp =
      instead of piling the shortfall into the last one, spilling forward
      (or backward at the end) when a row reaches capacity *)
   let filled = Array.make (max nrows 1) 0.0 in
+  let room r w = filled.(r) +. w <= fp.Floorplan.row_length +. 1e-9 in
+  let overfull = ref false in
   let cum = ref 0.0 in
   Array.iter
     (fun k ->
@@ -369,7 +371,7 @@ let run ?(seed = 0x914C) d fp =
         min (nrows - 1) (int_of_float ((!cum +. (w /. 2.0)) /. Float.max per_row 1e-9))
       in
       cum := !cum +. w;
-      let fits r = filled.(r) +. w <= fp.Floorplan.row_length +. 1e-9 in
+      let fits r = room r w in
       let rec forward r = if r >= nrows - 1 || fits r then r else forward (r + 1) in
       let r = forward (max 0 target) in
       let r =
@@ -380,11 +382,29 @@ let run ?(seed = 0x914C) d fp =
           backward r
         end
       in
+      if not (fits r) then overfull := true;
       Obs.Metrics.incr m_legalize_moves;
       if r <> max 0 target then Obs.Metrics.incr m_legalize_spills;
       filled.(r) <- filled.(r) +. w;
       row_members.(r) <- k :: row_members.(r))
     order;
+  (* some cell found no row with room left, so a row now overhangs the
+     core: repack every row first-fit decreasing (widest cell first, into
+     the lowest row it fits), which closes the gaps the greedy pass left *)
+  if !overfull then begin
+    let by_width = Array.copy order in
+    Array.stable_sort (fun a b -> compare h.width.(b) h.width.(a)) by_width;
+    Array.fill filled 0 (Array.length filled) 0.0;
+    Array.fill row_members 0 (Array.length row_members) [];
+    Array.iter
+      (fun k ->
+        let w = h.width.(k) in
+        let rec first r = if r >= nrows - 1 || room r w then r else first (r + 1) in
+        let r = first 0 in
+        filled.(r) <- filled.(r) +. w;
+        row_members.(r) <- k :: row_members.(r))
+      by_width
+  end;
   Array.iteri
     (fun r members ->
       let members = Array.of_list members in

@@ -14,10 +14,13 @@ let connect ~socket_path =
      raise e);
   { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
 
+(* the two channels share one descriptor: close it once, through the out
+   channel (which flushes first). Closing both would close the number
+   twice, and in a process that also hosts the daemon the second close can
+   hit a connection accepted under the same number in between. *)
 let close t =
   (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with _ -> ());
-  (try close_in_noerr t.ic with _ -> ());
-  try close_out_noerr t.oc with _ -> ()
+  close_out_noerr t.oc
 
 let request t j =
   output_string t.oc (Protocol.to_line j);

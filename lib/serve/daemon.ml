@@ -64,6 +64,8 @@ type conn = {
   c_in : in_channel;
   c_out : out_channel;
   c_wmutex : Mutex.t;          (* serializes writes (reader + executor) *)
+  c_fdmutex : Mutex.t;         (* orders [disconnect]'s shutdown and the close *)
+  mutable c_open : bool;       (* descriptor not yet closed, under c_fdmutex *)
   c_alive : bool Atomic.t;
   mutable c_jobs : job list;   (* outstanding jobs, under t.mutex *)
 }
@@ -110,29 +112,36 @@ let with_lock t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
 (* a write to a vanished client must never kill the daemon (SIGPIPE is
-   ignored process-wide by the CLI; here we additionally catch the
-   resulting EPIPE/Sys_error) -- it just marks the connection dead *)
+   ignored process-wide by [start]; here we additionally catch the
+   resulting EPIPE/Sys_error) -- it just marks the connection dead. The
+   liveness check sits under the write mutex, which [reader] also holds
+   while closing the fd, so no write can reach a closed (and possibly
+   already reused) descriptor. *)
 let send_raw conn json =
-  if Atomic.get conn.c_alive then begin
-    Mutex.lock conn.c_wmutex;
-    let ok =
-      try
-        output_string conn.c_out (Protocol.to_line json);
-        flush conn.c_out;
-        true
-      with Sys_error _ | Unix.Unix_error _ -> false
-    in
-    Mutex.unlock conn.c_wmutex;
-    ok
-  end
-  else false
+  Mutex.lock conn.c_wmutex;
+  let ok =
+    Atomic.get conn.c_alive
+    &&
+    try
+      output_string conn.c_out (Protocol.to_line json);
+      flush conn.c_out;
+      true
+    with Sys_error _ | Unix.Unix_error _ -> false
+  in
+  Mutex.unlock conn.c_wmutex;
+  ok
 
-(* disconnect: cancel the connection's running job(s), pull its queued
-   jobs back out of the queue (slot reclamation) and close the fd. The
-   CAS makes this idempotent whichever side (reader EOF, failed write,
-   drain teardown) notices first. *)
+(* disconnect: shut the socket down, cancel the connection's running
+   job(s) and pull its queued jobs back out of the queue (slot
+   reclamation). The CAS makes this idempotent whichever side (reader EOF,
+   failed write, drain teardown) notices first. The shutdown wakes the
+   reader thread (EOF) and any blocked write; the reader, the descriptor's
+   last user, then closes it. *)
 let disconnect t conn ~count_disconnect =
   if Atomic.compare_and_set conn.c_alive true false then begin
+    Mutex.lock conn.c_fdmutex;
+    if conn.c_open then (try Unix.shutdown conn.c_fd Unix.SHUTDOWN_ALL with _ -> ());
+    Mutex.unlock conn.c_fdmutex;
     if count_disconnect then begin
       Obs.Metrics.incr m_disconnects;
       Obs.Log.info "conn %d disconnected" conn.c_id
@@ -148,10 +157,7 @@ let disconnect t conn ~count_disconnect =
     Obs.Metrics.set g_queue_depth (float_of_int (Jobq.length t.queue));
     with_lock t (fun () ->
         conn.c_jobs <- [];
-        t.conns <- List.filter (fun c -> c.c_id <> conn.c_id) t.conns);
-    (try Unix.shutdown conn.c_fd Unix.SHUTDOWN_ALL with _ -> ());
-    (try close_in_noerr conn.c_in with _ -> ());
-    try close_out_noerr conn.c_out with _ -> ()
+        t.conns <- List.filter (fun c -> c.c_id <> conn.c_id) t.conns)
   end
 
 let send t conn json =
@@ -288,7 +294,17 @@ let reader t conn =
       | Eof -> disconnect t conn ~count_disconnect:true
     end
   in
-  try loop () with _ -> disconnect t conn ~count_disconnect:true
+  (try loop () with _ -> disconnect t conn ~count_disconnect:true);
+  (* the connection is dead and nothing reads it any more: close the
+     descriptor here, exactly once (through one channel) and only now.
+     Closing it from another thread, or through both channels, could close
+     a number the acceptor has meanwhile reused for a new connection. *)
+  Mutex.lock conn.c_wmutex;
+  Mutex.lock conn.c_fdmutex;
+  conn.c_open <- false;
+  close_out_noerr conn.c_out;
+  Mutex.unlock conn.c_fdmutex;
+  Mutex.unlock conn.c_wmutex
 
 (* ---- job execution (the single executor thread) ---- *)
 
@@ -403,6 +419,14 @@ let execute t (job : job) =
   match Cancel.state job.j_cancel with
   | Some _ -> finish_cancelled t job ~detail:(cancel_detail job.j_cancel)
   | None ->
+    let announce a =
+      Obs.Log.info ~job:job.j_id "started %s (attempt %d)" job.j_spec.Protocol.circuit
+        (a + 1);
+      send t job.j_conn (Protocol.started ~id:job.j_id ~attempt:(a + 1))
+    in
+    (* the first [started] precedes the chaos hold, so a client that sees
+       it knows the executor stays occupied for the whole hold *)
+    announce 0;
     if not (cancellable_sleep job.j_cancel job.j_spec.Protocol.sleep_ms) then
       finish_cancelled t job ~detail:(cancel_detail job.j_cancel)
     else begin
@@ -411,9 +435,7 @@ let execute t (job : job) =
       in
       let before = counters_snapshot () in
       let rec attempt a =
-        Obs.Log.info ~job:job.j_id "started %s (attempt %d)"
-          job.j_spec.Protocol.circuit (a + 1);
-        send t job.j_conn (Protocol.started ~id:job.j_id ~attempt:(a + 1));
+        if a > 0 then announce a;
         let tamper =
           if job.j_spec.Protocol.fail_attempts > a then Some inject_transient else None
         in
@@ -532,6 +554,8 @@ let acceptor t =
             c_in = Unix.in_channel_of_descr fd;
             c_out = Unix.out_channel_of_descr fd;
             c_wmutex = Mutex.create ();
+            c_fdmutex = Mutex.create ();
+            c_open = true;
             c_alive = Atomic.make true;
             c_jobs = [] }
         in
@@ -551,6 +575,9 @@ let acceptor t =
 (* ---- lifecycle ---- *)
 
 let start cfg =
+  (* whatever process hosts the daemon (the CLI, a test binary), a client
+     vanishing mid-write must surface as EPIPE, never as a SIGPIPE death *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (* a stale socket file from a crashed daemon would make bind fail *)
   (try Unix.unlink cfg.socket_path with _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

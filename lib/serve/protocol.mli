@@ -44,7 +44,8 @@ type job_spec = {
           transient stage fault, to exercise retry/backoff end to end *)
   sleep_ms : int;
       (** chaos hook: hold the executor for this long (cooperatively
-          cancellable) before running, to make queueing observable *)
+          cancellable) between the job's first [started] event and the
+          flow, to make queueing observable *)
 }
 
 val default_spec : job_spec

@@ -45,3 +45,8 @@ let tiny () = Circuits.Bench.tiny ()
 let approx ?(eps = 1e-6) a b = Float.abs (a -. b) <= eps
 
 let check_approx msg a b = Alcotest.(check bool) msg true (approx ~eps:1e-6 a b)
+
+(* One layout through the guarded flow (the only runner), checks and all;
+   a failed stage fails the calling test with the typed stage error. *)
+let run_flow ?(circuit = "test") ~options d =
+  Flow.Guard.result_exn (Flow.Guard.run ~options ~circuit (fun () -> d))

@@ -165,8 +165,9 @@ let metrics_sans_cache () =
 let render ?pool ?cache () =
   M.reset ();
   let rows =
-    Flow.Experiment.sweep ?pool ?cache ~with_atpg:false ~tp_levels:[ 0; 2; 4 ]
-      ~scale:0.06 "s38417"
+    List.map Flow.Experiment.row_exn
+      (Flow.Experiment.sweep_guarded ?pool ?cache ~with_atpg:false
+         ~tp_levels:[ 0; 2; 4 ] ~scale:0.06 "s38417")
   in
   (Flow.Report.table2 rows ^ Flow.Report.table3 rows, metrics_sans_cache ())
 

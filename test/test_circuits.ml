@@ -65,6 +65,18 @@ let prop_generated_designs_clean =
       Netlist.Check.assert_clean d;
       (Netlist.Stats.compute d).Netlist.Stats.logic_depth > 0)
 
+(* at these seeds a flip-flop's Q fed no gate, so the generator used to
+   emit a sink-less output (dangling-output) *)
+let test_no_sinkless_ff_output () =
+  List.iter
+    (fun seed ->
+      let d = Circuits.Bench.tiny ~seed ~ffs:30 ~gates:250 () in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: netlist check clean" seed)
+        0
+        (List.length (Netlist.Check.run d)))
+    [ 257; 280 ]
+
 let suite =
   [ Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_changes_netlist;
@@ -74,4 +86,5 @@ let suite =
     Alcotest.test_case "fanout bounded" `Quick test_fanout_bounded;
     Alcotest.test_case "named circuits" `Quick test_named_circuits_exist;
     Alcotest.test_case "pcore_a domains" `Quick test_pcore_a_two_domains;
+    Alcotest.test_case "no sink-less flip-flop output" `Quick test_no_sinkless_ff_output;
     QCheck_alcotest.to_alcotest prop_generated_designs_clean ]

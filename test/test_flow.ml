@@ -9,7 +9,7 @@ let tiny_options ~tp ~atpg =
 
 let test_pipeline_consistency () =
   let d = Circuits.Bench.tiny ~ffs:50 ~gates:600 () in
-  let r = P.run ~options:(tiny_options ~tp:2.0 ~atpg:true) d in
+  let r = Helpers.run_flow ~options:(tiny_options ~tp:2.0 ~atpg:true) d in
   Netlist.Check.assert_clean d;
   Alcotest.(check int) "tp count = 2% of ffs" 1 r.P.tp_count;
   Alcotest.(check int) "stats see the TSFF" 1 r.P.stats.Netlist.Stats.test_points;
@@ -25,14 +25,14 @@ let test_pipeline_consistency () =
 
 let test_pipeline_no_atpg_faster_path () =
   let d = Circuits.Bench.tiny ~ffs:50 ~gates:600 () in
-  let r = P.run ~options:(tiny_options ~tp:0.0 ~atpg:false) d in
+  let r = Helpers.run_flow ~options:(tiny_options ~tp:0.0 ~atpg:false) d in
   Alcotest.(check bool) "no atpg outcome" true (r.P.atpg = None);
   Alcotest.(check int) "tdv zero" 0 r.P.tdv_bits
 
 let test_area_grows_with_tp () =
   let run tp =
     let d = Circuits.Bench.tiny ~ffs:100 ~gates:1200 () in
-    let r = P.run ~options:(tiny_options ~tp ~atpg:false) d in
+    let r = Helpers.run_flow ~options:(tiny_options ~tp ~atpg:false) d in
     Layout.Floorplan.core_area r.P.placement.Layout.Place.fp
   in
   let a0 = run 0.0 and a5 = run 5.0 in
@@ -49,7 +49,9 @@ let test_experiment_specs () =
 
 let test_tables_render () =
   let rows =
-    Flow.Experiment.sweep ~with_atpg:true ~tp_levels:[ 0; 2 ] ~scale:0.06 "s38417"
+    List.map Flow.Experiment.row_exn
+      (Flow.Experiment.sweep_guarded ~with_atpg:true ~tp_levels:[ 0; 2 ] ~scale:0.06
+         "s38417")
   in
   let t1 = Flow.Report.table1 rows in
   let t2 = Flow.Report.table2 rows in
@@ -64,7 +66,7 @@ let test_tables_render () =
 let test_determinism_of_flow () =
   let run () =
     let d = Circuits.Bench.tiny ~ffs:40 ~gates:500 () in
-    let r = P.run ~options:(tiny_options ~tp:2.0 ~atpg:false) d in
+    let r = Helpers.run_flow ~options:(tiny_options ~tp:2.0 ~atpg:false) d in
     match r.P.sta.Sta.Analysis.worst with Some p -> p.Sta.Analysis.t_cp | None -> 0.0
   in
   Helpers.check_approx "same t_cp twice" (run ()) (run ())

@@ -110,7 +110,7 @@ let test_sta_typed_exceptions () =
   (* wire a 2-cycle directly and check the typed exception carries the
      offending instance *)
   let d = mk_tiny () in
-  let r = P.run ~options:tiny_options d in
+  let r = Helpers.run_flow ~options:tiny_options d in
   let module D = Netlist.Design in
   let module C = Stdcell.Cell in
   let g1 = ref None and g2 = ref None in
@@ -141,23 +141,23 @@ let test_layout_check_clean_flow () =
   let st = P.init ~options:tiny_options d in
   P.stage_tpi_scan st;
   P.stage_place st;
-  let pl = Option.get st.P.s_placement in
+  let pl = Option.get st.P.s_products.P.placement in
   Alcotest.(check int) "clean placement" 0
     (List.length (Layout.Check.check_placement ~overlaps:true pl));
   P.stage_reorder_atpg st;
   Alcotest.(check bool) "chains verify" true
-    (Scan.Chains.verify d (Option.get st.P.s_chains) = None);
+    (Scan.Chains.verify d (Option.get st.P.s_products.P.chains) = None);
   P.stage_eco_route st;
   Alcotest.(check int) "clean route" 0
-    (List.length (Layout.Check.check_route pl (Option.get st.P.s_route)));
+    (List.length (Layout.Check.check_route pl (Option.get st.P.s_products.P.route)));
   P.stage_extract st;
   Alcotest.(check int) "clean rc" 0
-    (List.length (Layout.Check.check_rc (Option.get st.P.s_rc)))
+    (List.length (Layout.Check.check_rc (Option.get st.P.s_products.P.rc)))
 
 let test_staged_equals_straightline () =
-  let run_straight () =
+  let run_guarded () =
     let d = mk_tiny () in
-    let r = P.run ~options:tiny_options d in
+    let r = Helpers.run_flow ~options:tiny_options d in
     Option.value ~default:0.0 (Sta.Analysis.worst_tcp r.P.sta)
   in
   let run_staged () =
@@ -172,7 +172,45 @@ let test_staged_equals_straightline () =
     let r = P.finish st in
     Option.value ~default:0.0 (Sta.Analysis.worst_tcp r.P.sta)
   in
-  Helpers.check_approx "staged flow = straight-line flow" (run_straight ()) (run_staged ())
+  Helpers.check_approx "stage-by-stage flow = guarded flow" (run_guarded ()) (run_staged ())
+
+(* the one-runner contract: result_exn is the report's outcome, with a
+   failed run's error raised as-is *)
+let test_result_exn () =
+  let ok = G.run ~options:tiny_options ~circuit:"tiny" mk_tiny in
+  (match G.outcome ok with
+   | Ok res ->
+     Alcotest.(check bool) "returns the completed result" true (G.result_exn ok == res)
+   | Error e -> Alcotest.failf "clean flow failed: %s" e.G.detail);
+  let tamper ~attempt:_ stage _ = if stage = G.Extract then failwith "boom" in
+  let bad = G.run ~options:tiny_options ~tamper ~circuit:"tiny" mk_tiny in
+  match G.outcome bad with
+  | Ok _ -> Alcotest.fail "tampered flow completed"
+  | Error e ->
+    (match G.result_exn bad with
+     | _ -> Alcotest.fail "result_exn returned on a failed run"
+     | exception G.Stage_failure e' ->
+       Alcotest.(check bool) "raises the outcome's error" true (e = e');
+       Alcotest.(check bool) "at the failing stage" true (e'.G.stage = G.Extract))
+
+(* the random-ECO property's fixture at the seeds where placement used to
+   overfill a row (outside-core) and where the generator used to leave a
+   flip-flop output sink-less (dangling-output): all four complete under
+   the guard's checks *)
+let test_tiny_fixtures_complete () =
+  let options =
+    { P.default_options with P.tp_percent = 1.0; run_atpg = false }
+  in
+  List.iter
+    (fun seed ->
+      let r =
+        G.run ~options ~circuit:(Printf.sprintf "tiny-%d" seed) (fun () ->
+            Circuits.Bench.tiny ~seed ~ffs:30 ~gates:250 ())
+      in
+      match r.G.error with
+      | None -> ()
+      | Some e -> Alcotest.failf "seed %d: %a" seed G.pp_stage_error e)
+    [ 12; 196; 257; 280 ]
 
 let test_policy_strings () =
   List.iter
@@ -218,6 +256,8 @@ let suite =
     Alcotest.test_case "layout checks clean on healthy flow" `Quick
       test_layout_check_clean_flow;
     Alcotest.test_case "staged = straight-line" `Quick test_staged_equals_straightline;
+    Alcotest.test_case "result_exn = outcome" `Quick test_result_exn;
+    Alcotest.test_case "tiny fixtures complete" `Quick test_tiny_fixtures_complete;
     Alcotest.test_case "policy strings" `Quick test_policy_strings;
     Alcotest.test_case "stages enforce order" `Quick test_stage_out_of_order;
     Alcotest.test_case "check-failed classified" `Quick test_check_failed_classified ]

@@ -56,7 +56,7 @@ let test_tgraph_full_flow () =
      test points, scan chains, fillers *)
   let d = Circuits.Bench.tiny ~seed:7 ~ffs:60 ~gates:600 () in
   let options = { Flow.Pipeline.default_options with Flow.Pipeline.tp_percent = 3.0 } in
-  let r = Flow.Pipeline.run ~options d in
+  let r = Helpers.run_flow ~options d in
   let full = Sta_reference.run r.Flow.Pipeline.placement r.Flow.Pipeline.rc in
   check_analysis_equal "pipeline sta stage" full r.Flow.Pipeline.sta;
   let tg = T.compile r.Flow.Pipeline.design r.Flow.Pipeline.rc in
@@ -134,7 +134,7 @@ let check_ctx_matches_full msg (ctx : Flow.Retime.t) =
 let eco_ctx ?(seed = 9) ?(ffs = 50) ?(gates = 500) ?(tp_percent = 2.0) () =
   let d = Circuits.Bench.tiny ~seed ~ffs ~gates () in
   let options = { Flow.Pipeline.default_options with Flow.Pipeline.tp_percent } in
-  let r = Flow.Pipeline.run ~options d in
+  let r = Helpers.run_flow ~options d in
   Flow.Retime.create r.Flow.Pipeline.placement r.Flow.Pipeline.route r.Flow.Pipeline.rc
 
 (* a net suitable for tapping: cell-driven, with at least one sink *)
@@ -249,7 +249,7 @@ let prop_random_eco_sequence =
           Flow.Pipeline.tp_percent = 1.0;
           run_atpg = false }
       in
-      let r = Flow.Pipeline.run ~options d in
+      let r = Helpers.run_flow ~options d in
       let ctx =
         Flow.Retime.create r.Flow.Pipeline.placement r.Flow.Pipeline.route
           r.Flow.Pipeline.rc
@@ -289,7 +289,7 @@ let test_lint_reuses_graph () =
       run_atpg = false;
       lint = true }
   in
-  let r = Flow.Pipeline.run ~options d in
+  let r = Helpers.run_flow ~options d in
   match r.Flow.Pipeline.lint_report with
   | None -> Alcotest.fail "no post-layout lint report"
   | Some rep ->

@@ -37,7 +37,7 @@ let test_s27_runs_the_flow () =
     { Flow.Pipeline.default_options with
       Flow.Pipeline.chain_config = Scan.Chains.Max_length 4 }
   in
-  let r = Flow.Pipeline.run ~options d in
+  let r = Helpers.run_flow ~circuit:"s27" ~options d in
   (match r.Flow.Pipeline.atpg with
    | Some o ->
      Alcotest.(check bool) "full coverage on s27" true (o.Atpg.Patgen.fault_coverage > 0.95)

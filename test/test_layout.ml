@@ -62,6 +62,24 @@ let test_placement_legality () =
       walk sorted)
     by_row
 
+(* designs whose greedy row fill left a cell with no row to go to: the
+   first-fit-decreasing repack must keep every row inside the core *)
+let test_overfull_rows_repacked () =
+  List.iter
+    (fun (label, d) ->
+      let fp = Layout.Floorplan.create d in
+      let pl = Layout.Place.run d fp in
+      Alcotest.(check int) (label ^ ": placement clean") 0
+        (List.length (Layout.Check.check_placement ~overlaps:true pl));
+      Array.iter
+        (fun used ->
+          Alcotest.(check bool) (label ^ ": row fits") true
+            (used <= fp.Layout.Floorplan.row_length +. 1e-6))
+        pl.Layout.Place.row_used)
+    [ ("tiny 2x10", Circuits.Bench.tiny ~ffs:2 ~gates:10 ());
+      ("seed 160", Circuits.Bench.tiny ~seed:160 ~ffs:30 ~gates:250 ());
+      ("seed 272", Circuits.Bench.tiny ~seed:272 ~ffs:30 ~gates:250 ()) ]
+
 let test_placement_deterministic () =
   let _, _, pl1 = placed_tiny () in
   let _, _, pl2 = placed_tiny () in
@@ -181,6 +199,7 @@ let test_render_outputs () =
 let suite =
   [ Alcotest.test_case "floorplan geometry" `Quick test_floorplan_geometry;
     Alcotest.test_case "placement legality" `Quick test_placement_legality;
+    Alcotest.test_case "overfull rows repacked" `Quick test_overfull_rows_repacked;
     Alcotest.test_case "placement deterministic" `Quick test_placement_deterministic;
     Alcotest.test_case "placement beats random" `Quick test_placement_beats_random;
     Alcotest.test_case "eco and filler" `Quick test_eco_and_filler;

@@ -124,7 +124,7 @@ let test_pipeline_tdv_equations () =
     { Flow.Pipeline.default_options with
       Flow.Pipeline.chain_config = Scan.Chains.Max_length 10 }
   in
-  let r = Flow.Pipeline.run ~options d in
+  let r = Helpers.run_flow ~options d in
   let p = match r.Flow.Pipeline.atpg with Some o -> Atpg.Patgen.num_patterns o | None -> 0 in
   let n = Scan.Chains.num_chains r.Flow.Pipeline.chains in
   let l = r.Flow.Pipeline.chains.Scan.Chains.lmax in

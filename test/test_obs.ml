@@ -237,7 +237,9 @@ let sweep_tables () =
   let spec = Flow.Experiment.spec_for ~scale:0.1 "s38417" in
   let rows =
     List.map
-      (fun tp_pct -> Flow.Experiment.run_one ~with_atpg:false spec ~tp_pct)
+      (fun tp_pct ->
+        Flow.Experiment.row_exn
+          (Flow.Experiment.run_one_guarded ~with_atpg:false spec ~tp_pct))
       [ 0; 2 ]
   in
   Flow.Report.table2 rows ^ Flow.Report.table3 rows

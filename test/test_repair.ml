@@ -32,7 +32,7 @@ let placed ?(seed = 9) ?(ffs = 50) ?(gates = 500) ?(tp_percent = 2.0) () =
       Flow.Pipeline.tp_percent;
       run_atpg = false }
   in
-  let r = Flow.Pipeline.run ~options d in
+  let r = Helpers.run_flow ~options d in
   (r.Flow.Pipeline.placement, r.Flow.Pipeline.route, r.Flow.Pipeline.rc)
 
 let test_repair_improves () =

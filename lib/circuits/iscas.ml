@@ -50,7 +50,9 @@ let parse_line lineno line =
 let parse ?(name = "iscas") ?(period_ps = 8000.0) src =
   let lines = String.split_on_char '\n' src in
   let raws =
-    List.concat (List.mapi (fun k l -> Option.to_list (parse_line (k + 1) l)) lines)
+    List.concat
+      (List.mapi (fun k l -> Option.to_list (Option.map (fun r -> (k + 1, r)) (parse_line (k + 1) l)))
+         lines)
   in
   let d = Design.create name in
   let lib = d.Design.lib in
@@ -68,11 +70,11 @@ let parse ?(name = "iscas") ?(period_ps = 8000.0) src =
   (* declare ports first so port-bound nets use the port name *)
   List.iter
     (function
-      | Input n ->
-        if Hashtbl.mem nets n then raise (Parse_error (0, "duplicate INPUT " ^ n));
+      | line, Input n ->
+        if Hashtbl.mem nets n then raise (Parse_error (line, "duplicate INPUT " ^ n));
         let p = Design.add_port d n Design.In in
         Hashtbl.replace nets n p.Design.pnet
-      | Output _ | Gate _ -> ())
+      | _, (Output _ | Gate _) -> ())
     raws;
   let counter = ref 0 in
   let fresh_cell kind =
@@ -136,33 +138,36 @@ let parse ?(name = "iscas") ?(period_ps = 8000.0) src =
   in
   List.iter
     (function
-      | Input _ | Output _ -> ()
-      | Gate (out, kind, ins) ->
+      | _, (Input _ | Output _) -> ()
+      | line, Gate (out, kind, ins) ->
         let out_net = net_of out in
         let in_nets = List.map net_of ins in
-        (match (kind, in_nets) with
-         | ("NOT", [ a ]) -> unary Cell.Inv a out_net
-         | (("BUF" | "BUFF"), [ a ]) -> unary Cell.Buf a out_net
-         | ("DFF", [ a ]) ->
-           let ff = fresh_cell Cell.Dff in
-           ff.Design.domain <- dom;
-           Design.connect d ~inst:ff.Design.id ~pin:0 ~net:a;
-           Design.connect d ~inst:ff.Design.id ~pin:1 ~net:clk.Design.pnet;
-           Design.connect d ~inst:ff.Design.id ~pin:2 ~net:out_net
-         | ("AND", ins) -> binary_root Cell.And2 ins out_net
-         | ("OR", ins) -> binary_root Cell.Or2 ins out_net
-         | ("NAND", ins) -> binary_root Cell.Nand2 ins out_net
-         | ("NOR", ins) -> binary_root Cell.Nor2 ins out_net
-         | ("XOR", ins) -> binary_root Cell.Xor2 ins out_net
-         | ("XNOR", ins) -> binary_root Cell.Xnor2 ins out_net
-         | (k, _) -> raise (Parse_error (0, "unsupported gate " ^ k))))
+        (* a redefined gate output or a gate driving an INPUT *)
+        try
+          match (kind, in_nets) with
+          | ("NOT", [ a ]) -> unary Cell.Inv a out_net
+          | (("BUF" | "BUFF"), [ a ]) -> unary Cell.Buf a out_net
+          | ("DFF", [ a ]) ->
+            let ff = fresh_cell Cell.Dff in
+            ff.Design.domain <- dom;
+            Design.connect d ~inst:ff.Design.id ~pin:0 ~net:a;
+            Design.connect d ~inst:ff.Design.id ~pin:1 ~net:clk.Design.pnet;
+            Design.connect d ~inst:ff.Design.id ~pin:2 ~net:out_net
+          | ("AND", ins) -> binary_root Cell.And2 ins out_net
+          | ("OR", ins) -> binary_root Cell.Or2 ins out_net
+          | ("NAND", ins) -> binary_root Cell.Nand2 ins out_net
+          | ("NOR", ins) -> binary_root Cell.Nor2 ins out_net
+          | ("XOR", ins) -> binary_root Cell.Xor2 ins out_net
+          | ("XNOR", ins) -> binary_root Cell.Xnor2 ins out_net
+          | (k, _) -> raise (Parse_error (line, "unsupported gate " ^ k))
+        with Invalid_argument msg -> raise (Parse_error (line, msg)))
     raws;
   List.iter
     (function
-      | Output n ->
+      | _, Output n ->
         let p = Design.add_port d ("out_" ^ n) Design.Out in
         Design.connect_out_port d ~port:p.Design.pid ~net:(net_of n)
-      | Input _ | Gate _ -> ())
+      | _, (Input _ | Gate _) -> ())
     raws;
   d
 

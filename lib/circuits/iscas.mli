@@ -13,6 +13,8 @@
     BUF/BUFF, XOR, XNOR, DFF. *)
 
 exception Parse_error of int * string
+(** (line, message): a malformed line, an unsupported gate, a gate output
+    defined twice or a gate driving an INPUT. *)
 
 val parse : ?name:string -> ?period_ps:float -> string -> Netlist.Design.t
 val parse_file : ?period_ps:float -> string -> Netlist.Design.t

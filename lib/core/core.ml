@@ -67,7 +67,6 @@ module Lint_rule = Lint.Rule
 module Lint_engine = Lint.Engine
 module Lint_waiver = Lint.Waiver
 module Lint_emit = Lint.Emit
-module Lint_timing = Lint.Timing
 module Trace = Obs.Trace
 module Metrics = Obs.Metrics
 module Json = Obs.Json

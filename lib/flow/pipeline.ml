@@ -210,14 +210,12 @@ let stage_sta st =
   (* with the graph still warm, the TPI/timing lint pack gets real
      post-layout artifacts for free: the slack report and the
      near-critical net set fall out of the arrival/required arrays
-     instead of the zero-wireload estimate the pack falls back to *)
+     instead of the zero-parasitic graph the pack falls back to *)
   if st.s_options.lint then begin
-    let tcp = Option.value ~default:0.0 (Sta.Analysis.worst_tcp a) in
-    let margin_ps = Lint.Tpitiming.near_critical_margin *. tcp in
     let arts =
       { Lint.Rule.no_artifacts with
         Lint.Rule.slack = Some (Sta.Tgraph.slack tg);
-        crit_nets = Some (Sta.Tgraph.critical_nets tg ~margin_ps) }
+        crit_nets = Some (Lint.Tpitiming.critical_nets tg a) }
     in
     let rules =
       List.concat_map

@@ -28,6 +28,11 @@ val c_per_um : float
 val output_port_load_ff : float
 (** Assumed external load on output ports. *)
 
+val empty_rc : Netlist.Design.t -> Netlist.Design.net -> net_rc
+(** Zero parasitics: sink pin caps plus {!output_port_load_ff} on a net
+    bound to an output port, no wire, no sink delays. What [run] gives an
+    unrouted net, and the pre-layout lint's net model. *)
+
 val run : Place.t -> Route.t -> net_rc array
 (** Indexed by net id; unrouted nets get zero parasitics (pin caps only). *)
 

@@ -1,8 +1,8 @@
 (** Lint driver: run rule packs over one design in a single
     shared-traversal pass, apply waivers, and summarize.
 
-    All rules drawing on the same derived views ({!Structfacts},
-    {!Timing}, {!Netlist.Cmodel}, {!Testability.Cop}) share one lazily
+    All rules drawing on the same derived views ({!Structfacts}, the
+    pre-layout {!Sta.Tgraph}, {!Netlist.Cmodel}, {!Testability.Cop}) share one lazily
     forced instance through {!Rule.ctx}, so the cost of a run is one
     sweep per view plus the per-rule deltas. Every rule body runs under
     an {!Obs.Trace} span named [lint.<rule-id>] and feeds the

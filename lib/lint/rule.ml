@@ -12,7 +12,7 @@ type ctx = {
   cmodel : Netlist.Cmodel.t option lazy_t;
   cop : Testability.Cop.t option lazy_t;
   regions : Testability.Regions.t option lazy_t;
-  timing : Timing.t lazy_t;
+  timing : (Sta.Tgraph.t * int list) lazy_t;
   facts : Structfacts.t lazy_t;
 }
 
@@ -24,7 +24,15 @@ let make_ctx ?(arts = no_artifacts) design =
     cmodel;
     cop = on_model Testability.Cop.compute;
     regions = on_model Testability.Regions.compute;
-    timing = lazy (Timing.estimate design);
+    timing =
+      lazy
+        (let zero_rc nid = Layout.Extract.empty_rc design (Netlist.Design.net design nid) in
+         let tg, stuck =
+           Sta.Tgraph.compile_partial design (Array.init (Netlist.Design.num_nets design) zero_rc)
+         in
+         Sta.Tgraph.propagate tg;
+         Sta.Tgraph.compute_required tg;
+         (tg, stuck));
     facts = lazy (Structfacts.compute design) }
 
 type t = {

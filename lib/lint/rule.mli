@@ -5,14 +5,15 @@
     this with a fingerprint check in tests) and never raise — a rule that
     does is caught by the engine and reported as an [engine.rule-crash]
     diagnostic. Expensive shared analyses (capture-mode model, COP
-    probabilities, fanout-free regions, the zero-wireload timing
-    estimate) are computed lazily and at most once per engine run, so a
-    pack's rules share one traversal instead of re-deriving the world. *)
+    probabilities, fanout-free regions, the pre-layout timing graph) are
+    computed lazily and at most once per engine run, so a pack's rules
+    share one traversal instead of re-deriving the world. *)
 
 (** Optional stage artifacts a caller may already have. Rules degrade
     gracefully without them: scan-chain rules fall back to structural
     stitching checks, the critical-path rule falls back to the
-    {!Timing} estimate when no real {!Sta.Slack} report exists yet. *)
+    pre-layout timing graph ({!ctx.timing}) when no post-layout
+    critical-net set exists yet. *)
 type artifacts = {
   chains : Scan.Chains.t option;   (** planned scan chains *)
   slack : Sta.Slack.t option;      (** post-layout slack report *)
@@ -29,7 +30,12 @@ type ctx = {
           be modelled (e.g. a combinational loop) *)
   cop : Testability.Cop.t option lazy_t;
   regions : Testability.Regions.t option lazy_t;
-  timing : Timing.t lazy_t;  (** total: loops reported, never raised *)
+  timing : (Sta.Tgraph.t * int list) lazy_t;
+      (** the design timed by {!Sta.Tgraph} over zero parasitics
+          ({!Layout.Extract.empty_rc}), propagated with required times,
+          and the instances stuck on combinational loops
+          ({!Sta.Tgraph.compile_partial}): loops are reported, never
+          raised *)
   facts : Structfacts.t lazy_t;
       (** the one-pass structural fact sweep shared by the whole
           structural pack *)

@@ -15,7 +15,7 @@ let facts (ctx : Rule.ctx) = Lazy.force ctx.Rule.facts
 let comb_loop =
   rule "struct.comb-loop" "application-mode combinational loop" Diag.Error
     (fun r ctx ->
-      match (Lazy.force ctx.Rule.timing).Timing.loop_insts with
+      match snd (Lazy.force ctx.Rule.timing) with
       | [] -> []
       | (first :: _) as insts ->
         let d = ctx.Rule.design in

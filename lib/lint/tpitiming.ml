@@ -19,54 +19,63 @@ let tap_net (d : Design.t) iid = (Design.inst d iid).Design.conns.(0)
 
 let q_net (d : Design.t) iid = Design.net_of_output d (Design.inst d iid)
 
+(* near-critical: slack within [near_critical_margin] of the worst T_cp of
+   the worst net slack *)
+let critical_nets tg (a : Sta.Analysis.t) =
+  let tcp = Option.value ~default:0.0 (Sta.Analysis.worst_tcp a) in
+  Sta.Tgraph.critical_nets tg ~margin_ps:(near_critical_margin *. tcp)
+
+let net_set nets =
+  let set = Hashtbl.create 64 in
+  List.iter (fun n -> Hashtbl.replace set n ()) nets;
+  Hashtbl.mem set
+
 let critical_path =
   rule "tpi.critical-path" "test point on a (near-)critical path" Diag.Error
     (fun r ctx ->
       let d = ctx.Rule.design in
       let tsffs = (facts ctx).Structfacts.tsffs in
+      let hint = "block this net in Tpi.Select.config.blocked_nets" in
       if tsffs = [] then []
       else
         match ctx.Rule.arts.Rule.crit_nets with
         | Some crit ->
           (* post-layout truth from STA: nets within the slack margin *)
-          let critical = Hashtbl.create 64 in
-          List.iter (fun n -> Hashtbl.replace critical n ()) crit;
+          let critical = net_set crit in
           List.filter_map
             (fun iid ->
               let tap = tap_net d iid in
-              if tap >= 0 && Hashtbl.mem critical tap then
+              if tap >= 0 && critical tap then
                 Some
-                  (Rule.diag r ~loc:(Diag.Inst iid)
-                     ~hint:"block this net in Tpi.Select.config.blocked_nets"
+                  (Rule.diag r ~loc:(Diag.Inst iid) ~hint
                      "test point taps a net on an STA-critical path")
               else None)
             tsffs
         | None ->
-          (* pre-layout estimate: longest path through the tapped net *)
-          let t = Lazy.force ctx.Rule.timing in
+          (* pre-layout: the same graph over zero parasitics *)
+          let tg, _ = Lazy.force ctx.Rule.timing in
+          let period =
+            Array.fold_left
+              (fun acc (dom : Design.domain) -> Float.min acc dom.Design.period_ps)
+              Float.infinity d.Design.domains
+          in
+          let near = lazy (net_set (critical_nets tg (Sta.Tgraph.analysis tg))) in
           List.filter_map
             (fun iid ->
               let tap = tap_net d iid in
-              if tap < 0 || tap >= Array.length t.Timing.path then None
-              else
-                let path = t.Timing.path.(tap) in
-                if Float.is_nan path then None
-                else if path > t.Timing.min_period then
-                  Some
-                    (Rule.diag r ~loc:(Diag.Inst iid)
-                       ~hint:"block this net in Tpi.Select.config.blocked_nets"
-                       (Printf.sprintf
-                          "test point pushes a %.0f ps path past the %.0f ps period"
-                          path t.Timing.min_period))
-                else if Timing.near_critical t ~net:tap ~margin_frac:near_critical_margin
-                then
-                  Some
-                    (Rule.diag_at r ~severity:Diag.Warn ~loc:(Diag.Inst iid)
-                       ~hint:"block this net in Tpi.Select.config.blocked_nets"
-                       (Printf.sprintf
-                          "test point on a near-critical path (%.0f ps of %.0f ps worst)"
-                          path t.Timing.crit))
-                else None)
+              match if tap < 0 then None else Sta.Tgraph.net_slack tg tap with
+              | Some slack when slack < 0.0 ->
+                Some
+                  (Rule.diag r ~loc:(Diag.Inst iid) ~hint
+                     (Printf.sprintf
+                        "test point pushes a %.0f ps path past the %.0f ps period"
+                        (period -. slack) period))
+              | Some slack when Lazy.force near tap ->
+                Some
+                  (Rule.diag_at r ~severity:Diag.Warn ~loc:(Diag.Inst iid) ~hint
+                     (Printf.sprintf "test point on a near-critical path (%.0f ps slack)"
+                        slack))
+              | _ -> None)
             tsffs)
 
 let density =

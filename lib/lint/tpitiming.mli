@@ -5,10 +5,11 @@
     - [tpi.critical-path] — a test point sits on a critical or
       near-critical path (§5: "this approach requires timing analysis
       for identifying all paths with slack below a certain threshold").
-      Uses the caller's {!Sta.Slack}-derived critical-net artifact when
-      present, the {!Timing} zero-wireload estimate otherwise. A TP
-      whose path exceeds its domain's clock period is an error; one
-      within 5 % of the design's critical path is a warning.
+      Uses the caller's post-layout critical-net artifact when present
+      (any tapped net in it is an error). Otherwise it reads the
+      pre-layout {!Sta.Tgraph} over zero parasitics ({!Rule.ctx}): a TP
+      whose tapped net has negative slack is an error, one in the
+      near-critical set ({!critical_nets}) a warning.
     - [tpi.density] (warn) — test point count outside the paper's 1–3 %
       envelope (§4: beyond ~3 % the area and timing cost outgrows the
       coverage gain), or several TPs piled into one fanout-free region
@@ -19,8 +20,10 @@
 
 val pack_name : string
 
-val near_critical_margin : float
-(** Fraction of the critical path treated as "near" (0.05). *)
+val critical_nets : Sta.Tgraph.t -> Sta.Analysis.t -> int list
+(** The near-critical net set of a propagated graph and its report: nets
+    whose slack is within 5 % of the worst T_cp of the worst net slack
+    ({!Sta.Tgraph.critical_nets}). *)
 
 val density_envelope_pct : float
 (** Upper edge of the paper's TP density envelope (3.0). *)

@@ -16,6 +16,8 @@ exception Parse_error of int * string
 (** (line, message). *)
 
 val parse : ?lib:Stdcell.Library.t -> string -> Design.t
-(** Parse from a string. Unknown cell names raise [Parse_error]. *)
+(** Parse from a string. Malformed input raises [Parse_error]: syntax
+    errors, unknown cell or pin names, a pin connected twice, a net given
+    a second driver. *)
 
 val parse_file : ?lib:Stdcell.Library.t -> string -> Design.t

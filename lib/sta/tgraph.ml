@@ -243,18 +243,16 @@ let out_net t iid =
 (* ---- levelization ---- *)
 
 (* structural Kahn pass: assigns levels (1 + max over released timing
-   edges) and detects combinational cycles, naming the first considered
-   instance, in id order, still pending *)
+   edges) and returns the considered instances still pending, in id order:
+   the members of combinational cycles and the cone they feed *)
 let levelize t =
   let d = t.d in
   let pending = Array.make t.ni 0 in
   let queue = Queue.create () in
-  let total = ref 0 and processed = ref 0 in
   Design.iter_insts d (fun i ->
       let iid = i.Design.id in
       t.level.(iid) <- 0;
       if t.considered.(iid) then begin
-        incr total;
         let count = ref 0 in
         if t.launch.(iid) then begin
           let ck = t.ck_pin.(iid) in
@@ -274,7 +272,6 @@ let levelize t =
   t.max_level <- 0;
   while not (Queue.is_empty queue) do
     let iid = Queue.pop queue in
-    incr processed;
     if t.level.(iid) > t.max_level then t.max_level <- t.level.(iid);
     (match out_net t iid with
      | -1 -> ()
@@ -288,14 +285,11 @@ let levelize t =
            end)
          (Design.net d on).Design.sinks)
   done;
-  if !processed <> !total then begin
-    let offender = ref (-1) in
-    Design.iter_insts d (fun i ->
-        if !offender < 0 && t.considered.(i.Design.id) && pending.(i.Design.id) > 0 then
-          offender := i.Design.id);
-    let iname = if !offender >= 0 then (Design.inst d !offender).Design.iname else "?" in
-    raise (Analysis.Combinational_cycle { inst = !offender; iname })
-  end
+  let stuck = ref [] in
+  for iid = t.ni - 1 downto 0 do
+    if t.considered.(iid) && pending.(iid) > 0 then stuck := iid :: !stuck
+  done;
+  !stuck
 
 let rebuild_order t =
   let buckets = Array.make (t.max_level + 1) [] in
@@ -545,7 +539,7 @@ let analysis t =
 
 (* ---- compile ---- *)
 
-let compile ?(config = Analysis.default_config) (d : Design.t)
+let compile_partial ?(config = Analysis.default_config) (d : Design.t)
     (rc : Layout.Extract.net_rc array) =
   let ni = Design.num_insts d and nn = Design.num_nets d in
   let t =
@@ -589,9 +583,22 @@ let compile ?(config = Analysis.default_config) (d : Design.t)
     sync_net t nid;
     update_rc t nid rc.(nid)
   done;
-  levelize t;
+  let stuck = levelize t in
+  (* dropped from evaluation, their cone keeps -inf arrivals; a stuck
+     level may exceed [max_level], so reset it for the required pass *)
+  List.iter
+    (fun iid ->
+      t.considered.(iid) <- false;
+      t.level.(iid) <- 0)
+    stuck;
   rebuild_order t;
-  t
+  (t, stuck)
+
+let compile ?config d rc =
+  match compile_partial ?config d rc with
+  | t, [] -> t
+  | _, iid :: _ ->
+    raise (Analysis.Combinational_cycle { inst = iid; iname = (Design.inst d iid).Design.iname })
 
 let run d rc =
   let t = compile d rc in
@@ -743,8 +750,8 @@ let data_sinks_of_clock t cknet =
   !out
 
 (* nets within margin of the worst per-net slack: the lint pack's
-   critical-net artifact, read straight off the flat graph instead of the
-   zero-wireload estimator *)
+   critical-net set, post-layout over extracted parasitics and pre-layout
+   over zero parasitics *)
 let critical_nets t ~margin_ps =
   if not t.required_valid then compute_required t;
   let worst = ref infinity in

@@ -23,6 +23,14 @@ val compile :
     {!Analysis.Combinational_cycle}, naming the first instance (in id
     order) left pending, on a combinational loop. Does not propagate. *)
 
+val compile_partial :
+  ?config:Analysis.config -> Netlist.Design.t -> Layout.Extract.net_rc array -> t * int list
+(** {!compile}, total on combinational loops: the considered instances
+    left pending (loop members and the cone they feed) are dropped from
+    evaluation, so their output nets keep [-inf] arrivals, and returned
+    in id order ([[]] for a loop-free design). The rest of the design
+    times exactly as under {!compile}. *)
+
 val propagate : ?pool:Par.Pool.t -> t -> unit
 (** Full from-seed level-ordered propagation. With [pool], level buckets
     fan across the pool with bit-identical results. *)
@@ -79,7 +87,8 @@ val wns : t -> float
 
 val critical_nets : t -> margin_ps:float -> int list
 (** Nets whose slack is within [margin_ps] of the worst net slack —
-    the post-layout truth handed to the lint [tpi-timing] pack
+    the critical-net set of the lint [tpi-timing] pack, over extracted
+    parasitics after layout and over zero parasitics before it
     (computes {!compute_required} on demand). Ascending net ids. *)
 
 (**/**)

@@ -59,8 +59,19 @@ let test_parse_errors () =
     (try ignore (Circuits.Iscas.parse "INPUT(a)\nwat\n"); false
      with Circuits.Iscas.Parse_error _ -> true)
 
+let test_redefined_output () =
+  (* s27 already defines G9 = NAND(G16, G15) *)
+  let src = s27 ^ "G9 = NOR(G0)\n" in
+  let last_line = List.length (String.split_on_char '\n' src) - 1 in
+  match Circuits.Iscas.parse src with
+  | _ -> Alcotest.fail "second driver of G9 accepted"
+  | exception Circuits.Iscas.Parse_error (line, msg) ->
+    Alcotest.(check int) "line of the redefinition" last_line line;
+    Alcotest.(check bool) "names the net" true (Astring_contains.contains msg "G9")
+
 let suite =
   [ Alcotest.test_case "s27 structure" `Quick test_s27_structure;
     Alcotest.test_case "s27 through the flow" `Quick test_s27_runs_the_flow;
     Alcotest.test_case "n-ary decomposition" `Quick test_nary_decomposition;
-    Alcotest.test_case "parse errors" `Quick test_parse_errors ]
+    Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "redefined gate output" `Quick test_redefined_output ]

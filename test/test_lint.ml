@@ -598,6 +598,114 @@ let test_sarif_emitter () =
         (as_list (member [ "suppressions" ] res) <> []))
     results2
 
+(* --- checked-in example netlists ------------------------------------ *)
+
+(* examples/lint_viol.v and lint_clean.v are what the CLI's lint gate
+   runs; their findings are pinned as (rule, severity, location) so a
+   change to a rule's engine cannot silently move or drop one *)
+let example path = Filename.concat "../examples" path
+
+let triples d (r : Engine.report) =
+  List.map
+    (fun ((dg : Diag.t), _) ->
+      (dg.Diag.rule, Diag.severity_name dg.Diag.severity, Diag.loc_string d dg.Diag.loc))
+    r.Engine.diags
+
+let test_example_fixtures () =
+  let viol = Netlist.Verilog.parse_file (example "lint_viol.v") in
+  Alcotest.(check (list (triple string string string)))
+    "lint_viol.v findings"
+    [ ("struct.comb-loop", "error", "inst i42 (l1)");
+      ("tpi.critical-path", "error", "inst i46 (tp0)");
+      ("tpi.density", "warn", "design") ]
+    (triples viol (run viol));
+  let waivers =
+    match Waiver.load (example "lint_viol.waivers.json") with
+    | Ok w -> w
+    | Error msg -> Alcotest.fail msg
+  in
+  let r = run ~waivers viol in
+  Alcotest.(check int) "every finding waived" 0 (List.length r.Engine.diags);
+  Alcotest.(check int) "three suppressed" 3 (List.length r.Engine.waived);
+  Alcotest.(check int) "no stale waiver" 0 (List.length r.Engine.stale);
+  let clean = Netlist.Verilog.parse_file (example "lint_clean.v") in
+  Alcotest.(check (list (triple string string string)))
+    "lint_clean.v findings" [] (triples clean (run clean))
+
+(* --- totality of the netlist readers ------------------------------- *)
+
+(* every mutant of a checked-in netlist parses to a design or fails with
+   the reader's typed Parse_error, and every design that parses lints
+   without a rule crash *)
+
+let is_word_char = function 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' -> true | _ -> false
+
+(* word runs and single other bytes, so one mutation can swap a whole
+   net, pin or gate name for another *)
+let tokens src =
+  let n = String.length src in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else begin
+      let j = ref (i + 1) in
+      if is_word_char src.[i] then while !j < n && is_word_char src.[!j] do incr j done;
+      go !j (String.sub src i (!j - i) :: acc)
+    end
+  in
+  Array.of_list (go 0 [])
+
+let mutant src =
+  let open QCheck.Gen in
+  let toks = tokens src in
+  let words = Array.of_list (List.filter (fun t -> is_word_char t.[0]) (Array.to_list toks)) in
+  let step toks =
+    let* k = int_bound (Array.length toks - 1) and* op = int_bound 4
+    and* w = oneofa words and* c = char in
+    let t = toks.(k) and toks = Array.copy toks in
+    toks.(k) <-
+      (match op with
+       | 0 -> w                         (* swap in another name *)
+       | 1 -> ""                        (* drop the token *)
+       | 2 -> t ^ " " ^ t               (* repeat it *)
+       | 3 -> String.make 1 c           (* overwrite with a random byte *)
+       | _ -> t ^ String.make 1 c);     (* insert a random byte *)
+    return toks
+  in
+  let rec go k toks = if k = 0 then return toks else step toks >>= go (k - 1) in
+  let* k = int_range 1 4 in
+  map (fun toks -> String.concat "" (Array.to_list toks)) (go k toks)
+
+let no_rule_crash d =
+  List.for_all
+    (fun ((dg : Diag.t), _) -> not (String.starts_with ~prefix:"rule crashed:" dg.Diag.message))
+    (run d).Engine.diags
+
+let verilog_bases =
+  lazy
+    (List.map
+       (fun f -> In_channel.with_open_bin (example f) In_channel.input_all)
+       [ "lint_viol.v"; "lint_clean.v" ])
+
+let prop_verilog_total =
+  let gen st =
+    let bases = Lazy.force verilog_bases in
+    mutant (List.nth bases (Random.State.int st (List.length bases))) st
+  in
+  QCheck.Test.make ~name:"verilog reader and lint are total on mutants" ~count:3000
+    (QCheck.make ~print:Fun.id gen)
+    (fun src ->
+      match Netlist.Verilog.parse src with
+      | d -> no_rule_crash d
+      | exception Netlist.Verilog.Parse_error _ -> true)
+
+let prop_iscas_total =
+  QCheck.Test.make ~name:"bench reader and lint are total on mutants" ~count:1000
+    (QCheck.make ~print:Fun.id (fun st -> mutant Test_iscas.s27 st))
+    (fun src ->
+      match Circuits.Iscas.parse src with
+      | d -> no_rule_crash d
+      | exception Circuits.Iscas.Parse_error _ -> true)
+
 (* --- typed-error satellites ---------------------------------------- *)
 
 let test_perfgate_typed_error () =
@@ -662,6 +770,8 @@ let suite =
     Alcotest.test_case "text emitter" `Quick test_text_emitter;
     Alcotest.test_case "json emitter" `Quick test_json_emitter;
     Alcotest.test_case "sarif emitter" `Quick test_sarif_emitter;
+    Alcotest.test_case "example netlists pinned" `Quick test_example_fixtures;
     Alcotest.test_case "perfgate invalid baseline is typed" `Quick
       test_perfgate_typed_error;
     Alcotest.test_case "inject no-candidate printer" `Quick test_inject_printer ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_verilog_total; prop_iscas_total ]

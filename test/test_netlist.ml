@@ -121,6 +121,24 @@ let test_verilog_parse_error () =
        false
      with Netlist.Verilog.Parse_error _ -> true)
 
+(* Design.connect's Invalid_argument surfaces as the reader's typed
+   error, on the line of the offending instance *)
+let parse_error_line src =
+  match Netlist.Verilog.parse src with
+  | _ -> Alcotest.fail "malformed netlist accepted"
+  | exception Netlist.Verilog.Parse_error (line, _) -> line
+
+let test_verilog_double_driven () =
+  Alcotest.(check int) "line of the second driver" 6
+    (parse_error_line
+       "module m (a, b);\ninput a;\ninput b;\nwire n1;\n\
+        INVX1 g1 (.A(a), .Y(n1));\nINVX1 g2 (.A(b), .Y(n1));\nendmodule\n")
+
+let test_verilog_pin_twice () =
+  Alcotest.(check int) "line of the instance" 4
+    (parse_error_line
+       "module m (a, b);\ninput a;\ninput b;\nINVX1 g1 (.A(a), .A(b));\nendmodule\n")
+
 let test_cmodel_structure () =
   let d = Circuits.Bench.tiny () in
   let m = Netlist.Cmodel.build d in
@@ -199,6 +217,8 @@ let suite =
     Alcotest.test_case "verilog mini roundtrip" `Quick test_verilog_roundtrip_mini;
     Alcotest.test_case "verilog tiny roundtrip" `Quick test_verilog_roundtrip_tiny;
     Alcotest.test_case "verilog parse error" `Quick test_verilog_parse_error;
+    Alcotest.test_case "verilog double-driven net" `Quick test_verilog_double_driven;
+    Alcotest.test_case "verilog pin connected twice" `Quick test_verilog_pin_twice;
     Alcotest.test_case "cmodel structure" `Quick test_cmodel_structure;
     Alcotest.test_case "check-failed typed" `Quick test_check_failed_typed;
     Alcotest.test_case "report untruncated" `Quick test_report_short_list_untruncated ]

@@ -117,6 +117,86 @@ let test_worst_tcp_option () =
   let _, _, sta = analysed d in
   Alcotest.(check bool) "none on unconstrained design" true (A.worst_tcp sta = None)
 
+(* an inverter chain into a flip-flop, optionally beside a NAND2/INV/INV
+   ring fed through a longer inverter chain of its own, so the ring's
+   first gate is released to a level above every evaluated one; the ring
+   is built last, so the main chain's nets and instances keep their ids
+   either way *)
+let chain_beside_loop ~loop =
+  let d = Design.create "partial" in
+  let clk = Design.add_port d "clk" Design.In in
+  let a = Design.add_port d "a" Design.In in
+  let dom = Design.add_domain d ~name:"core" ~period_ps:400.0 ~clock_net:clk.Design.pnet in
+  let gate name kind ins =
+    let g = Design.add_instance d ~name ~cell:(Helpers.cell kind) in
+    List.iteri (fun pin net -> Design.connect d ~inst:g.Design.id ~pin ~net) ins;
+    let y = Design.add_net d (name ^ "_y") in
+    Design.connect d ~inst:g.Design.id ~pin:(List.length ins) ~net:y.Design.nid;
+    (g.Design.id, y.Design.nid)
+  in
+  let chain = ref [ a.Design.pnet ] in
+  for k = 1 to 6 do
+    chain := snd (gate (Printf.sprintf "c%d" k) Cell.Inv [ List.hd !chain ]) :: !chain
+  done;
+  let ff, q = gate "ff" Cell.Dff [ List.hd !chain; clk.Design.pnet ] in
+  (Design.inst d ff).Design.domain <- dom;
+  let ring =
+    if not loop then []
+    else begin
+      let b = Design.add_port d "b" Design.In in
+      let feed = ref b.Design.pnet in
+      for k = 1 to 8 do
+        feed := snd (gate (Printf.sprintf "f%d" k) Cell.Inv [ !feed ])
+      done;
+      let l1 = Design.add_instance d ~name:"l1" ~cell:(Helpers.cell Cell.Nand2) in
+      let l1_y = Design.add_net d "l1_y" in
+      Design.connect d ~inst:l1.Design.id ~pin:0 ~net:!feed;
+      Design.connect d ~inst:l1.Design.id ~pin:2 ~net:l1_y.Design.nid;
+      let l2, l2_y = gate "l2" Cell.Inv [ l1_y.Design.nid ] in
+      let l3, l3_y = gate "l3" Cell.Inv [ l2_y ] in
+      Design.connect d ~inst:l1.Design.id ~pin:1 ~net:l3_y;
+      [ l1.Design.id; l2; l3 ]
+    end
+  in
+  (d, q :: !chain, ring)
+
+let zero_rc d = Array.init (Design.num_nets d) (fun nid -> Layout.Extract.empty_rc d (Design.net d nid))
+
+let timed (tg, stuck) =
+  Sta.Tgraph.propagate tg;
+  Sta.Tgraph.compute_required tg;
+  (tg, stuck)
+
+let test_partial_compile () =
+  let d, nets, ring = chain_beside_loop ~loop:true in
+  let tg, stuck = timed (Sta.Tgraph.compile_partial d (zero_rc d)) in
+  Alcotest.(check (list int)) "stuck = the loop" ring stuck;
+  List.iter
+    (fun iid ->
+      let out = Design.net_of_output d (Design.inst d iid) in
+      Alcotest.(check bool) "loop cone untimed" true (Sta.Tgraph.arrival tg out = neg_infinity))
+    ring;
+  let d0, nets0, _ = chain_beside_loop ~loop:false in
+  Alcotest.(check (list int)) "same chain nets" nets0 nets;
+  let tg0, stuck0 = timed (Sta.Tgraph.compile_partial d0 (zero_rc d0)) in
+  Alcotest.(check (list int)) "loop-free: nothing stuck" [] stuck0;
+  let bits x = Int64.bits_of_float x in
+  List.iter
+    (fun nid ->
+      Alcotest.(check int64) "arrival" (bits (Sta.Tgraph.arrival tg0 nid))
+        (bits (Sta.Tgraph.arrival tg nid));
+      Alcotest.(check (option int64)) "slack"
+        (Option.map bits (Sta.Tgraph.net_slack tg0 nid))
+        (Option.map bits (Sta.Tgraph.net_slack tg nid)))
+    nets;
+  Alcotest.(check bool) "chain timed" true
+    (Sta.Tgraph.net_slack tg (List.hd (List.tl nets)) <> None);
+  match Sta.Tgraph.compile d (zero_rc d) with
+  | _ -> Alcotest.fail "compile accepted a loop"
+  | exception A.Combinational_cycle { inst; iname } ->
+    Alcotest.(check int) "names the first stuck instance" (List.hd ring) inst;
+    Alcotest.(check string) "by name" "l1" iname
+
 let suite =
   [ Alcotest.test_case "mini path" `Quick test_mini_path;
     Alcotest.test_case "breakdown identity" `Quick test_breakdown_identity_tiny;
@@ -124,4 +204,5 @@ let suite =
     Alcotest.test_case "clock latency" `Quick test_clock_latency_after_cts;
     Alcotest.test_case "cross-domain excluded" `Quick test_cross_domain_excluded;
     Alcotest.test_case "test arcs blocked" `Quick test_test_mode_arcs_blocked;
-    Alcotest.test_case "worst_tcp option" `Quick test_worst_tcp_option ]
+    Alcotest.test_case "worst_tcp option" `Quick test_worst_tcp_option;
+    Alcotest.test_case "partial compile around a loop" `Quick test_partial_compile ]

@@ -1,11 +1,15 @@
 (* Benchmark harness: regenerates every table and figure of the paper and
-   (with `--perf`) times the flow's computational kernels with Bechamel.
+   (with `--perf`) measures the flow into BENCH_perf.json.
 
      dune exec bench/main.exe                 regenerate everything
      dune exec bench/main.exe -- table1       just Table 1 (runs ATPG)
      dune exec bench/main.exe -- table2 table3 fig1 fig2 fig3 ablations
      dune exec bench/main.exe -- --full       paper-scale circuits (slow)
-     dune exec bench/main.exe -- --perf       Bechamel micro-benchmarks
+     dune exec bench/main.exe -- --perf       the perfbench workloads + micro-sections
+     dune exec bench/main.exe -- serve        daemon throughput
+
+   `--perf` runs every workload BENCHMARK.json declares through
+   perfbench/run.sh, so it must run from the repository root.
 
    Absolute numbers come from the synthetic substrate (see DESIGN.md); the
    shapes — who wins, by what rough factor, where things level off — are
@@ -23,12 +27,8 @@ let circuits = [ "s38417"; "pcore_a"; "pcore_b" ]
 
 (* every layout runs through the guarded flow; a failed level stops the
    bench instead of silently dropping out of a table *)
-let sweep ?pool ?cache ~with_atpg ?scale c =
-  List.map Core.Experiment.row_exn
-    (Core.Experiment.sweep_guarded ?pool ?cache ~with_atpg ?scale c)
-
-let run_flow ~options d =
-  Core.Guard.result_exn (Core.Guard.run ~options ~circuit:"bench" (fun () -> d))
+let sweep ?pool ~with_atpg ?scale c =
+  List.map Core.Experiment.row_exn (Core.Experiment.sweep_guarded ?pool ~with_atpg ?scale c)
 
 let table1 () =
   say "=== Table 1: impact of TPI on test data (ATPG scale %.2f) ===" !table1_scale;
@@ -187,15 +187,36 @@ let ablations () =
     r.Core.Pipeline.reorder.Core.Scan_reorder.wirelength_after;
   say ""
 
+let usage =
+  "usage: main.exe [--full] [table1|table2|table3|fig1|fig2|fig3|ablations]...\n\
+  \       main.exe --perf [--check BASELINE [--tolerance PCT]]\n\
+  \       main.exe --check BASELINE [--tolerance PCT]\n\
+  \       main.exe serve [--clients N]"
+
+(* a bad input of bench's own, or a workload that produced no result,
+   exits 2 with a message, never with a silent default or an escaped
+   exception *)
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2)
+    fmt
+
+let usage_error fmt = Printf.ksprintf (fun msg -> die "%s\n%s" msg usage) fmt
+
 (* BENCH_perf.json is written by more than one bench mode (`--perf`, `serve`);
    each mode merges its own sections into the existing file instead of
-   clobbering the others' *)
+   clobbering the others'. A file of another schema is not merged into. *)
+let schema = "tpi-bench-perf/7"
+
 let read_bench_fields () =
   if Sys.file_exists "BENCH_perf.json" then
     match
       Obs.Json.parse (In_channel.with_open_bin "BENCH_perf.json" In_channel.input_all)
     with
-    | Ok (Obs.Json.Obj fields) -> fields
+    | Ok (Obs.Json.Obj fields) when List.assoc_opt "schema" fields = Some (Obs.Json.String schema)
+      -> fields
     | _ -> []
   else []
 
@@ -203,112 +224,75 @@ let write_bench_sections updates =
   let fields =
     List.fold_left
       (fun acc (k, v) -> List.remove_assoc k acc @ [ (k, v) ])
-      (read_bench_fields ()) updates
+      (List.remove_assoc "schema" (read_bench_fields ()))
+      updates
   in
-  Obs.Json.write_file "BENCH_perf.json" (Obs.Json.Obj fields)
+  Obs.Json.write_file "BENCH_perf.json"
+    (Obs.Json.Obj (("schema", Obs.Json.String schema) :: fields))
 
-(* ---- Bechamel kernels: one per table/figure ---- *)
-let perf () =
-  let open Bechamel in
-  let tiny () = Core.Bench.tiny ~ffs:40 ~gates:500 () in
-  let table1_kernel =
-    Test.make ~name:"table1/atpg" (Staged.stage (fun () ->
-        let m = Core.Cmodel.build (tiny ()) in
-        ignore (Core.Patgen.run m)))
+(* BENCHMARK.json declares the flow benchmark's workloads and the
+   direction of each metric *)
+let benchmark_spec () =
+  match Obs.Json.parse (In_channel.with_open_bin "BENCHMARK.json" In_channel.input_all) with
+  | Ok spec -> spec
+  | Error msg -> die "BENCHMARK.json: %s" msg
+  | exception Sys_error msg -> die "%s (run bench from the repository root)" msg
+
+let workload_names spec =
+  match Obs.Json.member "workloads" spec with
+  | Some (Obs.Json.List items) ->
+    List.filter_map
+      (fun w ->
+        match Obs.Json.member "name" w with Some (Obs.Json.String n) -> Some n | _ -> None)
+      items
+  | _ -> []
+
+(* ---- the flow benchmark's workloads ----
+   Each workload runs through perfbench/run.sh exactly as the measure of
+   record runs it, checked against its golden rows: once untraced for the
+   end-to-end metrics, once traced for the per-layer ledger. The result
+   object flowbench prints as its last line is kept verbatim. *)
+let workload_seconds = 8
+
+let run_workload w ~trace =
+  let args =
+    [| "bash"; "perfbench/run.sh"; "--workload"; w; "--seed"; "0";
+       "--seconds"; string_of_int workload_seconds; "--trace"; string_of_int trace;
+       "--golden"; Printf.sprintf "perfbench/golden/%s.tsv" w |]
   in
-  let table2_kernel =
-    Test.make ~name:"table2/place+route" (Staged.stage (fun () ->
-        let d = tiny () in
-        ignore (Core.Scan_chains.plan d (Core.Scan_chains.Max_length 20));
-        let fp = Core.Floorplan.create d in
-        let pl = Core.Place.run d fp in
-        ignore (Core.Route.run pl)))
+  let ic = Unix.open_process_args_in "bash" args in
+  let result =
+    match List.rev (In_channel.input_lines ic) with
+    | last :: _ -> (
+      match Obs.Json.parse last with
+      | Ok (Obs.Json.Obj fields as r) when List.mem_assoc "metrics" fields -> Some r
+      | _ -> None)
+    | [] -> None
   in
-  let table3_kernel =
-    Test.make ~name:"table3/extract+sta" (Staged.stage (fun () ->
-        let d = tiny () in
-        let fp = Core.Floorplan.create d in
-        let pl = Core.Place.run d fp in
-        let rt = Core.Route.run pl in
-        let rc = Core.Extract.run pl rt in
-        ignore (Core.Tgraph.run d rc)))
-  in
-  let fig1_kernel =
-    Test.make ~name:"fig1/tsff-sim" (Staged.stage (fun () ->
-        let t = Core.Tsff.create () in
-        for k = 0 to 999 do
-          let b = k land 1 = 0 in
-          ignore (Core.Tsff.output t ~d:b ~ti:(not b) ~te:b ~tr:(not b));
-          Core.Tsff.clock t ~d:b ~ti:(not b) ~te:b
-        done))
-  in
-  let fig2_kernel =
-    Test.make ~name:"fig2/full-pipeline" (Staged.stage (fun () ->
-        let d = tiny () in
-        let options =
-          { Core.Pipeline.default_options with
-            Core.Pipeline.run_atpg = false;
-            chain_config = Core.Scan_chains.Max_length 20 }
-        in
-        ignore (run_flow ~options d)))
-  in
-  let fig3_kernel =
-    Test.make ~name:"fig3/render" (Staged.stage (fun () ->
-        let d = tiny () in
-        let fp = Core.Floorplan.create d in
-        let pl = Core.Place.run d fp in
-        ignore (Core.Render.svg_placement pl)))
-  in
-  let benchmark test =
-    let instances = Toolkit.Instance.[ minor_allocated; monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 2.0) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze instance results =
-    Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false
-                   ~predictors:[| Measure.run |])
-      instance results
-  in
-  let estimates instance results =
-    let ols = analyze instance results in
-    Hashtbl.fold
-      (fun name result acc ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> (name, est) :: acc
-        | _ -> acc)
-      ols []
-  in
-  let rows = ref [] in
-  List.iter
-    (fun test ->
-      let results = benchmark (Test.make_grouped ~name:"kernel" [ test ]) in
-      let times = estimates Toolkit.Instance.monotonic_clock results in
-      let words = estimates Toolkit.Instance.minor_allocated results in
-      List.iter
-        (fun (name, ns) ->
-          let w = match List.assoc_opt name words with Some w -> w | None -> 0.0 in
-          say "%-24s %12.3f ms/run %14.0f minor words/run" name (ns /. 1e6) w;
-          rows := (name, ns, w) :: !rows)
-        times)
-    [ table1_kernel; table2_kernel; table3_kernel; fig1_kernel; fig2_kernel; fig3_kernel ];
-  (* machine-readable trajectory point: one JSON object per kernel, so
-     successive runs of `--perf` can be diffed / plotted over time *)
-  let kernels =
-    List.rev_map
-      (fun (name, ns, w) ->
-        Obs.Json.Obj
-          [ ("name", Obs.Json.String name);
-            ("ns_per_run", Obs.Json.Float ns);
-            ("minor_words_per_run", Obs.Json.Float w) ])
-      !rows
-  in
+  match (Unix.close_process_in ic, result) with
+  | Unix.WEXITED 0, Some r -> r
+  | Unix.WEXITED 0, None ->
+    die "workload %s (--trace %d): the last output line is not a result object" w trace
+  | (Unix.WEXITED n | Unix.WSIGNALED n | Unix.WSTOPPED n), _ ->
+    die "workload %s (--trace %d): perfbench/run.sh exited with status %d" w trace n
+
+let workloads spec =
+  List.map
+    (fun w ->
+      let e2e = run_workload w ~trace:0 in
+      say "%-16s %s" w (Obs.Json.to_string e2e);
+      (w, Obs.Json.Obj [ ("end_to_end", e2e); ("per_layer", run_workload w ~trace:1) ]))
+    (workload_names spec)
+
+(* ---- micro-sections: effects no workload shows ---- *)
+let perf spec =
+  let workloads = workloads spec in
   (* ---- seq vs par: the deterministic multicore layer ----
-     Bechamel's per-run model fits poorly once a kernel spans domains, so
-     these are plain best-of-N wall-clock measurements. The recorded
-     host_cores is the honest context for the speedup: on a single-core
-     host the parallel variants pay the fork-join overhead and win
-     nothing; the fan-out only converts into wall-clock gain with real
-     cores underneath. *)
+     Plain best-of-N wall-clock measurements. The recorded host_cores is
+     the honest context for the speedup: on a single-core host the
+     parallel variants pay the fork-join overhead and win nothing; the
+     fan-out only converts into wall-clock gain with real cores
+     underneath. *)
   let time_best ~reps f =
     ignore (f ());
     let best = ref infinity in
@@ -357,16 +341,6 @@ let perf () =
         time_best ~reps:3 (fun () ->
             sweep ~pool:p ~with_atpg:false ~scale:0.06 "s38417"))
   in
-  (* ---- cold vs warm: the content-addressed stage cache ----
-     The same sweep, once uncached and once against a memory-only store;
-     time_best's untimed warmup rep is what fills the store, so the timed
-     reps are all served from cache. The tables must not notice. *)
-  let cache_store = Core.Stage_cache.create () in
-  let sweep_cached () =
-    sweep ~cache:cache_store ~with_atpg:false ~scale:0.06 "s38417"
-  in
-  let t_sweep_warm = time_best ~reps:3 sweep_cached in
-  assert (Core.Report.table2 (sweep_seq ()) = Core.Report.table2 (sweep_cached ()));
   let speedup seq par = if par > 0.0 then seq /. par else 0.0 in
   (* ---- one ECO test point: cone retime vs whole-design re-extract +
      re-time ----
@@ -384,7 +358,8 @@ let perf () =
         tp_percent = 2.0;
         chain_config = Core.Scan_chains.Max_length 100 }
     in
-    run_flow ~options (Core.Bench.by_name "s38417" ~scale:0.12)
+    let d = Core.Bench.by_name "s38417" ~scale:0.12 in
+    Core.Guard.result_exn (Core.Guard.run ~options ~circuit:"bench" (fun () -> d))
   in
   let ctx =
     Core.Retime.create eco_r.Core.Pipeline.placement eco_r.Core.Pipeline.route
@@ -430,53 +405,6 @@ let perf () =
   say "%-24s full %7.2f ms  retime %6.2f ms/edit  speedup %.1fx (%d edits)"
     "incr/single-tp-retime" (t_reanalyse *. 1e3) (t_retime *. 1e3)
     (speedup t_reanalyse t_retime) n_edits;
-  (* ---- timing repair: one trial, cone retime vs whole-graph propagate ----
-     Each repair trial is an edit, a re-time and usually a revert, so the
-     stage's runtime is dominated by how a trial is re-timed. The trial
-     here is one of the repair stage's levers on the worst net: upsize
-     its driver, then revert. It is timed per edit as repair runs it
-     (incident nets re-routed and re-extracted, cone worklist-retimed)
-     against one Tgraph.propagate of the same Retime graph. After the
-     upsize, the cone-retimed report must equal a propagate from seeds. *)
-  let repair_r =
-    (Core.Experiment.row_exn
-       (Core.Experiment.run_one_guarded ~cache:cache_store ~with_atpg:false
-          (Core.Experiment.spec_for ~scale:0.06 "s38417") ~tp_pct:1))
-      .Core.Experiment.result
-  in
-  let rctx =
-    Core.Retime.create repair_r.Core.Pipeline.placement repair_r.Core.Pipeline.route
-      repair_r.Core.Pipeline.rc
-  in
-  let rtg = Core.Retime.tgraph rctx in
-  let rd = Core.Retime.design rctx in
-  let trial_inst =
-    List.find_map
-      (fun nid ->
-        match (Core.Design.net rd nid).Core.Design.driver with
-        | Core.Design.Cell_pin (iid, _)
-          when Core.Library.upsize rd.Core.Design.lib (Core.Design.inst rd iid).Core.Design.cell
-               <> None ->
-          Some iid
-        | _ -> None)
-      (Core.Tgraph.critical_nets rtg ~margin_ps:0.0)
-    |> Option.get
-  in
-  let old_cell = (Core.Design.inst rd trial_inst).Core.Design.cell in
-  let t_trial =
-    time_best ~reps:5 (fun () ->
-        ignore (Core.Retime.upsize rctx ~inst:trial_inst);
-        ignore (Core.Retime.resize rctx ~inst:trial_inst ~cell:old_cell))
-    /. 2.0
-  in
-  let t_propagate = time_best ~reps:5 (fun () -> Core.Tgraph.propagate rtg) in
-  ignore (Core.Retime.upsize rctx ~inst:trial_inst);
-  let retimed = Core.Retime.analysis rctx in
-  Core.Tgraph.propagate rtg;
-  assert (retimed = Core.Tgraph.analysis rtg);
-  say "%-24s propagate %7.2f ms  retime %6.2f ms/edit  speedup %.1fx"
-    "repair/trial-retime" (t_propagate *. 1e3) (t_trial *. 1e3)
-    (speedup t_propagate t_trial);
   say "%-24s seq %8.1f ms  par(j=%d) %8.1f ms  speedup %.2fx"
     "par/fsim-detect-fanout" (t_fsim_seq *. 1e3) par_jobs (t_fsim_par *. 1e3)
     (speedup t_fsim_seq t_fsim_par);
@@ -484,9 +412,6 @@ let perf () =
     "par/sweep-fanout" (t_sweep_seq *. 1e3) par_jobs (t_sweep_par *. 1e3)
     (speedup t_sweep_seq t_sweep_par);
   say "(host has %d cores; speedups ~1.0x are expected on single-core hosts)" host_cores;
-  say "%-24s cold %7.1f ms  warm %8.1f ms  speedup %.2fx" "cache/sweep-stage-cache"
-    (t_sweep_seq *. 1e3) (t_sweep_warm *. 1e3)
-    (speedup t_sweep_seq t_sweep_warm);
   (* each parallel entry carries the core count it was measured on, and a
      single-core measurement is flagged outright: its ~1.0x "speedup"
      reflects the host, not the fan-out, and the gate must not read it as
@@ -504,8 +429,7 @@ let perf () =
         ("speedup", Obs.Json.Float (speedup seq par)) ]
   in
   write_bench_sections
-    [ ("schema", Obs.Json.String "tpi-bench-perf/6");
-      ("kernels", Obs.Json.List kernels);
+    [ ("workloads", Obs.Json.Obj workloads);
       ("parallel",
        Obs.Json.Obj
          [ ("host_cores", Obs.Json.Int host_cores);
@@ -513,16 +437,6 @@ let perf () =
             Obs.Json.List
               [ par_entry "fsim-detect-fanout" t_fsim_seq t_fsim_par;
                 par_entry "sweep-fanout" t_sweep_seq t_sweep_par ]) ]);
-      ("cache",
-       Obs.Json.Obj
-         [ ("kernels",
-            Obs.Json.List
-              [ Obs.Json.Obj
-                  [ ("name", Obs.Json.String "sweep-stage-cache");
-                    ("cold_s", Obs.Json.Float t_sweep_seq);
-                    ("warm_s", Obs.Json.Float t_sweep_warm);
-                    ("speedup", Obs.Json.Float (speedup t_sweep_seq t_sweep_warm)) ]
-              ]) ]);
       ("incremental",
        Obs.Json.Obj
          [ ("kernels",
@@ -533,27 +447,17 @@ let perf () =
                     ("retime_s", Obs.Json.Float t_retime);
                     ("edits", Obs.Json.Int n_edits);
                     ("speedup", Obs.Json.Float (speedup t_reanalyse t_retime)) ]
-              ]) ]);
-      ("repair",
-       Obs.Json.Obj
-         [ ("kernels",
-            Obs.Json.List
-              [ Obs.Json.Obj
-                  [ ("name", Obs.Json.String "trial-retime");
-                    ("propagate_s", Obs.Json.Float t_propagate);
-                    ("retime_s", Obs.Json.Float t_trial);
-                    ("speedup", Obs.Json.Float (speedup t_propagate t_trial)) ]
               ]) ]) ];
-  say "wrote BENCH_perf.json (%d kernels + 2 parallel + 1 cache + 1 incremental + 1 repair)"
-    (List.length kernels)
+  say "wrote BENCH_perf.json (%d workloads + 2 parallel + 1 incremental)"
+    (List.length workloads)
 
 (* ---- serve: end-to-end daemon throughput under concurrent clients ----
    An in-process daemon on a scratch socket, N client threads each pushing
    a stream of small jobs (one of them with an injected transient fault,
    so the retry path is always part of the measurement), then a deliberate
    overload burst against the held executor to measure typed-backpressure
-   rejection. Wall-clock numbers, not Bechamel: the daemon serializes job
-   compute by design, so per-run modelling adds nothing. *)
+   rejection. Wall-clock numbers: the daemon serializes job compute by
+   design, so per-run modelling adds nothing. *)
 let serve_bench clients =
   say "=== serve: daemon throughput, %d concurrent clients ===" clients;
   let socket_path =
@@ -648,8 +552,7 @@ let serve_bench clients =
   say "overload burst: %d/%d rejected with typed backpressure (%.0f%%)" !rejected burst
     (100.0 *. rejection_rate);
   write_bench_sections
-    [ ("schema", Obs.Json.String "tpi-bench-perf/4");
-      ("serve",
+    [ ("serve",
        Obs.Json.Obj
          [ ("clients", Obs.Json.Int clients);
            ("jobs", Obs.Json.Int n);
@@ -666,13 +569,14 @@ let serve_bench clients =
                 ("rate", Obs.Json.Float rejection_rate) ]) ]) ];
   say "wrote BENCH_perf.json (serve section)"
 
-(* perf-regression gate: diff the (freshly measured or existing)
-   BENCH_perf.json against a checked-in baseline and exit non-zero past
-   tolerance -- the CI step that makes a silent slowdown loud *)
-let check_gate ~baseline ~tolerance_pct =
+(* perf-regression gate: judge the (freshly measured or existing)
+   BENCH_perf.json against a checked-in baseline and the absolute floors,
+   and exit non-zero on a violation -- the CI step that makes a silent
+   slowdown loud *)
+let check_gate spec ~baseline ~tolerance_pct =
   match
-    Core.Perfgate.check ~baseline_path:baseline ~current_path:"BENCH_perf.json"
-      ~tolerance_pct
+    Core.Perfgate.check ~directions:(Core.Perfgate.directions spec) ~baseline_path:baseline
+      ~current_path:"BENCH_perf.json" ~tolerance_pct
   with
   | exception (Core.Perfgate.Invalid_baseline msg | Sys_error msg) ->
     Printf.eprintf "bench --check: %s\n" msg;
@@ -681,8 +585,10 @@ let check_gate ~baseline ~tolerance_pct =
     Format.printf "%a@." Core.Perfgate.pp_verdict verdict;
     if verdict.Core.Perfgate.violations <> [] then exit 1
 
+(* a flag's operand; a flag given without one is a usage error *)
 let rec flag_value name = function
   | f :: v :: _ when f = name -> Some v
+  | [ f ] when f = name -> usage_error "%s needs a value" name
   | _ :: rest -> flag_value name rest
   | [] -> None
 
@@ -694,41 +600,45 @@ let () =
   end;
   let check_baseline = flag_value "--check" args in
   let tolerance_pct =
-    match Option.bind (flag_value "--tolerance" args) float_of_string_opt with
-    | Some t when t >= 0.0 -> t
-    | _ -> 25.0
+    match flag_value "--tolerance" args with
+    | None -> 25.0
+    | Some v -> (
+      match float_of_string_opt v with
+      | Some t when Float.is_finite t && t >= 0.0 -> t
+      | _ -> usage_error "--tolerance takes a non-negative percentage, not %S" v)
   in
-  let gate () =
+  let clients =
+    match flag_value "--clients" args with
+    | None -> 4
+    | Some v -> (
+      match int_of_string_opt v with
+      | Some n when n >= 1 -> n
+      | _ -> usage_error "--clients takes a positive integer, not %S" v)
+  in
+  let gate spec =
     match check_baseline with
-    | Some baseline -> check_gate ~baseline ~tolerance_pct
+    | Some baseline -> check_gate spec ~baseline ~tolerance_pct
     | None -> ()
   in
-  let wants = List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args in
-  let wants =
-    (* flag operands are not section names *)
-    match check_baseline with Some b -> List.filter (fun w -> w <> b) wants | None -> wants
+  (* flag operands are not section names *)
+  let operands =
+    List.filter_map (fun f -> flag_value f args) [ "--check"; "--tolerance"; "--clients" ]
   in
   let wants =
-    match flag_value "--tolerance" args with
-    | Some t -> List.filter (fun w -> w <> t) wants
-    | None -> wants
+    List.filter
+      (fun a -> not ((String.length a > 1 && a.[0] = '-') || List.mem a operands))
+      args
   in
   let run name f = if wants = [] || List.mem name wants then f () in
   if List.mem "--perf" args then begin
-    perf ();
-    gate ()
+    let spec = benchmark_spec () in
+    perf spec;
+    gate spec
   end
   else if check_baseline <> None && wants = [] then
     (* bare `--check BASELINE`: judge the existing BENCH_perf.json *)
-    gate ()
-  else if List.mem "serve" wants then begin
-    let rec clients_of = function
-      | "--clients" :: v :: _ -> Option.value ~default:4 (int_of_string_opt v)
-      | _ :: rest -> clients_of rest
-      | [] -> 4
-    in
-    serve_bench (max 1 (clients_of args))
-  end
+    gate (benchmark_spec ())
+  else if List.mem "serve" wants then serve_bench clients
   else begin
     run "fig1" fig1;
     run "table2" table2;

@@ -714,7 +714,8 @@ let test_perfgate_typed_error () =
   output_string oc "not json at all";
   close_out oc;
   (match
-     Obs.Perfgate.check ~baseline_path:bad ~current_path:bad ~tolerance_pct:10.0
+     Obs.Perfgate.check ~directions:[] ~baseline_path:bad ~current_path:bad
+       ~tolerance_pct:10.0
    with
    | _ -> Alcotest.fail "invalid baseline accepted"
    | exception Obs.Perfgate.Invalid_baseline _ -> ());

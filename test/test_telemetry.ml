@@ -260,136 +260,136 @@ let test_recorder_dump_without_path () =
 
 (* ---- perf gate ---- *)
 
-let perf_doc ~ns ~speedup ~throughput ~p95 =
+(* the end_to_end list of a BENCHMARK.json document *)
+let directions =
+  let entry n = J.Obj [ ("name", J.String n); ("better", J.String "lower") ] in
+  PG.directions (J.Obj [ ("end_to_end", J.List (List.map entry [ "wall_s"; "setup_s"; "peak_heap_mb" ])) ])
+
+(* one flowbench result line *)
+let result ~failed metrics =
+  let metric (n, v) = (n, J.Obj [ ("value", J.Float v); ("unit", J.String "s") ]) in
   J.Obj
-    [ ("kernels",
-       J.List
-         [ J.Obj [ ("name", J.String "kernel/t/x"); ("ns_per_run", J.Float ns) ] ]);
-      ("parallel",
-       J.Obj
-         [ ("kernels",
-            J.List
-              [ J.Obj [ ("name", J.String "par-x"); ("speedup", J.Float speedup) ] ])
-         ]);
-      ("cache",
-       J.Obj
-         [ ("kernels",
-            J.List
-              [ J.Obj [ ("name", J.String "cache-x"); ("speedup", J.Float 4.0) ] ]) ]);
-      ("serve",
-       J.Obj
-         [ ("throughput_jobs_per_s", J.Float throughput); ("p95_ms", J.Float p95) ])
-    ]
+    [ ("correct", J.Bool (failed = 0)); ("attempted", J.Int 13); ("failed", J.Int failed);
+      ("metrics", J.Obj (List.map metric metrics)) ]
 
-let baseline = perf_doc ~ns:100.0 ~speedup:2.0 ~throughput:10.0 ~p95:500.0
+let walls = [ ("tables23-cold", 1.0); ("table1-atpg", 3.0); ("table3r-repair", 1.5); ("tables23-warm", 0.15) ]
+let with_wall w x = List.map (fun (n, v) -> (n, if n = w then x else v)) walls
 
-let violations ~current =
-  (PG.compare_docs ~baseline ~current ~tolerance_pct:10.0).PG.violations
+let perf_doc ?(walls = walls) ?(failed = 0) ?(share = 0.99) ?(incremental = 8.0) ?(cores = 2)
+    ?(speedup = 2.0) ?(throughput = 10.0) ?(p95 = 500.0) () =
+  let workload (w, wall) =
+    ( w,
+      J.Obj
+        [ ("end_to_end", result ~failed [ ("wall_s", wall); ("setup_s", 0.1); ("peak_heap_mb", 36.0) ]);
+          ("per_layer", result ~failed:0 [ ("trace.attributed_share", share) ]) ] )
+  in
+  let kernel n v = J.Obj [ ("name", J.String n); ("speedup", J.Float v) ] in
+  J.Obj
+    [ ("workloads", J.Obj (List.map workload walls));
+      ("parallel", J.Obj [ ("host_cores", J.Int cores); ("kernels", J.List [ kernel "par-x" speedup ]) ]);
+      ("incremental", J.Obj [ ("kernels", J.List [ kernel "single-tp-retime" incremental ]) ]);
+      ("serve", J.Obj [ ("throughput_jobs_per_s", J.Float throughput); ("p95_ms", J.Float p95) ]) ]
+
+let baseline = perf_doc ()
+
+let violations ?(baseline = baseline) ?(tolerance_pct = 10.0) current =
+  List.map
+    (fun v -> v.PG.v_metric)
+    (PG.compare_docs ~directions ~baseline ~current ~tolerance_pct).PG.violations
 
 let test_perfgate_passes_on_equal () =
-  let v = PG.compare_docs ~baseline ~current:baseline ~tolerance_pct:0.0 in
-  Alcotest.(check int) "five metrics checked" 5 v.PG.checked;
+  let v = PG.compare_docs ~directions ~baseline ~current:baseline ~tolerance_pct:0.0 in
+  (* 4 x 3 workload metrics, 2 speedups, 2 serve; floors: 4 x 5 per
+     workload, the cache ratio, the incremental speedup *)
+  Alcotest.(check int) "metrics checked" (12 + 2 + 2 + 20 + 2) v.PG.checked;
   Alcotest.(check int) "no violations" 0 (List.length v.PG.violations);
   Alcotest.(check int) "nothing skipped" 0 (List.length v.PG.skipped)
 
 let test_perfgate_boundaries () =
   (* lower-better: the limit is base * 1.1; exactly on the limit passes *)
-  Alcotest.(check int) "ns at limit passes" 0
-    (List.length
-       (violations
-          ~current:(perf_doc ~ns:110.0 ~speedup:2.0 ~throughput:10.0 ~p95:500.0)));
-  Alcotest.(check int) "ns past limit fails" 1
-    (List.length
-       (violations
-          ~current:(perf_doc ~ns:110.2 ~speedup:2.0 ~throughput:10.0 ~p95:500.0)));
+  Alcotest.(check (list string)) "wall at limit passes" []
+    (violations (perf_doc ~walls:(with_wall "table1-atpg" 3.3) ()));
+  Alcotest.(check (list string)) "wall past limit fails" [ "workloads/table1-atpg/wall_s" ]
+    (violations (perf_doc ~walls:(with_wall "table1-atpg" 3.31) ()));
+  (* at CI's tolerance, doubling any single workload's wall_s trips *)
+  List.iter
+    (fun (w, wall) ->
+      let v = violations ~tolerance_pct:90.0 (perf_doc ~walls:(with_wall w (2.0 *. wall)) ()) in
+      Alcotest.(check bool) (w ^ " doubled trips") true (List.mem ("workloads/" ^ w ^ "/wall_s") v))
+    walls;
   (* higher-better: the limit is base / 1.1 *)
-  Alcotest.(check int) "speedup at limit passes" 0
-    (List.length
-       (violations
-          ~current:
-            (perf_doc ~ns:100.0 ~speedup:(2.0 /. 1.1) ~throughput:10.0 ~p95:500.0)));
-  Alcotest.(check int) "speedup below limit fails" 1
-    (List.length
-       (violations
-          ~current:(perf_doc ~ns:100.0 ~speedup:1.7 ~throughput:10.0 ~p95:500.0)));
+  Alcotest.(check (list string)) "speedup at limit passes" []
+    (violations (perf_doc ~speedup:(2.0 /. 1.1) ()));
+  Alcotest.(check (list string)) "speedup below limit fails" [ "parallel/par-x/speedup" ]
+    (violations (perf_doc ~speedup:1.7 ()));
   (* several regressions are all named *)
   let v =
-    violations ~current:(perf_doc ~ns:200.0 ~speedup:1.0 ~throughput:5.0 ~p95:1500.0)
+    violations
+      (perf_doc ~walls:(with_wall "tables23-cold" 2.0) ~speedup:1.0 ~throughput:5.0 ~p95:1500.0 ())
   in
   Alcotest.(check int) "four violations" 4 (List.length v);
-  let metrics = List.map (fun x -> x.PG.v_metric) v in
-  Alcotest.(check bool) "kernel named" true (List.mem "kernel/t/x/ns_per_run" metrics);
-  Alcotest.(check bool) "p95 named" true (List.mem "serve/p95_ms" metrics)
+  Alcotest.(check bool) "workload named" true (List.mem "workloads/tables23-cold/wall_s" v);
+  Alcotest.(check bool) "p95 named" true (List.mem "serve/p95_ms" v)
 
 let test_perfgate_skips_missing () =
-  let current = J.Obj [ ("kernels", J.List []) ] in
-  let v = PG.compare_docs ~baseline ~current ~tolerance_pct:10.0 in
-  Alcotest.(check int) "nothing checked" 0 v.PG.checked;
-  Alcotest.(check int) "all five skipped" 5 (List.length v.PG.skipped);
-  Alcotest.(check int) "no violations from absence" 0 (List.length v.PG.violations)
+  (* micro-sections absent from current are skipped, never failed *)
+  let current = J.Obj [ ("workloads", Option.get (J.member "workloads" baseline)) ] in
+  let v = PG.compare_docs ~directions ~baseline ~current ~tolerance_pct:10.0 in
+  Alcotest.(check (list string)) "micro-sections skipped"
+    [ "parallel/par-x/speedup"; "incremental/single-tp-retime/speedup";
+      "serve/throughput_jobs_per_s"; "serve/p95_ms" ]
+    v.PG.skipped;
+  Alcotest.(check int) "no violations from absence" 0 (List.length v.PG.violations);
+  (* a workload that vanished is a violation, not a skip *)
+  Alcotest.(check (list string)) "missing workload trips"
+    [ "workloads/table3r-repair/wall_s"; "workloads/table3r-repair/setup_s";
+      "workloads/table3r-repair/peak_heap_mb" ]
+    (violations (perf_doc ~walls:(List.remove_assoc "table3r-repair" walls) ()))
 
 let test_perfgate_incremental_section () =
-  let doc ~speedup =
-    J.Obj
-      [ ("incremental",
-         J.Obj
-           [ ("kernels",
-              J.List
-                [ J.Obj
-                    [ ("name", J.String "single-tp-retime");
-                      ("speedup", J.Float speedup) ] ]) ]) ]
-  in
-  let metrics = PG.gated_metrics (doc ~speedup:8.0) in
-  Alcotest.(check int) "one gated metric" 1 (List.length metrics);
-  (match metrics with
-   | [ (name, dir, v) ] ->
-     Alcotest.(check string) "metric path" "incremental/single-tp-retime/speedup" name;
-     Alcotest.(check bool) "higher is better" true (dir = PG.Higher_better);
-     Alcotest.(check (float 0.0)) "value" 8.0 v
-   | _ -> Alcotest.fail "unexpected metric shape");
+  let name = "incremental/single-tp-retime/speedup" in
+  Alcotest.(check bool) "gated, higher is better" true
+    (List.mem (name, PG.Higher_better, 8.0) (PG.gated_metrics ~directions baseline));
   (* a collapsed speedup trips the gate like any other metric *)
-  let v =
-    PG.compare_docs ~baseline:(doc ~speedup:8.0) ~current:(doc ~speedup:1.0)
-      ~tolerance_pct:25.0
-  in
-  Alcotest.(check int) "violation named" 1 (List.length v.PG.violations)
+  Alcotest.(check (list string)) "relative violation" [ name ]
+    (violations ~tolerance_pct:25.0 (perf_doc ~incremental:4.0 ()));
+  (* below the floor it trips even against a baseline that agrees *)
+  let below = perf_doc ~incremental:2.9 () in
+  Alcotest.(check (list string)) "floor violation" [ name ] (violations ~baseline:below below)
+
+let test_perfgate_floors () =
+  (* the baseline is the same document: only an absolute floor can fail *)
+  let floors doc = violations ~baseline:doc doc in
+  let v = floors (perf_doc ~failed:1 ()) in
+  Alcotest.(check int) "failed = 1: failed and correct, per workload" 8 (List.length v);
+  Alcotest.(check bool) "failed named" true (List.mem "workloads/tables23-cold/end_to_end/failed" v);
+  Alcotest.(check (list string)) "warm/cold below 4"
+    [ "workloads/tables23-cold:tables23-warm/wall_s_ratio" ]
+    (floors (perf_doc ~walls:(with_wall "tables23-warm" 0.26) ()));
+  Alcotest.(check int) "share below 0.95, once per workload" 4
+    (List.length (floors (perf_doc ~share:0.94 ())))
 
 let test_perfgate_host_cores_skip () =
-  let doc ~cores ~speedup =
-    J.Obj
-      [ ("parallel",
-         J.Obj
-           [ ("host_cores", J.Int cores);
-             ("kernels",
-              J.List
-                [ J.Obj [ ("name", J.String "par-x"); ("speedup", J.Float speedup) ] ])
-           ]);
-        ("serve", J.Obj [ ("p95_ms", J.Float 500.0) ]) ]
-  in
   (* a 4-core baseline against a 1-core runner: the halved speedup is
-     hardware, not regression -- skipped, while serve is still gated *)
+     hardware, not regression -- skipped, while the rest is still gated *)
   let v =
-    PG.compare_docs ~baseline:(doc ~cores:4 ~speedup:3.0)
-      ~current:(doc ~cores:1 ~speedup:1.0) ~tolerance_pct:10.0
+    PG.compare_docs ~directions ~baseline:(perf_doc ~cores:4 ~speedup:3.0 ())
+      ~current:(perf_doc ~cores:1 ~speedup:1.0 ()) ~tolerance_pct:10.0
   in
-  Alcotest.(check int) "parallel skipped" 1 (List.length v.PG.skipped);
-  Alcotest.(check bool) "skip names the metric" true
-    (List.mem "parallel/par-x/speedup" v.PG.skipped);
-  Alcotest.(check int) "serve still checked" 1 v.PG.checked;
+  Alcotest.(check (list string)) "parallel skipped" [ "parallel/par-x/speedup" ] v.PG.skipped;
   Alcotest.(check int) "no violations from hardware" 0 (List.length v.PG.violations);
   (* same core count: the identical regression is a real violation *)
-  let v' =
-    PG.compare_docs ~baseline:(doc ~cores:4 ~speedup:3.0)
-      ~current:(doc ~cores:4 ~speedup:1.0) ~tolerance_pct:10.0
-  in
-  Alcotest.(check int) "same cores gate normally" 1 (List.length v'.PG.violations)
+  Alcotest.(check (list string)) "same cores gate normally" [ "parallel/par-x/speedup" ]
+    (violations ~baseline:(perf_doc ~cores:4 ~speedup:3.0 ()) (perf_doc ~cores:4 ~speedup:1.0 ()))
 
 let test_perfgate_degraded_baseline_fails () =
-  (* the CI scenario: a synthetically "better" baseline (faster kernels,
-     higher speedups than we can measure) must trip the gate *)
-  let degraded = perf_doc ~ns:10.0 ~speedup:20.0 ~throughput:100.0 ~p95:50.0 in
-  let v = PG.compare_docs ~baseline:degraded ~current:baseline ~tolerance_pct:25.0 in
-  Alcotest.(check bool) "gate trips" true (v.PG.violations <> [])
+  (* the CI scenarios: a baseline with every workload's wall_s halved, and
+     a current document with a failed operation, must each trip the gate *)
+  let halved = perf_doc ~walls:(List.map (fun (n, x) -> (n, x /. 2.0)) walls) () in
+  Alcotest.(check int) "halved baseline trips every workload" 4
+    (List.length (violations ~baseline:halved ~tolerance_pct:90.0 baseline));
+  Alcotest.(check bool) "failed document trips" true
+    (violations ~tolerance_pct:90.0 (perf_doc ~failed:1 ()) <> [])
 
 (* ---- the daemon's live telemetry ---- *)
 
@@ -530,6 +530,7 @@ let suite =
       test_perfgate_incremental_section;
     Alcotest.test_case "perfgate: host_cores mismatch skips parallel" `Quick
       test_perfgate_host_cores_skip;
+    Alcotest.test_case "perfgate: absolute floors" `Quick test_perfgate_floors;
     Alcotest.test_case "daemon: live exposition mid-job" `Quick
       test_daemon_live_prometheus_while_running;
     Alcotest.test_case "daemon: flight dump on retry exhaustion" `Quick

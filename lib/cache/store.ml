@@ -170,16 +170,14 @@ let disk_read t key =
         None
       | raw ->
         let header = String.length magic + 16 in
+        let len = String.length raw - header in
         if
-          String.length raw >= header
+          len >= 0
           && String.sub raw 0 (String.length magic) = magic
-          &&
-          let payload = String.sub raw header (String.length raw - header) in
-          Digest.string payload = String.sub raw (String.length magic) 16
+          && Digest.substring raw header len = String.sub raw (String.length magic) 16
         then begin
-          let payload = String.sub raw header (String.length raw - header) in
-          Obs.Metrics.add m_bytes_read (String.length payload);
-          Some payload
+          Obs.Metrics.add m_bytes_read len;
+          Some (String.sub raw header len)
         end
         else begin
           Obs.Metrics.incr m_disk_corrupt;
@@ -241,6 +239,12 @@ let with_lock t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
 let find t key = with_lock t (fun () -> find_unlocked t key)
+
+let mem t key =
+  with_lock t (fun () ->
+      Hashtbl.mem t.table key
+      || match t.dir with Some dir -> Sys.file_exists (path_of dir key) | None -> false)
+
 let add t key value = with_lock t (fun () -> add_unlocked t key value)
 
 (* cross-process single-flight: compute under an exclusive fcntl lock on

@@ -51,6 +51,11 @@ val find : t -> string -> string option
 (** Memory tier first (refreshing recency), then disk (verifying the
     payload digest and promoting the entry into memory). *)
 
+val mem : t -> string -> bool
+(** Whether [key] is in the memory tier or has a file in the disk tier.
+    Cheap: nothing is read, so a [true] does not promise that {!find}
+    succeeds (the file may be corrupt, or removed in the meantime). *)
+
 val add : t -> string -> string -> unit
 (** Insert into both tiers. Adding an existing key is a no-op. *)
 

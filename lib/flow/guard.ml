@@ -10,6 +10,7 @@ type stage =
   | Repair
 
 let all_stages = [ Tpi_scan; Placement; Reorder_atpg; Eco_cts_route; Extract; Sta; Repair ]
+let last_stage = Repair
 
 let stage_name = function
   | Tpi_scan -> "tpi-scan"
@@ -214,10 +215,12 @@ let notify on_stage stage status =
   | Some f -> (try f stage status with _ -> ())
 
 (* One pass over the stages. Returns the stage log (all seven stages, in
-   order), the reached state and the first error, never raising.
+   order), the reached state, the first error and, without one, the
+   result, never raising.
 
    Stage timing comes from the {!Obs.Trace} span clock: each stage
-   (body + tamper hook + invariant checks) runs between [Trace.enter]
+   (body + tamper hook + invariant checks; the last stage also collects
+   the result) runs between [Trace.enter]
    and [Trace.stop], whose elapsed milliseconds become the
    [Completed]/[Failed] payload — the same numbers that land in the
    exported trace, so there is exactly one clock. *)
@@ -227,7 +230,7 @@ let attempt ~circuit ~options ~tamper ~cancel ~on_stage ~k mk_design =
     let err =
       { stage = Tpi_scan; circuit; detail = "design-generation: " ^ describe_exn e }
     in
-    (List.map (fun s -> (s, Skipped)) all_stages, None, Some err)
+    (List.map (fun s -> (s, Skipped)) all_stages, None, Some err, None)
   | Ok d ->
   match (try P.preflight ~options d; None with e -> Some e) with
   | Some e ->
@@ -238,14 +241,19 @@ let attempt ~circuit ~options ~tamper ~cancel ~on_stage ~k mk_design =
     Obs.Recorder.fault ~label:"lint.preflight"
       ~detail:(Printf.sprintf "%s: %s" circuit detail)
       ();
-    (List.map (fun s -> (s, Skipped)) all_stages, None, Some err)
+    (List.map (fun s -> (s, Skipped)) all_stages, None, Some err, None)
   | None ->
     let st = P.init ~options d in
     (* fault-injection runs bypass the cache: a tampered stage must not
        store (or be served) an entry a clean run could share *)
-    let ctx = match tamper with None -> P.cache_ctx st | Some _ -> None in
+    let ctx =
+      (* forced in the first stage's span, so that the root key's design
+         fingerprint counts as cache time *)
+      lazy (match tamper with None -> P.cache_ctx st | Some _ -> None)
+    in
     let log = ref [] in
     let error = ref None in
+    let result = ref None in
     let record stage status =
       log := (stage, status) :: !log;
       notify on_stage stage status
@@ -273,10 +281,19 @@ let attempt ~circuit ~options ~tamper ~cancel ~on_stage ~k mk_design =
                  ()
              in
              Obs.Metrics.incr m_stages_run;
+             let run st =
+               stage_body stage st;
+               (match tamper with Some f -> f ~attempt:k stage st | None -> ());
+               post_check ~circuit stage st
+             in
              (try
-                P.cached_stage ctx (stage_name stage) (stage_body stage) st;
-                (match tamper with Some f -> f ~attempt:k stage st | None -> ());
-                post_check ~circuit stage st;
+                P.cached_stage (Lazy.force ctx) (stage_name stage) run st;
+                (* the deferred hits load, and the result is collected,
+                   inside the last stage's span *)
+                if stage = last_stage then begin
+                  P.settle (Lazy.force ctx) st;
+                  result := Some (P.finish st)
+                end;
                 let ms = Obs.Trace.stop span in
                 Obs.Recorder.span
                   ~label:("stage." ^ stage_name stage)
@@ -302,31 +319,20 @@ let attempt ~circuit ~options ~tamper ~cancel ~on_stage ~k mk_design =
                   ();
                 record stage (Failed (Obs.Trace.stop ~error:detail span)))))
       all_stages;
-    (List.rev !log, Some st, !error)
+    (* only a cancelled attempt stops with hits still deferred; its error
+       is already recorded, so a load that fails just leaves [st] at the
+       last settled stage *)
+    if Lazy.is_val ctx then (try P.settle (Lazy.force ctx) st with _ -> ());
+    (List.rev !log, Some st, !error, !result)
 
 let run ?(policy = Fail_fast) ?(retries = default_retries) ?(options = P.default_options)
     ?tamper ?cancel ?on_stage ~circuit mk_design =
   let rec go k options =
-    let log, state, error =
+    let log, state, error, result =
       attempt ~circuit ~options ~tamper ~cancel ~on_stage ~k mk_design
     in
     match error with
-    | None ->
-      let result =
-        match state with
-        | Some st -> (try Some (P.finish st) with _ -> None)
-        | None -> None
-      in
-      (match result with
-       | Some _ ->
-         { circuit; policy; attempts = k + 1; stage_log = log; error = None; state;
-           result }
-       | None ->
-         (* finish only fails if a stage left a slot empty: report, never raise *)
-         { circuit; policy; attempts = k + 1; stage_log = log;
-           error =
-             Some { stage = Sta; circuit; detail = "internal: incomplete final state" };
-           state; result = None })
+    | None -> { circuit; policy; attempts = k + 1; stage_log = log; error = None; state; result }
     | Some e ->
       (* a cancelled attempt is the caller's decision, never retried *)
       if policy = Recover && k < retries && seed_sensitive e.stage && not (is_cancelled e)

@@ -20,9 +20,12 @@
     {!stage_error}.
 
     When the options carry a stage cache ({!Pipeline.options.cache}), each
-    stage body runs through {!Pipeline.cached_stage}; runs with a [tamper]
-    hook bypass the cache entirely so injected faults can neither store
-    nor be served shared entries. *)
+    stage body and its checks run through {!Pipeline.cached_stage}, so a
+    stage whose entry is present runs neither (its checks passed when the
+    entry was stored), and the products are loaded once, in the last
+    stage ({!Pipeline.settle}); runs with a [tamper] hook bypass the
+    cache entirely so injected faults can neither store nor be served
+    shared entries. *)
 
 type stage =
   | Tpi_scan        (** step 1: TPI + scan insertion *)

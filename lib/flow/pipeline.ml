@@ -275,13 +275,20 @@ let finish st =
    products that live outside the netlist (the placement, the route, ...).
    An entry is the post-stage products record, whole and cumulative, so a
    hit always restores a state consistent with its chain; it also holds
-   the stage's exact metrics delta, replayed on a hit to keep cached and
-   uncached runs byte-identical in tables and kernel counters (DESIGN.md
-   §6.2). Only the [cache.*] counters themselves may differ. *)
+   the exact metrics delta of every stage up to it, replayed on a hit to
+   keep cached and uncached runs byte-identical in tables and kernel
+   counters (DESIGN.md §6.2). Only the [cache.*] counters themselves may
+   differ.
+
+   A stage's run (its body and its post-stage checks) is stored only once
+   it has returned, so an entry's presence means its checks passed. A
+   present entry is therefore not read at all until a later stage needs
+   the products: a hit is deferred, and [settle] loads only the newest
+   deferred entry, whose cumulative record covers every hit before it. *)
 
 (* bump whenever the products layout or any stage semantics change: old
    on-disk entries then simply never match a key again *)
-let cache_version = "tpi-stage-cache-v3"
+let cache_version = "tpi-stage-cache-v4"
 
 (* every option a stage outcome can depend on; the pool (execution layout
    only, §6.1), the cache itself and the lint flag (read-only over the
@@ -298,6 +305,11 @@ let options_fingerprint o =
 type cache_ctx = {
   ck_store : Cache.Store.t;
   mutable ck_prev : string;  (* previous stage's key: the chain *)
+  mutable ck_deferred : (string * (state -> unit)) list;
+      (* present entries not loaded yet, newest first, with their runs *)
+  mutable ck_deltas : Obs.Metrics.local list;
+      (* the metrics delta of each stage the state's products cover, in
+         stage order; all of them are already counted *)
 }
 
 let cache_ctx (st : state) =
@@ -309,34 +321,67 @@ let cache_ctx (st : state) =
         [ cache_version; options_fingerprint st.s_options;
           Design.fingerprint st.s_products.design ]
     in
-    Some { ck_store = store; ck_prev = root }
+    Some { ck_store = store; ck_prev = root; ck_deferred = []; ck_deltas = [] }
 
 type cache_entry = {
   e_products : products;
-  e_metrics : Obs.Metrics.local;  (* the stage body's exact metrics delta *)
+  e_metrics : Obs.Metrics.local list;  (* every stage's exact delta, in order *)
 }
 
 let m_hits = Obs.Metrics.counter "cache.stage_hits"
 let m_misses = Obs.Metrics.counter "cache.stage_misses"
 
-let cached_stage ctx name body (st : state) =
+(* assign a stored entry and count the deltas of the stages it adds *)
+let restore ctx (st : state) bytes =
+  let entry : cache_entry = Marshal.from_string bytes 0 in
+  let known = List.length ctx.ck_deltas in
+  List.iteri (fun i d -> if i >= known then Obs.Metrics.absorb d) entry.e_metrics;
+  ctx.ck_deltas <- entry.e_metrics;
+  st.s_products <- entry.e_products
+
+let compute ctx key run (st : state) =
+  let bytes, hit =
+    Cache.Store.find_or_compute ctx.ck_store ~key (fun () ->
+        let (), delta = Obs.Metrics.with_scoped (fun () -> run st) in
+        ctx.ck_deltas <- ctx.ck_deltas @ [ delta ];
+        Marshal.to_string { e_products = st.s_products; e_metrics = ctx.ck_deltas } [])
+  in
+  if hit then begin
+    Obs.Metrics.incr m_hits;
+    restore ctx st bytes
+  end
+  else Obs.Metrics.incr m_misses
+
+(* Load the newest deferred entry that reads back. A deferred entry that
+   does not (corrupt, or evicted since it was seen) is recomputed from
+   the one before it, or from the state the deferral began at. *)
+let rec settle_ctx ctx st =
+  match ctx.ck_deferred with
+  | [] -> ()
+  | (key, run) :: older ->
+    (match Cache.Store.find ctx.ck_store key with
+     | Some bytes ->
+       Obs.Metrics.add m_hits (List.length ctx.ck_deferred);
+       ctx.ck_deferred <- [];
+       restore ctx st bytes
+     | None ->
+       ctx.ck_deferred <- older;
+       settle_ctx ctx st;
+       compute ctx key run st)
+
+let settle ctx st = Option.iter (fun ctx -> settle_ctx ctx st) ctx
+
+let cached_stage ctx name run (st : state) =
   match ctx with
-  | None -> body st
+  | None -> run st
   | Some ctx ->
     let key = Cache.Store.key [ name; ctx.ck_prev ] in
     ctx.ck_prev <- key;
-    let bytes, hit =
-      Cache.Store.find_or_compute ctx.ck_store ~key (fun () ->
-          let (), delta = Obs.Metrics.with_scoped (fun () -> body st) in
-          Marshal.to_string { e_products = st.s_products; e_metrics = delta } [])
-    in
-    if hit then begin
-      Obs.Metrics.incr m_hits;
-      let entry : cache_entry = Marshal.from_string bytes 0 in
-      st.s_products <- entry.e_products;
-      Obs.Metrics.absorb entry.e_metrics
+    if Cache.Store.mem ctx.ck_store key then ctx.ck_deferred <- (key, run) :: ctx.ck_deferred
+    else begin
+      settle_ctx ctx st;
+      compute ctx key run st
     end
-    else Obs.Metrics.incr m_misses
 
 (* read-only gate ahead of the first stage: a design that would mis-build
    (combinational loops, multi-driven nets, mis-clocked test points, ...)

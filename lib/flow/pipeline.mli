@@ -162,9 +162,20 @@ val cache_ctx : state -> cache_ctx option
     the state's options and (freshly initialised) design. *)
 
 val cached_stage : cache_ctx option -> string -> (state -> unit) -> state -> unit
-(** [cached_stage ctx name body st] runs [body st], consulting the cache
-    first when [ctx] is present: on a hit the stored products are assigned
-    to [st] and the stage's recorded metrics delta replayed; on a miss
-    [body] runs under {!Obs.Metrics.with_scoped} and the resulting
-    products + delta are stored. [name] must be the stage's flow name
-    (["tpi-scan"], ["place"], ...). *)
+(** [cached_stage ctx name run st] runs one stage: [run] is its body
+    followed by its post-stage checks. Without [ctx] it just runs [run st].
+    With one, a stage whose entry is present is a deferred hit: nothing
+    is read or run, and the entry's presence stands for checks that
+    passed, because an entry is stored only after [run] returned. A
+    stage whose entry is absent first {!settle}s, then runs [run] under
+    {!Obs.Metrics.with_scoped} and stores the products together with
+    every stage's metrics delta so far. [name] must be the stage's flow
+    name (["tpi-scan"], ["place"], ...). *)
+
+val settle : cache_ctx option -> state -> unit
+(** Bring [st] up to date with the deferred hits: load the newest
+    deferred entry, assign its products and replay the metrics deltas of
+    the stages it covers beyond [st]'s. An entry that does not read back
+    is recomputed (its run included) from the newest one that does, or
+    from the state the deferral began at. Call it after the last stage
+    and before reading [st] on any early exit. *)

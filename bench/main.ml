@@ -135,7 +135,7 @@ let ablations () =
     Core.Experiment.row_exn (Core.Experiment.run_one_guarded ~with_atpg:true spec ~tp_pct:2)
   in
   let restricted =
-    Core.Experiment.blocked_critical_nets spec ~tp_pct:2 ~slack_margin_ps:400.0
+    Core.Experiment.blocked_critical_nets spec ~tp_pct:2
   in
   let describe name (row : Core.Experiment.row) =
     let r = row.Core.Experiment.result in

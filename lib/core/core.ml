@@ -38,8 +38,6 @@ module Render = Layout.Render
 module Defout = Layout.Defout
 module Sta_analysis = Sta.Analysis
 module Tgraph = Sta.Tgraph
-module Incremental = Sta.Incremental
-module Slack = Sta.Slack
 module Liberty = Stdcell.Liberty
 module Iscas = Circuits.Iscas
 module Pipeline = Flow.Pipeline

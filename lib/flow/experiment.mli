@@ -26,47 +26,6 @@ type row = {
   result : Pipeline.result;
 }
 
-(** {1 ECO sweep}
-
-    One layout, one compiled timing graph, incremental TP levels: the 0%
-    baseline runs the full flow once, then each level splices in only its
-    {e additional} test points as post-layout ECOs — clocked from CTS leaf
-    buffers, legalized in place, re-routed per net, worklist-retimed per
-    cone ({!Retime}) — instead of re-running six stages per level. *)
-
-type eco_row = {
-  e_tp_pct : int;
-  e_tp_count : int;       (** cumulative test points in the design *)
-  e_wns : float;          (** worst negative slack at this level *)
-  e_tcp : float;          (** worst critical-path delay (eq. 3 total) *)
-  e_insts_retimed : int;  (** instances re-evaluated for this level's TPs *)
-}
-
-type eco_sweep = {
-  eco_baseline : row;
-  eco_rows : eco_row list;
-  eco_ctx : Retime.t;  (** still live: further ECO edits continue from it *)
-}
-
-val sweep_eco :
-  ?pool:Par.Pool.t ->
-  ?cache:Cache.Store.t ->
-  ?lint:bool ->
-  ?tp_levels:int list ->
-  ?scale:float ->
-  string ->
-  eco_sweep
-(** Default levels [1;2;3;4;5] (ascending; levels are cumulative).
-    Candidate nets are ranked hardest-to-detect first by COP on the
-    baseline netlist, the same signal {!Tpi.Select} batches on. Timing at
-    every level is exact — each ECO leaves the context byte-identical to a
-    from-scratch route/extract/STA of the same netlist — but the layouts
-    differ from {!sweep_guarded}'s by construction: test points are
-    spliced into a finished placement rather than placed before it, which
-    is precisely the ECO-style flow whose timing cost the rows measure.
-    The baseline runs under {!Guard}; raises {!Guard.Stage_failure} if it
-    fails. *)
-
 (** {1 Guarded experiments}
 
     A stage failure in one layout becomes a degraded row (reported by
@@ -144,9 +103,10 @@ val completed_rows : guarded_row list -> row list
 
 val degraded_rows : guarded_row list -> guarded_row list
 
-val blocked_critical_nets :
-  ?pool:Par.Pool.t -> spec -> tp_pct:int -> slack_margin_ps:float -> row
-(** The §5 ablation: run a baseline layout + STA first, collect nets on
-    paths within [slack_margin_ps] of the critical path, then insert test
-    points with those nets excluded. Both layouts run under {!Guard};
-    raises {!Guard.Stage_failure} if either fails. *)
+val blocked_critical_nets : ?pool:Par.Pool.t -> spec -> tp_pct:int -> row
+(** The §5 ablation: run a baseline layout, time it on one
+    {!Sta.Tgraph}, collect its near-critical nets
+    ({!Lint.Tpitiming.critical_nets}, the set the lint
+    [tpi.critical-path] rule checks), then insert test points with those
+    nets excluded. Both layouts run under {!Guard}; raises
+    {!Guard.Stage_failure} if either fails. *)

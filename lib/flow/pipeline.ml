@@ -12,7 +12,6 @@ type options = {
   cache : Cache.Store.t option;
   lint : bool;
   repair : bool;
-  repair_config : Repair.config;
 }
 
 let default_options =
@@ -26,8 +25,7 @@ let default_options =
     pool = None;
     cache = None;
     lint = false;
-    repair = false;
-    repair_config = Repair.default_config }
+    repair = false }
 
 (* Every stage product, as one immutable record: a stage body reads its
    prerequisites from it and replaces it with a copy carrying its own
@@ -234,7 +232,7 @@ let stage_repair st =
     let placement = need "placement" p.placement in
     let route = need "route" p.route in
     let rc = need "rc" p.rc in
-    let r = Repair.run ~config:st.s_options.repair_config ~route ~rc placement in
+    let r = Repair.run ~route ~rc placement in
     (* downstream slots move to the repaired state *)
     st.s_products <-
       { p with
@@ -299,7 +297,7 @@ let options_fingerprint o =
     (Digest.string
        (Marshal.to_string
           ( o.tp_percent, o.chain_config, o.utilization, o.run_atpg, o.atpg_config,
-            o.tpi_config, o.seed, o.repair, o.repair_config )
+            o.tpi_config, o.seed, o.repair )
           []))
 
 type cache_ctx = {

@@ -49,8 +49,8 @@ type options = {
   repair : bool;
       (** run the step-7 {!Repair} stage: WNS/TNS-driven ECO repair of the
           routed design, updating [route]/[rc]/[sta] to the repaired
-          state. Part of the stage-cache key. Default [false] *)
-  repair_config : Repair.config;  (** budgets/margins for the repair stage *)
+          state, with {!Repair.default_config}. Part of the stage-cache
+          key. Default [false] *)
 }
 
 val default_options : options

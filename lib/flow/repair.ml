@@ -84,7 +84,7 @@ let m_swaps = Obs.Metrics.counter "repair.pins_swapped"
    what turns the paper's Table 3 T_cp increases back down. *)
 let objective ctx =
   let s = Sta.Tgraph.slack (Retime.tgraph ctx) in
-  (s.Sta.Slack.wns, s.Sta.Slack.tns)
+  (s.Sta.Tgraph.wns, s.Sta.Tgraph.tns)
 
 (* timing ECOs must strictly improve; ties are reverts (no free churn) *)
 let better (w', t') (w, t) = w' > w || (w' = w && t' > t)

@@ -10,7 +10,7 @@
     trace in timing, routing or area.
 
     Each trial is evaluated by a worklist cone retime
-    ({!Sta.Incremental.retime}), which leaves the graph exactly as a
+    ({!Sta.Tgraph.retime}), which leaves the graph exactly as a
     whole-design re-analysis of the edited layout would (§6.6), so every
     accept/revert decision is taken on exact timing. This is pinned by
     the repair test suite against a fresh route/extract/analysis of the

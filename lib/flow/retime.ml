@@ -5,7 +5,7 @@
    netlist edit through the minimal physical update: re-place only new
    cells (ECO legalization), re-route and re-extract only the nets whose
    terminals moved, then worklist-retime only the dirtied cone. Because
-   routing and extraction are pure per-net maps and Incremental.retime is
+   routing and extraction are pure per-net maps and Tgraph.retime is
    exact, the state after any edit sequence is byte-identical to tearing
    the layout down and re-running Route.run + Extract.run + a fresh
    timing analysis on the same mutated design — the property the
@@ -26,7 +26,7 @@ type t = {
   mutable rc : Extract.net_rc array;
   mutable next_tp : int;
   mutable leaf_clocks : (int * int) list;  (* (domain, leaf clock net) *)
-  mutable last_stats : Sta.Incremental.stats option;
+  mutable last_stats : Sta.Tgraph.retime_stats option;
   mutable edits : int;
 }
 
@@ -170,7 +170,7 @@ let refresh t ~old_ni ~old_nn ~old_np ~near ~nets ~insts =
       t.rc.(nid) <- Extract.extract_net t.pl t.routes.(nid) n;
       Sta.Tgraph.update_rc t.tg nid t.rc.(nid))
     !dirty;
-  let stats = Sta.Incremental.retime t.tg ~dirty_nets:!dirty ~dirty_insts:insts in
+  let stats = Sta.Tgraph.retime t.tg ~dirty_nets:!dirty ~dirty_insts:insts in
   t.last_stats <- Some stats;
   t.edits <- t.edits + 1;
   Obs.Metrics.incr m_edits;
@@ -299,7 +299,7 @@ let remove_buffer t ~inst =
   t.routes.(net) <- Route.route_net t.pl n;
   t.rc.(net) <- Extract.extract_net t.pl t.routes.(net) n;
   Sta.Tgraph.update_rc t.tg net t.rc.(net);
-  let stats = Sta.Incremental.retime t.tg ~dirty_nets:[ net ] ~dirty_insts:[] in
+  let stats = Sta.Tgraph.retime t.tg ~dirty_nets:[ net ] ~dirty_insts:[] in
   t.last_stats <- Some stats;
   t.edits <- t.edits + 1;
   Obs.Metrics.incr m_edits;

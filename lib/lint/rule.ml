@@ -1,6 +1,6 @@
 type artifacts = {
   chains : Scan.Chains.t option;
-  slack : Sta.Slack.t option;
+  slack : Sta.Tgraph.slack_report option;
   crit_nets : int list option;
 }
 

@@ -16,7 +16,7 @@
     critical-net set exists yet. *)
 type artifacts = {
   chains : Scan.Chains.t option;   (** planned scan chains *)
-  slack : Sta.Slack.t option;      (** post-layout slack report *)
+  slack : Sta.Tgraph.slack_report option;  (** post-layout slack report *)
   crit_nets : int list option;     (** nets on near-critical paths (STA) *)
 }
 

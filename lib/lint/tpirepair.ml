@@ -38,12 +38,12 @@ let timing_violations =
   rule "repair.timing-violations" "unrepaired setup violations" Diag.Warn
     (fun r ctx ->
       match ctx.Rule.arts.Rule.slack with
-      | Some s when s.Sta.Slack.violations > 0 ->
+      | Some s when s.Sta.Tgraph.violations > 0 ->
         [ Rule.diag r ~loc:Diag.Design
             ~hint:"run the post-route repair stage (tpi_flow --repair)"
             (Printf.sprintf
                "%d endpoint(s) violate setup, WNS %.0f ps, TNS %.0f ps"
-               s.Sta.Slack.violations s.Sta.Slack.wns s.Sta.Slack.tns) ]
+               s.Sta.Tgraph.violations s.Sta.Tgraph.wns s.Sta.Tgraph.tns) ]
       | _ -> [])
 
 let buffer_chain =

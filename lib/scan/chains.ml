@@ -32,13 +32,15 @@ let of_order config order =
         min c n
     in
     let lmax = (n + num - 1) / num in
+    (* rounding [lmax] up can leave fewer chains than asked for (7 cells
+       in 5 chains of at most 2 fill only 4): every chain starts inside
+       [order] *)
+    let num = (n + lmax - 1) / lmax in
     let chains =
       Array.init num (fun k ->
           let start = k * lmax in
-          let len = min lmax (n - start) in
-          Array.sub order start (max 0 len))
+          Array.sub order start (min lmax (n - start)))
     in
-    let chains = Array.of_list (List.filter (fun c -> Array.length c > 0) (Array.to_list chains)) in
     { chains; lmax }
   end
 

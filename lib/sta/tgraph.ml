@@ -5,8 +5,9 @@
    arcs all live in flat int/float arrays indexed by net/instance/arc id —
    no per-node records on the hot path. [propagate] re-times the whole
    design from seeds in level order and [analysis] builds the report
-   through [Analysis.build_result]; [Incremental.retime] re-evaluates only
-   a dirty cone and must land on exactly the state [propagate] would.
+   through [Analysis.build_result]; [retime] re-evaluates only a dirty
+   cone and must land on exactly the state [propagate] would; required
+   times and endpoint slacks are read off the same arrays.
 
    Mutators keep the mirror in sync with the (mutable) design:
    [update_rc] refreshes one net's parasitics after re-extraction,
@@ -72,9 +73,8 @@ type t = {
 }
 
 let num_nets t = t.nn
-let num_insts t = t.ni
 let level t iid = t.level.(iid)
-let max_level t = t.max_level
+let arrival t nid = t.arrival.(nid)
 
 let elmore t nid ~inst ~pin =
   let keys = t.elm_keys.(nid) in
@@ -621,7 +621,7 @@ let ck_arrival t iid =
    (period + capture latency - setup - wire), plus propagation through
    combinational consumers (required at their output minus the arc delay
    the forward pass would use). Clock-network nets keep +inf — hold/clock
-   checks are out of scope, exactly as in Slack.report. *)
+   checks are out of scope, exactly as in [slack]. *)
 let required_of t nid =
   let d = t.d in
   let req = ref infinity in
@@ -673,14 +673,27 @@ let compute_required t =
   done;
   t.required_valid <- true
 
-let required t nid = t.required.(nid)
-
 let net_slack t nid =
   if t.arrival.(nid) > neg_infinity && t.required.(nid) < infinity then
     Some (t.required.(nid) -. t.arrival.(nid))
   else None
 
-(* endpoint slacks, mirroring Slack.report term for term *)
+type endpoint_slack = {
+  ff : int;
+  domain : int;
+  slack_ps : float;
+}
+
+type slack_report = {
+  endpoints : endpoint_slack list;
+  wns : float;
+  tns : float;
+  violations : int;
+}
+
+(* endpoint setup slacks. Repair breaks (WNS, TNS) ties on these bits, so
+   the slack expression and the ascending-slack summation order of [tns]
+   are part of the tables *)
 let slack t =
   let d = t.d in
   let acc = ref [] in
@@ -695,41 +708,17 @@ let slack t =
             let capture = ck_arrival t i.Design.id in
             let period = d.Design.domains.(i.Design.domain).Design.period_ps in
             let slack = period +. capture -. (arr +. i.Design.cell.Cell.setup) in
-            acc :=
-              { Slack.ff = i.Design.id; Slack.domain = i.Design.domain;
-                Slack.slack_ps = slack }
-              :: !acc
+            acc := { ff = i.Design.id; domain = i.Design.domain; slack_ps = slack } :: !acc
           end
         | None -> ()
       end);
-  let endpoints = List.sort (fun x y -> compare x.Slack.slack_ps y.Slack.slack_ps) !acc in
-  let wns = match endpoints with [] -> 0.0 | e :: _ -> e.Slack.slack_ps in
+  let endpoints = List.sort (fun x y -> compare x.slack_ps y.slack_ps) !acc in
+  let wns = match endpoints with [] -> 0.0 | e :: _ -> e.slack_ps in
   let tns =
-    List.fold_left
-      (fun s (e : Slack.endpoint_slack) ->
-        if e.Slack.slack_ps < 0.0 then s +. e.Slack.slack_ps else s)
-      0.0 endpoints
+    List.fold_left (fun s e -> if e.slack_ps < 0.0 then s +. e.slack_ps else s) 0.0 endpoints
   in
-  let violations =
-    List.length (List.filter (fun (e : Slack.endpoint_slack) -> e.Slack.slack_ps < 0.0) endpoints)
-  in
-  { Slack.endpoints; Slack.wns; Slack.tns; Slack.violations }
-
-let wns t = (slack t).Slack.wns
-
-(* ---- internal surface for Sta.Incremental ---- *)
-
-let arrival t nid = t.arrival.(nid)
-let slew_of t nid = t.slew.(nid)
-let reset_slow t iid = t.slow.(iid) <- false
-let design t = t.d
-let arrival_arrays t = (t.arrival, t.slew, t.from_inst, t.from_pin)
-let required_array t = t.required
-let required_is_valid t = t.required_valid
-let set_required_valid t = t.required_valid <- true
-let driver_of t nid = t.driver.(nid)
-let inst_scratch t = t.inst_mark
-let net_scratch t = t.net_mark
+  let violations = List.length (List.filter (fun e -> e.slack_ps < 0.0) endpoints) in
+  { endpoints; wns; tns; violations }
 
 (* data nets of the sequential elements clocked by [cknet]: their setup
    checks read the clock arrival, so a changed clock net dirties their
@@ -770,3 +759,158 @@ let critical_nets t ~margin_ps =
     done;
     !out
   end
+
+(* ---- cone re-timing ----
+
+   Given the nets an edit physically touched (re-extracted parasitics,
+   split/rewired connectivity) and the instances it edited (resizes,
+   fresh cells), seed the worklist with the dirty frontier — each dirty
+   net's driver plus its timing consumers — and re-evaluate level by
+   level. An instance re-eval resets its output net to the propagation
+   seed and replays its arcs in declaration order, which reproduces bit
+   for bit what a from-scratch pass computes for that net; propagation
+   stops at nets whose (arrival, slew, provenance) came out unchanged.
+   Required times are then patched backward from the nets that changed.
+
+   The contract (DESIGN.md §6.6): after [sync_topology] and [update_rc]
+   for every touched net, [retime] leaves the graph in the exact state a
+   full [propagate] would — enforced by the QCheck random-ECO property
+   against an independent reference propagator.
+
+   Bookkeeping lands in its own [sta.incremental.*] counters, never in
+   the whole-graph [sta.*] ones.
+
+   The worklist membership flags are the graph's [inst_mark]/[net_mark]
+   scratch arrays (all-false between calls): a repair sweep retimes
+   thousands of times, and fresh instance- and net-sized arrays per call
+   would go straight to the major heap. *)
+
+let m_retimes = Obs.Metrics.counter "sta.incremental.retimes"
+let m_inc_arcs = Obs.Metrics.counter "sta.incremental.arcs_evaluated"
+let m_insts = Obs.Metrics.counter "sta.incremental.insts_evaluated"
+let m_changed = Obs.Metrics.counter "sta.incremental.nets_changed"
+let m_settled = Obs.Metrics.counter "sta.incremental.nets_settled"
+let m_required = Obs.Metrics.counter "sta.incremental.required_patched"
+
+type retime_stats = {
+  insts_evaluated : int;
+  nets_changed : int;
+  nets_settled : int;
+  required_patched : int;
+}
+
+let same_float a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let retime t ~dirty_nets ~dirty_insts =
+  Obs.Metrics.incr m_retimes;
+  let d = t.d in
+  let arrival = t.arrival and slew = t.slew in
+  let from_inst = t.from_inst and from_pin = t.from_pin in
+  let nlev = t.max_level + 1 in
+  (* ---- forward: level-bucketed worklist ---- *)
+  let buckets = Array.make nlev [] in
+  let queued = t.inst_mark in
+  let enqueue iid =
+    if iid >= 0 && iid < t.ni && not queued.(iid) then begin
+      queued.(iid) <- true;
+      buckets.(t.level.(iid)) <- iid :: buckets.(t.level.(iid))
+    end
+  in
+  let consumers_of nid f =
+    List.iter
+      (fun (sid, pin) -> if is_timing_input t sid pin then f sid)
+      (Design.net d nid).Design.sinks
+  in
+  (* frontier: a dirty net's parasitics feed both its driver (load) and
+     its consumers (sink arrival/slew) *)
+  List.iter
+    (fun nid ->
+      enqueue t.driver.(nid);
+      consumers_of nid enqueue)
+    dirty_nets;
+  List.iter enqueue dirty_insts;
+  let insts_evaluated = ref 0 in
+  let nets_changed = ref 0 and nets_settled = ref 0 in
+  let changed_nets = ref [] in
+  for l = 0 to nlev - 1 do
+    List.iter
+      (fun iid ->
+        queued.(iid) <- false;
+        incr insts_evaluated;
+        Obs.Metrics.incr m_insts;
+        t.slow.(iid) <- false;
+        match out_net t iid with
+        | -1 -> ()
+        | on ->
+          let old_arr = arrival.(on) and old_slew = slew.(on) in
+          let old_fi = from_inst.(on) and old_fp = from_pin.(on) in
+          reset_net t on;
+          eval_inst t m_inc_arcs iid;
+          if
+            same_float old_arr arrival.(on)
+            && same_float old_slew slew.(on)
+            && old_fi = from_inst.(on) && old_fp = from_pin.(on)
+          then begin
+            incr nets_settled;
+            Obs.Metrics.incr m_settled
+          end
+          else begin
+            incr nets_changed;
+            Obs.Metrics.incr m_changed;
+            changed_nets := on :: !changed_nets;
+            consumers_of on enqueue
+          end)
+      (List.rev buckets.(l))
+  done;
+  Obs.Metrics.set g_slow_nodes (float_of_int (count_slow t));
+  (* ---- backward: patch required times where the forward pass moved ---- *)
+  let required_patched = ref 0 in
+  if t.required_valid then begin
+    let required = t.required in
+    let nqueued = t.net_mark in
+    let nbuckets = Array.make nlev [] in
+    let nenqueue nid =
+      if nid >= 0 && nid < t.nn && not nqueued.(nid) then begin
+        nqueued.(nid) <- true;
+        nbuckets.(net_level t nid) <- nid :: nbuckets.(net_level t nid)
+      end
+    in
+    (* a net's required moves when its own forward state or parasitics
+       moved, when a consumer net's load changed, or — for data nets —
+       when the clock arrival at a capturing element moved *)
+    let seed nid =
+      nenqueue nid;
+      let drv = t.driver.(nid) in
+      if drv >= 0 then begin
+        let i = Design.inst d drv in
+        Array.iter (fun inn -> if inn >= 0 && inn <> nid then nenqueue inn) i.Design.conns
+      end;
+      List.iter nenqueue (data_sinks_of_clock t nid)
+    in
+    List.iter seed !changed_nets;
+    List.iter seed dirty_nets;
+    for l = nlev - 1 downto 0 do
+      List.iter
+        (fun nid ->
+          nqueued.(nid) <- false;
+          let r = required_of t nid in
+          incr required_patched;
+          Obs.Metrics.incr m_required;
+          if not (same_float r required.(nid)) then begin
+            required.(nid) <- r;
+            (* propagate upstream: the driver's input nets read this
+               required *)
+            let drv = t.driver.(nid) in
+            if drv >= 0 then begin
+              let i = Design.inst d drv in
+              Array.iter (fun inn -> if inn >= 0 then nenqueue inn) i.Design.conns
+            end
+          end)
+        nbuckets.(l)
+    done;
+    t.required_valid <- true
+  end;
+  { insts_evaluated = !insts_evaluated;
+    nets_changed = !nets_changed;
+    nets_settled = !nets_settled;
+    required_patched = !required_patched }

@@ -4,12 +4,13 @@
     arrays, compiled once from the placed-and-extracted design and kept
     alive across netlist edits.
 
-    This is the design's one arrival propagator: the STA stage, ECO
-    re-timing and timing repair all read their reports off it.
+    This is the design's one timing engine: the STA stage, ECO
+    re-timing, timing repair and lint all read their reports off it.
     {!propagate} re-times the whole graph from seeds in level order,
-    {!analysis} builds the report ({!Analysis.build_result}), and
-    {!Incremental.retime} re-evaluates only a dirty cone, landing on
-    exactly the state {!propagate} would.
+    {!analysis} builds the report ({!Analysis.build_result}), {!retime}
+    re-evaluates only a dirty cone, landing on exactly the state
+    {!propagate} would, and {!compute_required}/{!slack} give required
+    times and setup slacks.
 
     The graph mirrors a {e mutable} design. After editing the netlist,
     callers must (in order) {!sync_topology} with every net/instance they
@@ -59,15 +60,38 @@ val sync_topology : t -> nets:int list -> insts:int list -> unit
     retiring their mirror slots and rebuilding the evaluation order.
     Raises {!Analysis.Combinational_cycle} if the edit closed a loop. *)
 
+(** {1 Cone re-timing} *)
+
+type retime_stats = {
+  insts_evaluated : int;   (** instances re-evaluated forward *)
+  nets_changed : int;      (** nets whose (arrival, slew, provenance) moved *)
+  nets_settled : int;      (** re-evaluated outputs that came out unchanged *)
+  required_patched : int;  (** nets whose required time was recomputed *)
+}
+
+val retime : t -> dirty_nets:int list -> dirty_insts:int list -> retime_stats
+(** Worklist re-timing of the cone downstream of the dirty sets (the
+    ROADMAP's "re-time only the affected cone").
+
+    Contract (DESIGN.md §6.6): after a netlist/layout edit, the caller
+    {!sync_topology}s every touched net and instance, then {!update_rc}s
+    every re-extracted net, then calls [retime] with those same sets. The
+    graph then holds {e exactly} the state a full {!propagate} would
+    produce — bit for bit, including provenance and slow-node flags —
+    because a cone re-evaluation resets each output net to its seed and
+    replays the driver's arcs in declaration order, and stops at nets
+    whose (arrival, slew, provenance) came out bitwise unchanged.
+
+    Required times are patched backward only if {!compute_required} had
+    been run (otherwise they stay uncomputed and [required_patched] is
+    0). Bookkeeping lands in [sta.incremental.*] counters only; the
+    whole-graph counters ([sta.arcs_evaluated], ...) are never touched. *)
+
 (** {1 Queries} *)
 
 val num_nets : t -> int
-val num_insts : t -> int
 val level : t -> int -> int
-val max_level : t -> int
-val elmore : t -> int -> inst:int -> pin:int -> float
 val arrival : t -> int -> float
-val slew_of : t -> int -> float
 
 (** {1 Required times and slacks} *)
 
@@ -76,43 +100,28 @@ val compute_required : t -> unit
     sequential data pins, min-propagated through combinational consumers;
     clock-network nets stay [+inf]). *)
 
-val required : t -> int -> float
 val net_slack : t -> int -> float option
 (** [required - arrival] where both are finite. *)
 
-val slack : t -> Slack.t
-(** Endpoint setup slacks, equal to [Slack.report] on the same state. *)
+type endpoint_slack = {
+  ff : int;            (** capturing flip-flop instance id *)
+  domain : int;
+  slack_ps : float;    (** period - (arrival + setup - capture latency) *)
+}
 
-val wns : t -> float
+type slack_report = {
+  endpoints : endpoint_slack list;  (** worst first *)
+  wns : float;                      (** worst negative (or smallest) slack *)
+  tns : float;                      (** total negative slack *)
+  violations : int;
+}
+
+val slack : t -> slack_report
+(** Endpoint setup slacks against each domain's declared period, from the
+    current propagated state. *)
 
 val critical_nets : t -> margin_ps:float -> int list
 (** Nets whose slack is within [margin_ps] of the worst net slack —
     the critical-net set of the lint [tpi-timing] pack, over extracted
     parasitics after layout and over zero parasitics before it
     (computes {!compute_required} on demand). Ascending net ids. *)
-
-(**/**)
-
-(* internal surface for Sta.Incremental *)
-
-val reset_net : t -> int -> unit
-val reset_slow : t -> int -> unit
-val eval_inst : t -> Obs.Metrics.counter -> int -> unit
-val out_net : t -> int -> int
-val is_timing_input : t -> int -> int -> bool
-val required_of : t -> int -> float
-val net_level : t -> int -> int
-val count_slow : t -> int
-val design : t -> Netlist.Design.t
-val arrival_arrays : t -> float array * float array * int array * int array
-val required_array : t -> float array
-val required_is_valid : t -> bool
-val set_required_valid : t -> unit
-val driver_of : t -> int -> int
-val data_sinks_of_clock : t -> int -> int list
-
-(* worklist membership flags, at least [num_insts]/[num_nets] long and
-   grown by [sync_topology]; all-false between calls, so a user must
-   clear every flag it sets before returning *)
-val inst_scratch : t -> bool array
-val net_scratch : t -> bool array

@@ -3,8 +3,8 @@
    A deliberately independent, sequential Kahn-order pass over the design
    records — no flat mirror, no precomputed level order, no pool — that
    computes what a from-scratch static timing analysis must produce.
-   Tgraph (whole-graph propagate) and Sta.Incremental (cone retime) are
-   checked against it bit for bit: both replay the same per-arc float
+   Tgraph's whole-graph propagate and its cone retime are checked against
+   it bit for bit: both replay the same per-arc float
    operations in an order that only has to respect the same dependencies,
    so any divergence is a propagation-order or mirroring bug in the
    engine. The report is built by the shared Analysis.build_result. *)
@@ -132,3 +132,47 @@ let run (pl : Layout.Place.t) (rc : Layout.Extract.net_rc array) =
   end;
   let slow_nodes = Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 slow_flag in
   A.build_result d ~arrival ~slew ~from_pin ~slow_nodes ~elmore
+
+(* Endpoint setup slacks over a reference analysis: the oracle for
+   Sta.Tgraph.slack. Written against the design records and the
+   extracted parasitics, not the flat graph, so a mirroring bug in the
+   engine (wrong Elmore key, stale clock arrival) shows as a difference. *)
+let slack_report (pl : Layout.Place.t) (rc : Layout.Extract.net_rc array) (a : A.t) =
+  let module T = Sta.Tgraph in
+  let d = pl.Layout.Place.design in
+  let acc = ref [] in
+  Design.iter_insts d (fun i ->
+      if i.Design.cell.Cell.sequential && i.Design.domain >= 0
+         && i.Design.domain < Array.length d.Design.domains then begin
+        match Cell.data_pin i.Design.cell with
+        | Some dp ->
+          let dnet = i.Design.conns.(dp) in
+          if dnet >= 0 && a.A.arrival.(dnet) > neg_infinity then begin
+            let arr =
+              a.A.arrival.(dnet)
+              +. Layout.Extract.sink_elmore rc.(dnet) ~inst:i.Design.id ~pin:dp
+            in
+            let capture =
+              match Cell.clock_pin i.Design.cell with
+              | Some ck ->
+                let cknet = i.Design.conns.(ck) in
+                if cknet >= 0 && a.A.arrival.(cknet) > neg_infinity then
+                  a.A.arrival.(cknet)
+                  +. Layout.Extract.sink_elmore rc.(cknet) ~inst:i.Design.id ~pin:ck
+                else 0.0
+              | None -> 0.0
+            in
+            let period = d.Design.domains.(i.Design.domain).Design.period_ps in
+            let slack = period +. capture -. (arr +. i.Design.cell.Cell.setup) in
+            acc := { T.ff = i.Design.id; domain = i.Design.domain; slack_ps = slack } :: !acc
+          end
+        | None -> ()
+      end);
+  let endpoints =
+    List.sort (fun (x : T.endpoint_slack) y -> compare x.T.slack_ps y.T.slack_ps) !acc
+  in
+  let negative = List.filter (fun (e : T.endpoint_slack) -> e.T.slack_ps < 0.0) endpoints in
+  { T.endpoints;
+    wns = (match endpoints with [] -> 0.0 | e :: _ -> e.T.slack_ps);
+    tns = List.fold_left (fun s (e : T.endpoint_slack) -> s +. e.T.slack_ps) 0.0 negative;
+    violations = List.length negative }

@@ -26,6 +26,36 @@ let test_chain_balance () =
   Alcotest.(check int) "fixed chain count" 4 (Scan.Chains.num_chains t2);
   Alcotest.(check int) "lmax from count" 6 t2.Scan.Chains.lmax
 
+(* every partition is a split of [order] into non-empty chains within the
+   limits: with a chain count that does not divide the cell count,
+   rounding the chain length up used to start the last chains past the
+   end of [order] (7 cells in 5 chains) *)
+let test_chain_partition_total () =
+  for n = 1 to 200 do
+    let order = Array.init n (fun k -> 1000 + k) in
+    let check config ~max_chains ~max_len =
+      let t = Scan.Chains.of_order config order in
+      let lmax = t.Scan.Chains.lmax in
+      let chains = Array.to_list t.Scan.Chains.chains in
+      if Array.concat chains <> order then
+        Alcotest.failf "n=%d: chains do not concatenate to the order" n;
+      List.iter
+        (fun c ->
+          let len = Array.length c in
+          if len = 0 || len > lmax then Alcotest.failf "n=%d: chain of %d, lmax %d" n len lmax)
+        chains;
+      if List.length chains > max_chains || lmax > max_len then
+        Alcotest.failf "n=%d: %d chains (at most %d), lmax %d (at most %d)" n
+          (List.length chains) max_chains lmax max_len
+    in
+    for c = 1 to 40 do
+      check (Scan.Chains.Num_chains c) ~max_chains:c ~max_len:n
+    done;
+    for l = 1 to 120 do
+      check (Scan.Chains.Max_length l) ~max_chains:n ~max_len:l
+    done
+  done
+
 let test_stitch_connectivity () =
   let d = scan_ready () in
   let t = Scan.Chains.plan d (Scan.Chains.Max_length 10) in
@@ -84,6 +114,7 @@ let test_se_buffering () =
 let suite =
   [ Alcotest.test_case "replace all" `Quick test_replace_all_ffs;
     Alcotest.test_case "chain balance" `Quick test_chain_balance;
+    Alcotest.test_case "chain partition total" `Quick test_chain_partition_total;
     Alcotest.test_case "stitch connectivity" `Quick test_stitch_connectivity;
     Alcotest.test_case "restitch idempotent" `Quick test_restitch_idempotent;
     Alcotest.test_case "reorder wirelength" `Quick test_reorder_reduces_wirelength;

@@ -28,7 +28,8 @@ let circuits = [ "s38417"; "pcore_a"; "pcore_b" ]
 (* every layout runs through the guarded flow; a failed level stops the
    bench instead of silently dropping out of a table *)
 let sweep ?pool ~with_atpg ?scale c =
-  List.map Core.Experiment.row_exn (Core.Experiment.sweep_guarded ?pool ~with_atpg ?scale c)
+  List.map Core.Experiment.row_exn
+    (Core.Experiment.sweep ?pool ~with_atpg (Core.Experiment.spec_for ?scale c))
 
 let table1 () =
   say "=== Table 1: impact of TPI on test data (ATPG scale %.2f) ===" !table1_scale;
@@ -334,6 +335,8 @@ let perf spec =
                 done)))
   in
   assert (masks_seq = masks_par);
+  (* "sweep-fanout" times the CLI's -j path: the levels run one after
+     another, each handing the pool to its own flow *)
   let sweep_seq () = sweep ~with_atpg:false ~scale:0.06 "s38417" in
   let t_sweep_seq = time_best ~reps:3 sweep_seq in
   let t_sweep_par =

@@ -74,8 +74,8 @@ let verbose_arg =
 let jobs_arg =
   let doc =
     "Worker domains for the parallel kernels (fault simulation, STA \
-     propagation, sweep fan-out). Results are bit-identical for every \
-     value; 1 (the default) runs fully sequentially."
+     propagation). Results are bit-identical for every value; 1 (the \
+     default) runs fully sequentially."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -155,27 +155,7 @@ let with_jobs jobs f =
 let validated ?scale ~circuit ~levels () =
   match Core.Experiment.spec_for ?scale circuit with
   | exception Invalid_argument msg -> Error msg
-  | spec ->
-    (match List.find_opt (fun l -> l < 0 || l > 100) levels with
-     | Some l -> Error (Printf.sprintf "test point level %d%% out of range 0-100" l)
-     | None -> Ok spec)
-
-(* guarded sweep: under fail-fast the sweep stops at the first failed
-   level; under recover/degrade every level is attempted and failures
-   become degraded rows *)
-let guarded_sweep ?pool ?cache ?lint ?repair spec ~policy ~retries ~atpg levels =
-  let rec loop acc = function
-    | [] -> List.rev acc
-    | tp_pct :: rest ->
-      let g =
-        Core.Experiment.run_one_guarded ?pool ?cache ?lint ?repair ~policy
-          ~retries ~with_atpg:atpg spec ~tp_pct
-      in
-      let failed = g.Core.Experiment.g_report.Core.Guard.result = None in
-      if failed && policy = Core.Guard.Fail_fast then List.rev (g :: acc)
-      else loop (g :: acc) rest
-  in
-  loop [] levels
+  | spec -> Result.map (fun _ -> spec) (Core.Experiment.check_levels levels)
 
 let run () circuit scale levels atpg tables svg_dir def_file lib_file policy retries
     trace_file metrics_file prom_file verbose jobs cache_dir lint repair =
@@ -193,19 +173,11 @@ let run () circuit scale levels atpg tables svg_dir def_file lib_file policy ret
   let cache = store_of_dir cache_dir in
   let grows =
     with_jobs jobs (fun pool ->
-        guarded_sweep ?pool ?cache ~lint ~repair spec ~policy ~retries ~atpg
-          levels)
+        Core.Experiment.sweep ?pool ?cache ~policy ~retries ~lint ~repair
+          ~with_atpg:atpg ~tp_levels:levels spec)
   in
   let rows = Core.Experiment.completed_rows grows in
-  if rows <> [] then begin
-    if List.mem 1 tables && atpg then print_string (Core.Report.table1 rows);
-    if List.mem 2 tables then print_string (Core.Report.table2 rows);
-    if List.mem 3 tables then begin
-      print_string (Core.Report.table3 rows);
-      if repair then print_string (Core.Report.table3_repaired rows)
-    end
-  end;
-  print_string (Core.Report.guarded_summary grows);
+  print_string (Core.Report.render ~tables grows);
   (match (svg_dir, rows) with
    | Some dir, row :: _ ->
      let r = row.Core.Experiment.result in
@@ -302,7 +274,9 @@ let profile () circuit scale levels atpg policy retries trace_file jobs =
   | Ok spec ->
     Core.Trace.enable ();
     let grows =
-      with_jobs jobs (fun pool -> guarded_sweep ?pool spec ~policy ~retries ~atpg levels)
+      with_jobs jobs (fun pool ->
+          Core.Experiment.sweep ?pool ~policy ~retries ~with_atpg:atpg ~tp_levels:levels
+            spec)
     in
     let completed = List.length (Core.Experiment.completed_rows grows) in
     Format.printf "profile: %s, levels %s, %d/%d levels completed, %d spans@.@."

@@ -5,12 +5,6 @@
    dune exec examples/area_timing_tradeoff.exe *)
 
 let () =
-  let rows =
-    List.map Core.Experiment.row_exn
-      (Core.Experiment.sweep_guarded ~with_atpg:false ~scale:0.35 "s38417")
-  in
-  print_string (Core.Report.table2 rows);
-  print_newline ();
-  print_string (Core.Report.table3 rows);
-  print_newline ();
-  print_string (Core.Report.summary rows)
+  print_string
+    (Core.Report.render ~tables:[ 2; 3 ]
+       (Core.Experiment.sweep ~with_atpg:false (Core.Experiment.spec_for ~scale:0.35 "s38417")))

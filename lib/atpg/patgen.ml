@@ -1,22 +1,17 @@
 module Cmodel = Netlist.Cmodel
 module Rng = Util.Rng
 
-type config = {
-  seed : int;
-  random_batches_max : int;
-  random_yield_stop : int;
-  backtrack_limit : int;
-  merge_fail_stop : int;
-  merge_tries_max : int;
-}
+(* the compact-ATPG settings *)
+let seed = 0xA7B6
+let random_batches_max = 0  (* cap on random-phase batches: deterministic-only *)
+let random_yield_stop = 8   (* stop when a batch detects fewer new faults *)
+let backtrack_limit = 250   (* PODEM budget per primary target *)
 
-let default_config =
-  { seed = 0xA7B6;
-    random_batches_max = 0;  (* compact ATPG: deterministic-only by default *)
-    random_yield_stop = 8;
-    backtrack_limit = 250;
-    merge_fail_stop = 24;
-    merge_tries_max = 512 }
+(* dynamic compaction stops after this many consecutive merge failures: a
+   pattern absorbs targets until conflicts dominate, so merge capacity
+   tracks testability *)
+let merge_fail_stop = 24
+let merge_tries_max = 512   (* absolute merge-attempt cap per pattern *)
 
 type outcome = {
   patterns : Bytes.t list;
@@ -108,8 +103,8 @@ let static_compact masks_for (universe : Fault.universe) patterns =
    good-circuit resimulation would dominate, so stay sequential *)
 let fanout_min = 32
 
-let run ?pool ?(config = default_config) (m : Cmodel.t) =
-  let rng = Rng.create config.seed in
+let run ?pool (m : Cmodel.t) =
+  let rng = Rng.create seed in
   let universe = Obs.Trace.with_span ~name:"atpg.fault_build" (fun () -> Fault.build m) in
   let sim = Fsim.create m in
   (* one simulator replica per pool slot (slot 0 reuses [sim]), created
@@ -167,12 +162,12 @@ let run ?pool ?(config = default_config) (m : Cmodel.t) =
           else true)
         !live
   in
-  (* ---- optional random warm-up (off in the default compact flow) ---- *)
-  let batches = ref 0 and stop = ref (config.random_batches_max <= 0) in
+  (* ---- random warm-up (off: [random_batches_max] is 0) ---- *)
+  let batches = ref 0 and stop = ref (random_batches_max <= 0) in
   Obs.Trace.with_span ~name:"atpg.random" (fun () ->
   while not !stop do
     incr batches;
-    if !batches > config.random_batches_max || !live = [] then stop := true
+    if !batches > random_batches_max || !live = [] then stop := true
     else begin
       let words = random_words rng ns in
       let larr = Array.of_list !live in
@@ -188,7 +183,7 @@ let run ?pool ?(config = default_config) (m : Cmodel.t) =
       for bit = 1 to 63 do
         if counts.(bit) > counts.(!best) then best := bit
       done;
-      if counts.(!best) < config.random_yield_stop then stop := true
+      if counts.(!best) < random_yield_stop then stop := true
       else begin
         patterns := column words !best :: !patterns;
         incr random_patterns;
@@ -223,7 +218,7 @@ let run ?pool ?(config = default_config) (m : Cmodel.t) =
       if f.Fault.status = Fault.Undetected then begin
         Podem.reset podem;
         Obs.Metrics.incr m_podem_attempts;
-        match Podem.attempt ~backtrack_limit:config.backtrack_limit podem ~keep:true f with
+        match Podem.attempt ~backtrack_limit podem ~keep:true f with
         | Podem.Untestable ->
           f.Fault.status <- Fault.Redundant;
           incr redundant;
@@ -241,8 +236,8 @@ let run ?pool ?(config = default_config) (m : Cmodel.t) =
           let tj = ref (ti + 1) in
           let cube = ref cube0 in
           while
-            !fails < config.merge_fail_stop
-            && !tries < config.merge_tries_max
+            !fails < merge_fail_stop
+            && !tries < merge_tries_max
             && !tj < ntargets
           do
             let g = targets.(!tj) in

@@ -7,8 +7,8 @@
     bytes produced by the identical computation — the cache accelerates
     repeated sweeps without touching the §6.1 bit-identity contract.
 
-    {b Domains.} One store may be shared by all domains of a {!Par.Pool}
-    fan-out: every operation holds an internal mutex, and concurrent
+    {b Domains.} One store may be shared by any number of domains and
+    threads: every operation holds an internal mutex, and concurrent
     requests for the same missing key are single-flighted — exactly one
     caller computes while the rest block and then take the hit. Hit/miss
     totals are therefore identical at any [-j], which keeps the [cache.*]

@@ -40,8 +40,8 @@ let options_of ?pool ?cache ?(lint = false) ?(repair = false) spec ~with_atpg ~t
     lint;
     repair }
 
-(* design generation is level-invariant: with a cache every level of the
-   fan-out shares one generator run (the store single-flights concurrent
+(* design generation is level-invariant: with a cache every level of a
+   sweep shares one generator run (the store single-flights concurrent
    requests), each taking a structurally fresh unmarshaled copy so the
    levels can still mutate their designs independently *)
 let generate ?cache spec =
@@ -54,16 +54,10 @@ let generate ?cache spec =
     in
     Cache.Store.memo store ~key mk
 
-(* fan the (independent, each internally deterministic) levels across the
-   pool; parallel_map keeps results in level order, and a nested Pool.run
-   inside a worker-side pipeline degrades to inline, so the rows are
-   identical to the sequential sweep whichever layer wins the pool *)
-let fan_levels pool tp_levels f =
-  match pool with
-  | Some p when Par.Pool.size p > 1 && List.length tp_levels > 1 ->
-    let arr = Array.of_list tp_levels in
-    Array.to_list (Par.Pool.parallel_map p ~n:(Array.length arr) (fun i -> f arr.(i)))
-  | _ -> List.map f tp_levels
+let check_levels levels =
+  match List.find_opt (fun l -> l < 0 || l > 100) levels with
+  | Some l -> Error (Printf.sprintf "test point level %d%% out of range 0-100" l)
+  | None -> Ok levels
 
 type guarded_row = {
   g_spec : spec;
@@ -80,15 +74,24 @@ let run_one_guarded ?pool ?cache ?policy ?retries ?tamper ?cancel ?on_stage ?lin
   in
   { g_spec = spec; g_tp_pct = tp_pct; g_report = report }
 
-(* guarded sweep: a failed level becomes a degraded row instead of killing
-   the whole experiment matrix *)
-let sweep_guarded ?pool ?cache ?policy ?retries ?tamper ?cancel ?on_stage ?lint
-    ?repair ?(with_atpg = true) ?(tp_levels = [ 0; 1; 2; 3; 4; 5 ])
-    ?scale circuit =
-  let spec = spec_for ?scale circuit in
-  fan_levels pool tp_levels (fun tp_pct ->
-      run_one_guarded ?pool ?cache ?policy ?retries ?tamper ?cancel ?on_stage ?lint
-        ?repair ~with_atpg spec ~tp_pct)
+(* the levels run in order, each from scratch; under fail-fast the sweep
+   stops after the first failed level, otherwise a failed level becomes a
+   degraded row and the sweep goes on *)
+let sweep ?pool ?cache ?(policy = Guard.Fail_fast) ?retries ?tamper ?cancel ?on_stage
+    ?lint ?repair ?with_atpg ?(tp_levels = [ 0; 1; 2; 3; 4; 5 ]) spec =
+  let rec loop acc = function
+    | [] -> List.rev acc
+    | tp_pct :: rest ->
+      let g =
+        run_one_guarded ?pool ?cache ~policy ?retries ?tamper ?cancel
+          ?on_stage:(Option.map (fun f -> f ~tp_pct) on_stage)
+          ?lint ?repair ?with_atpg spec ~tp_pct
+      in
+      if policy = Guard.Fail_fast && g.g_report.Guard.result = None then
+        List.rev (g :: acc)
+      else loop (g :: acc) rest
+  in
+  loop [] tp_levels
 
 let row_exn g =
   { spec = g.g_spec; tp_pct = g.g_tp_pct; result = Guard.result_exn g.g_report }

@@ -5,8 +5,8 @@
 
     Every layout runs under {!Guard}, so each one passes the post-stage
     invariant checks or reports a typed error. {!run_one_guarded} and
-    {!sweep_guarded} return the guard's reports; {!row_exn} turns one into
-    a plain {!row} for the table renderers, raising on a failed level. *)
+    {!sweep} return the guard's reports; {!row_exn} turns one into a plain
+    {!row} for the table renderers, raising on a failed level. *)
 
 type spec = {
   circuit : string;               (** "s38417" | "pcore_a" | "pcore_b" *)
@@ -20,6 +20,10 @@ val spec_for : ?scale:float -> string -> spec
     pcore_a; 32 chains and 50% utilization for pcore_b. Default scales come
     from {!Circuits.Bench.default_scales}. *)
 
+val check_levels : int list -> (int list, string) result
+(** The levels unchanged, or an error naming the first one outside the
+    0-100 % test-point range. *)
+
 type row = {
   spec : spec;
   tp_pct : int;
@@ -28,8 +32,8 @@ type row = {
 
 (** {1 Guarded experiments}
 
-    A stage failure in one layout becomes a degraded row (reported by
-    {!Report.guarded_summary}) instead of aborting the sweep. *)
+    A stage failure in one layout becomes a row carrying the typed error
+    (a DEGRADED line of {!Report.render}) instead of an exception. *)
 
 type guarded_row = {
   g_spec : spec;
@@ -56,39 +60,40 @@ val run_one_guarded :
     with a ["lint-failed"] error before the first stage. [repair] (default
     false) appends the step-7 {!Repair} stage, so the row's [result.sta]
     is the repaired timing and [result.repair] carries the report
-    (including the unrepaired [pre_sta]). [cancel] goes straight to
-    {!Guard.run}. *)
+    (including the unrepaired [pre_sta]). [with_atpg] (default true)
+    runs ATPG. [policy], [retries], [tamper], [cancel] and [on_stage] go
+    straight to {!Guard.run}. *)
 
-val sweep_guarded :
+val sweep :
   ?pool:Par.Pool.t ->
   ?cache:Cache.Store.t ->
   ?policy:Guard.policy ->
   ?retries:int ->
   ?tamper:(attempt:int -> Guard.stage -> Pipeline.state -> unit) ->
   ?cancel:Cancel.t ->
-  ?on_stage:(Guard.stage -> Guard.stage_status -> unit) ->
+  ?on_stage:(tp_pct:int -> Guard.stage -> Guard.stage_status -> unit) ->
   ?lint:bool ->
   ?repair:bool ->
   ?with_atpg:bool ->
   ?tp_levels:int list ->
-  ?scale:float ->
-  string ->
+  spec ->
   guarded_row list
-(** Default levels [0;1;2;3;4;5]. Never raises on a stage failure;
-    [tamper] is the chaos/fault-injection hook threaded through to
-    {!Guard.run} (tampered runs bypass the cache). [cancel] and [on_stage]
-    are the service layer's cancellation token and per-stage streaming
-    hook ({!Guard.run}); a cancelled level surfaces as a degraded row with
-    a typed ["cancelled"] error.
+(** The experiment's one level loop: each of [tp_levels] (default
+    [0;1;2;3;4;5]), in order, through {!run_one_guarded} with the same
+    arguments; [on_stage] is told the level as well. Never raises on a
+    stage failure. Under [policy] {!Guard.Fail_fast} (the default) the
+    sweep stops after the first failed level, which is the last row;
+    under {!Guard.Recover} and {!Guard.Degrade} every level is attempted
+    and a failed one is a degraded row. [tamper] is the chaos/
+    fault-injection hook (tampered runs bypass the cache); [cancel] is
+    the service layer's cancellation token, and a cancelled level is a
+    row with a typed ["cancelled"] error.
 
-    With [pool], the independent levels fan out across the pool's domains
-    (and the pool is also handed to each level's flow, where the innermost
-    non-nested layer uses it); rows come back in level order and are
-    bit-identical to the sequential sweep. With [cache], level-invariant
-    work is shared: design generation runs once per sweep (single-flighted
-    across concurrent levels) and every stage consults the
+    With [pool], each level's flow uses it in its parallel kernels; rows
+    are bit-identical to a pool-less sweep. With [cache], design
+    generation runs once per sweep and every stage consults the
     content-addressed stage cache ({!Pipeline.cached_stage}), so a
-    repeated sweep is served almost entirely from cache — still
+    repeated sweep is served almost entirely from cache and still
     byte-identical to a cold, cache-less run. *)
 
 val row_exn : guarded_row -> row

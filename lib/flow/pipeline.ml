@@ -5,7 +5,6 @@ type options = {
   chain_config : Scan.Chains.config;
   utilization : float;
   run_atpg : bool;
-  atpg_config : Atpg.Patgen.config;
   tpi_config : Tpi.Select.config;
   seed : int;
   pool : Par.Pool.t option;
@@ -19,7 +18,6 @@ let default_options =
     chain_config = Scan.Chains.Max_length 100;
     utilization = 0.97;
     run_atpg = true;
-    atpg_config = Atpg.Patgen.default_config;
     tpi_config = Tpi.Select.default_config;
     seed = 0x71C0;
     pool = None;
@@ -152,7 +150,7 @@ let stage_reorder_atpg st =
   let atpg =
     if options.run_atpg then begin
       let m = Netlist.Cmodel.build d in
-      Some (Atpg.Patgen.run ?pool:options.pool ~config:options.atpg_config m)
+      Some (Atpg.Patgen.run ?pool:options.pool m)
     end
     else None
   in
@@ -286,7 +284,7 @@ let finish st =
 
 (* bump whenever the products layout or any stage semantics change: old
    on-disk entries then simply never match a key again *)
-let cache_version = "tpi-stage-cache-v4"
+let cache_version = "tpi-stage-cache-v5"
 
 (* every option a stage outcome can depend on; the pool (execution layout
    only, §6.1), the cache itself and the lint flag (read-only over the
@@ -296,8 +294,8 @@ let options_fingerprint o =
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
-          ( o.tp_percent, o.chain_config, o.utilization, o.run_atpg, o.atpg_config,
-            o.tpi_config, o.seed, o.repair )
+          ( o.tp_percent, o.chain_config, o.utilization, o.run_atpg, o.tpi_config,
+            o.seed, o.repair )
           []))
 
 type cache_ctx = {

@@ -24,7 +24,6 @@ type options = {
   chain_config : Scan.Chains.config;
   utilization : float;             (** target row utilization *)
   run_atpg : bool;                 (** Table 1 needs it; Tables 2-3 do not *)
-  atpg_config : Atpg.Patgen.config;
   tpi_config : Tpi.Select.config;  (** e.g. blocked nets for the §5 ablation *)
   seed : int;
   pool : Par.Pool.t option;

@@ -225,18 +225,24 @@ let summary (rows : Experiment.row list) =
         (Sta.Analysis.worst_tcp r.Experiment.result.Pipeline.sta)
     in
     let pats (r : Experiment.row) =
-      match r.Experiment.result.Pipeline.atpg with
-      | Some o -> Atpg.Patgen.num_patterns o
-      | None -> 0
+      Option.map Atpg.Patgen.num_patterns r.Experiment.result.Pipeline.atpg
     in
-    Printf.sprintf
-      "%s: inserting %d%% test points changes core area by %+.2f%%, critical-path delay \
-       by %+.2f%%, and the compact stuck-at pattern count by %+.1f%%.\n"
-      (circuit_name rows) r1.Experiment.tp_pct
-      (pct_change ~base:(core r0) (core r1))
-      (pct_change ~base:(tcp r0) (tcp r1))
-      (if pats r0 = 0 then 0.0
-       else -.Atpg.Tdv.reduction_pct ~before:(pats r0) ~after:(pats r1))
+    let area = pct_change ~base:(core r0) (core r1)
+    and delay = pct_change ~base:(tcp r0) (tcp r1) in
+    (* the pattern-count clause only when both levels ran ATPG: without it
+       there is no change to report *)
+    (match (pats r0, pats r1) with
+     | Some p0, Some p1 ->
+       Printf.sprintf
+         "%s: inserting %d%% test points changes core area by %+.2f%%, critical-path \
+          delay by %+.2f%%, and the compact stuck-at pattern count by %+.1f%%.\n"
+         (circuit_name rows) r1.Experiment.tp_pct area delay
+         (if p0 = 0 then 0.0 else -.Atpg.Tdv.reduction_pct ~before:p0 ~after:p1)
+     | _ ->
+       Printf.sprintf
+         "%s: inserting %d%% test points changes core area by %+.2f%% and \
+          critical-path delay by %+.2f%%.\n"
+         (circuit_name rows) r1.Experiment.tp_pct area delay)
   | _ -> "summary requires a baseline and at least one test-point level\n"
 
 let guarded_summary (grows : Experiment.guarded_row list) =
@@ -250,3 +256,19 @@ let guarded_summary (grows : Experiment.guarded_row list) =
   match flags with
   | [] -> body
   | flags -> body ^ String.concat "\n" flags ^ "\n"
+
+(* what `tpi_flow run` prints: Table 1 only when the levels ran ATPG,
+   Table 3R (empty without repair reports) right after Table 3 *)
+let render ~tables grows =
+  let rows = Experiment.completed_rows grows in
+  let atpg =
+    List.exists
+      (fun (r : Experiment.row) -> r.Experiment.result.Pipeline.options.Pipeline.run_atpg)
+      rows
+  in
+  let table n f = if rows <> [] && List.mem n tables then f rows else "" in
+  String.concat ""
+    [ (if atpg then table 1 table1 else "");
+      table 2 table2;
+      table 3 (fun rows -> table3 rows ^ table3_repaired rows);
+      guarded_summary grows ]

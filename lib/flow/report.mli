@@ -21,7 +21,9 @@ val table3_repaired : Experiment.row list -> string
     carries a repair report. *)
 
 val summary : Experiment.row list -> string
-(** One-paragraph recap in the style of the paper's abstract claims. *)
+(** One-paragraph recap in the style of the paper's abstract claims: the
+    core-area and critical-path change at the first test-point level,
+    and the pattern-count change when both levels ran ATPG. *)
 
 val degraded_lines : Experiment.guarded_row list -> string list
 (** One "DEGRADED circuit @N% TP ..." line per failed level of a guarded
@@ -30,3 +32,9 @@ val degraded_lines : Experiment.guarded_row list -> string list
 val guarded_summary : Experiment.guarded_row list -> string
 (** {!summary} over the completed levels, followed by the degraded-row
     flags. *)
+
+val render : tables:int list -> Experiment.guarded_row list -> string
+(** The output of a sweep, as [tpi_flow run] prints it: of [tables], Table
+    1 (only when the levels ran ATPG), 2 and 3 (followed by Table 3R when
+    the levels ran repair) over the completed levels, then
+    {!guarded_summary}. *)

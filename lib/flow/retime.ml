@@ -54,9 +54,9 @@ let find_leaf_clocks (d : Design.t) =
       end);
   !leaves
 
-let create ?config (pl : Place.t) (rt : Route.t) (rc : Extract.net_rc array) =
+let create (pl : Place.t) (rt : Route.t) (rc : Extract.net_rc array) =
   let d = pl.Place.design in
-  let tg = Sta.Tgraph.compile ?config d rc in
+  let tg = Sta.Tgraph.compile d rc in
   Sta.Tgraph.propagate tg;
   let next_tp = ref 0 in
   Design.iter_insts d (fun i ->

@@ -11,12 +11,7 @@
 
 type t
 
-val create :
-  ?config:Sta.Analysis.config ->
-  Layout.Place.t ->
-  Layout.Route.t ->
-  Layout.Extract.net_rc array ->
-  t
+val create : Layout.Place.t -> Layout.Route.t -> Layout.Extract.net_rc array -> t
 (** Compile and propagate the timing graph and snapshot per-net
     routes/parasitics. The placement (and the design under it) are
     borrowed and mutated by subsequent edits; the route and rc arrays are

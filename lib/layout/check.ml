@@ -38,14 +38,12 @@ let pp_violation (d : Design.t) ppf =
 let eps = 1e-6
 
 (* ECO-placed cells (clock and scan-enable buffers legalised after global
-   placement) are allowed to overlap their neighbours: the stand-in ECO
-   placer drops them at the nearest legal-capacity row without shuffling
-   the incumbents, as documented in {!Eco}. [eco_from] is the first
-   instance id created after global placement; pairs touching such cells
-   are exempt from the overlap check. DRC upsizing also widens cells in
+   placement) may overlap their neighbours: the stand-in ECO placer drops
+   them at the nearest legal-capacity row without shuffling the
+   incumbents, as documented in {!Eco}. DRC upsizing also widens cells in
    place, so callers disable [overlaps] after step 4 and use [margin] to
    tolerate the widened footprints at the core edge. *)
-let check_placement ?(overlaps = true) ?(eco_from = max_int) ?(margin = eps)
+let check_placement ?(overlaps = true) ?(margin = eps)
     (pl : Place.t) =
   let out = ref [] in
   let add v = out := v :: !out in
@@ -73,7 +71,7 @@ let check_placement ?(overlaps = true) ?(eco_from = max_int) ?(margin = eps)
             || x < lx -. margin
             || x +. w > rx +. margin
           then add (Cell_outside_core iid)
-          else if overlaps && iid < eco_from then
+          else if overlaps then
             per_row.(r) <- (iid, x, w) :: per_row.(r)
         end
       end);

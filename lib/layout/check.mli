@@ -21,13 +21,12 @@ val class_name : violation -> string
 
 val pp_violation : Netlist.Design.t -> Format.formatter -> violation -> unit
 
-val check_placement :
-  ?overlaps:bool -> ?eco_from:int -> ?margin:float -> Place.t -> violation list
-(** Rows, placement legality and (optionally) pairwise overlaps.
-    [eco_from] exempts ECO-placed instances (id >= [eco_from]) from the
-    overlap check — the stand-in ECO placer may legally overfill a row.
-    [margin] (um) loosens the core-boundary test for post-DRC checks where
-    upsizing has widened cells in place. *)
+val check_placement : ?overlaps:bool -> ?margin:float -> Place.t -> violation list
+(** Rows, placement legality and (optionally) pairwise overlaps; the
+    stand-in ECO placer may legally overfill a row, so checks after ECO
+    placement pass [~overlaps:false]. [margin] (um) loosens the
+    core-boundary test for post-DRC checks where upsizing has widened
+    cells in place. *)
 
 val check_route : Place.t -> Route.t -> violation list
 

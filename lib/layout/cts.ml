@@ -31,7 +31,10 @@ let split sinks =
   let n = List.length sorted in
   (List.filteri (fun i _ -> i < n / 2) sorted, List.filteri (fun i _ -> i >= n / 2) sorted)
 
-let run ?(max_group = 16) (pl : Place.t) =
+(* sinks or subtrees per buffer *)
+let max_group = 16
+
+let run (pl : Place.t) =
   let d = pl.Place.design in
   let buf_small = Stdcell.Library.find d.Design.lib Cell.Clkbuf ~drive:4 in
   let buf_big = Stdcell.Library.find d.Design.lib Cell.Clkbuf ~drive:8 in

@@ -15,5 +15,5 @@ type report = {
   sinks : int;
 }
 
-val run : ?max_group:int -> Place.t -> report
-(** Default [max_group] (sinks or subtrees per buffer) is 16. *)
+val run : Place.t -> report
+(** At most 16 sinks or subtrees per buffer. *)

@@ -68,7 +68,10 @@ let svg_placement (pl : Place.t) =
   svg_footer buf;
   Buffer.contents buf
 
-let svg_routed ?(max_nets = 1500) (pl : Place.t) (rt : Route.t) =
+(* routed nets drawn, to keep the file small *)
+let max_nets = 1500
+
+let svg_routed (pl : Place.t) (rt : Route.t) =
   let fp = pl.Place.fp in
   let buf = Buffer.create 65536 in
   svg_header fp.Floorplan.chip buf;

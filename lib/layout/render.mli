@@ -8,9 +8,9 @@ val svg_placement : Place.t -> string
 (** Figure 3b: placed cells; flip-flops, test points and clock buffers are
     colour-coded. *)
 
-val svg_routed : ?max_nets:int -> Place.t -> Route.t -> string
-(** Figure 3c: placement plus routed net trees (a sample, to keep the file
-    small; default 1500 nets). *)
+val svg_routed : Place.t -> Route.t -> string
+(** Figure 3c: placement plus routed net trees (the first 1500, to keep
+    the file small). *)
 
 val ascii_density : ?cols:int -> Place.t -> string
 (** Utilization heat map for terminal output. *)

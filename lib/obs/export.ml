@@ -115,23 +115,7 @@ let prometheus () =
     (Metrics.export_histograms ());
   Buffer.contents b
 
-(* ---- atomic snapshot files ---- *)
-
-let write_atomic path contents =
-  let dir = Filename.dirname path in
-  let tmp = Filename.concat dir ("." ^ Filename.basename path ^ ".tmp") in
-  let oc = open_out tmp in
-  (try
-     output_string oc contents;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
-
-let write_prom path = write_atomic path (prometheus ())
-let write_metrics_json path = write_atomic path (Json.to_string ~pretty:true (Metrics.snapshot ()) ^ "\n")
+let write_prom path = Json.write_atomic path (prometheus ())
 
 (* ---- parsing (the [tpi_flow top] client side) ---- *)
 

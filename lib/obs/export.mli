@@ -33,17 +33,8 @@ val prometheus : unit -> string
 (** Render the full exposition document, [# TYPE] comments included,
     metrics in ascending name order. *)
 
-val write_atomic : string -> string -> unit
-(** [write_atomic path contents] writes via a dot-prefixed temp file in
-    the same directory and [Sys.rename] — readers never observe a
-    partial snapshot, and a crash mid-write leaves the previous file. *)
-
 val write_prom : string -> unit
-(** Atomic {!prometheus} snapshot. *)
-
-val write_metrics_json : string -> unit
-(** Atomic equivalent of {!Metrics.write_json} (same bytes, crash-safe
-    publication) — the daemon's periodic [--metrics] flush. *)
+(** {!prometheus} snapshot, written with {!Json.write_atomic}. *)
 
 (** {2 Parsing}
 

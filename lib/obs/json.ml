@@ -239,10 +239,17 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let write_file path v =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string ~pretty:true v);
-      output_char oc '\n')
+let write_atomic path contents =
+  let dir = Filename.dirname path in
+  let tmp = Filename.concat dir ("." ^ Filename.basename path ^ ".tmp") in
+  let oc = open_out tmp in
+  (try
+     output_string oc contents;
+     close_out oc
+   with e ->
+     close_out_noerr oc;
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
+  Sys.rename tmp path
+
+let write_file path v = write_atomic path (to_string ~pretty:true v ^ "\n")

@@ -24,5 +24,11 @@ val parse : string -> (t, string) result
 val member : string -> t -> t option
 (** Field lookup in an [Obj]; [None] on missing field or non-object. *)
 
+val write_atomic : string -> string -> unit
+(** [write_atomic path contents] writes via a dot-prefixed temp file in
+    the same directory and [Sys.rename] — readers never observe a
+    partial file, and a crash mid-write leaves the previous one. *)
+
 val write_file : string -> t -> unit
-(** Pretty-print to a file, trailing newline included. *)
+(** Pretty-print to a file with {!write_atomic}, trailing newline
+    included. *)

@@ -119,6 +119,7 @@ val snapshot : unit -> Json.t
     omitted. *)
 
 val write_json : string -> unit
+(** {!snapshot}, written with {!Json.write_file} (atomically). *)
 
 val pp : Format.formatter -> unit -> unit
 (** Human-readable dump of every non-zero metric (the [-v] report). *)

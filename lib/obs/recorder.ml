@@ -107,9 +107,8 @@ let dump ~reason =
   match path with
   | None -> false
   | Some path ->
-    let doc = Json.to_string ~pretty:true (snapshot_json ~reason) ^ "\n" in
     (try
-       Export.write_atomic path doc;
+       Json.write_file path (snapshot_json ~reason);
        locked (fun () -> st.dumps <- st.dumps + 1);
        true
      with Sys_error _ -> false)

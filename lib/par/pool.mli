@@ -3,7 +3,7 @@
     A reusable pool of [domains - 1] worker domains (plus the creating
     domain, which takes slot 0 of every region) built on stdlib
     [Domain]/[Mutex]/[Condition]. Designed for the flow's hot layers —
-    per-fault PPSFP fan-out, level-parallel STA, sweep fan-out — under a
+    per-fault PPSFP fan-out and level-parallel STA — under a
     hard determinism contract:
 
     {ul

@@ -21,28 +21,30 @@ let scan_cells (d : Design.t) =
 let of_order config order =
   let n = Array.length order in
   if n = 0 then { chains = [||]; lmax = 0 }
-  else begin
-    let num =
-      match config with
-      | Max_length l ->
-        if l <= 0 then invalid_arg "Chains: non-positive max length";
-        (n + l - 1) / l
-      | Num_chains c ->
-        if c <= 0 then invalid_arg "Chains: non-positive chain count";
-        min c n
-    in
-    let lmax = (n + num - 1) / num in
-    (* rounding [lmax] up can leave fewer chains than asked for (7 cells
-       in 5 chains of at most 2 fill only 4): every chain starts inside
-       [order] *)
-    let num = (n + lmax - 1) / lmax in
-    let chains =
-      Array.init num (fun k ->
-          let start = k * lmax in
-          Array.sub order start (min lmax (n - start)))
-    in
-    { chains; lmax }
-  end
+  else
+    match config with
+    | Max_length l ->
+      if l <= 0 then invalid_arg "Chains: non-positive max length";
+      let num = (n + l - 1) / l in
+      (* lmax <= l, so ceil (n / lmax) = num: no chain is empty *)
+      let lmax = (n + num - 1) / num in
+      let chains =
+        Array.init num (fun k ->
+            let start = k * lmax in
+            Array.sub order start (min lmax (n - start)))
+      in
+      { chains; lmax }
+    | Num_chains c ->
+      if c <= 0 then invalid_arg "Chains: non-positive chain count";
+      (* exactly [min c n] chains: the first [n mod num] hold [lmax]
+         cells, the rest [lmax - 1] *)
+      let num = min c n in
+      let short = n / num and long = n mod num in
+      let start k = (k * short) + min k long in
+      let chains =
+        Array.init num (fun k -> Array.sub order (start k) (start (k + 1) - start k))
+      in
+      { chains; lmax = (if long > 0 then short + 1 else short) }
 
 let plan d config = of_order config (scan_cells d)
 

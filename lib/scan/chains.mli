@@ -20,7 +20,11 @@ val plan : Netlist.Design.t -> config -> t
     {!Scan.Reorder} redoes this from placement). *)
 
 val of_order : config -> int array -> t
-(** Balanced partition of an explicit cell order. *)
+(** Balanced partition of an explicit cell order of [n] cells, kept in
+    order. Under [Max_length l], chains of [lmax = ceil (n / ceil (n / l))]
+    cells, the last one possibly shorter; under [Num_chains c], exactly
+    [min c n] chains of [lmax] or [lmax - 1] cells, the longer ones
+    first. *)
 
 val stitch : Netlist.Design.t -> t -> unit
 (** (Re)wire TI pins and scan ports according to the plan; any previous

@@ -101,7 +101,7 @@ type t = {
 let flush_telemetry t =
   Obs.Metrics.set_direct g_uptime ((Obs.Clock.now_us () -. t.started_us) /. 1e6);
   (match t.cfg.metrics_file with
-   | Some path -> (try Obs.Export.write_metrics_json path with Sys_error _ -> ())
+   | Some path -> (try Obs.Metrics.write_json path with Sys_error _ -> ())
    | None -> ());
   match t.cfg.prom_file with
   | Some path -> (try Obs.Export.write_prom path with Sys_error _ -> ())
@@ -346,50 +346,18 @@ let counters_delta before after =
       if v1 <> v0 then Some (k, v1 - v0) else None)
     after
 
-(* one guarded sweep, mirroring the CLI's loop exactly (early stop under
-   fail-fast) so a [done] event's output is byte-identical to the one-shot
-   `tpi_flow` stdout for the same spec *)
-let run_levels t (job : job) spec ~tamper =
-  let s = job.j_spec in
-  let rec loop acc = function
-    | [] -> List.rev acc
-    | tp_pct :: rest ->
-      let on_stage stage status =
-        (match status with
-         | Guard.Completed ms | Guard.Failed ms ->
-           (match List.assoc_opt (Guard.stage_name stage) stage_hists with
-            | Some h -> Obs.Metrics.observe h ms
-            | None -> ())
-         | Guard.Skipped -> ());
-        send t job.j_conn
-          (Protocol.stage_event ~id:job.j_id ~level:tp_pct ~stage:(Guard.stage_name stage)
-             ~status:(status_string status) ~ms:(status_ms status))
-      in
-      let g =
-        Experiment.run_one_guarded ?pool:t.pool ?cache:t.cache ~policy:s.Protocol.policy
-          ?tamper ~cancel:job.j_cancel ~on_stage ~lint:t.cfg.lint
-          ~repair:s.Protocol.repair ~with_atpg:s.Protocol.with_atpg spec ~tp_pct
-      in
-      let failed = g.Experiment.g_report.Guard.result = None in
-      if failed && s.Protocol.policy = Guard.Fail_fast then List.rev (g :: acc)
-      else loop (g :: acc) rest
-  in
-  loop [] s.Protocol.tp_levels
-
-let render_output (spec : Protocol.job_spec) grows =
-  let buf = Buffer.create 1024 in
-  let rows = Experiment.completed_rows grows in
-  if rows <> [] then begin
-    if List.mem 1 spec.Protocol.tables && spec.Protocol.with_atpg then
-      Buffer.add_string buf (Report.table1 rows);
-    if List.mem 2 spec.Protocol.tables then Buffer.add_string buf (Report.table2 rows);
-    if List.mem 3 spec.Protocol.tables then begin
-      Buffer.add_string buf (Report.table3 rows);
-      if spec.Protocol.repair then Buffer.add_string buf (Report.table3_repaired rows)
-    end
-  end;
-  Buffer.add_string buf (Report.guarded_summary grows);
-  Buffer.contents buf
+(* a job's [on_stage] hook: feed the per-stage latency histograms and
+   stream each stage resolution, tagged with its level *)
+let report_stage t (job : job) ~tp_pct stage status =
+  (match status with
+   | Guard.Completed ms | Guard.Failed ms ->
+     (match List.assoc_opt (Guard.stage_name stage) stage_hists with
+      | Some h -> Obs.Metrics.observe h ms
+      | None -> ())
+   | Guard.Skipped -> ());
+  send t job.j_conn
+    (Protocol.stage_event ~id:job.j_id ~level:tp_pct ~stage:(Guard.stage_name stage)
+       ~status:(status_string status) ~ms:(status_ms status))
 
 let first_error_matching grows pred =
   List.find_map
@@ -439,7 +407,15 @@ let execute t (job : job) =
         let tamper =
           if job.j_spec.Protocol.fail_attempts > a then Some inject_transient else None
         in
-        let grows = run_levels t job spec ~tamper in
+        (* the CLI's sweep and renderer with the same arguments, so a
+           [done] event's output is byte-identical to the one-shot
+           `tpi_flow` stdout for the same spec *)
+        let grows =
+          Experiment.sweep ?pool:t.pool ?cache:t.cache ~policy:job.j_spec.Protocol.policy
+            ?tamper ~cancel:job.j_cancel ~on_stage:(report_stage t job) ~lint:t.cfg.lint
+            ~repair:job.j_spec.Protocol.repair ~with_atpg:job.j_spec.Protocol.with_atpg
+            ~tp_levels:job.j_spec.Protocol.tp_levels spec
+        in
         match first_error_matching grows Guard.is_cancelled with
         | Some e -> finish_cancelled t job ~detail:e.Guard.detail
         | None ->
@@ -499,7 +475,7 @@ let execute t (job : job) =
                      ~counters:(counters_delta before (counters_snapshot ())));
                 send t job.j_conn
                   (Protocol.done_event ~id:job.j_id ~attempts:(a + 1) ~elapsed_ms:elapsed
-                     ~output:(render_output job.j_spec grows))))
+                     ~output:(Report.render ~tables:job.j_spec.Protocol.tables grows))))
       in
       attempt 0
     end

@@ -142,10 +142,7 @@ let parse_submit j =
     | None when member "levels" j = None -> Ok default_spec.tp_levels
     | None -> Error "levels must be an array of integers"
     | Some [] -> Error "levels must be non-empty"
-    | Some ls ->
-      (match List.find_opt (fun l -> l < 0 || l > 100) ls with
-       | Some l -> Error (Printf.sprintf "test point level %d%% out of range 0-100" l)
-       | None -> Ok ls)
+    | Some ls -> Flow.Experiment.check_levels ls
   in
   let* tables =
     match int_list_field "tables" j with

@@ -2,12 +2,8 @@ module Design = Netlist.Design
 module Cell = Stdcell.Cell
 module Lut = Stdcell.Lut
 
-type config = {
-  input_slew_ps : float;
-  input_arrival_ps : float;
-}
-
-let default_config = { input_slew_ps = 100.0; input_arrival_ps = 0.0 }
+let input_slew_ps = 100.0
+let input_arrival_ps = 0.0
 
 let m_endpoints = Obs.Metrics.counter "sta.endpoints"
 

@@ -12,12 +12,11 @@
     Arrivals are propagated by {!Tgraph} ({!Tgraph.run} for a one-shot
     analysis); this module holds no propagator of its own. *)
 
-type config = {
-  input_slew_ps : float;    (** slew assumed at primary inputs *)
-  input_arrival_ps : float;
-}
+val input_slew_ps : float
+(** Slew assumed at primary inputs (100 ps). *)
 
-val default_config : config
+val input_arrival_ps : float
+(** Arrival time at primary inputs (0 ps). *)
 
 exception Combinational_cycle of { inst : int; iname : string }
 (** The netlist has a combinational loop; carries one instance stuck on it. *)

@@ -35,7 +35,6 @@ let elm_key ~inst ~pin = (inst lsl 4) lor (pin land 15)
 
 type t = {
   d : Design.t;
-  config : Analysis.config;
   (* --- per-net (length >= num_nets d; [nn] live) --- *)
   mutable nn : int;
   mutable arrival : float array;
@@ -117,7 +116,7 @@ let ensure_net_capacity t n =
   if n > cap then begin
     let c = max n (max 16 (2 * cap)) in
     t.arrival <- grow_floats t.arrival c neg_infinity;
-    t.slew <- grow_floats t.slew c t.config.Analysis.input_slew_ps;
+    t.slew <- grow_floats t.slew c Analysis.input_slew_ps;
     t.from_inst <- grow_ints t.from_inst c (-1);
     t.from_pin <- grow_ints t.from_pin c (-1);
     t.seed_arr <- grow_floats t.seed_arr c neg_infinity;
@@ -196,7 +195,7 @@ let update_rc t nid (rc : Layout.Extract.net_rc) =
 let sync_net t nid =
   let n = Design.net t.d nid in
   (match n.Design.driver with
-   | Design.Port_in _ -> t.seed_arr.(nid) <- t.config.Analysis.input_arrival_ps
+   | Design.Port_in _ -> t.seed_arr.(nid) <- Analysis.input_arrival_ps
    | Design.Cell_pin (src, _) ->
      (match (Design.inst t.d src).Design.cell.Cell.kind with
       | Cell.Tiehi | Cell.Tielo -> t.seed_arr.(nid) <- 0.0
@@ -394,7 +393,7 @@ let sync_topology t ~nets ~insts =
        would: nets whose driver is never evaluated (tie cells, ports) keep
        this value, and a later retime must observe it *)
     t.arrival.(nid) <- t.seed_arr.(nid);
-    t.slew.(nid) <- t.config.Analysis.input_slew_ps;
+    t.slew.(nid) <- Analysis.input_slew_ps;
     t.from_inst.(nid) <- -1;
     t.from_pin.(nid) <- -1
   done;
@@ -421,7 +420,7 @@ let sync_topology t ~nets ~insts =
    computes (first-wins tie behaviour included) *)
 let reset_net t nid =
   t.arrival.(nid) <- t.seed_arr.(nid);
-  t.slew.(nid) <- t.config.Analysis.input_slew_ps;
+  t.slew.(nid) <- Analysis.input_slew_ps;
   t.from_inst.(nid) <- -1;
   t.from_pin.(nid) <- -1
 
@@ -539,15 +538,14 @@ let analysis t =
 
 (* ---- compile ---- *)
 
-let compile_partial ?(config = Analysis.default_config) (d : Design.t)
+let compile_partial (d : Design.t)
     (rc : Layout.Extract.net_rc array) =
   let ni = Design.num_insts d and nn = Design.num_nets d in
   let t =
     { d;
-      config;
       nn;
       arrival = Array.make (max nn 1) neg_infinity;
-      slew = Array.make (max nn 1) config.Analysis.input_slew_ps;
+      slew = Array.make (max nn 1) Analysis.input_slew_ps;
       from_inst = Array.make (max nn 1) (-1);
       from_pin = Array.make (max nn 1) (-1);
       seed_arr = Array.make (max nn 1) neg_infinity;
@@ -594,8 +592,8 @@ let compile_partial ?(config = Analysis.default_config) (d : Design.t)
   rebuild_order t;
   (t, stuck)
 
-let compile ?config d rc =
-  match compile_partial ?config d rc with
+let compile d rc =
+  match compile_partial d rc with
   | t, [] -> t
   | _, iid :: _ ->
     raise (Analysis.Combinational_cycle { inst = iid; iname = (Design.inst d iid).Design.iname })

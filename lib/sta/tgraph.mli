@@ -18,14 +18,13 @@
 
 type t
 
-val compile :
-  ?config:Analysis.config -> Netlist.Design.t -> Layout.Extract.net_rc array -> t
+val compile : Netlist.Design.t -> Layout.Extract.net_rc array -> t
 (** Build the flat mirror and levelize. Raises
     {!Analysis.Combinational_cycle}, naming the first instance (in id
     order) left pending, on a combinational loop. Does not propagate. *)
 
 val compile_partial :
-  ?config:Analysis.config -> Netlist.Design.t -> Layout.Extract.net_rc array -> t * int list
+  Netlist.Design.t -> Layout.Extract.net_rc array -> t * int list
 (** {!compile}, total on combinational loops: the considered instances
     left pending (loop members and the cone they feed) are dropped from
     evaluation, so their output nets keep [-inf] arrivals, and returned

@@ -21,11 +21,10 @@ let timing_inputs (i : Design.instance) =
   else List.map (fun (a : Cell.arc) -> a.Cell.from_pin) (A.app_arcs i.Design.cell)
 
 let run (pl : Layout.Place.t) (rc : Layout.Extract.net_rc array) =
-  let config = A.default_config in
   let d = pl.Layout.Place.design in
   let nn = Design.num_nets d in
   let arrival = Array.make nn neg_infinity in
-  let slew = Array.make nn config.A.input_slew_ps in
+  let slew = Array.make nn A.input_slew_ps in
   (* which input pin set each net's worst arrival *)
   let from_pin = Array.make nn (-1) in
   let slow_flag = Array.make (Design.num_insts d) false in
@@ -33,8 +32,8 @@ let run (pl : Layout.Place.t) (rc : Layout.Extract.net_rc array) =
   List.iter
     (fun (p : Design.port) ->
       if p.Design.pnet >= 0 then begin
-        arrival.(p.Design.pnet) <- config.A.input_arrival_ps;
-        slew.(p.Design.pnet) <- config.A.input_slew_ps
+        arrival.(p.Design.pnet) <- A.input_arrival_ps;
+        slew.(p.Design.pnet) <- A.input_slew_ps
       end)
     (Design.input_ports d);
   Design.iter_insts d (fun i ->
@@ -43,7 +42,7 @@ let run (pl : Layout.Place.t) (rc : Layout.Extract.net_rc array) =
         let out = Design.net_of_output d i in
         if out >= 0 then begin
           arrival.(out) <- 0.0;
-          slew.(out) <- config.A.input_slew_ps
+          slew.(out) <- A.input_slew_ps
         end
       | _ -> ());
   (* Kahn order over instances: a cell is ready when all nets feeding its

@@ -166,8 +166,8 @@ let render ?pool ?cache () =
   M.reset ();
   let rows =
     List.map Flow.Experiment.row_exn
-      (Flow.Experiment.sweep_guarded ?pool ?cache ~with_atpg:false
-         ~tp_levels:[ 0; 2; 4 ] ~scale:0.06 "s38417")
+      (Flow.Experiment.sweep ?pool ?cache ~with_atpg:false ~tp_levels:[ 0; 2; 4 ]
+         (Flow.Experiment.spec_for ~scale:0.06 "s38417"))
   in
   (Flow.Report.table2 rows ^ Flow.Report.table3 rows, metrics_sans_cache ())
 
@@ -227,8 +227,8 @@ let test_deferred_hits () =
     M.reset ();
     let rows =
       List.map Flow.Experiment.row_exn
-        (Flow.Experiment.sweep_guarded ?cache ~with_atpg:false ~tp_levels:[ 2 ]
-           ~scale:0.06 "s38417")
+        (Flow.Experiment.sweep ?cache ~with_atpg:false ~tp_levels:[ 2 ]
+           (Flow.Experiment.spec_for ~scale:0.06 "s38417"))
     in
     (Flow.Report.table2 rows ^ Flow.Report.table3 rows, metrics_sans_cache ())
   in
@@ -269,12 +269,9 @@ let test_guarded_warm_run () =
   let store = Store.create () in
   let sweep () =
     M.reset ();
-    let grows =
-      Flow.Experiment.sweep_guarded ~cache:store ~with_atpg:false
-        ~tp_levels:[ 0; 2 ] ~scale:0.06 "s38417"
-    in
-    Flow.Report.table2 (Flow.Experiment.completed_rows grows)
-    ^ Flow.Report.guarded_summary grows
+    Flow.Report.render ~tables:[ 2 ]
+      (Flow.Experiment.sweep ~cache:store ~with_atpg:false ~tp_levels:[ 0; 2 ]
+         (Flow.Experiment.spec_for ~scale:0.06 "s38417"))
   in
   let cold = sweep () in
   let hits_before = M.value (M.counter "cache.stage_hits") in

@@ -50,8 +50,8 @@ let test_experiment_specs () =
 let test_tables_render () =
   let rows =
     List.map Flow.Experiment.row_exn
-      (Flow.Experiment.sweep_guarded ~with_atpg:true ~tp_levels:[ 0; 2 ] ~scale:0.06
-         "s38417")
+      (Flow.Experiment.sweep ~with_atpg:true ~tp_levels:[ 0; 2 ]
+         (Flow.Experiment.spec_for ~scale:0.06 "s38417"))
   in
   let t1 = Flow.Report.table1 rows in
   let t2 = Flow.Report.table2 rows in

@@ -83,8 +83,8 @@ let test_sweep_degrade_continues () =
       failwith "injected STA crash"
   in
   let grows =
-    Flow.Experiment.sweep_guarded ~policy:G.Degrade ~tamper ~with_atpg:false
-      ~tp_levels:[ 0; 1; 2 ] ~scale:0.04 "s38417"
+    Flow.Experiment.sweep ~policy:G.Degrade ~tamper ~with_atpg:false
+      ~tp_levels:[ 0; 1; 2 ] (Flow.Experiment.spec_for ~scale:0.04 "s38417")
   in
   Alcotest.(check int) "three levels attempted" 3 (List.length grows);
   let ok = Flow.Experiment.completed_rows grows in
@@ -105,6 +105,35 @@ let test_sweep_degrade_continues () =
   Alcotest.(check bool) "summary flags degraded row" true
     (Astring_contains.contains s "DEGRADED");
   Alcotest.(check bool) "summary names the stage" true (Astring_contains.contains s "sta")
+
+let test_sweep_policies () =
+  (* placement fails at the 2% level only; [seen] records every level
+     whose flow got as far as a stage *)
+  let seen = ref [] in
+  let tamper ~attempt:_ stage (st : P.state) =
+    let tp = st.P.s_options.P.tp_percent in
+    if not (List.mem tp !seen) then seen := tp :: !seen;
+    if stage = G.Placement && tp = 2.0 then failwith "injected placement crash"
+  in
+  let spec = Flow.Experiment.spec_for ~scale:0.04 "s38417" in
+  let sweep policy =
+    seen := [];
+    Flow.Experiment.sweep ~policy ~tamper ~with_atpg:false ~tp_levels:[ 0; 1; 2; 3 ] spec
+  in
+  let levels grows = List.map (fun g -> g.Flow.Experiment.g_tp_pct) grows in
+  let degraded grows =
+    Flow.Report.render ~tables:[ 2 ] grows
+    |> String.split_on_char '\n'
+    |> List.filter (String.starts_with ~prefix:"DEGRADED")
+  in
+  let ff = sweep G.Fail_fast in
+  Alcotest.(check (list int)) "fail-fast stops at the failed level" [ 0; 1; 2 ] (levels ff);
+  Alcotest.(check bool) "fail-fast runs no later level" false (List.mem 3.0 !seen);
+  Alcotest.(check int) "fail-fast: the failed level is the last row" 1
+    (List.length (Flow.Experiment.degraded_rows ff));
+  let dg = sweep G.Degrade in
+  Alcotest.(check (list int)) "degrade attempts every level" [ 0; 1; 2; 3 ] (levels dg);
+  Alcotest.(check int) "degrade: one DEGRADED line" 1 (List.length (degraded dg))
 
 let test_sta_typed_exceptions () =
   (* wire a 2-cycle directly and check the typed exception carries the
@@ -252,6 +281,7 @@ let suite =
     Alcotest.test_case "fail-fast drops state" `Quick test_fail_fast_drops_state;
     Alcotest.test_case "extract crash not retried" `Quick test_non_seed_sensitive_not_retried;
     Alcotest.test_case "degraded sweep continues" `Slow test_sweep_degrade_continues;
+    Alcotest.test_case "sweep stops under fail-fast only" `Slow test_sweep_policies;
     Alcotest.test_case "sta typed exceptions" `Quick test_sta_typed_exceptions;
     Alcotest.test_case "layout checks clean on healthy flow" `Quick
       test_layout_check_clean_flow;

@@ -247,13 +247,10 @@ let test_guard_timing_is_span_clock () =
 (* ---- determinism: tracing must not perturb results ---- *)
 
 let sweep_tables () =
-  let spec = Flow.Experiment.spec_for ~scale:0.1 "s38417" in
   let rows =
-    List.map
-      (fun tp_pct ->
-        Flow.Experiment.row_exn
-          (Flow.Experiment.run_one_guarded ~with_atpg:false spec ~tp_pct))
-      [ 0; 2 ]
+    List.map Flow.Experiment.row_exn
+      (Flow.Experiment.sweep ~with_atpg:false ~tp_levels:[ 0; 2 ]
+         (Flow.Experiment.spec_for ~scale:0.1 "s38417"))
   in
   Flow.Report.table2 rows ^ Flow.Report.table3 rows
 

@@ -150,8 +150,8 @@ let test_tables_and_metrics_identical () =
     Obs.Metrics.reset ();
     let rows =
       List.map Flow.Experiment.row_exn
-        (Flow.Experiment.sweep_guarded ?pool ~with_atpg:true ~tp_levels:[ 0; 2; 4 ]
-           ~scale:0.06 "s38417")
+        (Flow.Experiment.sweep ?pool ~with_atpg:true ~tp_levels:[ 0; 2; 4 ]
+           (Flow.Experiment.spec_for ~scale:0.06 "s38417"))
     in
     let tables =
       Flow.Report.table1 rows ^ Flow.Report.table2 rows ^ Flow.Report.table3 rows

@@ -33,7 +33,7 @@ let test_chain_balance () =
 let test_chain_partition_total () =
   for n = 1 to 200 do
     let order = Array.init n (fun k -> 1000 + k) in
-    let check config ~max_chains ~max_len =
+    let check ?(balanced = false) config ~max_chains ~max_len =
       let t = Scan.Chains.of_order config order in
       let lmax = t.Scan.Chains.lmax in
       let chains = Array.to_list t.Scan.Chains.chains in
@@ -42,17 +42,25 @@ let test_chain_partition_total () =
       List.iter
         (fun c ->
           let len = Array.length c in
-          if len = 0 || len > lmax then Alcotest.failf "n=%d: chain of %d, lmax %d" n len lmax)
+          if len = 0 || len > lmax || (balanced && len < lmax - 1) then
+            Alcotest.failf "n=%d: chain of %d, lmax %d" n len lmax)
         chains;
+      if not (List.exists (fun c -> Array.length c = lmax) chains) then
+        Alcotest.failf "n=%d: no chain of length lmax %d" n lmax;
       if List.length chains > max_chains || lmax > max_len then
         Alcotest.failf "n=%d: %d chains (at most %d), lmax %d (at most %d)" n
-          (List.length chains) max_chains lmax max_len
+          (List.length chains) max_chains lmax max_len;
+      List.length chains
     in
     for c = 1 to 40 do
-      check (Scan.Chains.Num_chains c) ~max_chains:c ~max_len:n
+      (* a chain count is met exactly, with lengths lmax or lmax - 1 *)
+      let got =
+        check (Scan.Chains.Num_chains c) ~balanced:true ~max_chains:c ~max_len:n
+      in
+      if got <> min c n then Alcotest.failf "n=%d: %d chains for Num_chains %d" n got c
     done;
     for l = 1 to 120 do
-      check (Scan.Chains.Max_length l) ~max_chains:n ~max_len:l
+      ignore (check (Scan.Chains.Max_length l) ~max_chains:n ~max_len:l)
     done
   done
 

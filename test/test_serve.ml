@@ -314,16 +314,10 @@ let tiny_submit ~id ?priority ?deadline_ms ?fail_attempts ?sleep_ms ?(levels = [
 let test_served_byte_identity () =
   (* what the one-shot CLI would print for the same flags, via the same
      library entry points it uses *)
-  let spec = Experiment.spec_for ~scale:0.05 "s38417" in
-  let grows =
-    List.map
-      (fun tp_pct ->
-        Experiment.run_one_guarded ~policy:Guard.Fail_fast ~with_atpg:false spec ~tp_pct)
-      [ 0; 1 ]
-  in
   let expected =
-    Flow.Report.table2 (Experiment.completed_rows grows)
-    ^ Flow.Report.guarded_summary grows
+    Flow.Report.render ~tables:[ 2 ]
+      (Experiment.sweep ~with_atpg:false ~tp_levels:[ 0; 1 ]
+         (Experiment.spec_for ~scale:0.05 "s38417"))
   in
   with_daemon "bytes" (fun socket_path _ ->
       let c = Client.connect ~socket_path in

@@ -108,9 +108,9 @@ let test_quantile () =
 
 let test_write_atomic () =
   let path = tmp_file ".prom" in
-  E.write_atomic path "hello\n";
+  J.write_atomic path "hello\n";
   Alcotest.(check string) "contents" "hello\n" (read_file path);
-  E.write_atomic path "world\n";
+  J.write_atomic path "world\n";
   Alcotest.(check string) "replaced" "world\n" (read_file path);
   Sys.remove path
 

@@ -138,18 +138,18 @@ let build (m : Cmodel.t) =
     m.Cmodel.gates;
   (* single-fanout stems collapse onto their only branch *)
   for n = 0 to nn - 1 do
-    if stem0.(n) >= 0 then begin
-      match (m.Cmodel.fanout.(n), m.Cmodel.is_observed.(n)) with
-      | [ (gi, pos) ], false ->
-        union faults stem0.(n) branch0.(gi).(pos);
-        union faults stem1.(n) branch1.(gi).(pos)
-      | _ -> ()
+    if stem0.(n) >= 0 && Cmodel.fanout_count m n = 1 && not m.Cmodel.is_observed.(n)
+    then begin
+      let s = m.Cmodel.fo_start.(n) in
+      let gi = m.Cmodel.fo_gate.(s) and pos = m.Cmodel.fo_pos.(s) in
+      union faults stem0.(n) branch0.(gi).(pos);
+      union faults stem1.(n) branch1.(gi).(pos)
     end
   done;
   (* observed nets with no gate fanout: stem = the capture branch *)
   Array.iteri
     (fun k (n, _) ->
-      if stem0.(n) >= 0 && m.Cmodel.fanout.(n) = [] then begin
+      if stem0.(n) >= 0 && Cmodel.fanout_count m n = 0 then begin
         union faults stem0.(n) obs0.(k);
         union faults stem1.(n) obs1.(k)
       end)

@@ -94,7 +94,9 @@ let schedule t gi =
   end
 
 let schedule_fanout t n =
-  List.iter (fun (gi, _) -> schedule t gi) t.m.Cmodel.fanout.(n)
+  for s = t.m.Cmodel.fo_start.(n) to t.m.Cmodel.fo_start.(n + 1) - 1 do
+    schedule t t.m.Cmodel.fo_gate.(s)
+  done
 
 (* Propagate pending events level by level. [forced] optionally overrides
    one gate input (branch fault injection). Returns the accumulated

@@ -3,8 +3,6 @@ module Rng = Util.Rng
 
 (* the compact-ATPG settings *)
 let seed = 0xA7B6
-let random_batches_max = 0  (* cap on random-phase batches: deterministic-only *)
-let random_yield_stop = 8   (* stop when a batch detects fewer new faults *)
 let backtrack_limit = 250   (* PODEM budget per primary target *)
 
 (* dynamic compaction stops after this many consecutive merge failures: a
@@ -18,7 +16,6 @@ type outcome = {
   universe : Fault.universe;
   fault_coverage : float;
   fault_efficiency : float;
-  random_patterns : int;
   deterministic_patterns : int;
   aborted : int;
   redundant : int;
@@ -66,6 +63,7 @@ let static_compact masks_for (universe : Fault.universe) patterns =
   let np = Array.length pats in
   let keep = Array.make np false in
   let ns = if np > 0 then Bytes.length pats.(0) else 0 in
+  let masks = Array.make (Array.length live) 0L in
   let pos = ref (np - 1) in
   while !pos >= 0 do
     let first = max 0 (!pos - 63) in
@@ -78,7 +76,7 @@ let static_compact masks_for (universe : Fault.universe) patterns =
           words.(s) <- Int64.logor words.(s) (Int64.shift_left 1L bit)
       done
     done;
-    let masks = masks_for ?keep:(Some (fun i -> undetected.(i))) words live in
+    masks_for ~keep:(fun i -> undetected.(i)) words live (Array.length live) masks;
     for bit = width - 1 downto 0 do
       let adds = ref false in
       Array.iteri
@@ -116,87 +114,44 @@ let run ?pool (m : Cmodel.t) =
        | Some p ->
          Array.init (Par.Pool.size p) (fun s -> if s = 0 then sim else Fsim.create m))
   in
-  (* Apply the 64-pattern batch [words] and compute each fault's detection
-     mask, in fault order. With a pool, the fault array is split into fixed
-     contiguous chunks; each domain re-runs the good-circuit pass on its own
-     replica and walks its chunk. Masks land by fault index and every
-     consumer folds them in fault order, so drop decisions and pattern
-     selection are bit-identical to the sequential run. *)
-  let masks_for ?(keep = fun _ -> true) words (faults : Fault.fault array) =
-    let n = Array.length faults in
-    let out = Array.make n 0L in
-    (match pool with
-     | Some p when n >= fanout_min && Par.Pool.size p > 1 ->
-       let sims = Lazy.force replicas in
-       Par.Pool.iter_slots p ~n (fun ~slot ~lo ~hi ->
-           let s = sims.(slot) in
-           Fsim.set_sources s words;
-           for i = lo to hi - 1 do
-             if keep i then out.(i) <- Fsim.detect_mask s faults.(i)
-           done)
-     | _ ->
-       Fsim.set_sources sim words;
-       for i = 0 to n - 1 do
-         if keep i then out.(i) <- Fsim.detect_mask sim faults.(i)
-       done);
-    out
+  (* Apply the 64-pattern batch [words] and write the detection mask of
+     each of the first [n] faults to [out], by position (0 where [keep] is
+     false). With a pool, the prefix is split into fixed contiguous
+     chunks; each domain re-runs the good-circuit pass on its own replica
+     and walks its chunk. Masks land by fault index and every consumer
+     folds them in fault order, so drop decisions and pattern selection
+     are bit-identical to the sequential run. *)
+  let masks_for ~keep words (faults : Fault.fault array) n out =
+    match pool with
+    | Some p when n >= fanout_min && Par.Pool.size p > 1 ->
+      let sims = Lazy.force replicas in
+      Par.Pool.iter_slots p ~n (fun ~slot ~lo ~hi ->
+          let s = sims.(slot) in
+          Fsim.set_sources s words;
+          for i = lo to hi - 1 do
+            out.(i) <- (if keep i then Fsim.detect_mask s faults.(i) else 0L)
+          done)
+    | _ ->
+      Fsim.set_sources sim words;
+      for i = 0 to n - 1 do
+        out.(i) <- (if keep i then Fsim.detect_mask sim faults.(i) else 0L)
+      done
   in
   let ns = Array.length m.Cmodel.sources in
   let patterns = ref [] in
-  let random_patterns = ref 0 and deterministic_patterns = ref 0 in
-  let live = ref [] in
-  Array.iter
-    (fun (f : Fault.fault) ->
-      if f.Fault.status = Fault.Undetected then live := f :: !live)
-    universe.Fault.representatives;
-  live := List.rev !live;
-  let drop_detected mask_of =
-    live :=
-      List.filter
-        (fun (f : Fault.fault) ->
-          if f.Fault.status <> Fault.Undetected then false
-          else if mask_of f then begin
-            f.Fault.status <- Fault.Detected;
-            false
-          end
-          else true)
-        !live
+  let deterministic_patterns = ref 0 in
+  (* the live set: still-undetected representatives in universe order,
+     compacted in place after every pattern; [masks] holds their detection
+     masks by position *)
+  let live =
+    Array.of_seq
+      (Seq.filter
+         (fun (f : Fault.fault) -> f.Fault.status = Fault.Undetected)
+         (Array.to_seq universe.Fault.representatives))
   in
-  (* ---- random warm-up (off: [random_batches_max] is 0) ---- *)
-  let batches = ref 0 and stop = ref (random_batches_max <= 0) in
-  Obs.Trace.with_span ~name:"atpg.random" (fun () ->
-  while not !stop do
-    incr batches;
-    if !batches > random_batches_max || !live = [] then stop := true
-    else begin
-      let words = random_words rng ns in
-      let larr = Array.of_list !live in
-      let marr = masks_for words larr in
-      let best = ref 0 and counts = Array.make 64 0 in
-      let masks = Array.to_list (Array.map2 (fun f m -> (f, m)) larr marr) in
-      List.iter
-        (fun (_, m) ->
-          for bit = 0 to 63 do
-            if bit_set m bit then counts.(bit) <- counts.(bit) + 1
-          done)
-        masks;
-      for bit = 1 to 63 do
-        if counts.(bit) > counts.(!best) then best := bit
-      done;
-      if counts.(!best) < random_yield_stop then stop := true
-      else begin
-        patterns := column words !best :: !patterns;
-        incr random_patterns;
-        Obs.Metrics.incr m_patterns;
-        let table = Hashtbl.create 64 in
-        List.iter (fun ((f : Fault.fault), m) -> Hashtbl.replace table f.Fault.fid m) masks;
-        drop_detected (fun f ->
-            match Hashtbl.find_opt table f.Fault.fid with
-            | Some m -> bit_set m !best
-            | None -> false)
-      end
-    end
-  done);
+  let nlive = ref (Array.length live) in
+  let masks = Array.make !nlive 0L in
+  let counts = Array.make 64 0 in
   (* ---- deterministic phase with dynamic compaction ---- *)
   let podem = Podem.create m in
   let aborted = ref 0 and redundant = ref 0 in
@@ -207,7 +162,7 @@ let run ?pool (m : Cmodel.t) =
     let n = Fault.site_net m f.Fault.site in
     Testability.Cop.detectability cop n
   in
-  let targets = Array.of_list !live in
+  let targets = Array.copy live in
   Array.sort (fun a b -> compare (hardness a) (hardness b)) targets;
   let ntargets = Array.length targets in
   Obs.Trace.with_span ~name:"atpg.deterministic"
@@ -252,19 +207,20 @@ let run ?pool (m : Cmodel.t) =
               | Podem.Abort | Podem.Untestable -> incr fails
             end
           done;
-          (* 64 random fills of the final cube; keep the most serendipitous *)
+          (* 64 random fills of the final cube; keep the most serendipitous.
+             Every live fault counts, including those redundant or aborted
+             since the last pattern: they leave the set below. *)
           let words = random_words rng ns in
           List.iter (fun (s, v) -> words.(s) <- (if v then -1L else 0L)) !cube;
-          let larr = Array.of_list !live in
-          let marr = masks_for words larr in
-          let masks = Array.to_list (Array.map2 (fun g mask -> (g, mask)) larr marr) in
-          let counts = Array.make 64 0 in
-          List.iter
-            (fun (_, mask) ->
-              for bit = 0 to 63 do
-                if bit_set mask bit then counts.(bit) <- counts.(bit) + 1
-              done)
-            masks;
+          let n = !nlive in
+          masks_for ~keep:(fun _ -> true) words live n masks;
+          Array.fill counts 0 64 0;
+          for i = 0 to n - 1 do
+            let mask = masks.(i) in
+            for bit = 0 to 63 do
+              if bit_set mask bit then counts.(bit) <- counts.(bit) + 1
+            done
+          done;
           let best = ref 0 in
           for bit = 1 to 63 do
             if counts.(bit) > counts.(!best) then best := bit
@@ -273,12 +229,17 @@ let run ?pool (m : Cmodel.t) =
           incr deterministic_patterns;
           Obs.Metrics.incr m_patterns;
           Obs.Metrics.observe h_merge_tries (float_of_int !tries);
-          let table = Hashtbl.create 64 in
-          List.iter (fun ((g : Fault.fault), mask) -> Hashtbl.replace table g.Fault.fid mask) masks;
-          drop_detected (fun g ->
-              match Hashtbl.find_opt table g.Fault.fid with
-              | Some mask -> bit_set mask !best
-              | None -> false);
+          let kept = ref 0 in
+          for i = 0 to n - 1 do
+            let g = live.(i) in
+            if g.Fault.status = Fault.Undetected then
+              if bit_set masks.(i) !best then g.Fault.status <- Fault.Detected
+              else begin
+                live.(!kept) <- g;
+                incr kept
+              end
+          done;
+          nlive := !kept;
           if f.Fault.status = Fault.Undetected then begin
             f.Fault.status <- Fault.Aborted;
             incr aborted;
@@ -295,7 +256,6 @@ let run ?pool (m : Cmodel.t) =
     universe;
     fault_coverage;
     fault_efficiency;
-    random_patterns = !random_patterns;
     deterministic_patterns = !deterministic_patterns;
     aborted = !aborted;
     redundant = !redundant }

@@ -9,102 +9,176 @@ type result =
 (* ternary encoding: 0, 1, 2 = X *)
 let x = 2
 
-let debug = ref false
-
-type trail_entry =
-  | Gv of int * int          (* net, old good value *)
-  | Fv of int * int * int    (* net, old fv, old fstamp *)
+(* [tr_stamp] of a good-value trail entry; fault stamps are >= -1 *)
+let gv_entry = min_int
 
 type t = {
   m : Cmodel.t;
-  gv : int array;               (* good ternary value per net *)
+  gv : int array;               (* good ternary value per net; index
+                                   num_nets is the pad net, always 0 *)
   fv : int array;               (* faulty overlay, valid when fstamp = stamp *)
   fstamp : int array;
   mutable stamp : int;
-  trail : trail_entry Stack.t;
-  d_nets : (int * int) Stack.t; (* (net, trail length when it became a D) *)
+  (* the implication trail, one entry per overwritten value: net, old
+     value, and the old fault stamp or [gv_entry] for a good value *)
+  mutable tr_net : int array;
+  mutable tr_old : int array;
+  mutable tr_stamp : int array;
+  mutable tr_len : int;
+  (* D-nets: (net, trail length when it became a D), oldest first *)
+  mutable d_net : int array;
+  mutable d_mark : int array;
+  mutable d_len : int;
+  mutable queue : int array;    (* [imply]'s FIFO, reused *)
+  (* gates as three input slots each, missing inputs on the pad net (0 in
+     both circuits), and an offset into [tab]: entry [off + 9a + 3b + c]
+     is [Cell.eval3 kind a b c] *)
+  g_in : int array;
+  g_arity : int array;
+  g_off : int array;
+  tab : int array;
+  obj_v : int array;            (* per input slot: the non-controlling value *)
   source_index : int array;     (* net id -> index in m.sources, or -1 *)
   cc0 : float array;            (* SCOAP guidance *)
   cc1 : float array;
   co : float array;             (* SCOAP observability: D-frontier ranking *)
-  obs_dist : int array;         (* net id -> gate-distance to an observe site *)
   xpath_seen : int array;
   mutable xpath_stamp : int;
+  mutable frontier : int;       (* [d_frontier]'s best gate so far, or -1 *)
   rng : Util.Rng.t;  (* randomises search tie-breaks between restarts *)
 }
 
 let create (m : Cmodel.t) =
   let nn = m.Cmodel.num_nets in
+  let ng = Array.length m.Cmodel.gates in
   let source_index = Array.make nn (-1) in
   Array.iteri (fun k (n, _) -> source_index.(n) <- k) m.Cmodel.sources;
   let scoap = Testability.Scoap.compute m in
-  let obs_dist = Array.make nn max_int in
-  Array.iter (fun (n, _) -> obs_dist.(n) <- 0) m.Cmodel.observes;
-  for gi = Array.length m.Cmodel.gates - 1 downto 0 do
-    let g = m.Cmodel.gates.(gi) in
-    let dout = obs_dist.(g.Cmodel.g_out) in
-    if dout < max_int then
-      Array.iter
-        (fun n -> if dout + 1 < obs_dist.(n) then obs_dist.(n) <- dout + 1)
-        m.Cmodel.gates.(gi).Cmodel.g_ins
-  done;
-  let gv = Array.make nn x in
+  let pad = nn in
+  let gv = Array.make (nn + 1) x in
+  gv.(pad) <- 0;
   (* constants are baked in and never touched by trails *)
   Array.iter (fun (n, v) -> gv.(n) <- (if v then 1 else 0)) m.Cmodel.consts;
+  let offsets = Hashtbl.create 16 and blocks = ref [] and next = ref 0 in
+  let offset_of kind =
+    match Hashtbl.find_opt offsets kind with
+    | Some off -> off
+    | None ->
+      let off = !next in
+      Hashtbl.add offsets kind off;
+      next := off + 27;
+      blocks := Array.init 27 (fun k -> Cell.eval3 kind (k / 9) (k / 3 mod 3) (k mod 3)) :: !blocks;
+      off
+  in
+  let g_in = Array.make (3 * ng) pad and obj_v = Array.make (3 * ng) 1 in
+  let g_arity = Array.make ng 0 and g_off = Array.make ng 0 in
+  Array.iteri
+    (fun gi (g : Cmodel.gate) ->
+      let arity = Array.length g.Cmodel.g_ins in
+      if arity > 3 then invalid_arg "Podem.create: gate with more than 3 inputs";
+      g_arity.(gi) <- arity;
+      g_off.(gi) <- offset_of g.Cmodel.g_kind;
+      Array.iteri
+        (fun i n ->
+          g_in.((3 * gi) + i) <- n;
+          (* 1 is controlling: aim for the non-controlling 0 *)
+          if Fault.forced_output g.Cmodel.g_kind ~arity ~pos:i ~v:true <> None then
+            obj_v.((3 * gi) + i) <- 0)
+        g.Cmodel.g_ins)
+    m.Cmodel.gates;
+  let cap = (2 * nn) + 16 in
   { m;
     gv;
-    fv = Array.make nn x;
-    fstamp = Array.make nn (-1);
+    fv = Array.make (nn + 1) x;
+    fstamp = Array.make (nn + 1) (-1);
     stamp = 0;
-    trail = Stack.create ();
-    d_nets = Stack.create ();
+    tr_net = Array.make cap 0;
+    tr_old = Array.make cap 0;
+    tr_stamp = Array.make cap 0;
+    tr_len = 0;
+    d_net = Array.make cap 0;
+    d_mark = Array.make cap 0;
+    d_len = 0;
+    queue = Array.make cap 0;
+    g_in;
+    g_arity;
+    g_off;
+    tab = Array.concat (List.rev !blocks);
+    obj_v;
     source_index;
     cc0 = scoap.Testability.Scoap.cc0;
     cc1 = scoap.Testability.Scoap.cc1;
     co = scoap.Testability.Scoap.co;
-    obs_dist;
     xpath_seen = Array.make nn (-1);
     xpath_stamp = 0;
+    frontier = -1;
     rng = Util.Rng.create 0x90DE }
 
 (* ---- fault context ---- *)
 
 type fault_ctx = {
-  fault : Fault.fault;
+  stuck_v : int;                    (* the stuck-at value, 0/1 *)
   stem_net : int;                   (* net pinned in the faulty circuit, or -1 *)
-  branch : (int * int) option;      (* (gate index, pos) forced, or None *)
+  branch_gi : int;                  (* gate whose input [branch_pos] is forced, or -1 *)
+  branch_pos : int;
   site_net : int;
   justify_only : bool;
 }
 
 let make_ctx (m : Cmodel.t) (f : Fault.fault) =
+  let stuck_v = if f.Fault.stuck then 1 else 0 in
   match f.Fault.site with
   | Fault.Stem n ->
-    { fault = f; stem_net = n; branch = None; site_net = n; justify_only = false }
+    { stuck_v; stem_net = n; branch_gi = -1; branch_pos = 0; site_net = n;
+      justify_only = false }
   | Fault.Branch (gi, pos) ->
-    { fault = f;
+    { stuck_v;
       stem_net = -1;
-      branch = Some (gi, pos);
+      branch_gi = gi;
+      branch_pos = pos;
       site_net = m.Cmodel.gates.(gi).Cmodel.g_ins.(pos);
       justify_only = false }
   | Fault.Obs_branch k ->
-    { fault = f;
+    { stuck_v;
       stem_net = -1;
-      branch = None;
+      branch_gi = -1;
+      branch_pos = 0;
       site_net = fst m.Cmodel.observes.(k);
       justify_only = true }
 
 (* ---- state primitives ---- *)
 
+let grow a = Array.append a (Array.make (Array.length a) 0)
+
 let eff_fv t n = if t.fstamp.(n) = t.stamp then t.fv.(n) else t.gv.(n)
+
+let push_trail t n old st =
+  if t.tr_len = Array.length t.tr_net then begin
+    t.tr_net <- grow t.tr_net;
+    t.tr_old <- grow t.tr_old;
+    t.tr_stamp <- grow t.tr_stamp
+  end;
+  t.tr_net.(t.tr_len) <- n;
+  t.tr_old.(t.tr_len) <- old;
+  t.tr_stamp.(t.tr_len) <- st;
+  t.tr_len <- t.tr_len + 1
 
 let mark_d t n =
   let g = t.gv.(n) and f = eff_fv t n in
-  if g <> x && f <> x && g <> f then Stack.push (n, Stack.length t.trail) t.d_nets
+  if g <> x && f <> x && g <> f then begin
+    if t.d_len = Array.length t.d_net then begin
+      t.d_net <- grow t.d_net;
+      t.d_mark <- grow t.d_mark
+    end;
+    t.d_net.(t.d_len) <- n;
+    t.d_mark.(t.d_len) <- t.tr_len;
+    t.d_len <- t.d_len + 1
+  end
 
 let set_gv t n v =
-  if t.gv.(n) <> v then begin
-    Stack.push (Gv (n, t.gv.(n))) t.trail;
+  let old = t.gv.(n) in
+  if old <> v then begin
+    push_trail t n old gv_entry;
     t.gv.(n) <- v;
     true
   end
@@ -112,7 +186,7 @@ let set_gv t n v =
 
 let set_fv t n v =
   if eff_fv t n <> v then begin
-    Stack.push (Fv (n, t.fv.(n), t.fstamp.(n))) t.trail;
+    push_trail t n t.fv.(n) t.fstamp.(n);
     t.fv.(n) <- v;
     t.fstamp.(n) <- t.stamp;
     true
@@ -120,75 +194,68 @@ let set_fv t n v =
   else false
 
 let undo_to t mark =
-  while Stack.length t.trail > mark do
-    match Stack.pop t.trail with
-    | Gv (n, old) -> t.gv.(n) <- old
-    | Fv (n, old, old_stamp) ->
-      t.fv.(n) <- old;
-      t.fstamp.(n) <- old_stamp
+  while t.tr_len > mark do
+    let i = t.tr_len - 1 in
+    t.tr_len <- i;
+    let n = t.tr_net.(i) and st = t.tr_stamp.(i) in
+    if st = gv_entry then t.gv.(n) <- t.tr_old.(i)
+    else begin
+      t.fv.(n) <- t.tr_old.(i);
+      t.fstamp.(n) <- st
+    end
   done;
-  while (not (Stack.is_empty t.d_nets)) && snd (Stack.top t.d_nets) > mark do
-    let (_ : int * int) = Stack.pop t.d_nets in
-    ()
+  while t.d_len > 0 && t.d_mark.(t.d_len - 1) > mark do
+    t.d_len <- t.d_len - 1
   done
 
 let reset t =
   undo_to t 0;
-  Stack.clear t.d_nets
+  t.d_len <- 0
 
 (* ---- implication ---- *)
 
-let gate_in (g : Cmodel.gate) i = if i < Array.length g.Cmodel.g_ins then g.Cmodel.g_ins.(i) else -1
-
-let eval_gate t ctx gi =
-  let g = t.m.Cmodel.gates.(gi) in
-  let i0 = gate_in g 0 and i1 = gate_in g 1 and i2 = gate_in g 2 in
-  let ga = if i0 >= 0 then t.gv.(i0) else 0
-  and gb = if i1 >= 0 then t.gv.(i1) else 0
-  and gc = if i2 >= 0 then t.gv.(i2) else 0 in
-  let fa = if i0 >= 0 then eff_fv t i0 else 0
-  and fb = if i1 >= 0 then eff_fv t i1 else 0
-  and fc = if i2 >= 0 then eff_fv t i2 else 0 in
-  let fa, fb, fc =
-    match ctx.branch with
-    | Some (bgi, pos) when bgi = gi ->
-      let sv = if ctx.fault.Fault.stuck then 1 else 0 in
-      (match pos with
-       | 0 -> (sv, fb, fc)
-       | 1 -> (fa, sv, fc)
-       | _ -> (fa, fb, sv))
-    | _ -> (fa, fb, fc)
-  in
-  let gout = Cell.eval3 g.Cmodel.g_kind ga gb gc in
-  let fout = Cell.eval3 g.Cmodel.g_kind fa fb fc in
-  (g.Cmodel.g_out, gout, fout)
-
 (* forward implication from a changed net; values only refine *)
 let imply t ctx start =
-  let queue = Queue.create () in
-  Queue.add start queue;
-  while not (Queue.is_empty queue) do
-    let n = Queue.pop queue in
-    List.iter
-      (fun (gi, _) ->
-        let out, gout, fout = eval_gate t ctx gi in
-        (* the stem net is pinned in the faulty circuit *)
-        let fout =
-          if out = ctx.stem_net then (if ctx.fault.Fault.stuck then 1 else 0) else fout
-        in
-        let changed_g = set_gv t out gout in
-        let changed_f = set_fv t out fout in
-        if changed_g || changed_f then begin
-          mark_d t out;
-          Queue.add out queue
-        end)
-      t.m.Cmodel.fanout.(n)
+  let m = t.m and tab = t.tab and gv = t.gv in
+  let fo_start = m.Cmodel.fo_start and fo_gate = m.Cmodel.fo_gate in
+  t.queue.(0) <- start;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let n = t.queue.(!head) in
+    incr head;
+    for s = fo_start.(n) to fo_start.(n + 1) - 1 do
+      let gi = fo_gate.(s) in
+      let b = 3 * gi and off = t.g_off.(gi) in
+      let i0 = t.g_in.(b) and i1 = t.g_in.(b + 1) and i2 = t.g_in.(b + 2) in
+      let gout = tab.(off + (9 * gv.(i0)) + (3 * gv.(i1)) + gv.(i2)) in
+      let fa = eff_fv t i0 and fb = eff_fv t i1 and fc = eff_fv t i2 in
+      let fout =
+        if gi <> ctx.branch_gi then tab.(off + (9 * fa) + (3 * fb) + fc)
+        else
+          let sv = ctx.stuck_v in
+          match ctx.branch_pos with
+          | 0 -> tab.(off + (9 * sv) + (3 * fb) + fc)
+          | 1 -> tab.(off + (9 * fa) + (3 * sv) + fc)
+          | _ -> tab.(off + (9 * fa) + (3 * fb) + sv)
+      in
+      let out = m.Cmodel.gates.(gi).Cmodel.g_out in
+      (* the stem net is pinned in the faulty circuit *)
+      let fout = if out = ctx.stem_net then ctx.stuck_v else fout in
+      let changed_g = set_gv t out gout in
+      let changed_f = set_fv t out fout in
+      if changed_g || changed_f then begin
+        mark_d t out;
+        if !tail = Array.length t.queue then t.queue <- grow t.queue;
+        t.queue.(!tail) <- out;
+        incr tail
+      end
+    done
   done
 
 let assign_source t ctx n v =
   let tv = if v then 1 else 0 in
   let (_ : bool) = set_gv t n tv in
-  let fvv = if n = ctx.stem_net then (if ctx.fault.Fault.stuck then 1 else 0) else tv in
+  let fvv = if n = ctx.stem_net then ctx.stuck_v else tv in
   let (_ : bool) = set_fv t n fvv in
   mark_d t n;
   imply t ctx n
@@ -196,148 +263,149 @@ let assign_source t ctx n v =
 (* ---- detection, frontier, objectives ---- *)
 
 let detected t ctx =
-  if ctx.justify_only then begin
-    let want = if ctx.fault.Fault.stuck then 0 else 1 in
-    t.gv.(ctx.site_net) = want
-  end
+  if ctx.justify_only then t.gv.(ctx.site_net) = 1 - ctx.stuck_v
   else begin
     let found = ref false in
-    Stack.iter (fun (n, _) -> if t.m.Cmodel.is_observed.(n) then found := true) t.d_nets;
+    for i = 0 to t.d_len - 1 do
+      if t.m.Cmodel.is_observed.(t.d_net.(i)) then found := true
+    done;
     !found
   end
 
 (* X-path check: can [n] still reach an observable site through X nets? *)
+let rec x_path_from t stamp n =
+  if t.xpath_seen.(n) = stamp then false
+  else begin
+    t.xpath_seen.(n) <- stamp;
+    if t.m.Cmodel.is_observed.(n) then true
+    else begin
+      let m = t.m in
+      let s = ref m.Cmodel.fo_start.(n) and stop = m.Cmodel.fo_start.(n + 1) in
+      let found = ref false in
+      while (not !found) && !s < stop do
+        let out = m.Cmodel.gates.(m.Cmodel.fo_gate.(!s)).Cmodel.g_out in
+        if (t.gv.(out) = x || eff_fv t out = x) && x_path_from t stamp out then found := true;
+        incr s
+      done;
+      !found
+    end
+  end
+
 let has_x_path t n =
   t.xpath_stamp <- t.xpath_stamp + 1;
-  let stamp = t.xpath_stamp in
-  let rec dfs n =
-    if t.xpath_seen.(n) = stamp then false
-    else begin
-      t.xpath_seen.(n) <- stamp;
-      if t.m.Cmodel.is_observed.(n) then true
-      else
-        List.exists
-          (fun (gi, _) ->
-            let out = t.m.Cmodel.gates.(gi).Cmodel.g_out in
-            (t.gv.(out) = x || eff_fv t out = x) && dfs out)
-          t.m.Cmodel.fanout.(n)
-    end
-  in
-  dfs n
+  x_path_from t t.xpath_stamp n
 
+(* rank by SCOAP observability cost, not distance: a wide XOR tree sits
+   next to an output yet needs its whole support justified *)
+let consider t gi =
+  let out = t.m.Cmodel.gates.(gi).Cmodel.g_out in
+  if (t.gv.(out) = x || eff_fv t out = x)
+     && (t.frontier < 0 || t.co.(out) < t.co.(t.m.Cmodel.gates.(t.frontier).Cmodel.g_out))
+     && has_x_path t out
+  then t.frontier <- gi
+
+(* the best frontier gate, or -1; D-nets are walked newest first *)
 let d_frontier t ctx =
-  let best = ref None in
-  let consider gi =
-    let g = t.m.Cmodel.gates.(gi) in
-    let out = g.Cmodel.g_out in
-    (* rank by SCOAP observability cost, not distance: a wide XOR tree sits
-       next to an output yet needs its whole support justified *)
-    if (t.gv.(out) = x || eff_fv t out = x)
-       && (match !best with Some (_, bc) -> t.co.(out) < bc | None -> true)
-       && has_x_path t out
-    then best := Some (gi, t.co.(out))
-  in
-  Stack.iter
-    (fun (n, _) -> List.iter (fun (gi, _) -> consider gi) t.m.Cmodel.fanout.(n))
-    t.d_nets;
+  let m = t.m in
+  t.frontier <- -1;
+  for i = t.d_len - 1 downto 0 do
+    let n = t.d_net.(i) in
+    for s = m.Cmodel.fo_start.(n) to m.Cmodel.fo_start.(n + 1) - 1 do
+      consider t m.Cmodel.fo_gate.(s)
+    done
+  done;
   (* a branch fault's D lives on the pin, not the net: once the site net is
      activated the faulted gate itself is the frontier *)
-  (match ctx.branch with
-   | Some (gi, _) ->
-     let want = if ctx.fault.Fault.stuck then 0 else 1 in
-     if t.gv.(ctx.site_net) = want then consider gi
-   | None -> ());
-  Option.map fst !best
+  if ctx.branch_gi >= 0 && t.gv.(ctx.site_net) = 1 - ctx.stuck_v then consider t ctx.branch_gi;
+  t.frontier
 
 type objective_verdict =
-  | Assign of int * bool   (* justify (net, value) in the good circuit *)
+  | Assign of int * int    (* justify (net, value) in the good circuit *)
   | Resolve_faulty         (* frontier alive but gated on unresolved faulty
                               values (reconvergence): branch on any free
                               source to make progress *)
   | Refuted                (* no way forward under the current assignment *)
 
 let objective t ctx =
-  let want_site = if ctx.fault.Fault.stuck then 0 else 1 in
-  if t.gv.(ctx.site_net) = x then Assign (ctx.site_net, want_site = 1)
+  let want_site = 1 - ctx.stuck_v in
+  if t.gv.(ctx.site_net) = x then Assign (ctx.site_net, want_site)
   else if t.gv.(ctx.site_net) <> want_site then Refuted
   else if ctx.justify_only then Refuted
   else
     match d_frontier t ctx with
-    | None -> Refuted
-    | Some gi ->
-      let g = t.m.Cmodel.gates.(gi) in
-      let arity = Array.length g.Cmodel.g_ins in
-      let pick = ref None in
-      for i = arity - 1 downto 0 do
-        let n = g.Cmodel.g_ins.(i) in
-        if t.gv.(n) = x then begin
-          let v =
-            match Fault.forced_output g.Cmodel.g_kind ~arity ~pos:i ~v:true with
-            | Some _ -> false (* 1 is controlling: aim for the non-controlling 0 *)
-            | None -> true
-          in
-          pick := Some (n, v)
-        end
+    | -1 -> Refuted
+    | gi ->
+      (* the first input still X in the good circuit, at its
+         non-controlling value *)
+      let b = 3 * gi in
+      let pick = ref (-1) in
+      for i = t.g_arity.(gi) - 1 downto 0 do
+        if t.gv.(t.g_in.(b + i)) = x then pick := i
       done;
-      (match !pick with
-       | Some (n, v) -> Assign (n, v)
-       | None ->
-         (* every input's good value is known, but the frontier is open
-            because a faulty-circuit value is still X -- more source
-            assignments are needed to resolve it *)
-         Resolve_faulty)
+      if !pick >= 0 then Assign (t.g_in.(b + !pick), t.obj_v.(b + !pick))
+      else
+        (* every input's good value is known, but the frontier is open
+           because a faulty-circuit value is still X -- more source
+           assignments are needed to resolve it *)
+        Resolve_faulty
 
-let backtrace t obj =
-  let rec walk n v depth =
-    if depth > 10_000 then None
-    else if t.source_index.(n) >= 0 then if t.gv.(n) = x then Some (n, v) else None
-    else
-      match t.m.Cmodel.driver_gate.(n) with
-      | -1 -> None
-      | gi ->
-        let g = t.m.Cmodel.gates.(gi) in
-        let arity = Array.length g.Cmodel.g_ins in
-        let best = ref None in
+(* decisions are encoded as [2 * source net + value]; -1 is none *)
+let decision n v = (2 * n) + v
+
+let backtrace t n v =
+  let gv = t.gv in
+  let n = ref n and v = ref v and depth = ref 0 and result = ref (-2) in
+  while !result = -2 do
+    if !depth > 10_000 then result := -1
+    else if t.source_index.(!n) >= 0 then
+      result := (if gv.(!n) = x then decision !n !v else -1)
+    else begin
+      let gi = t.m.Cmodel.driver_gate.(!n) in
+      if gi < 0 then result := -1
+      else begin
+        let b = 3 * gi and off = t.g_off.(gi) and arity = t.g_arity.(gi) in
+        let best = ref (-1) and best_cost = ref 0.0 in
         for mask = 0 to (1 lsl arity) - 1 do
-          let bits = Array.init arity (fun i -> mask land (1 lsl i) <> 0) in
-          let consistent =
-            Array.for_all2
-              (fun b inn -> t.gv.(inn) = x || t.gv.(inn) = (if b then 1 else 0))
-              bits g.Cmodel.g_ins
-          in
-          if consistent then begin
-            let words = Array.map (fun b -> if b then -1L else 0L) bits in
-            let out = Int64.logand (Cell.eval64 g.Cmodel.g_kind words) 1L = 1L in
-            if out = v then begin
-              let cost = ref 0.0 in
-              Array.iteri
-                (fun i b ->
-                  let inn = g.Cmodel.g_ins.(i) in
-                  if t.gv.(inn) = x then
-                    cost := !cost +. (if b then t.cc1.(inn) else t.cc0.(inn)))
-                bits;
-              (* jitter breaks ties differently on every restart *)
-              cost := !cost *. (1.0 +. Util.Rng.float t.rng 0.25);
-              match !best with
-              | Some (_, c) when c <= !cost -> ()
-              | _ -> best := Some (bits, !cost)
+          let consistent = ref true in
+          for i = 0 to arity - 1 do
+            let g = gv.(t.g_in.(b + i)) in
+            if g <> x && g <> (mask lsr i) land 1 then consistent := false
+          done;
+          if !consistent
+             && t.tab.(off + (9 * (mask land 1)) + (3 * ((mask lsr 1) land 1)) + ((mask lsr 2) land 1))
+                = !v
+          then begin
+            let cost = ref 0.0 in
+            for i = 0 to arity - 1 do
+              let inn = t.g_in.(b + i) in
+              if gv.(inn) = x then
+                cost := !cost +. (if (mask lsr i) land 1 = 1 then t.cc1.(inn) else t.cc0.(inn))
+            done;
+            (* jitter breaks ties differently on every restart *)
+            let cost = !cost *. (1.0 +. Util.Rng.float t.rng 0.25) in
+            (* the earlier mask wins ties *)
+            if !best < 0 || not (!best_cost <= cost) then begin
+              best := mask;
+              best_cost := cost
             end
           end
         done;
-        (match !best with
-         | None -> None
-         | Some (bits, _) ->
-           let follow = ref None in
-           Array.iteri
-             (fun i b ->
-               if !follow = None && t.gv.(g.Cmodel.g_ins.(i)) = x then
-                 follow := Some (g.Cmodel.g_ins.(i), b))
-             bits;
-           (match !follow with
-            | None -> None
-            | Some (n', v') -> walk n' v' (depth + 1)))
-  in
-  walk (fst obj) (snd obj) 0
+        (* follow the first input still X *)
+        let follow = ref (-1) in
+        if !best >= 0 then
+          for i = arity - 1 downto 0 do
+            if gv.(t.g_in.(b + i)) = x then follow := i
+          done;
+        if !follow < 0 then result := -1
+        else begin
+          n := t.g_in.(b + !follow);
+          v := (!best lsr !follow) land 1;
+          incr depth
+        end
+      end
+    end
+  done;
+  !result
 
 (* ---- search ---- *)
 
@@ -352,48 +420,43 @@ exception Found
    state where a different frontier would still progress; declaring failure
    there would make "Untestable" unsound. Branch on any source that can
    still influence the remaining X logic instead. *)
-let any_free_source t ctx =
-  ignore ctx;
-  let found = ref None in
-  Array.iteri
-    (fun _ (n, _) -> if !found = None && t.gv.(n) = x then found := Some (n, true))
-    t.m.Cmodel.sources;
+let any_free_source t =
+  let sources = t.m.Cmodel.sources in
+  let found = ref (-1) and k = ref 0 in
+  while !found < 0 && !k < Array.length sources do
+    let n = fst sources.(!k) in
+    if t.gv.(n) = x then found := decision n 1;
+    incr k
+  done;
   !found
 
 let rec search t ctx s =
   if detected t ctx then raise Found;
-  let decision =
+  let d =
     match objective t ctx with
-    | Refuted -> None
-    | Resolve_faulty -> any_free_source t ctx
+    | Refuted -> -1
+    | Resolve_faulty -> any_free_source t
     | Assign (n, v) ->
-      if !debug then
-        Format.eprintf "  [bt=%d] objective net=%s v=%b@." s.backtracks
-          (Netlist.Design.net t.m.Cmodel.design n).Netlist.Design.nname v;
-      (match backtrace t (n, v) with
-       | Some d -> Some d
-       | None -> any_free_source t ctx)
+      let d = backtrace t n v in
+      if d >= 0 then d else any_free_source t
   in
-  (match decision with
-     | None ->
-       if !debug then
-         Format.eprintf "  [bt=%d depth=%d] refuted (site gv=%d)@." s.backtracks
-           (Stack.length t.trail) t.gv.(ctx.site_net);
-       false
-     | Some (src, v) ->
-       let mark = Stack.length t.trail in
-       let try_value v =
-         assign_source t ctx src v;
-         let ok = search t ctx s in
-         if not ok then undo_to t mark;
-         ok
-       in
-       if try_value v then true
-       else begin
-         s.backtracks <- s.backtracks + 1;
-         if s.backtracks > s.limit then raise Exit;
-         try_value (not v)
-       end)
+  if d < 0 then false
+  else begin
+    let src = d / 2 and v = d land 1 = 1 in
+    let mark = t.tr_len in
+    try_value t ctx s mark src v
+    || begin
+      s.backtracks <- s.backtracks + 1;
+      if s.backtracks > s.limit then raise Exit;
+      try_value t ctx s mark src (not v)
+    end
+  end
+
+and try_value t ctx s mark src v =
+  assign_source t ctx src v;
+  let ok = search t ctx s in
+  if not ok then undo_to t mark;
+  ok
 
 let extract_cube t =
   let cube = ref [] in
@@ -411,13 +474,13 @@ let restarts = 5
 
 let attempt ?(backtrack_limit = 250) t ~keep (f : Fault.fault) =
   let ctx = make_ctx t.m f in
-  let mark = Stack.length t.trail in
+  let mark = t.tr_len in
   let run_once limit =
     t.stamp <- t.stamp + 1;
     (* D-nets from a previous kept attempt belong to a dead stamp *)
-    Stack.clear t.d_nets;
+    t.d_len <- 0;
     if ctx.stem_net >= 0 then begin
-      let (_ : bool) = set_fv t ctx.stem_net (if f.Fault.stuck then 1 else 0) in
+      let (_ : bool) = set_fv t ctx.stem_net ctx.stuck_v in
       mark_d t ctx.stem_net;
       imply t ctx ctx.stem_net
     end;
@@ -445,11 +508,7 @@ let attempt ?(backtrack_limit = 250) t ~keep (f : Fault.fault) =
 let apply_cube t cube =
   (* a throwaway fault-free context: stem -1, no branch *)
   let dummy =
-    { fault = { Fault.fid = -1; site = Fault.Stem (-1); stuck = false;
-                status = Fault.Undetected; equiv_to = -1 };
-      stem_net = -1;
-      branch = None;
-      site_net = -1;
+    { stuck_v = 0; stem_net = -1; branch_gi = -1; branch_pos = 0; site_net = -1;
       justify_only = true }
   in
   List.for_all

@@ -7,6 +7,13 @@
     trail suffices for backtracking), backtrace is SCOAP-guided and the
     D-frontier is pruned with the classic X-path check.
 
+    The engine state is flat: the trail and the D-nets live in int arrays
+    that grow on demand and are reused across attempts, implication walks
+    the model's CSR fanout with a reusable FIFO, and gates are evaluated
+    through a 27-entry ternary table per cell kind filled from
+    {!Stdcell.Cell.eval3}, so a search allocates nothing per gate
+    evaluation or trail entry.
+
     The overlay design makes dynamic compaction cheap: a successful test's
     source assignments can be kept in place ([~keep:true]) and further
     target faults attempted on top without re-applying the base cube. *)
@@ -21,7 +28,9 @@ type result =
 type t
 
 val create : Netlist.Cmodel.t -> t
-(** Precomputes backtrace guidance (SCOAP) and observe distances. *)
+(** Precomputes backtrace guidance (SCOAP), the gate evaluation tables and
+    each gate input's non-controlling value. Raises [Invalid_argument] on a
+    gate with more than three inputs (no library cell has one). *)
 
 val reset : t -> unit
 (** Clear all assignments (start a fresh pattern). *)
@@ -49,6 +58,3 @@ val generate_under :
   result
 (** Like {!generate} under frozen [base] assignments; [Untestable] only
     means untestable under this base, so it is reported as [Abort]. *)
-
-val debug : bool ref
-(** Verbose search tracing to stderr, for debugging the engine. *)

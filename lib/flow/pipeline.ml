@@ -284,7 +284,7 @@ let finish st =
 
 (* bump whenever the products layout or any stage semantics change: old
    on-disk entries then simply never match a key again *)
-let cache_version = "tpi-stage-cache-v5"
+let cache_version = "tpi-stage-cache-v6"
 
 (* every option a stage outcome can depend on; the pool (execution layout
    only, §6.1), the cache itself and the lint flag (read-only over the

@@ -21,7 +21,9 @@ type t = {
   sources : (int * source) array;
   observes : (int * observe) array;
   consts : (int * bool) array;
-  fanout : (int * int) list array;
+  fo_start : int array;
+  fo_gate : int array;
+  fo_pos : int array;
   driver_gate : int array;
   is_source : bool array;
   is_observed : bool array;
@@ -131,12 +133,26 @@ let build (d : Design.t) =
   let observes = Array.of_list (List.rev !observes) in
   let is_observed = Array.make nn false in
   Array.iter (fun (n, _) -> is_observed.(n) <- true) observes;
-  let fanout = Array.make nn [] in
   let driver_gate = Array.make nn (-1) in
+  Array.iteri (fun gi g -> driver_gate.(g.g_out) <- gi) gates;
+  (* fanout in CSR form: count pins per net and prefix-sum to each net's
+     end, then place the pins walking gates and pins upwards while
+     decrementing, which leaves each net's start in [fo_start] and its
+     slots in descending (gate, pin) order *)
+  let fo_start = Array.make (nn + 1) 0 in
+  Array.iter (fun g -> Array.iter (fun n -> fo_start.(n) <- fo_start.(n) + 1) g.g_ins) gates;
+  for n = 1 to nn do
+    fo_start.(n) <- fo_start.(n) + fo_start.(n - 1)
+  done;
+  let fo_gate = Array.make fo_start.(nn) 0 and fo_pos = Array.make fo_start.(nn) 0 in
   Array.iteri
     (fun gi g ->
-      driver_gate.(g.g_out) <- gi;
-      Array.iteri (fun pos n -> fanout.(n) <- (gi, pos) :: fanout.(n)) g.g_ins)
+      Array.iteri
+        (fun pos n ->
+          fo_start.(n) <- fo_start.(n) - 1;
+          fo_gate.(fo_start.(n)) <- gi;
+          fo_pos.(fo_start.(n)) <- pos)
+        g.g_ins)
     gates;
   { design = d;
     gates;
@@ -144,12 +160,16 @@ let build (d : Design.t) =
     sources;
     observes;
     consts;
-    fanout;
+    fo_start;
+    fo_gate;
+    fo_pos;
     driver_gate;
     is_source;
     is_observed;
     modeled;
     num_nets = nn }
+
+let fanout_count t n = t.fo_start.(n + 1) - t.fo_start.(n)
 
 let in_model t n = n >= 0 && n < t.num_nets && t.modeled.(n)
 

@@ -32,7 +32,12 @@ type t = {
   sources : (int * source) array;          (** (net id, provenance) *)
   observes : (int * observe) array;        (** (net id, site) *)
   consts : (int * bool) array;             (** tie-cell nets and test-mode constants *)
-  fanout : (int * int) list array;         (** net id -> (gate index, input position) *)
+  fo_start : int array;
+      (** net id -> first fanout slot; net [n]'s fanout is slots
+          [fo_start.(n)] to [fo_start.(n+1) - 1], in descending
+          (gate index, input position) order. Length [num_nets + 1]. *)
+  fo_gate : int array;                     (** fanout slot -> gate index *)
+  fo_pos : int array;                      (** fanout slot -> input position *)
   driver_gate : int array;                 (** net id -> driving gate index, or -1 *)
   is_source : bool array;                  (** by net id *)
   is_observed : bool array;                (** by net id *)
@@ -41,6 +46,9 @@ type t = {
 }
 
 val build : Design.t -> t
+
+val fanout_count : t -> int -> int
+(** Number of modelled gate input pins the net drives. *)
 
 val in_model : t -> int -> bool
 (** Whether a net carries a modelled logic signal (reachable from a source

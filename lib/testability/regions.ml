@@ -14,8 +14,8 @@ let compute (m : Cmodel.t) =
      before their tree inputs are visited. *)
   let is_head n =
     m.Cmodel.is_observed.(n)
-    || (match m.Cmodel.fanout.(n) with [] | [ _ ] -> false | _ -> true)
-    || m.Cmodel.fanout.(n) = []  (* dead ends close their own region *)
+    (* a stem, or a dead end closing its own region *)
+    || Cmodel.fanout_count m n <> 1
   in
   for n = 0 to nn - 1 do
     if m.Cmodel.modeled.(n) && is_head n then head_of_net.(n) <- n

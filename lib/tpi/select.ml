@@ -126,14 +126,14 @@ let run ?(config = default_config) (d : Design.t) ~count =
             let rec dfs n =
               if !count < cone_cap && not (Hashtbl.mem seen n) then begin
                 Hashtbl.replace seen n ();
-                List.iter
-                  (fun (gi, _) ->
-                    if !count < cone_cap then begin
-                      incr count;
-                      cone := gi :: !cone;
-                      dfs m.Cmodel.gates.(gi).Cmodel.g_out
-                    end)
-                  m.Cmodel.fanout.(n)
+                for s = m.Cmodel.fo_start.(n) to m.Cmodel.fo_start.(n + 1) - 1 do
+                  if !count < cone_cap then begin
+                    let gi = m.Cmodel.fo_gate.(s) in
+                    incr count;
+                    cone := gi :: !cone;
+                    dfs m.Cmodel.gates.(gi).Cmodel.g_out
+                  end
+                done
               end
             in
             dfs n;

@@ -175,6 +175,35 @@ let test_patgen_deterministic () =
   Alcotest.(check int) "same pattern count" (Atpg.Patgen.num_patterns o1)
     (Atpg.Patgen.num_patterns o2)
 
+(* MD5 of the pattern bytes in test order, then (aborted, redundant) as
+   little-endian 64-bit words *)
+let patgen_digest d =
+  let o = Atpg.Patgen.run (C.build d) in
+  let buf = Buffer.create 4096 in
+  List.iter (Buffer.add_bytes buf) o.Atpg.Patgen.patterns;
+  Buffer.add_int64_le buf (Int64.of_int o.Atpg.Patgen.aborted);
+  Buffer.add_int64_le buf (Int64.of_int o.Atpg.Patgen.redundant);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* ATPG output is pinned, not just its pattern count: any change to the
+   PODEM decision order (objective, backtrace tie-breaks, Rng draws, the
+   D-frontier walk) or to the compaction loop moves these digests; a
+   deliberate change re-records them and explains the table diffs in
+   EXPERIMENTS.md. *)
+let test_patgen_digests () =
+  Alcotest.(check string) "s27" "ee9e5a3f3f5b7a3ef63645cbf501a077" (patgen_digest (Circuits.Iscas.parse ~name:"s27" Test_iscas.s27));
+  let tiny =
+    List.init 50 (fun i ->
+        patgen_digest (Circuits.Bench.tiny ~seed:(i + 1) ~ffs:30 ~gates:250 ()))
+  in
+  Alcotest.(check string) "tiny seeds 1-50" "077a9d00563208c85163c0922735e861"
+    (Digest.to_hex (Digest.string (String.concat "" tiny)));
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check string) (name ^ " at scale 0.03") expected
+        (patgen_digest (Circuits.Bench.by_name name ~scale:0.03)))
+    [ ("s38417", "124cca1567f52ac2806d6f15c9a800a7"); ("pcore_a", "22070dbf7ae23e84bff252b643fa1e3d") ]
+
 let test_tdv_formulas () =
   (* eq (1) and (2) with n=4 chains, lmax=100, p=10 *)
   Alcotest.(check int) "tat" ((101 * 10) + 100) (Atpg.Tdv.tat ~lmax:100 ~patterns:10);
@@ -190,4 +219,5 @@ let suite =
     Alcotest.test_case "podem redundancy" `Slow test_podem_redundant_never_detected;
     Alcotest.test_case "patgen end-to-end" `Slow test_patgen_end_to_end;
     Alcotest.test_case "patgen deterministic" `Slow test_patgen_deterministic;
+    Alcotest.test_case "patgen digests" `Slow test_patgen_digests;
     Alcotest.test_case "tdv formulas" `Quick test_tdv_formulas ]

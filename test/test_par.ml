@@ -178,10 +178,8 @@ let test_fsim_wide_gate () =
     { Cmodel.g_inst = 0; g_kind = Cell.Nand2; g_ins = [| 0; 1; 2; 3; 4; 5 |];
       g_out = 6; g_level = 0 }
   in
-  let fanout = Array.make num_nets [] in
-  for i = 0 to 5 do
-    fanout.(i) <- [ (0, i) ]
-  done;
+  (* nets 0-5 each feed gate 0 at their own pin *)
+  let fo_start = Array.init (num_nets + 1) (fun n -> min n 6) in
   let driver_gate = Array.make num_nets (-1) in
   driver_gate.(6) <- 0;
   let is_source = Array.init num_nets (fun n -> n < 6) in
@@ -193,7 +191,9 @@ let test_fsim_wide_gate () =
       sources = Array.init 6 (fun n -> (n, Cmodel.From_port n));
       observes = [| (6, Cmodel.At_port 0) |];
       consts = [||];
-      fanout;
+      fo_start;
+      fo_gate = Array.make 6 0;
+      fo_pos = Array.init 6 Fun.id;
       driver_gate;
       is_source;
       is_observed;

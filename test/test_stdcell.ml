@@ -78,6 +78,25 @@ let prop_eval3_refines_eval64 =
       let expected = if Int64.logand (Cell.eval64 kind words) 1L = 1L then 1 else 0 in
       Cell.eval3 kind a b c = expected)
 
+(* PODEM evaluates gates through tables filled from eval3 while fault
+   simulation and backtrace use eval64: on every definite assignment the two
+   must agree, for every combinational kind, whatever the unused positions
+   hold *)
+let test_eval3_equals_eval64 () =
+  List.iter
+    (fun kind ->
+      let arity = Cell.num_inputs kind in
+      for mask = 0 to 7 do
+        let bit i = (mask lsr i) land 1 in
+        let words = Array.init arity (fun i -> if bit i = 1 then -1L else 0L) in
+        let expected = Int64.to_int (Int64.logand (Cell.eval64 kind words) 1L) in
+        Alcotest.(check int)
+          (Printf.sprintf "%s %d%d%d" (Cell.kind_name kind) (bit 0) (bit 1) (bit 2))
+          expected
+          (Cell.eval3 kind (bit 0) (bit 1) (bit 2))
+      done)
+    (Cell.Clkbuf :: Cell.Tiehi :: Cell.Tielo :: comb_kinds)
+
 let test_library_lookup () =
   let nand = Lib.find lib Cell.Nand2 ~drive:2 in
   Alcotest.(check string) "name" "NAND2X2" nand.Cell.name;
@@ -178,6 +197,7 @@ let suite =
     Alcotest.test_case "lut extrapolation" `Quick test_lut_extrapolation_flag;
     Alcotest.test_case "lut bad axes" `Quick test_lut_bad_axes;
     Alcotest.test_case "eval64 truth tables" `Quick test_eval64_truth_tables;
+    Alcotest.test_case "eval3 equals eval64" `Quick test_eval3_equals_eval64;
     Alcotest.test_case "library lookup" `Quick test_library_lookup;
     Alcotest.test_case "library upsize" `Quick test_library_upsize;
     Alcotest.test_case "tsff arcs" `Quick test_tsff_cell_arcs;

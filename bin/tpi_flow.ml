@@ -73,11 +73,17 @@ let verbose_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for the parallel kernels (fault simulation, STA \
-     propagation). Results are bit-identical for every value; 1 (the \
-     default) runs fully sequentially."
+    "Layouts built at once: up to N of the sweep's test-point levels are \
+     built in parallel, one per domain (never more domains than levels). \
+     Tables and metrics are byte-identical for every value; 1 (the \
+     default) builds the levels one after another."
   in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg ("invalid job count " ^ s ^ ", expected an integer >= 1"))
+  in
+  Arg.(value & opt (conv (parse, Format.pp_print_int)) 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let cache_arg =
   let doc =
@@ -146,10 +152,6 @@ let telemetry_term =
 
 let store_of_dir = Option.map (fun dir -> Core.Stage_cache.create ~dir ())
 
-(* a pool only when asked for: -j 1 never spawns a domain *)
-let with_jobs jobs f =
-  if jobs <= 1 then f None else Core.Pool.with_pool ~domains:jobs (fun p -> f (Some p))
-
 (* validate everything that can fail *before* any side-effecting export,
    so a bad flag never leaves partial output files behind *)
 let validated ?scale ~circuit ~levels () =
@@ -172,9 +174,8 @@ let run () circuit scale levels atpg tables svg_dir def_file lib_file policy ret
   if trace_file <> None then Core.Trace.enable ();
   let cache = store_of_dir cache_dir in
   let grows =
-    with_jobs jobs (fun pool ->
-        Core.Experiment.sweep ?pool ?cache ~policy ~retries ~lint ~repair
-          ~with_atpg:atpg ~tp_levels:levels spec)
+    Core.Experiment.sweep ~jobs ?cache ~policy ~retries ~lint ~repair ~with_atpg:atpg
+      ~tp_levels:levels spec
   in
   let rows = Core.Experiment.completed_rows grows in
   print_string (Core.Report.render ~tables grows);
@@ -232,9 +233,9 @@ let selftest_gates_arg =
   let doc = "Gates in the injection-target circuit." in
   Arg.(value & opt int 500 & info [ "gates" ] ~docv:"N" ~doc)
 
-let selftest () ffs gates jobs =
+let selftest () ffs gates =
   Printf.printf "fault-injection matrix (%d classes):\n" (List.length Core.Inject.all);
-  let outcomes = with_jobs jobs (fun pool -> Core.Inject.selftest ?pool ~ffs ~gates ()) in
+  let outcomes = Core.Inject.selftest ~ffs ~gates () in
   List.iter (fun o -> Format.printf "  %a@." Core.Inject.pp_outcome o) outcomes;
   let recover_ok = Core.Inject.recover_converges () in
   let degrade_ok = Core.Inject.degrade_keeps_partials () in
@@ -274,9 +275,7 @@ let profile () circuit scale levels atpg policy retries trace_file jobs =
   | Ok spec ->
     Core.Trace.enable ();
     let grows =
-      with_jobs jobs (fun pool ->
-          Core.Experiment.sweep ?pool ~policy ~retries ~with_atpg:atpg ~tp_levels:levels
-            spec)
+      Core.Experiment.sweep ~jobs ~policy ~retries ~with_atpg:atpg ~tp_levels:levels spec
     in
     let completed = List.length (Core.Experiment.completed_rows grows) in
     Format.printf "profile: %s, levels %s, %d/%d levels completed, %d spans@.@."
@@ -303,8 +302,7 @@ let run_term =
 let selftest_cmd =
   let doc = "Run the guarded-flow fault-injection selftest (11 mutation classes)." in
   Cmd.v (Cmd.info "selftest" ~doc)
-    Term.(const selftest $ telemetry_term $ selftest_ffs_arg $ selftest_gates_arg
-          $ jobs_arg)
+    Term.(const selftest $ telemetry_term $ selftest_ffs_arg $ selftest_gates_arg)
 
 let profile_cmd =
   let doc =

@@ -49,7 +49,7 @@ let random_words rng ns =
    first (in batches of 64) and keep only patterns that detect something not
    already covered by a kept pattern. Late patterns carry the hard targeted
    faults, so they survive and redundant early patterns fall out.
-   [masks_for] is the (possibly domain-parallel) PPSFP fan-out of [run]. *)
+   [masks_for] is the PPSFP detection-mask pass of [run]. *)
 let static_compact masks_for (universe : Fault.universe) patterns =
   let live =
     Array.of_seq
@@ -97,45 +97,18 @@ let static_compact masks_for (universe : Fault.universe) patterns =
   done;
   !out
 
-(* PPSFP fan-out threshold: below this many live faults the per-domain
-   good-circuit resimulation would dominate, so stay sequential *)
-let fanout_min = 32
-
-let run ?pool (m : Cmodel.t) =
+let run (m : Cmodel.t) =
   let rng = Rng.create seed in
   let universe = Obs.Trace.with_span ~name:"atpg.fault_build" (fun () -> Fault.build m) in
   let sim = Fsim.create m in
-  (* one simulator replica per pool slot (slot 0 reuses [sim]), created
-     lazily so sequential runs and ATPG-free flows pay nothing *)
-  let replicas =
-    lazy
-      (match pool with
-       | None -> [| sim |]
-       | Some p ->
-         Array.init (Par.Pool.size p) (fun s -> if s = 0 then sim else Fsim.create m))
-  in
   (* Apply the 64-pattern batch [words] and write the detection mask of
      each of the first [n] faults to [out], by position (0 where [keep] is
-     false). With a pool, the prefix is split into fixed contiguous
-     chunks; each domain re-runs the good-circuit pass on its own replica
-     and walks its chunk. Masks land by fault index and every consumer
-     folds them in fault order, so drop decisions and pattern selection
-     are bit-identical to the sequential run. *)
+     false). *)
   let masks_for ~keep words (faults : Fault.fault array) n out =
-    match pool with
-    | Some p when n >= fanout_min && Par.Pool.size p > 1 ->
-      let sims = Lazy.force replicas in
-      Par.Pool.iter_slots p ~n (fun ~slot ~lo ~hi ->
-          let s = sims.(slot) in
-          Fsim.set_sources s words;
-          for i = lo to hi - 1 do
-            out.(i) <- (if keep i then Fsim.detect_mask s faults.(i) else 0L)
-          done)
-    | _ ->
-      Fsim.set_sources sim words;
-      for i = 0 to n - 1 do
-        out.(i) <- (if keep i then Fsim.detect_mask sim faults.(i) else 0L)
-      done
+    Fsim.set_sources sim words;
+    for i = 0 to n - 1 do
+      out.(i) <- (if keep i then Fsim.detect_mask sim faults.(i) else 0L)
+    done
   in
   let ns = Array.length m.Cmodel.sources in
   let patterns = ref [] in

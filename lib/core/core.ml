@@ -52,7 +52,6 @@ module Layout_check = Layout.Check
 module Lfsr = Lbist.Lfsr
 module Misr = Lbist.Misr
 module Bist = Lbist.Bist
-module Pool = Par.Pool
 module Stage_cache = Cache.Store
 module Serve_protocol = Serve.Protocol
 module Serve_daemon = Serve.Daemon

@@ -42,7 +42,6 @@ type guarded_row = {
 }
 
 val run_one_guarded :
-  ?pool:Par.Pool.t ->
   ?cache:Cache.Store.t ->
   ?policy:Guard.policy ->
   ?retries:int ->
@@ -65,7 +64,7 @@ val run_one_guarded :
     straight to {!Guard.run}. *)
 
 val sweep :
-  ?pool:Par.Pool.t ->
+  ?jobs:int ->
   ?cache:Cache.Store.t ->
   ?policy:Guard.policy ->
   ?retries:int ->
@@ -79,9 +78,9 @@ val sweep :
   spec ->
   guarded_row list
 (** The experiment's one level loop: each of [tp_levels] (default
-    [0;1;2;3;4;5]), in order, through {!run_one_guarded} with the same
-    arguments; [on_stage] is told the level as well. Never raises on a
-    stage failure. Under [policy] {!Guard.Fail_fast} (the default) the
+    [0;1;2;3;4;5]) through {!run_one_guarded} with the same arguments,
+    rows in level order; [on_stage] is told the level as well. Never
+    raises on a stage failure. Under [policy] {!Guard.Fail_fast} (the default) the
     sweep stops after the first failed level, which is the last row;
     under {!Guard.Recover} and {!Guard.Degrade} every level is attempted
     and a failed one is a degraded row. [tamper] is the chaos/
@@ -89,8 +88,17 @@ val sweep :
     the service layer's cancellation token, and a cancelled level is a
     row with a typed ["cancelled"] error.
 
-    With [pool], each level's flow uses it in its parallel kernels; rows
-    are bit-identical to a pool-less sweep. With [cache], design
+    [jobs] (default 1; [Invalid_argument] below 1) is the number of
+    layouts built at once: with [jobs > 1] the levels run on
+    [min jobs (List.length tp_levels)] domains, the calling one included,
+    each taking the next level as it finishes one. Rows, the
+    {!Obs.Metrics} registry and the span ids are those of a [jobs = 1]
+    sweep (each level's metrics and spans are absorbed in level order
+    after the workers join); under {!Guard.Fail_fast} no level starts
+    after a failed one, and a level that had already started past it
+    is dropped with its metrics. [on_stage] then runs on whichever
+    domain builds the level: a level's events come in stage order, but
+    the events of different levels interleave. With [cache], design
     generation runs once per sweep and every stage consults the
     content-addressed stage cache ({!Pipeline.cached_stage}), so a
     repeated sweep is served almost entirely from cache and still
@@ -108,7 +116,7 @@ val completed_rows : guarded_row list -> row list
 
 val degraded_rows : guarded_row list -> guarded_row list
 
-val blocked_critical_nets : ?pool:Par.Pool.t -> spec -> tp_pct:int -> row
+val blocked_critical_nets : spec -> tp_pct:int -> row
 (** The §5 ablation: run a baseline layout, time it on one
     {!Sta.Tgraph}, collect its near-critical nets
     ({!Lint.Tpitiming.critical_nets}, the set the lint

@@ -288,14 +288,14 @@ let test_options =
     chain_config = Scan.Chains.Max_length 10;
     run_atpg = false }
 
-let run_one ?pool ?(ffs = 40) ?(gates = 500) m =
+let run_one ?(ffs = 40) ?(gates = 500) m =
   let at = injection_stage m in
   let tamper ~attempt:_ stage st = if stage = at then corrupt m st in
   (* a repair-stage fault should hit a repair stage that actually ran *)
   let repair = at = Guard.Repair in
   let report =
     Guard.run ~policy:Guard.Degrade
-      ~options:{ test_options with P.pool; repair }
+      ~options:{ test_options with P.repair }
       ~tamper
       ~circuit:("inject:" ^ name m)
       (fun () -> Circuits.Bench.tiny ~ffs ~gates ())
@@ -311,7 +311,7 @@ let run_one ?pool ?(ffs = 40) ?(gates = 500) m =
   in
   { mutation = m; injected_at = at; expected; error = report.Guard.error; detected }
 
-let selftest ?pool ?ffs ?gates () = List.map (fun m -> run_one ?pool ?ffs ?gates m) all
+let selftest ?ffs ?gates () = List.map (fun m -> run_one ?ffs ?gates m) all
 
 let all_detected outcomes = List.for_all (fun o -> o.detected) outcomes
 

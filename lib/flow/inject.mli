@@ -49,10 +49,10 @@ type outcome = {
   detected : bool;  (** error present, right stage, right class tag *)
 }
 
-val run_one : ?pool:Par.Pool.t -> ?ffs:int -> ?gates:int -> mutation -> outcome
+val run_one : ?ffs:int -> ?gates:int -> mutation -> outcome
 (** Generates a fresh tiny benchmark, injects, runs guarded. *)
 
-val selftest : ?pool:Par.Pool.t -> ?ffs:int -> ?gates:int -> unit -> outcome list
+val selftest : ?ffs:int -> ?gates:int -> unit -> outcome list
 val all_detected : outcome list -> bool
 
 val recover_converges : unit -> bool

@@ -7,7 +7,6 @@ type options = {
   run_atpg : bool;
   tpi_config : Tpi.Select.config;
   seed : int;
-  pool : Par.Pool.t option;
   cache : Cache.Store.t option;
   lint : bool;
   repair : bool;
@@ -20,7 +19,6 @@ let default_options =
     run_atpg = true;
     tpi_config = Tpi.Select.default_config;
     seed = 0x71C0;
-    pool = None;
     cache = None;
     lint = false;
     repair = false }
@@ -150,7 +148,7 @@ let stage_reorder_atpg st =
   let atpg =
     if options.run_atpg then begin
       let m = Netlist.Cmodel.build d in
-      Some (Atpg.Patgen.run ?pool:options.pool m)
+      Some (Atpg.Patgen.run m)
     end
     else None
   in
@@ -200,7 +198,7 @@ let stage_sta st =
   let p = st.s_products in
   let rc = need "rc" p.rc in
   let tg = Sta.Tgraph.compile p.design rc in
-  Sta.Tgraph.propagate ?pool:st.s_options.pool tg;
+  Sta.Tgraph.propagate tg;
   let a = Sta.Tgraph.analysis tg in
   st.s_products <- { p with sta = Some a };
   (* with the graph still warm, the TPI/timing lint pack gets real
@@ -286,10 +284,10 @@ let finish st =
    on-disk entries then simply never match a key again *)
 let cache_version = "tpi-stage-cache-v6"
 
-(* every option a stage outcome can depend on; the pool (execution layout
-   only, §6.1), the cache itself and the lint flag (read-only over the
-   design) are deliberately excluded. Marshal of this immutable tuple of
-   scalars and plain variants is byte-stable. *)
+(* every option a stage outcome can depend on; the cache itself and the
+   lint flag (read-only over the design) are deliberately excluded.
+   Marshal of this immutable tuple of scalars and plain variants is
+   byte-stable. *)
 let options_fingerprint o =
   Digest.to_hex
     (Digest.string

@@ -26,23 +26,19 @@ type options = {
   run_atpg : bool;                 (** Table 1 needs it; Tables 2-3 do not *)
   tpi_config : Tpi.Select.config;  (** e.g. blocked nets for the §5 ablation *)
   seed : int;
-  pool : Par.Pool.t option;
-      (** domain pool for the parallel kernels (ATPG fault simulation, STA
-          propagation). [None] (the default) runs fully sequentially; any
-          pool produces bit-identical results at any domain count *)
   cache : Cache.Store.t option;
       (** content-addressed stage cache consulted before each stage
           ({!cached_stage}): a hit restores the stage's products and
           replays its metrics delta instead of recomputing. Cached and
           uncached runs are byte-identical in results and kernel metrics
-          (DESIGN.md §6.2); like the pool, the cache never affects {e
-          what} is computed, only how fast *)
+          (DESIGN.md §6.2); the cache never affects {e what} is
+          computed, only how fast *)
   lint : bool;
       (** pre-flight the input design through {!Lint.Engine} before the
           first stage; error-severity findings abort with
           {!Lint.Engine.Lint_failed} (error class ["lint-failed"] under
-          {!Guard}). Read-only over the design, so — like the pool and the
-          cache — excluded from stage-cache keys. When the sta stage runs
+          {!Guard}). Read-only over the design, so — like the cache —
+          excluded from stage-cache keys. When the sta stage runs
           (not on a cache hit) it also produces the post-layout
           [lint_report] *)
   repair : bool;
@@ -147,7 +143,7 @@ val finish : state -> result
 
     Content-addressed memoization of whole stages (see DESIGN.md §6.2).
     The chain's root key digests the cache version, a fingerprint of the
-    result-relevant options (pool, cache and lint excluded) and
+    result-relevant options (cache and lint excluded) and
     [Design.fingerprint] of the input design; each stage's key is its
     name plus the previous key, so the products living outside the
     netlist (placement, route, ...) are pinned transitively. {!Guard}

@@ -22,9 +22,10 @@ let fresh_registry () =
     r_histograms = Hashtbl.create 32 }
 
 (* The process-wide registry belongs to the domain that loaded this module
-   (the main domain). Worker domains write to a domain-local registry that
-   Par.Pool flushes and absorbs into the global one, in domain order, at
-   the join of every parallel region -- which is what keeps snapshots
+   (the main domain). Worker domains write to a domain-local registry
+   outside a scope; a -j N sweep captures each layout in a scope
+   ([capture]) on whichever domain builds it and absorbs the deltas into
+   the global registry in level order -- which is what keeps snapshots
    identical whatever the domain count. *)
 let global = fresh_registry ()
 let main_domain = (Domain.self () :> int)
@@ -132,7 +133,7 @@ let hist_count h = (resolve_histogram h).h_count
 let hist_sum h = (resolve_histogram h).h_sum
 let hist_bucket h k = (resolve_histogram h).h_buckets.(k)
 
-(* ---- per-domain snapshots (the Par.Pool join protocol) ---- *)
+(* ---- per-domain snapshots (the join protocol of a -j N sweep) ---- *)
 
 type local = {
   l_counters : (string * int) list;
@@ -151,8 +152,6 @@ let flush_registry r =
     l_histograms = take r.r_histograms Fun.id }
 
 let local_flush () = flush_registry (Domain.DLS.get local_registry_key)
-
-let local_is_empty l = l.l_counters = [] && l.l_gauges = [] && l.l_histograms = []
 
 let absorb l =
   List.iter
@@ -184,20 +183,28 @@ let absorb l =
    performed. On an exception the partial delta is still merged (a failed
    stage's kernel counts must match an uncached failing run) but not
    returned. *)
-let with_scoped f =
-  let r = fresh_registry () in
+let in_scope r f =
   let stack = Domain.DLS.get scoped_key in
   Domain.DLS.set scoped_key (r :: stack);
-  match f () with
+  Fun.protect ~finally:(fun () -> Domain.DLS.set scoped_key stack) f
+
+let with_scoped f =
+  let r = fresh_registry () in
+  match in_scope r f with
   | v ->
-    Domain.DLS.set scoped_key stack;
     let delta = flush_registry r in
     absorb delta;
     (v, delta)
   | exception e ->
-    Domain.DLS.set scoped_key stack;
     absorb (flush_registry r);
     raise e
+
+(* A -j N sweep captures each layout, on whichever domain runs it, and
+   absorbs the deltas on the calling domain later, in level order. *)
+let capture f =
+  let r = fresh_registry () in
+  let v = in_scope r f in
+  (v, flush_registry r)
 
 (* ---- global registry views (main domain) ---- *)
 

@@ -13,12 +13,12 @@
     {b Domains.} The registry above is owned by the main domain (the one
     that loaded this module). Updates made on a worker domain transparently
     land in a domain-local registry (handles resolve by name), so hot
-    kernels never write across domains. {!Par.Pool} flushes each worker's
-    local registry at the join of every parallel region ({!local_flush})
-    and merges them into the global registry in ascending domain order
-    ({!absorb}): counters sum, gauges take the last writer, histograms add
-    bucket-wise. The global snapshot is therefore byte-identical whatever
-    the domain count. *)
+    kernels never write across domains. A [-j N] sweep
+    ({!Flow.Experiment.sweep}) captures every layout's updates on the
+    domain that builds it ({!capture}) and merges the deltas into the
+    global registry in level order ({!absorb}): counters sum, gauges
+    take the last writer, histograms add bucket-wise. The global
+    snapshot is therefore byte-identical whatever the domain count. *)
 
 type counter
 type gauge
@@ -63,25 +63,24 @@ val reset : unit -> unit
 
 (** {2 Per-domain snapshots}
 
-    The join protocol used by [Par.Pool]: each worker flushes its local
-    registry on its own domain, the pool owner absorbs the snapshots in
-    ascending domain order. *)
+    The join protocol of a [-j N] sweep: each layout's updates are
+    captured ({!capture}) on the domain that builds it, and the main
+    domain absorbs the deltas in level order. *)
 
 type local
-(** A flushed, immutable snapshot of one domain's local registry. *)
+(** A flushed, immutable snapshot of one registry's updates. *)
 
 val local_flush : unit -> local
-(** Snapshot and clear the {e calling} domain's local registry. Must run
-    on the domain whose metrics are being collected. *)
-
-val local_is_empty : local -> bool
+(** Snapshot and clear the {e calling} domain's local registry (where a
+    worker domain's updates land outside a scope). Must run on the
+    domain whose metrics are being collected. *)
 
 val absorb : local -> unit
 (** Merge a worker snapshot into the calling domain's registry (the
     global one when called, as intended, on the main domain): counters
-    add, gauges overwrite (so absorbing in ascending domain order makes
-    the highest-indexed writer win), histograms merge bucket-wise with
-    count/sum added and min/max widened. *)
+    add, gauges overwrite (so absorbing in level order makes the last
+    level's write win), histograms merge bucket-wise with count/sum
+    added and min/max widened. *)
 
 val with_scoped : (unit -> 'a) -> 'a * local
 (** [with_scoped f] runs [f] with the calling domain's metric updates
@@ -90,10 +89,14 @@ val with_scoped : (unit -> 'a) -> 'a * local
     region's exact metrics delta. The net effect on the ambient registry
     is identical to running [f] unscoped; the delta is what a stage
     cache serializes and replays ({!absorb}) on a hit so cached runs
-    expose the same kernel counters as uncached ones. Scopes nest; a
-    parallel region joined inside the scope lands its workers' metrics
-    in the scope. If [f] raises, the partial delta is merged and the
-    exception re-raised. *)
+    expose the same kernel counters as uncached ones. Scopes nest. If
+    [f] raises, the partial delta is merged and the exception
+    re-raised. *)
+
+val capture : (unit -> 'a) -> 'a * local
+(** [capture f] is {!with_scoped} without the merge: the region's
+    delta is returned for the caller to {!absorb} later (or drop), on
+    any domain. If [f] raises, the delta is lost. *)
 
 (** {2 Sorted global views}
 

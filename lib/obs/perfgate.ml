@@ -85,6 +85,16 @@ let gated_metrics ~directions doc =
 let min_attributed_share = 0.95
 let min_cache_speedup = 4.0
 let min_incremental_speedup = 3.0
+let min_sweep_fanout_speedup = 1.3
+
+(* The parallel speedups only mean something when both documents were
+   measured on comparably provisioned hosts: a 4-core baseline compared
+   against a 1-core CI runner would fail the gate on hardware, not on a
+   code regression. [host_cores] travels in the parallel section for
+   exactly this judgement. *)
+let parallel_host_cores doc =
+  let* par = Json.member "parallel" doc in
+  num (Json.member "host_cores" par)
 
 (* Absolute floors, (metric path, direction, value, bound): host
    independent, so they hold on every run whatever the baseline says — a
@@ -125,16 +135,21 @@ let floors doc =
         else None)
       (section_speedups doc "incremental")
   in
-  List.concat_map per_workload ws @ cache_speedup @ incremental
-
-(* The parallel speedups only mean something when both documents were
-   measured on comparably provisioned hosts: a 4-core baseline compared
-   against a 1-core CI runner would fail the gate on hardware, not on a
-   code regression. [host_cores] travels in the parallel section for
-   exactly this judgement. *)
-let parallel_host_cores doc =
-  let* par = Json.member "parallel" doc in
-  num (Json.member "host_cores" par)
+  (* building whole layouts at once must pay wherever there are two
+     cores to build them on *)
+  let fanout =
+    match parallel_host_cores doc with
+    | Some cores when cores >= 2.0 ->
+      let name = "parallel/sweep-fanout/speedup" in
+      let v =
+        List.find_map
+          (fun (n, _, v) -> if n = name then Some v else None)
+          (section_speedups doc "parallel")
+      in
+      [ (name, Higher_better, v, min_sweep_fanout_speedup) ]
+    | _ -> []
+  in
+  List.concat_map per_workload ws @ cache_speedup @ incremental @ fanout
 
 let compare_docs ~directions ~baseline ~current ~tolerance_pct =
   let cores_differ =

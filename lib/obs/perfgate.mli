@@ -16,7 +16,9 @@
       attributes at least 0.95 of its time to spans; [tables23-cold]
       takes at least 4x [tables23-warm]'s [wall_s]; the single-TP
       incremental retime is at least 3x faster than a whole-design
-      re-analysis.
+      re-analysis; on a host with [parallel.host_cores >= 2] the
+      [parallel/sweep-fanout] speedup is at least 1.3 (absent is a
+      violation).
 
     The per-layer ledger is gated only by floors: its span times are
     raw wall clock, not perfbench's reference-speed clock, so a relative

@@ -27,9 +27,10 @@ let next_id = ref 0
 let main_domain = (Domain.self () :> int)
 let on_main () = (Domain.self () :> int) = main_domain
 
-(* worker-domain state, one per domain, collected by Par.Pool at join.
-   Worker span ids are local (0-based per flush window); [absorb] renumbers
-   them into the main id space. *)
+(* local state, one per domain: a worker domain's spans, and the main
+   domain's while a [capture] is open. Collected after every layout of a
+   -j N sweep. Local span ids are 0-based per flush window; [absorb]
+   renumbers them into the main id space. *)
 type wstate = {
   mutable w_completed : span list;
   mutable w_stack : (int * int) list;
@@ -37,6 +38,8 @@ type wstate = {
 }
 
 let wkey = Domain.DLS.new_key (fun () -> { w_completed = []; w_stack = []; w_next = 0 })
+let capturing = Domain.DLS.new_key (fun () -> false)
+let records_globally () = on_main () && not (Domain.DLS.get capturing)
 
 let reset () =
   completed := [];
@@ -63,7 +66,7 @@ let enter ?(attrs = []) ~name () =
   if not (Atomic.get on) then
     { t_start_us = start; t_id = -1; t_parent = -1; t_depth = 0; t_name = name;
       t_attrs = []; t_alloc0 = 0.0; t_local = false }
-  else if on_main () then begin
+  else if records_globally () then begin
     let id = !next_id in
     incr next_id;
     let parent, depth =
@@ -131,12 +134,12 @@ let with_span ?attrs ~name f =
    unique within one record stream. *)
 let current_id () =
   if not (Atomic.get on) then -1
-  else if on_main () then match !stack with [] -> -1 | (id, _) :: _ -> id
+  else if records_globally () then match !stack with [] -> -1 | (id, _) :: _ -> id
   else
     let w = Domain.DLS.get wkey in
     match w.w_stack with [] -> -1 | (id, _) :: _ -> id
 
-(* ---- per-domain collection (the Par.Pool join protocol) ---- *)
+(* ---- per-domain collection (the join protocol of a -j N sweep) ---- *)
 
 type local = {
   ls_spans : span list;  (* newest first, local ids *)
@@ -151,7 +154,13 @@ let local_flush () =
   w.w_next <- 0;
   { ls_spans = spans; ls_count = count }
 
-let local_is_empty l = l.ls_spans = []
+(* A -j N sweep records each layout's spans in the local buffer of the
+   domain that builds it, the main domain included, and absorbs the
+   batches in level order. Captures do not nest. *)
+let capture f =
+  Domain.DLS.set capturing true;
+  let v = Fun.protect ~finally:(fun () -> Domain.DLS.set capturing false) f in
+  (v, local_flush ())
 
 let absorb ~domain l =
   if l.ls_spans <> [] then begin
@@ -285,11 +294,10 @@ type domain_agg = {
   d_errors : int;
 }
 
-(* Self time per Par.Pool slot: the -j N diagnosis view. A worker whose
-   self time is a small fraction of the wall clock spent in the parallel
-   region is starved (fan-out too coarse) or serialized (lock/join
-   overhead) — which is exactly what BENCH_perf.json's sub-1.0 parallel
-   speedups on this host cannot distinguish on their own. *)
+(* Self time per worker domain: the -j N diagnosis view. A worker whose
+   self time is a small fraction of the sweep's wall clock is starved
+   (fewer levels than workers, or one slow level) or serialized (GC or
+   lock contention) — which a speedup figure alone cannot distinguish. *)
 let aggregate_domains () =
   let sps = spans () in
   let child_us = Hashtbl.create 64 in

@@ -27,8 +27,8 @@ type span = {
   alloc_words : float;  (** words allocated while the span was open *)
   error : string option;  (** set when the body raised *)
   domain : int;
-      (** [Par.Pool] slot the span was recorded on: 0 for the main
-          domain, the worker's slot index otherwise. Exported as its own
+      (** worker the span was recorded on: 0 for the main domain, the
+          worker's number (1, 2, ...) otherwise. Exported as its own
           Chrome track ([tid = 1 + domain]). *)
 }
 
@@ -65,20 +65,24 @@ val current_id : unit -> int
 
 (** {2 Per-domain collection}
 
-    Spans recorded on a worker domain go to a domain-local buffer with
-    local ids; [Par.Pool] flushes each worker at the join of a parallel
-    region and stitches the buffers into the main timeline, renumbering
-    ids and tagging each span with its domain. While tracing is disabled,
+    Spans recorded on a worker domain, or inside a {!capture}, go to a
+    domain-local buffer with local ids; a [-j N] sweep captures every
+    layout and stitches the batches into the main timeline in level
+    order, renumbering ids and tagging each span with its domain. While
+    tracing is disabled,
     {!with_span} on a worker is the same single flag check as on the main
     domain — no allocation, no buffer touch. *)
 
 type local
-(** A flushed batch of one worker domain's spans. *)
+(** A flushed batch of one domain's local spans. *)
 
 val local_flush : unit -> local
 (** Take and clear the calling domain's local span buffer. *)
 
-val local_is_empty : local -> bool
+val capture : (unit -> 'a) -> 'a * local
+(** [capture f] runs [f] with the calling domain's spans recorded in its
+    local buffer — on the main domain too — and returns them as a batch
+    for {!absorb}. Captures do not nest. *)
 
 val absorb : domain:int -> local -> unit
 (** Stitch a worker batch into the main span list (main domain only):
@@ -118,7 +122,7 @@ val aggregate : unit -> agg list
 val pp_profile : Format.formatter -> unit -> unit
 
 type domain_agg = {
-  d_domain : int;        (** [Par.Pool] slot, 0 = main domain *)
+  d_domain : int;        (** worker number, 0 = main domain *)
   d_spans : int;
   d_total_us : float;    (** inclusive *)
   d_self_us : float;     (** total minus time in child spans *)
@@ -127,8 +131,8 @@ type domain_agg = {
 }
 
 val aggregate_domains : unit -> domain_agg list
-(** Self-time rollup per recording domain, ascending slot order — shows
-    whether a [-j N] run actually spread work across workers or starved
-    them (the diagnosis view for a parallel slowdown). *)
+(** Self-time rollup per recording domain, ascending worker order —
+    shows whether a [-j N] run actually spread its layouts across workers
+    or starved them (the diagnosis view for a parallel slowdown). *)
 
 val pp_domains : Format.formatter -> unit -> unit

@@ -85,7 +85,6 @@ type t = {
   drain_req : bool Atomic.t;
   signalled : bool Atomic.t;   (* drain came from SIGTERM/SIGINT *)
   started_us : float;
-  pool : Par.Pool.t option;
   cache : Cache.Store.t option;
   mutex : Mutex.t;             (* guards conns/readers/c_jobs *)
   mutable conns : conn list;
@@ -411,7 +410,7 @@ let execute t (job : job) =
            [done] event's output is byte-identical to the one-shot
            `tpi_flow` stdout for the same spec *)
         let grows =
-          Experiment.sweep ?pool:t.pool ?cache:t.cache ~policy:job.j_spec.Protocol.policy
+          Experiment.sweep ~jobs:t.cfg.jobs ?cache:t.cache ~policy:job.j_spec.Protocol.policy
             ?tamper ~cancel:job.j_cancel ~on_stage:(report_stage t job) ~lint:t.cfg.lint
             ~repair:job.j_spec.Protocol.repair ~with_atpg:job.j_spec.Protocol.with_atpg
             ~tp_levels:job.j_spec.Protocol.tp_levels spec
@@ -551,6 +550,7 @@ let acceptor t =
 (* ---- lifecycle ---- *)
 
 let start cfg =
+  if cfg.jobs < 1 then invalid_arg "Daemon.start: jobs must be at least 1";
   (* whatever process hosts the daemon (the CLI, a test binary), a client
      vanishing mid-write must surface as EPIPE, never as a SIGPIPE death *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -563,7 +563,6 @@ let start cfg =
    with e ->
      (try Unix.close listen_fd with _ -> ());
      raise e);
-  let pool = if cfg.jobs > 1 then Some (Par.Pool.create ~domains:cfg.jobs) else None in
   let cache = Option.map (fun dir -> Cache.Store.create ~dir ()) cfg.cache_dir in
   let t =
     { cfg; listen_fd;
@@ -571,7 +570,7 @@ let start cfg =
       drain_req = Atomic.make false;
       signalled = Atomic.make false;
       started_us = Obs.Clock.now_us ();
-      pool; cache;
+      cache;
       mutex = Mutex.create ();
       conns = []; readers = []; acceptor = None; executor = None }
   in
@@ -596,7 +595,6 @@ let wait t =
   let conns = with_lock t (fun () -> t.conns) in
   List.iter (fun c -> disconnect t c ~count_disconnect:false) conns;
   List.iter Thread.join (with_lock t (fun () -> t.readers));
-  Option.iter Par.Pool.shutdown t.pool;
   flush_telemetry t;
   (* a signal-initiated death leaves a post-mortem; a programmatic drain
      is a clean exit and leaves the flight recorder alone *)

@@ -23,16 +23,17 @@
 
     Execution model: connection readers and the acceptor are threads; the
     {e executor} is a single thread that runs accepted jobs one at a time
-    — in priority order — against the shared {!Par.Pool} (intra-job
-    parallelism) and the shared {!Cache.Store}. Serializing job compute is
-    what keeps served results byte-identical to the one-shot CLI at any
-    [-j], warm or cold cache: determinism is part of the service contract,
-    concurrency lives in admission, streaming and the pool. *)
+    — in priority order — against the shared {!Cache.Store}; a job's
+    levels are built [jobs] at a time ({!Flow.Experiment.sweep}).
+    Serializing jobs is what keeps served results byte-identical to the
+    one-shot CLI at any [-j], warm or cold cache: determinism is part of
+    the service contract, concurrency lives in admission, streaming and
+    the layouts of one job. *)
 
 type config = {
   socket_path : string;
   cache_dir : string option;   (** shared stage cache ([--cache DIR]) *)
-  jobs : int;                  (** pool domains for the kernels ([-j N]) *)
+  jobs : int;                  (** layouts of a job built at once ([-j N], >= 1) *)
   queue_capacity : int;        (** bounded queue size (default 64) *)
   metrics_file : string option;
       (** JSON metrics snapshot, re-published atomically about once a
@@ -54,7 +55,8 @@ type t
 
 val start : config -> t
 (** Bind the socket (replacing a stale file), spawn acceptor and
-    executor. Raises [Unix.Unix_error] if the socket cannot be bound. *)
+    executor. Raises [Invalid_argument] if [jobs < 1] and
+    [Unix.Unix_error] if the socket cannot be bound. *)
 
 val drain : t -> unit
 (** Request graceful drain: stop admitting, finish accepted jobs, then
@@ -63,8 +65,8 @@ val drain : t -> unit
 
 val wait : t -> int
 (** Block until a drain completes; returns the exit code (0 on a clean
-    drain). Joins every thread, closes every connection, shuts the pool
-    down and writes [metrics_file] if configured. *)
+    drain). Joins every thread, closes every connection and writes
+    [metrics_file] if configured. *)
 
 val run : config -> int
 (** {!start}, install SIGTERM/SIGINT handlers that {!drain}, then

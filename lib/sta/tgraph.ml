@@ -22,10 +22,6 @@ module Lut = Stdcell.Lut
 let m_arcs = Obs.Metrics.counter "sta.arcs_evaluated"
 let g_slow_nodes = Obs.Metrics.gauge "sta.slow_nodes"
 
-(* below this many instances a level is evaluated inline: the fork-join
-   hand-shake would cost more than the arithmetic *)
-let level_par_min = 16
-
 let empty_ints : int array = [||]
 let empty_floats : float array = [||]
 
@@ -427,7 +423,7 @@ let reset_net t nid =
 (* one instance's arcs. Reads only finalised arrivals of its input nets
    and writes only state this instance owns (its unique output net's
    arrival/slew/provenance and its own slow flag), so instances of one
-   level can be evaluated concurrently, in any order, bit-identically *)
+   level can be evaluated in any order, bit-identically *)
 let eval_inst t counter iid =
   let i = Design.inst t.d iid in
   let conns = i.Design.conns in
@@ -490,7 +486,7 @@ let count_slow t =
 
 (* full propagation from seeds, level-ordered; moves [sta.arcs_evaluated]
    once per evaluated arc and sets [sta.slow_nodes] *)
-let propagate ?pool t =
+let propagate t =
   for nid = 0 to t.nn - 1 do
     reset_net t nid
   done;
@@ -499,32 +495,7 @@ let propagate ?pool t =
   done;
   if not t.order_valid then rebuild_order t;
   Obs.Trace.with_span ~name:"sta.propagate" (fun () ->
-      match pool with
-      | Some p when Par.Pool.size p > 1 ->
-        (* bucket the precomputed order by level, then fan each bucket
-           across the pool — bit-identical because instances of a level
-           write disjoint state (see [eval_inst]) *)
-        let lo = ref 0 in
-        let n = Array.length t.order in
-        while !lo < n do
-          let l = t.level.(t.order.(!lo)) in
-          let hi = ref !lo in
-          while !hi < n && t.level.(t.order.(!hi)) = l do
-            incr hi
-          done;
-          let base = !lo and nb = !hi - !lo in
-          if nb < level_par_min then
-            for k = base to !hi - 1 do
-              eval_inst t m_arcs t.order.(k)
-            done
-          else
-            Par.Pool.iter_slots p ~n:nb (fun ~slot:_ ~lo ~hi ->
-                for k = lo to hi - 1 do
-                  eval_inst t m_arcs t.order.(base + k)
-                done);
-          lo := !hi
-        done
-      | _ -> Array.iter (eval_inst t m_arcs) t.order);
+      Array.iter (eval_inst t m_arcs) t.order);
   Obs.Metrics.set g_slow_nodes (float_of_int (count_slow t));
   t.required_valid <- false
 

@@ -31,9 +31,8 @@ val compile_partial :
     in id order ([[]] for a loop-free design). The rest of the design
     times exactly as under {!compile}. *)
 
-val propagate : ?pool:Par.Pool.t -> t -> unit
-(** Full from-seed level-ordered propagation. With [pool], level buckets
-    fan across the pool with bit-identical results. *)
+val propagate : t -> unit
+(** Full from-seed level-ordered propagation. *)
 
 val analysis : t -> Analysis.t
 (** Endpoint/critical-path report from the current propagated state, via

@@ -21,7 +21,6 @@ let () =
       ("flow", Test_flow.suite);
       ("guard", Test_guard.suite);
       ("obs", Test_obs.suite);
-      ("par", Test_par.suite);
       ("cache", Test_cache.suite);
       ("serve", Test_serve.suite);
       ("telemetry", Test_telemetry.suite);

@@ -211,6 +211,52 @@ let test_tdv_formulas () =
     (Atpg.Tdv.tdv ~chains:4 ~lmax:100 ~patterns:10);
   Helpers.check_approx "reduction" 50.0 (Atpg.Tdv.reduction_pct ~before:200 ~after:100)
 
+(* ---- Fsim scratch-buffer regression: a gate wider than 4 inputs ----
+   The simulator's input buffer was a fixed Array.make 4; a model whose
+   widest gate exceeds that overflowed in [set_sources]. Handcraft a
+   model with a 6-input gate (eval64 only reads the first inputs a kind
+   needs, so Nand2 semantics stay well-defined). *)
+let test_fsim_wide_gate () =
+  let design = Circuits.Bench.tiny ~ffs:2 ~gates:10 () in
+  let num_nets = 7 in
+  let gate =
+    { C.g_inst = 0; g_kind = Stdcell.Cell.Nand2; g_ins = [| 0; 1; 2; 3; 4; 5 |];
+      g_out = 6; g_level = 0 }
+  in
+  (* nets 0-5 each feed gate 0 at their own pin *)
+  let fo_start = Array.init (num_nets + 1) (fun n -> min n 6) in
+  let driver_gate = Array.make num_nets (-1) in
+  driver_gate.(6) <- 0;
+  let is_source = Array.init num_nets (fun n -> n < 6) in
+  let is_observed = Array.init num_nets (fun n -> n = 6) in
+  let m =
+    { C.design;
+      gates = [| gate |];
+      gate_of_inst = [| 0 |];
+      sources = Array.init 6 (fun n -> (n, C.From_port n));
+      observes = [| (6, C.At_port 0) |];
+      consts = [||];
+      fo_start;
+      fo_gate = Array.make 6 0;
+      fo_pos = Array.init 6 Fun.id;
+      driver_gate;
+      is_source;
+      is_observed;
+      modeled = Array.make num_nets true;
+      num_nets }
+  in
+  let sim = Atpg.Fsim.create m in
+  (* with the old fixed-size buffer this raised Invalid_argument *)
+  Atpg.Fsim.set_sources sim [| -1L; 0xF0F0L; 0L; -1L; 0L; -1L |];
+  Alcotest.(check int64) "nand of first two inputs"
+    (Int64.lognot 0xF0F0L) (Atpg.Fsim.good sim 6);
+  (* fault propagation through the wide gate uses the same buffer *)
+  let f =
+    { Atpg.Fault.fid = 0; site = Atpg.Fault.Stem 1; stuck = false;
+      status = Atpg.Fault.Undetected; equiv_to = 0 }
+  in
+  Alcotest.(check int64) "stem fault propagates" 0xF0F0L (Atpg.Fsim.detect_mask sim f)
+
 let suite =
   [ Alcotest.test_case "universe collapse" `Quick test_universe_collapse;
     Alcotest.test_case "inverter collapse" `Quick test_inverter_collapse;
@@ -220,4 +266,5 @@ let suite =
     Alcotest.test_case "patgen end-to-end" `Slow test_patgen_end_to_end;
     Alcotest.test_case "patgen deterministic" `Slow test_patgen_deterministic;
     Alcotest.test_case "patgen digests" `Slow test_patgen_digests;
-    Alcotest.test_case "tdv formulas" `Quick test_tdv_formulas ]
+    Alcotest.test_case "tdv formulas" `Quick test_tdv_formulas;
+    Alcotest.test_case "fsim survives gates wider than 4 inputs" `Quick test_fsim_wide_gate ]

@@ -162,11 +162,11 @@ let metrics_sans_cache () =
   |> List.filter (fun line -> not (Astring_contains.contains line "cache."))
   |> String.concat "\n"
 
-let render ?pool ?cache () =
+let render ?jobs ?cache () =
   M.reset ();
   let rows =
     List.map Flow.Experiment.row_exn
-      (Flow.Experiment.sweep ?pool ?cache ~with_atpg:false ~tp_levels:[ 0; 2; 4 ]
+      (Flow.Experiment.sweep ?jobs ?cache ~with_atpg:false ~tp_levels:[ 0; 2; 4 ]
          (Flow.Experiment.spec_for ~scale:0.06 "s38417"))
   in
   (Flow.Report.table2 rows ^ Flow.Report.table3 rows, metrics_sans_cache ())
@@ -184,10 +184,9 @@ let test_sweep_byte_identity () =
   Alcotest.(check string) "cold-with-cache metrics" m0 m_cold;
   Alcotest.(check string) "warm-memory metrics" m0 m_warm;
   Alcotest.(check string) "warm-disk metrics" m0 m_disk;
-  Par.Pool.with_pool ~domains:4 (fun p ->
-      let t_j4, m_j4 = render ~pool:p ~cache:(Store.create ~dir ()) () in
-      Alcotest.(check string) "warm-disk -j4 tables" t0 t_j4;
-      Alcotest.(check string) "warm-disk -j4 metrics" m0 m_j4)
+  let t_j4, m_j4 = render ~jobs:4 ~cache:(Store.create ~dir ()) () in
+  Alcotest.(check string) "warm-disk -j4 tables" t0 t_j4;
+  Alcotest.(check string) "warm-disk -j4 metrics" m0 m_j4
 
 let test_hit_accounting () =
   let store = Store.create () in

@@ -71,10 +71,56 @@ let test_determinism_of_flow () =
   in
   Helpers.check_approx "same t_cp twice" (run ()) (run ())
 
+(* ---- -j N: whole layouts on worker domains, byte-identical to -j 1 ----
+   The tamper decides by the level's own options, never by state shared
+   across levels, so it behaves the same whichever domain runs it. *)
+let test_sweep_fanout_identical () =
+  let module G = Flow.Guard in
+  let module E = Flow.Experiment in
+  let spec = E.spec_for ~scale:0.04 "s38417" in
+  let tamper ~attempt:_ stage (st : P.state) =
+    if stage = G.Placement && st.P.s_options.P.tp_percent = 2.0 then
+      failwith "injected placement crash"
+  in
+  let run ?tamper ?policy ?repair ~tables jobs =
+    Obs.Metrics.reset ();
+    let grows =
+      E.sweep ~jobs ?tamper ?policy ~retries:1 ?repair ~with_atpg:false
+        ~tp_levels:[ 0; 1; 2; 3; 4 ] spec
+    in
+    ( List.map (fun g -> (g.E.g_tp_pct, g.E.g_report.G.result <> None)) grows,
+      Flow.Report.render ~tables grows,
+      Obs.Json.to_string (Obs.Metrics.snapshot ()) )
+  in
+  (* the -j 1 rows, once -j 2 and -j 4 are checked against them *)
+  let same what sweep =
+    let rows, out, metrics = sweep 1 in
+    List.iter
+      (fun jobs ->
+        let rows', out', metrics' = sweep jobs in
+        let label s = Printf.sprintf "%s: %s j1 = j%d" what s jobs in
+        Alcotest.(check (list (pair int bool))) (label "rows") rows rows';
+        Alcotest.(check string) (label "output") out out';
+        Alcotest.(check string) (label "metrics") metrics metrics')
+      [ 2; 4 ];
+    rows
+  in
+  let all_ok = List.map (fun l -> (l, true)) [ 0; 1; 2; 3; 4 ] in
+  Alcotest.(check (list (pair int bool))) "repair: every level completes" all_ok
+    (same "repair" (run ~repair:true ~tables:[ 2; 3 ]));
+  Alcotest.(check (list (pair int bool))) "fail-fast: stops at the failed level"
+    [ (0, true); (1, true); (2, false) ]
+    (same "fail-fast" (run ~tamper ~tables:[ 2; 3 ]));
+  Alcotest.(check (list (pair int bool))) "recover: the degraded row stays in place"
+    [ (0, true); (1, true); (2, false); (3, true); (4, true) ]
+    (same "recover" (run ~tamper ~policy:G.Recover ~tables:[ 2; 3 ]))
+
 let suite =
   [ Alcotest.test_case "pipeline consistency" `Slow test_pipeline_consistency;
     Alcotest.test_case "pipeline without atpg" `Quick test_pipeline_no_atpg_faster_path;
     Alcotest.test_case "area grows with tp" `Quick test_area_grows_with_tp;
     Alcotest.test_case "experiment specs" `Quick test_experiment_specs;
     Alcotest.test_case "tables render" `Slow test_tables_render;
-    Alcotest.test_case "flow determinism" `Quick test_determinism_of_flow ]
+    Alcotest.test_case "flow determinism" `Quick test_determinism_of_flow;
+    Alcotest.test_case "tables+metrics byte-identical j1/j2/j4" `Slow
+      test_sweep_fanout_identical ]

@@ -62,16 +62,6 @@ let test_tgraph_full_flow () =
   T.propagate tg;
   check_analysis_equal "pipeline design" full (T.analysis tg)
 
-let test_tgraph_pool_identical () =
-  let d = Circuits.Bench.tiny ~seed:3 ~ffs:60 ~gates:800 () in
-  let pl, _, rc = analysed d in
-  let tg = T.compile pl.Layout.Place.design rc in
-  T.propagate tg;
-  let seq = T.analysis tg in
-  Par.Pool.with_pool ~domains:4 (fun pool ->
-      T.propagate ~pool tg;
-      check_analysis_equal "pool vs seq" seq (T.analysis tg))
-
 let test_tgraph_wns_matches_slack_report () =
   let d = Circuits.Bench.tiny ~seed:11 ~ffs:50 ~gates:400 () in
   let pl, _, rc = analysed d in
@@ -292,7 +282,6 @@ let suite =
   [ Alcotest.test_case "tgraph mini = analysis" `Quick test_tgraph_mini;
     Alcotest.test_case "tgraph tiny = analysis" `Quick test_tgraph_tiny;
     Alcotest.test_case "tgraph full flow = analysis" `Quick test_tgraph_full_flow;
-    Alcotest.test_case "tgraph pool bit-identical" `Quick test_tgraph_pool_identical;
     Alcotest.test_case "tgraph wns = slack report" `Quick test_tgraph_wns_matches_slack_report;
     Alcotest.test_case "required times consistent" `Quick test_required_consistent;
     Alcotest.test_case "eco tp insert = full rerun" `Quick test_eco_tp_insert;

@@ -262,6 +262,50 @@ let test_tracing_deterministic () =
   Alcotest.(check string) "Table 2/3 rows bit-identical with tracing on vs off"
     untraced traced
 
+(* ---- worker domains and captures: batches merged by absorb (the join
+   protocol of a -j N sweep) ---- *)
+let test_metrics_merge () =
+  let c = M.counter "obs.test.merge_counter" in
+  let before = M.value c in
+  let bump () =
+    for _ = 1 to 10 do
+      M.incr c
+    done
+  in
+  let batches =
+    List.init 3 (fun _ ->
+        Domain.spawn (fun () ->
+            bump ();
+            M.local_flush ()))
+    |> List.map Domain.join
+  in
+  let (), captured = M.capture bump in
+  Alcotest.(check int) "workers and captures hold their updates" before (M.value c);
+  List.iter M.absorb (captured :: batches);
+  Alcotest.(check int) "all increments absorbed" (before + 40) (M.value c)
+
+let test_trace_worker_spans () =
+  with_tracing (fun () ->
+      let (), main = T.capture (fun () -> T.with_span ~name:"obs.test.w0" ignore) in
+      let batches =
+        List.init 3 (fun w ->
+            Domain.spawn (fun () ->
+                T.capture (fun () ->
+                    T.with_span ~name:(Printf.sprintf "obs.test.w%d" (w + 1)) ignore)
+                |> snd))
+        |> List.map Domain.join
+      in
+      Alcotest.(check int) "captured spans wait for absorb" 0 (List.length (T.spans ()));
+      List.iteri (fun domain l -> T.absorb ~domain l) (main :: batches);
+      let spans = T.spans () in
+      Alcotest.(check (list string)) "absorbed in order"
+        [ "obs.test.w0"; "obs.test.w1"; "obs.test.w2"; "obs.test.w3" ]
+        (List.map (fun (s : T.span) -> s.T.name) spans);
+      Alcotest.(check (list int)) "domain-tagged" [ 0; 1; 2; 3 ]
+        (List.map (fun (s : T.span) -> s.T.domain) spans);
+      Alcotest.(check (list int)) "worker-local ids renumbered" [ 0; 1; 2; 3 ]
+        (List.map (fun (s : T.span) -> s.T.id) spans))
+
 let suite =
   [ Alcotest.test_case "span nesting and ordering" `Quick test_span_nesting;
     Alcotest.test_case "disabled tracer records nothing" `Quick
@@ -278,4 +322,7 @@ let suite =
     Alcotest.test_case "guard statuses use the span clock" `Quick
       test_guard_timing_is_span_clock;
     Alcotest.test_case "tracing does not perturb results" `Quick
-      test_tracing_deterministic ]
+      test_tracing_deterministic;
+    Alcotest.test_case "worker counters merge into global" `Quick test_metrics_merge;
+    Alcotest.test_case "worker spans domain-tagged and renumbered" `Quick
+      test_trace_worker_spans ]

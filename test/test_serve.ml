@@ -292,6 +292,17 @@ let test_forked_writers () =
   Alcotest.(check (option string)) "entry published" (Some "shared-value")
     (Store.find t key)
 
+(* ---- -j below 1: rejected before any socket or domain exists ---- *)
+let test_jobs_validated () =
+  let socket_path = scratch_socket "jobs0" in
+  Alcotest.check_raises "daemon config"
+    (Invalid_argument "Daemon.start: jobs must be at least 1") (fun () ->
+      ignore (Daemon.start { (Daemon.default_config ~socket_path) with Daemon.jobs = 0 }));
+  Alcotest.(check bool) "no socket bound" false (Sys.file_exists socket_path);
+  Alcotest.check_raises "sweep"
+    (Invalid_argument "Experiment.sweep: jobs must be at least 1") (fun () ->
+      ignore (Experiment.sweep ~jobs:0 (Experiment.spec_for ~scale:0.04 "s38417")))
+
 (* ---- the daemon end to end ---- *)
 
 let with_daemon ?(capacity = 8) suffix f =
@@ -510,4 +521,5 @@ let suite =
     Alcotest.test_case "daemon: service fault matrix" `Quick test_service_fault_matrix;
     Alcotest.test_case "daemon: graceful drain" `Quick test_graceful_drain;
     Alcotest.test_case "daemon: deadline + cancel op" `Quick test_deadline_and_cancel_op;
-    Alcotest.test_case "daemon: typed backpressure" `Quick test_backpressure_depth ]
+    Alcotest.test_case "daemon: typed backpressure" `Quick test_backpressure_depth;
+    Alcotest.test_case "daemon: -j below 1 rejected" `Quick test_jobs_validated ]

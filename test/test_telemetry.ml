@@ -286,7 +286,7 @@ let perf_doc ?(walls = walls) ?(failed = 0) ?(share = 0.99) ?(incremental = 8.0)
   let kernel n v = J.Obj [ ("name", J.String n); ("speedup", J.Float v) ] in
   J.Obj
     [ ("workloads", J.Obj (List.map workload walls));
-      ("parallel", J.Obj [ ("host_cores", J.Int cores); ("kernels", J.List [ kernel "par-x" speedup ]) ]);
+      ("parallel", J.Obj [ ("host_cores", J.Int cores); ("kernels", J.List [ kernel "sweep-fanout" speedup ]) ]);
       ("incremental", J.Obj [ ("kernels", J.List [ kernel "single-tp-retime" incremental ]) ]);
       ("serve", J.Obj [ ("throughput_jobs_per_s", J.Float throughput); ("p95_ms", J.Float p95) ]) ]
 
@@ -300,8 +300,9 @@ let violations ?(baseline = baseline) ?(tolerance_pct = 10.0) current =
 let test_perfgate_passes_on_equal () =
   let v = PG.compare_docs ~directions ~baseline ~current:baseline ~tolerance_pct:0.0 in
   (* 4 x 3 workload metrics, 2 speedups, 2 serve; floors: 4 x 5 per
-     workload, the cache ratio, the incremental speedup *)
-  Alcotest.(check int) "metrics checked" (12 + 2 + 2 + 20 + 2) v.PG.checked;
+     workload, the cache ratio, the incremental speedup, the sweep
+     fan-out speedup (2 cores) *)
+  Alcotest.(check int) "metrics checked" (12 + 2 + 2 + 20 + 3) v.PG.checked;
   Alcotest.(check int) "no violations" 0 (List.length v.PG.violations);
   Alcotest.(check int) "nothing skipped" 0 (List.length v.PG.skipped)
 
@@ -320,14 +321,15 @@ let test_perfgate_boundaries () =
   (* higher-better: the limit is base / 1.1 *)
   Alcotest.(check (list string)) "speedup at limit passes" []
     (violations (perf_doc ~speedup:(2.0 /. 1.1) ()));
-  Alcotest.(check (list string)) "speedup below limit fails" [ "parallel/par-x/speedup" ]
+  Alcotest.(check (list string)) "speedup below limit fails" [ "parallel/sweep-fanout/speedup" ]
     (violations (perf_doc ~speedup:1.7 ()));
-  (* several regressions are all named *)
+  (* several regressions are all named; the 1.0x speedup trips both its
+     relative bound and its floor *)
   let v =
     violations
       (perf_doc ~walls:(with_wall "tables23-cold" 2.0) ~speedup:1.0 ~throughput:5.0 ~p95:1500.0 ())
   in
-  Alcotest.(check int) "four violations" 4 (List.length v);
+  Alcotest.(check int) "five violations" 5 (List.length v);
   Alcotest.(check bool) "workload named" true (List.mem "workloads/tables23-cold/wall_s" v);
   Alcotest.(check bool) "p95 named" true (List.mem "serve/p95_ms" v)
 
@@ -336,7 +338,7 @@ let test_perfgate_skips_missing () =
   let current = J.Obj [ ("workloads", Option.get (J.member "workloads" baseline)) ] in
   let v = PG.compare_docs ~directions ~baseline ~current ~tolerance_pct:10.0 in
   Alcotest.(check (list string)) "micro-sections skipped"
-    [ "parallel/par-x/speedup"; "incremental/single-tp-retime/speedup";
+    [ "parallel/sweep-fanout/speedup"; "incremental/single-tp-retime/speedup";
       "serve/throughput_jobs_per_s"; "serve/p95_ms" ]
     v.PG.skipped;
   Alcotest.(check int) "no violations from absence" 0 (List.length v.PG.violations);
@@ -376,11 +378,35 @@ let test_perfgate_host_cores_skip () =
     PG.compare_docs ~directions ~baseline:(perf_doc ~cores:4 ~speedup:3.0 ())
       ~current:(perf_doc ~cores:1 ~speedup:1.0 ()) ~tolerance_pct:10.0
   in
-  Alcotest.(check (list string)) "parallel skipped" [ "parallel/par-x/speedup" ] v.PG.skipped;
+  Alcotest.(check (list string)) "parallel skipped" [ "parallel/sweep-fanout/speedup" ]
+    v.PG.skipped;
   Alcotest.(check int) "no violations from hardware" 0 (List.length v.PG.violations);
-  (* same core count: the identical regression is a real violation *)
-  Alcotest.(check (list string)) "same cores gate normally" [ "parallel/par-x/speedup" ]
-    (violations ~baseline:(perf_doc ~cores:4 ~speedup:3.0 ()) (perf_doc ~cores:4 ~speedup:1.0 ()))
+  (* same core count: a regression is a real violation *)
+  Alcotest.(check (list string)) "same cores gate normally" [ "parallel/sweep-fanout/speedup" ]
+    (violations ~baseline:(perf_doc ~cores:4 ~speedup:3.0 ()) (perf_doc ~cores:4 ~speedup:2.0 ()))
+
+let test_perfgate_fanout_floor () =
+  let name = "parallel/sweep-fanout/speedup" in
+  let floors doc = violations ~baseline:doc doc in
+  Alcotest.(check (list string)) "at the floor passes" [] (floors (perf_doc ~speedup:1.3 ()));
+  Alcotest.(check (list string)) "below the floor on 2 cores" [ name ]
+    (floors (perf_doc ~speedup:1.29 ()));
+  Alcotest.(check (list string)) "a 1-core host is not floored" []
+    (floors (perf_doc ~cores:1 ~speedup:1.0 ()));
+  (* a parallel section without the fan-out entry: absent is a violation *)
+  let absent =
+    match perf_doc () with
+    | J.Obj fields ->
+      J.Obj
+        (List.map
+           (fun (k, v) ->
+             if k = "parallel" then
+               (k, J.Obj [ ("host_cores", J.Int 2); ("kernels", J.List []) ])
+             else (k, v))
+           fields)
+    | doc -> doc
+  in
+  Alcotest.(check (list string)) "absent on 2 cores" [ name ] (floors absent)
 
 let test_perfgate_degraded_baseline_fails () =
   (* the CI scenarios: a baseline with every workload's wall_s halved, and
@@ -531,6 +557,7 @@ let suite =
     Alcotest.test_case "perfgate: host_cores mismatch skips parallel" `Quick
       test_perfgate_host_cores_skip;
     Alcotest.test_case "perfgate: absolute floors" `Quick test_perfgate_floors;
+    Alcotest.test_case "perfgate: sweep fan-out floor" `Quick test_perfgate_fanout_floor;
     Alcotest.test_case "daemon: live exposition mid-job" `Quick
       test_daemon_live_prometheus_while_running;
     Alcotest.test_case "daemon: flight dump on retry exhaustion" `Quick

@@ -87,10 +87,11 @@ let jobs_arg =
 
 let cache_arg =
   let doc =
-    "Persist the content-addressed stage cache in this directory (created \
-     if missing). A repeated sweep is then served from cache -- tables and \
-     metrics stay byte-identical to a cold, cache-less run; only the \
-     cache.* counters report the hits."
+    "Persist the content-addressed cache in this directory (created if \
+     missing): one entry per completed layout, plus the generated design. \
+     A repeated sweep is then served from cache -- tables and metrics stay \
+     byte-identical to a cold, cache-less run; only the cache.* counters \
+     report the hits."
   in
   Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
 

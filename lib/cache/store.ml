@@ -238,12 +238,11 @@ let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let find t key = with_lock t (fun () -> find_unlocked t key)
-
-let mem t key =
+let find t key =
   with_lock t (fun () ->
-      Hashtbl.mem t.table key
-      || match t.dir with Some dir -> Sys.file_exists (path_of dir key) | None -> false)
+      let v = find_unlocked t key in
+      if Option.is_none v then Obs.Metrics.incr m_misses;
+      v)
 
 let add t key value = with_lock t (fun () -> add_unlocked t key value)
 
@@ -299,7 +298,7 @@ let find_or_compute t ~key f =
         Hashtbl.replace t.inflight key ();
         Obs.Metrics.incr m_misses;
         Mutex.unlock t.mutex;
-        let settle () =
+        let release () =
           Hashtbl.remove t.inflight key;
           Condition.broadcast t.cond;
           Mutex.unlock t.mutex
@@ -307,7 +306,7 @@ let find_or_compute t ~key f =
         match compute_locked t key f with
         | exception e ->
           Mutex.lock t.mutex;
-          settle ();
+          release ();
           raise e
         | value, from_disk ->
           Mutex.lock t.mutex;
@@ -319,7 +318,7 @@ let find_or_compute t ~key f =
             Obs.Metrics.incr m_stores;
             mem_insert t key value
           end;
-          settle ();
+          release ();
           (value, from_disk)
       end
   in

@@ -1,18 +1,18 @@
-(** Content-addressed stage cache.
+(** Content-addressed layout cache.
 
     A byte store keyed by digest strings, with an in-memory LRU tier and an
     optional on-disk tier, shared by every level of a sweep. Keys are
-    derived from structural fingerprints of a stage's inputs (see
+    derived from structural fingerprints of a layout's inputs (see
     {!Flow.Pipeline} and DESIGN.md §6.2), so a lookup can only ever return
     bytes produced by the identical computation — the cache accelerates
     repeated sweeps without touching the §6.1 bit-identity contract.
 
     {b Domains.} One store may be shared by any number of domains and
     threads: every operation holds an internal mutex, and concurrent
-    requests for the same missing key are single-flighted — exactly one
-    caller computes while the rest block and then take the hit. Hit/miss
-    totals are therefore identical at any [-j], which keeps the [cache.*]
-    counters deterministic.
+    {!find_or_compute} requests for the same missing key are
+    single-flighted — exactly one caller computes while the rest block
+    and then take the hit. Hit/miss totals are therefore identical at any
+    [-j], which keeps the [cache.*] counters deterministic.
 
     {b Disk tier.} Entries are written atomically (temp file + rename) as
     a magic header, an MD5 digest of the payload and the payload itself;
@@ -49,12 +49,8 @@ val key : string list -> string
 
 val find : t -> string -> string option
 (** Memory tier first (refreshing recency), then disk (verifying the
-    payload digest and promoting the entry into memory). *)
-
-val mem : t -> string -> bool
-(** Whether [key] is in the memory tier or has a file in the disk tier.
-    Cheap: nothing is read, so a [true] does not promise that {!find}
-    succeeds (the file may be corrupt, or removed in the meantime). *)
+    payload digest and promoting the entry into memory). [None] counts
+    in [cache.misses]. *)
 
 val add : t -> string -> string -> unit
 (** Insert into both tiers. Adding an existing key is a no-op. *)

@@ -99,8 +99,8 @@ val sweep :
     is dropped with its metrics. [on_stage] then runs on whichever
     domain builds the level: a level's events come in stage order, but
     the events of different levels interleave. With [cache], design
-    generation runs once per sweep and every stage consults the
-    content-addressed stage cache ({!Pipeline.cached_stage}), so a
+    generation runs once per sweep and every level is looked up in the
+    content-addressed cache as one entry ({!Pipeline.cache_open}), so a
     repeated sweep is served almost entirely from cache and still
     byte-identical to a cold, cache-less run. *)
 

@@ -244,13 +244,7 @@ let attempt ~circuit ~options ~tamper ~cancel ~on_stage ~k mk_design =
     (List.map (fun s -> (s, Skipped)) all_stages, None, Some err, None)
   | None ->
     let st = P.init ~options d in
-    (* fault-injection runs bypass the cache: a tampered stage must not
-       store (or be served) an entry a clean run could share *)
-    let ctx =
-      (* forced in the first stage's span, so that the root key's design
-         fingerprint counts as cache time *)
-      lazy (match tamper with None -> P.cache_ctx st | Some _ -> None)
-    in
+    let cache = ref P.Uncached in
     let log = ref [] in
     let error = ref None in
     let result = ref None in
@@ -287,12 +281,16 @@ let attempt ~circuit ~options ~tamper ~cancel ~on_stage ~k mk_design =
                post_check ~circuit stage st
              in
              (try
-                P.cached_stage (Lazy.force ctx) (stage_name stage) run st;
-                (* the deferred hits load, and the result is collected,
-                   inside the last stage's span *)
+                (* the layout's one lookup runs inside the first stage's
+                   span, so that fingerprinting the design counts as cache
+                   time; fault-injection runs bypass the cache, so a
+                   tampered stage can neither store nor be served an
+                   entry a clean run could share *)
+                if stage = Tpi_scan && Option.is_none tamper then cache := P.cache_open st;
+                P.run_stage !cache run st;
                 if stage = last_stage then begin
-                  P.settle (Lazy.force ctx) st;
-                  result := Some (P.finish st)
+                  result := Some (P.finish st);
+                  P.cache_close !cache st
                 end;
                 let ms = Obs.Trace.stop span in
                 Obs.Recorder.span
@@ -319,10 +317,6 @@ let attempt ~circuit ~options ~tamper ~cancel ~on_stage ~k mk_design =
                   ();
                 record stage (Failed (Obs.Trace.stop ~error:detail span)))))
       all_stages;
-    (* only a cancelled attempt stops with hits still deferred; its error
-       is already recorded, so a load that fails just leaves [st] at the
-       last settled stage *)
-    if Lazy.is_val ctx then (try P.settle (Lazy.force ctx) st with _ -> ());
     (List.rev !log, Some st, !error, !result)
 
 let run ?(policy = Fail_fast) ?(retries = default_retries) ?(options = P.default_options)

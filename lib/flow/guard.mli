@@ -19,13 +19,17 @@
     and even misbehaving [tamper] hooks all land in the report as a
     {!stage_error}.
 
-    When the options carry a stage cache ({!Pipeline.options.cache}), each
-    stage body and its checks run through {!Pipeline.cached_stage}, so a
-    stage whose entry is present runs neither (its checks passed when the
-    entry was stored), and the products are loaded once, in the last
-    stage ({!Pipeline.settle}); runs with a [tamper] hook bypass the
-    cache entirely so injected faults can neither store nor be served
-    shared entries. *)
+    When the options carry a cache ({!Pipeline.options.cache}), the
+    layout is looked up once, inside the first stage's span
+    ({!Pipeline.cache_open}). On a hit the stored products are restored
+    and no stage body or check runs (they passed when the entry was
+    stored), yet every stage is still logged [Completed] with its span
+    and [on_stage] event. On a miss every stage runs and the finished
+    layout is stored once the last stage's checks passed; a failed or
+    cancelled attempt stores nothing, so its re-run starts again from
+    the first stage. Runs with a [tamper] hook bypass the cache entirely
+    so injected faults can neither store nor be served shared
+    entries. *)
 
 type stage =
   | Tpi_scan        (** step 1: TPI + scan insertion *)

@@ -25,7 +25,7 @@ let default_options =
 
 (* Every stage product, as one immutable record: a stage body reads its
    prerequisites from it and replaces it with a copy carrying its own
-   slots, and a stage-cache entry is exactly this record (marshalled
+   slots, and a layout's cache entry holds this record (marshalled
    whole, so aliasing between the design and e.g. the placement's
    back-reference survives the round trip). *)
 type products = {
@@ -64,7 +64,6 @@ type result = {
   rc : Layout.Extract.net_rc array;
   sta : Sta.Analysis.t;
   repair : Repair.report option;
-  lint_report : Lint.Engine.report option;
   stats : Netlist.Stats.t;
   drc : Layout.Drc.report;
 }
@@ -75,9 +74,6 @@ type result = {
 type state = {
   s_options : options;
   mutable s_products : products;
-  (* post-layout lint report; outside the stage cache, like any product of
-     a stage body that only runs on a miss *)
-  mutable s_lint : Lint.Engine.report option;
 }
 
 let init ?(options = default_options) (d : Design.t) =
@@ -98,8 +94,7 @@ let init ?(options = default_options) (d : Design.t) =
         route = None;
         rc = None;
         sta = None;
-        repair = None };
-    s_lint = None }
+        repair = None } }
 
 let need what = function
   | Some v -> v
@@ -199,26 +194,7 @@ let stage_sta st =
   let rc = need "rc" p.rc in
   let tg = Sta.Tgraph.compile p.design rc in
   Sta.Tgraph.propagate tg;
-  let a = Sta.Tgraph.analysis tg in
-  st.s_products <- { p with sta = Some a };
-  (* with the graph still warm, the TPI/timing lint pack gets real
-     post-layout artifacts for free: the slack report and the
-     near-critical net set fall out of the arrival/required arrays
-     instead of the zero-parasitic graph the pack falls back to *)
-  if st.s_options.lint then begin
-    let arts =
-      { Lint.Rule.no_artifacts with
-        Lint.Rule.slack = Some (Sta.Tgraph.slack tg);
-        crit_nets = Some (Lint.Tpitiming.critical_nets tg a) }
-    in
-    let rules =
-      List.concat_map
-        (fun pack ->
-          Option.value ~default:[] (Lint.Engine.find_pack pack))
-        [ Lint.Tpitiming.pack_name; Lint.Tpirepair.pack_name ]
-    in
-    st.s_lint <- Some (Lint.Engine.run ~arts ~rules p.design)
-  end
+  st.s_products <- { p with sta = Some (Sta.Tgraph.analysis tg) }
 
 (* --- step 7: post-route timing repair (off by default) --- *)
 let stage_repair st =
@@ -255,34 +231,29 @@ let finish st =
     rc = need "rc" p.rc;
     sta = need "sta" p.sta;
     repair = p.repair;
-    lint_report = st.s_lint;
     stats = Netlist.Stats.compute p.design;
     drc = need "drc" p.drc }
 
-(* ---- stage cache (lib/cache) ----
+(* ---- layout cache (lib/cache) ----
 
-   The key chain starts from one root key: the cache version, a
+   A layout is the unit of caching. Its key digests the cache version, a
    fingerprint of every option a stage can read and a fingerprint of the
-   input design. Each stage's key is then [name; previous key]. Every
-   stage is a deterministic function of the design and options it starts
-   from, so the chain pins every input a stage can see, including the
+   input design. Every stage is a deterministic function of the design and
+   options it starts from, so the key pins the whole layout, including the
    products that live outside the netlist (the placement, the route, ...).
-   An entry is the post-stage products record, whole and cumulative, so a
-   hit always restores a state consistent with its chain; it also holds
-   the exact metrics delta of every stage up to it, replayed on a hit to
-   keep cached and uncached runs byte-identical in tables and kernel
-   counters (DESIGN.md §6.2). Only the [cache.*] counters themselves may
-   differ.
-
-   A stage's run (its body and its post-stage checks) is stored only once
-   it has returned, so an entry's presence means its checks passed. A
-   present entry is therefore not read at all until a later stage needs
-   the products: a hit is deferred, and [settle] loads only the newest
-   deferred entry, whose cumulative record covers every hit before it. *)
+   An entry is the finished products record together with the exact
+   metrics delta of each stage, replayed on a hit, which keeps cached and
+   uncached runs byte-identical in tables and kernel counters (DESIGN.md
+   §6.2); only the [cache.*] counters themselves may differ. The deltas
+   are captured per stage because the guard's own counters and its
+   [on_stage] hook run between the stages and must stay out of them. The
+   entry is stored once the last stage's checks have passed, so its
+   presence means every check passed; a failed or cancelled attempt
+   stores nothing. *)
 
 (* bump whenever the products layout or any stage semantics change: old
    on-disk entries then simply never match a key again *)
-let cache_version = "tpi-stage-cache-v6"
+let cache_version = "tpi-stage-cache-v7"
 
 (* every option a stage outcome can depend on; the cache itself and the
    lint flag (read-only over the design) are deliberately excluded.
@@ -296,86 +267,55 @@ let options_fingerprint o =
             o.seed, o.repair )
           []))
 
-type cache_ctx = {
-  ck_store : Cache.Store.t;
-  mutable ck_prev : string;  (* previous stage's key: the chain *)
-  mutable ck_deferred : (string * (state -> unit)) list;
-      (* present entries not loaded yet, newest first, with their runs *)
-  mutable ck_deltas : Obs.Metrics.local list;
-      (* the metrics delta of each stage the state's products cover, in
-         stage order; all of them are already counted *)
-}
-
-let cache_ctx (st : state) =
-  match st.s_options.cache with
-  | None -> None
-  | Some store ->
-    let root =
-      Cache.Store.key
-        [ cache_version; options_fingerprint st.s_options;
-          Design.fingerprint st.s_products.design ]
-    in
-    Some { ck_store = store; ck_prev = root; ck_deferred = []; ck_deltas = [] }
-
 type cache_entry = {
   e_products : products;
-  e_metrics : Obs.Metrics.local list;  (* every stage's exact delta, in order *)
+  e_metrics : Obs.Metrics.local list;  (* each stage's exact delta, in order *)
 }
+
+type cache =
+  | Uncached
+  | Served
+  | Filling of {
+      store : Cache.Store.t;
+      key : string;
+      mutable deltas : Obs.Metrics.local list;  (* newest first *)
+    }
 
 let m_hits = Obs.Metrics.counter "cache.stage_hits"
 let m_misses = Obs.Metrics.counter "cache.stage_misses"
 
-(* assign a stored entry and count the deltas of the stages it adds *)
-let restore ctx (st : state) bytes =
-  let entry : cache_entry = Marshal.from_string bytes 0 in
-  let known = List.length ctx.ck_deltas in
-  List.iteri (fun i d -> if i >= known then Obs.Metrics.absorb d) entry.e_metrics;
-  ctx.ck_deltas <- entry.e_metrics;
-  st.s_products <- entry.e_products
-
-let compute ctx key run (st : state) =
-  let bytes, hit =
-    Cache.Store.find_or_compute ctx.ck_store ~key (fun () ->
-        let (), delta = Obs.Metrics.with_scoped (fun () -> run st) in
-        ctx.ck_deltas <- ctx.ck_deltas @ [ delta ];
-        Marshal.to_string { e_products = st.s_products; e_metrics = ctx.ck_deltas } [])
-  in
-  if hit then begin
-    Obs.Metrics.incr m_hits;
-    restore ctx st bytes
-  end
-  else Obs.Metrics.incr m_misses
-
-(* Load the newest deferred entry that reads back. A deferred entry that
-   does not (corrupt, or evicted since it was seen) is recomputed from
-   the one before it, or from the state the deferral began at. *)
-let rec settle_ctx ctx st =
-  match ctx.ck_deferred with
-  | [] -> ()
-  | (key, run) :: older ->
-    (match Cache.Store.find ctx.ck_store key with
+let cache_open (st : state) =
+  match st.s_options.cache with
+  | None -> Uncached
+  | Some store ->
+    let key =
+      Cache.Store.key
+        [ cache_version; options_fingerprint st.s_options;
+          Design.fingerprint st.s_products.design ]
+    in
+    (match Cache.Store.find store key with
      | Some bytes ->
-       Obs.Metrics.add m_hits (List.length ctx.ck_deferred);
-       ctx.ck_deferred <- [];
-       restore ctx st bytes
-     | None ->
-       ctx.ck_deferred <- older;
-       settle_ctx ctx st;
-       compute ctx key run st)
+       let entry : cache_entry = Marshal.from_string bytes 0 in
+       st.s_products <- entry.e_products;
+       List.iter Obs.Metrics.absorb entry.e_metrics;
+       Served
+     | None -> Filling { store; key; deltas = [] })
 
-let settle ctx st = Option.iter (fun ctx -> settle_ctx ctx st) ctx
+let run_stage cache run (st : state) =
+  match cache with
+  | Uncached -> run st
+  | Served -> Obs.Metrics.incr m_hits
+  | Filling f ->
+    let (), delta = Obs.Metrics.with_scoped (fun () -> run st) in
+    f.deltas <- delta :: f.deltas;
+    Obs.Metrics.incr m_misses
 
-let cached_stage ctx name run (st : state) =
-  match ctx with
-  | None -> run st
-  | Some ctx ->
-    let key = Cache.Store.key [ name; ctx.ck_prev ] in
-    ctx.ck_prev <- key;
-    if Cache.Store.mem ctx.ck_store key then ctx.ck_deferred <- (key, run) :: ctx.ck_deferred
-    else begin
-      settle_ctx ctx st;
-      compute ctx key run st
-    end
+let cache_close cache (st : state) =
+  match cache with
+  | Filling f ->
+    Cache.Store.add f.store f.key
+      (Marshal.to_string { e_products = st.s_products; e_metrics = List.rev f.deltas } [])
+  | Uncached | Served -> ()
 
 (* read-only gate ahead of the first stage: a design that would mis-build
    (combinational loops, multi-driven nets, mis-clocked test points, ...)

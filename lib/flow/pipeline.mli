@@ -13,7 +13,7 @@
        — the paper's layouts are deliberately unoptimised (§5).}}
 
     This module holds the options, the stage bodies, the products they
-    fill in and the stage cache. It does not sequence them: every layout
+    fill in and the layout cache. It does not sequence them: every layout
     is built from scratch by {!Guard.run}, which runs the stages in order
     with post-stage invariant checks, typed errors, retries and
     cancellation ({!Guard.result_exn} turns its report into a
@@ -27,10 +27,10 @@ type options = {
   tpi_config : Tpi.Select.config;  (** e.g. blocked nets for the §5 ablation *)
   seed : int;
   cache : Cache.Store.t option;
-      (** content-addressed stage cache consulted before each stage
-          ({!cached_stage}): a hit restores the stage's products and
-          replays its metrics delta instead of recomputing. Cached and
-          uncached runs are byte-identical in results and kernel metrics
+      (** content-addressed layout cache: a layout whose entry is present
+          is restored whole and every stage replays its metrics delta
+          instead of recomputing ({!cache_open}). Cached and uncached
+          runs are byte-identical in results and kernel metrics
           (DESIGN.md §6.2); the cache never affects {e what} is
           computed, only how fast *)
   lint : bool;
@@ -38,13 +38,11 @@ type options = {
           first stage; error-severity findings abort with
           {!Lint.Engine.Lint_failed} (error class ["lint-failed"] under
           {!Guard}). Read-only over the design, so — like the cache —
-          excluded from stage-cache keys. When the sta stage runs
-          (not on a cache hit) it also produces the post-layout
-          [lint_report] *)
+          excluded from cache keys *)
   repair : bool;
       (** run the step-7 {!Repair} stage: WNS/TNS-driven ECO repair of the
           routed design, updating [route]/[rc]/[sta] to the repaired
-          state, with {!Repair.default_config}. Part of the stage-cache
+          state, with {!Repair.default_config}. Part of the cache
           key. Default [false] *)
 }
 
@@ -70,8 +68,8 @@ type products = {
 }
 (** Everything the stages have produced so far: the design plus one slot
     per stage product, [None] until its stage has run. Immutable — a
-    stage replaces the whole record — and exactly what a stage-cache
-    entry stores. *)
+    stage replaces the whole record — and, after the last stage, exactly
+    what a layout's cache entry stores. *)
 
 type result = {
   design : Netlist.Design.t;
@@ -92,11 +90,6 @@ type result = {
       (** post-repair when the repair stage ran; its pre-repair STA is
           then in [repair.pre_sta] *)
   repair : Repair.report option;  (** [Some] iff [options.repair] *)
-  lint_report : Lint.Engine.report option;
-      (** post-layout run of the TPI/timing lint packs, fed the real slack
-          report and near-critical net set straight off the sta stage's
-          timing graph; [Some] under [lint = true] whenever the sta stage
-          ran rather than being restored from the cache *)
   stats : Netlist.Stats.t;  (** post-flow netlist statistics *)
   drc : Layout.Drc.report;  (** max-capacitance fixes applied before routing *)
 }
@@ -117,8 +110,6 @@ val preflight : options:options -> Netlist.Design.t -> unit
 type state = {
   s_options : options;
   mutable s_products : products;
-  mutable s_lint : Lint.Engine.report option;
-      (** [lint] only; outside the stage cache *)
 }
 
 val init : ?options:options -> Netlist.Design.t -> state
@@ -139,38 +130,43 @@ val finish : state -> result
 (** Collects a complete [result]; raises [Invalid_argument] if any stage
     has not run. *)
 
-(** {1 Stage cache}
+(** {1 Layout cache}
 
-    Content-addressed memoization of whole stages (see DESIGN.md §6.2).
-    The chain's root key digests the cache version, a fingerprint of the
+    Content-addressed memoization of whole layouts (see DESIGN.md §6.2).
+    A layout's key digests the cache version, a fingerprint of the
     result-relevant options (cache and lint excluded) and
-    [Design.fingerprint] of the input design; each stage's key is its
-    name plus the previous key, so the products living outside the
-    netlist (placement, route, ...) are pinned transitively. {!Guard}
-    bypasses the cache for fault-injection runs (a [tamper] hook). *)
+    [Design.fingerprint] of the input design, so the products living
+    outside the netlist (placement, route, ...) are pinned too. An entry
+    is the finished {!products} plus each stage's metrics delta, stored
+    only after the last stage's checks passed. {!Guard} bypasses the
+    cache for fault-injection runs (a [tamper] hook). *)
 
-type cache_ctx
-(** Per-run chaining state; create one per attempt. *)
+type cache =
+  | Uncached
+  | Served
+  | Filling of {
+      store : Cache.Store.t;
+      key : string;
+      mutable deltas : Obs.Metrics.local list;  (** computed stages', newest first *)
+    }
+(** One attempt's cache state. *)
 
-val cache_ctx : state -> cache_ctx option
-(** [None] when the options carry no cache; otherwise a chain rooted at
-    the state's options and (freshly initialised) design. *)
+val cache_open : state -> cache
+(** Look the layout up once, before its first stage runs. Without
+    [options.cache] the layout is uncached. On a hit the stored products
+    are assigned to [st], the stored metrics deltas of all seven stages
+    are replayed ({!Obs.Metrics.absorb}), and every stage is then served
+    ({!run_stage}); on a miss every stage is computed and {!cache_close}
+    stores the entry. *)
 
-val cached_stage : cache_ctx option -> string -> (state -> unit) -> state -> unit
-(** [cached_stage ctx name run st] runs one stage: [run] is its body
-    followed by its post-stage checks. Without [ctx] it just runs [run st].
-    With one, a stage whose entry is present is a deferred hit: nothing
-    is read or run, and the entry's presence stands for checks that
-    passed, because an entry is stored only after [run] returned. A
-    stage whose entry is absent first {!settle}s, then runs [run] under
-    {!Obs.Metrics.with_scoped} and stores the products together with
-    every stage's metrics delta so far. [name] must be the stage's flow
-    name (["tpi-scan"], ["place"], ...). *)
+val run_stage : cache -> (state -> unit) -> state -> unit
+(** [run_stage c run st] runs one stage, in Figure-2 order: [run] is its
+    body followed by its post-stage checks. Uncached, it just runs
+    [run st]. Served, [run] does not run (the entry's presence stands for
+    checks that passed) and [cache.stage_hits] is counted. Filling, [run]
+    runs under {!Obs.Metrics.with_scoped}, its delta is kept for the
+    entry, and [cache.stage_misses] is counted. *)
 
-val settle : cache_ctx option -> state -> unit
-(** Bring [st] up to date with the deferred hits: load the newest
-    deferred entry, assign its products and replay the metrics deltas of
-    the stages it covers beyond [st]'s. An entry that does not read back
-    is recomputed (its run included) from the newest one that does, or
-    from the state the deferral began at. Call it after the last stage
-    and before reading [st] on any early exit. *)
+val cache_close : cache -> state -> unit
+(** Store the layout's entry when filling; call once, after the last
+    stage's checks passed. A no-op when uncached or served. *)

@@ -2,10 +2,12 @@
 
     A span is one timed region of execution — a flow stage, a kernel
     inside it, an inner phase of a kernel — with wall-clock duration,
-    allocation delta ([Gc.quick_stat], so tracing never perturbs the
-    RNG or the results) and arbitrary JSON attributes. Spans nest: the
-    innermost open span when a new one starts becomes its parent, which
-    is what makes the Chrome trace render as a flame graph.
+    the allocation of the domain that ran it ([Gc.minor_words] and
+    [Gc.counters], so tracing never perturbs the RNG or the results, and
+    concurrent layouts of a [-j N] sweep are not charged to each other's
+    spans) and arbitrary JSON attributes. Spans nest: the innermost open
+    span when a new one starts becomes its parent, which is what makes
+    the Chrome trace render as a flame graph.
 
     Tracing is {e off} by default and zero-cost while off: {!with_span}
     checks one flag and tail-calls the body; {!enter}/{!stop} still
@@ -24,7 +26,7 @@ type span = {
   attrs : (string * Json.t) list;
   start_us : float;   (** {!Clock.now_us} at entry *)
   dur_us : float;
-  alloc_words : float;  (** words allocated while the span was open *)
+  alloc_words : float;  (** words its domain allocated while it was open *)
   error : string option;  (** set when the body raised *)
   domain : int;
       (** worker the span was recorded on: 0 for the main domain, the

@@ -197,7 +197,7 @@ let test_hit_accounting () =
   (* 7 stages x 3 levels, all cold *)
   Alcotest.(check int) "cold run misses every stage" 21 (stage_misses ());
   Alcotest.(check int) "cold run hits nothing" 0 (stage_hits ());
-  Alcotest.(check int) "one entry per stage plus design-gen" 22 (Store.mem_entries store);
+  Alcotest.(check int) "one entry per layout plus design-gen" 4 (Store.mem_entries store);
   let _ = render ~cache:store () in
   Alcotest.(check int) "warm run hits every stage" 21 (stage_hits ());
   Alcotest.(check int) "warm run misses nothing" 0 (stage_misses ())
@@ -217,50 +217,60 @@ let test_corrupted_entries_recompute () =
   Alcotest.(check bool) "corruptions observed" true
     (M.value (M.counter "cache.disk_corrupt") > 0)
 
-(* ---- deferred hits: a warm layout reads one entry; a bad one is
-   recomputed from the newest entry that reads back ---- *)
+(* ---- a layout is stored whole or not at all: a cancelled one leaves
+   no entry, and the next run recomputes it ---- *)
 
-let test_deferred_hits () =
-  let dir = tmp_dir "deferred" in
-  let run ?cache () =
-    M.reset ();
-    let rows =
-      List.map Flow.Experiment.row_exn
-        (Flow.Experiment.sweep ?cache ~with_atpg:false ~tp_levels:[ 2 ]
-           (Flow.Experiment.spec_for ~scale:0.06 "s38417"))
-    in
-    (Flow.Report.table2 rows ^ Flow.Report.table3 rows, metrics_sans_cache ())
+let test_cancelled_layout_stores_nothing () =
+  let dir = tmp_dir "cancelled" in
+  let entries () =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f ->
+           not (Filename.check_suffix f ".lock" || Astring_contains.contains f ".tmp-"))
+    |> List.length
   in
   let count n = M.value (M.counter n) in
-  let t0, m0 = run () in
-  let _ = run ~cache:(Store.create ~dir ()) () in
-  (* written in order: the design memo, then the seven stage entries *)
-  let by_age =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> not (Filename.check_suffix f ".lock"))
-    |> List.map (fun f -> ((Unix.stat (Filename.concat dir f)).Unix.st_mtime, f))
-    |> List.sort compare |> List.map snd
+  let run ?cache ?cancel ?on_stage () =
+    M.reset ();
+    let grows =
+      Flow.Experiment.sweep ?cache ?cancel ?on_stage ~with_atpg:false ~tp_levels:[ 2 ]
+        (Flow.Experiment.spec_for ~scale:0.06 "s38417")
+    in
+    (grows, metrics_sans_cache ())
   in
-  Alcotest.(check int) "design memo plus seven stage entries" 8 (List.length by_age);
-  let warm what ~hits ~misses ~disk_hits =
-    let t, m = run ~cache:(Store.create ~dir ()) () in
-    Alcotest.(check string) (what ^ ": tables") t0 t;
-    Alcotest.(check string) (what ^ ": metrics") m0 m;
-    Alcotest.(check int) (what ^ ": stage hits") hits (count "cache.stage_hits");
-    Alcotest.(check int) (what ^ ": stage misses") misses (count "cache.stage_misses");
-    Alcotest.(check int) (what ^ ": disk hits") disk_hits (count "cache.disk_hits")
+  let tables grows =
+    let rows = List.map Flow.Experiment.row_exn grows in
+    Flow.Report.table2 rows ^ Flow.Report.table3 rows
   in
-  warm "warm" ~hits:7 ~misses:0 ~disk_hits:2;
-  List.iter
-    (fun f ->
-      let oc = open_out_bin (Filename.concat dir f) in
-      output_string oc "scribbled over by a crashing writer";
-      close_out oc)
-    (List.filteri (fun i _ -> i >= 6) by_age);
-  (* sta and repair no longer read back: extract's entry is loaded *)
-  warm "newest two corrupt" ~hits:5 ~misses:2 ~disk_hits:2;
-  Alcotest.(check bool) "corruptions observed" true (count "cache.disk_corrupt" >= 2);
-  warm "healed" ~hits:7 ~misses:0 ~disk_hits:2
+  let g0, m0 = run () in
+  let t0 = tables g0 in
+  let cancel = Flow.Cancel.create () in
+  let on_stage ~tp_pct:_ stage status =
+    match (stage, status) with
+    | Flow.Guard.Reorder_atpg, Flow.Guard.Completed _ ->
+      Flow.Cancel.cancel cancel ~reason:"after stage 3"
+    | _ -> ()
+  in
+  (match run ~cache:(Store.create ~dir ()) ~cancel ~on_stage () with
+   | [ g ], _ ->
+     let r = g.Flow.Experiment.g_report in
+     Alcotest.(check bool) "level cancelled" true
+       (match r.Flow.Guard.error with Some e -> Flow.Guard.is_cancelled e | None -> false);
+     Alcotest.(check int) "three stages ran" 3 (List.length (Flow.Guard.completed_stages r))
+   | grows, _ -> Alcotest.failf "%d rows for one level" (List.length grows));
+  Alcotest.(check int) "cancelled run: computed stages are misses" 3
+    (count "cache.stage_misses");
+  Alcotest.(check int) "only the design memo is stored" 1 (entries ());
+  let g, m = run ~cache:(Store.create ~dir ()) () in
+  Alcotest.(check string) "recomputed tables" t0 (tables g);
+  Alcotest.(check string) "recomputed metrics" m0 m;
+  Alcotest.(check int) "recomputed from stage 1" 7 (count "cache.stage_misses");
+  Alcotest.(check int) "nothing served" 0 (count "cache.stage_hits");
+  Alcotest.(check int) "the completed layout is stored" 2 (entries ());
+  let g, m = run ~cache:(Store.create ~dir ()) () in
+  Alcotest.(check string) "served tables" t0 (tables g);
+  Alcotest.(check string) "served metrics" m0 m;
+  Alcotest.(check int) "served: every stage a hit" 7 (count "cache.stage_hits");
+  Alcotest.(check int) "served: one entry read" 2 (count "cache.disk_hits")
 
 (* ---- guarded runs share the cache; tampered runs bypass it ---- *)
 
@@ -304,6 +314,7 @@ let suite =
     Alcotest.test_case "hit accounting" `Quick test_hit_accounting;
     Alcotest.test_case "corrupted entries recompute" `Quick
       test_corrupted_entries_recompute;
-    Alcotest.test_case "deferred hits" `Quick test_deferred_hits;
+    Alcotest.test_case "cancelled layout stores nothing" `Quick
+      test_cancelled_layout_stores_nothing;
     Alcotest.test_case "guarded warm run" `Quick test_guarded_warm_run;
     Alcotest.test_case "tamper bypasses cache" `Quick test_tamper_bypasses_cache ]

@@ -258,26 +258,6 @@ let prop_random_eco_sequence =
           && full.A.slow_nodes = inc.A.slow_nodes)
         edits)
 
-let test_lint_reuses_graph () =
-  let d = Circuits.Bench.tiny ~seed:41 ~ffs:40 ~gates:400 () in
-  let options =
-    { Flow.Pipeline.default_options with
-      Flow.Pipeline.tp_percent = 3.0;
-      run_atpg = false;
-      lint = true }
-  in
-  let r = Helpers.run_flow ~options d in
-  match r.Flow.Pipeline.lint_report with
-  | None -> Alcotest.fail "no post-layout lint report"
-  | Some rep ->
-    (* only the post-layout packs ran, with real STA artifacts *)
-    List.iter
-      (fun (s : Lint.Engine.stat) ->
-        Alcotest.(check bool) ("pack of " ^ s.Lint.Engine.rule_id) true
-          (List.mem s.Lint.Engine.pack [ "tpi-timing"; "tpi-repair" ]))
-      rep.Lint.Engine.stats;
-    Alcotest.(check bool) "ran some rules" true (rep.Lint.Engine.stats <> [])
-
 let suite =
   [ Alcotest.test_case "tgraph mini = analysis" `Quick test_tgraph_mini;
     Alcotest.test_case "tgraph tiny = analysis" `Quick test_tgraph_tiny;
@@ -288,5 +268,4 @@ let suite =
     Alcotest.test_case "eco upsize = full rerun" `Quick test_eco_upsize;
     Alcotest.test_case "eco buffer = full rerun" `Quick test_eco_buffer;
     Alcotest.test_case "eco cone bounded" `Quick test_eco_cone_bounded;
-    Alcotest.test_case "lint reuses graph" `Quick test_lint_reuses_graph;
     QCheck_alcotest.to_alcotest prop_random_eco_sequence ]

@@ -306,6 +306,36 @@ let test_trace_worker_spans () =
       Alcotest.(check (list int)) "worker-local ids renumbered" [ 0; 1; 2; 3 ]
         (List.map (fun (s : T.span) -> s.T.id) spans))
 
+(* a span counts its own domain's allocation only: a worker's span stays
+   open while the main domain allocates ~10 Mwords, and must not be
+   charged for them *)
+let test_trace_alloc_per_domain () =
+  with_tracing (fun () ->
+      let opened = Atomic.make false and allocated = Atomic.make false in
+      let worker =
+        Domain.spawn (fun () ->
+            T.capture (fun () ->
+                T.with_span ~name:"obs.test.idle" (fun () ->
+                    Atomic.set opened true;
+                    while not (Atomic.get allocated) do Domain.cpu_relax () done))
+            |> snd)
+      in
+      while not (Atomic.get opened) do Domain.cpu_relax () done;
+      T.with_span ~name:"obs.test.alloc" (fun () ->
+          for _ = 1 to 5_000_000 do ignore (Sys.opaque_identity (ref 0)) done);
+      Atomic.set allocated true;
+      T.absorb ~domain:1 (Domain.join worker);
+      let alloc name =
+        match List.find_opt (fun (s : T.span) -> s.T.name = name) (T.spans ()) with
+        | Some s -> s.T.alloc_words
+        | None -> Alcotest.failf "no span %s" name
+      in
+      let main = alloc "obs.test.alloc" and idle = alloc "obs.test.idle" in
+      Alcotest.(check bool) (Printf.sprintf "main span sees its 10 Mwords (%.0f)" main) true
+        (main >= 1e7);
+      Alcotest.(check bool) (Printf.sprintf "idle worker span charged %.0f words" idle) true
+        (idle < 1e5))
+
 let suite =
   [ Alcotest.test_case "span nesting and ordering" `Quick test_span_nesting;
     Alcotest.test_case "disabled tracer records nothing" `Quick
@@ -319,6 +349,7 @@ let suite =
     Alcotest.test_case "jsonl round-trips" `Quick test_jsonl_roundtrip;
     Alcotest.test_case "metrics snapshot round-trips" `Quick
       test_metrics_snapshot_roundtrip;
+    Alcotest.test_case "span allocation is per domain" `Quick test_trace_alloc_per_domain;
     Alcotest.test_case "guard statuses use the span clock" `Quick
       test_guard_timing_is_span_clock;
     Alcotest.test_case "tracing does not perturb results" `Quick

@@ -246,11 +246,37 @@ let find t key =
 
 let add t key value = with_lock t (fun () -> add_unlocked t key value)
 
+(* An exclusive fcntl lock on the lock file at [path]: [Some fd] once the
+   file this process locked is still the one at [path], [None] when no
+   lock can be had (read-only dir, fd exhaustion, no lock support). A
+   previous owner unlinks the file before it lets go, so a waiter that
+   wakes holding a file no longer at the path drops it and retries on
+   the one that is there now (or creates it). *)
+let rec lock_file path =
+  match Unix.openfile path [ Unix.O_CREAT; Unix.O_WRONLY ] 0o644 with
+  | exception Unix.Unix_error _ -> None
+  | fd ->
+    let current () =
+      let held = Unix.fstat fd and at_path = Unix.stat path in
+      held.Unix.st_dev = at_path.Unix.st_dev && held.Unix.st_ino = at_path.Unix.st_ino
+    in
+    (match Unix.lockf fd Unix.F_LOCK 0 with
+     | exception Unix.Unix_error _ ->
+       Unix.close fd;
+       None
+     | () ->
+       (match current () with
+        | true -> Some fd
+        | false | (exception Unix.Unix_error _) ->
+          Unix.close fd;
+          lock_file path))
+
 (* cross-process single-flight: compute under an exclusive fcntl lock on
    "<path>.lock", re-checking the disk tier once the lock is ours — if a
    concurrent process got there first we take its entry instead of
    duplicating the work. The entry is published (atomic tmp + rename)
-   before the lock is released, so the next lock owner's re-check hits.
+   and the lock file unlinked before the lock is released, so the next
+   lock owner's re-check hits and no lock file outlives its computation.
    fcntl locks are per-process, which is exactly right here: in-process
    racers are already serialized by the inflight table, so the second
    thread never reaches this function for the same key. Returns
@@ -259,20 +285,20 @@ let compute_locked t key f =
   match t.dir with
   | None -> (f (), false)
   | Some dir ->
-    (match
-       Unix.openfile (path_of dir key ^ ".lock") [ Unix.O_CREAT; Unix.O_WRONLY ] 0o644
-     with
-     | exception Unix.Unix_error _ ->
-       (* unlockable (read-only dir, fd exhaustion): degrade to the
-          in-process guarantee rather than failing the computation *)
+    let lock_path = path_of dir key ^ ".lock" in
+    (match lock_file lock_path with
+     | None ->
+       (* unlockable: degrade to the in-process guarantee rather than
+          failing the computation *)
        let value = f () in
        disk_write t key value;
        (value, false)
-     | fd ->
+     | Some fd ->
        Fun.protect
-         ~finally:(fun () -> try Unix.close fd (* releases the lock *) with _ -> ())
+         ~finally:(fun () ->
+           (try Unix.unlink lock_path with Unix.Unix_error _ -> ());
+           try Unix.close fd (* releases the lock *) with _ -> ())
          (fun () ->
-           (try Unix.lockf fd Unix.F_LOCK 0 with Unix.Unix_error _ -> ());
            match disk_read t key with
            | Some value -> (value, true)
            | None ->

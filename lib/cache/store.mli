@@ -24,9 +24,11 @@
     (e.g. a serving daemon next to one-shot CLI runs). {!find_or_compute}
     extends single-flight across them with an exclusive [fcntl] lock on
     a per-key ["<key>.lock"] file: the computing process publishes the
-    entry before releasing the lock, and a process that loses the race
-    finds the entry on its post-lock re-check instead of recomputing
-    (counted as a disk hit). {!create} sweeps debris left by crashed
+    entry and unlinks the lock file before releasing the lock, and a
+    process that loses the race finds the entry on its post-lock re-check
+    instead of recomputing (counted as a disk hit). A waiter that wakes
+    holding an unlinked file retries on the file now at the path, so no
+    lock file outlives its computation. {!create} sweeps debris left by crashed
     writers — temp files whose recorded owner PID is dead — while leaving
     live writers' files alone.
 

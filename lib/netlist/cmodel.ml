@@ -86,35 +86,39 @@ let build (d : Design.t) =
   let modeled = Array.make nn false in
   Array.iter (fun (n, _) -> modeled.(n) <- true) sources;
   Array.iter (fun (n, _) -> modeled.(n) <- true) consts;
-  let gates = ref [] in
+  (* at most one gate per levelized instance; the array is cut to the
+     gates actually modelled *)
+  let gates =
+    Array.make (Array.length lv.Levelize.order)
+      { g_inst = -1; g_kind = Stdcell.Cell.Buf; g_ins = [||]; g_out = -1; g_level = 0 }
+  in
   let gate_of_inst = Array.make (Design.num_insts d) (-1) in
   let count = ref 0 in
   Array.iter
     (fun iid ->
       let i = Design.inst d iid in
-      let cell = i.Design.cell in
-      match cell.Stdcell.Cell.kind with
+      match i.Design.cell.Stdcell.Cell.kind with
       | Stdcell.Cell.Tiehi | Stdcell.Cell.Tielo | Stdcell.Cell.Filler -> ()
       | kind ->
         let arity = Stdcell.Cell.num_inputs kind in
-        let ins = Array.sub i.Design.conns 0 arity in
-        let all_modeled =
-          Array.for_all (fun n -> n >= 0 && modeled.(n)) ins
-        in
-        if all_modeled then begin
+        let all_modeled = ref true in
+        for k = 0 to arity - 1 do
+          let n = i.Design.conns.(k) in
+          if n < 0 || not modeled.(n) then all_modeled := false
+        done;
+        if !all_modeled then begin
           let out = Design.net_of_output d i in
           if out >= 0 then begin
             modeled.(out) <- true;
             gate_of_inst.(iid) <- !count;
-            incr count;
-            gates :=
-              { g_inst = iid; g_kind = kind; g_ins = ins; g_out = out;
-                g_level = lv.Levelize.level_of_inst.(iid) }
-              :: !gates
+            gates.(!count) <-
+              { g_inst = iid; g_kind = kind; g_ins = Array.sub i.Design.conns 0 arity;
+                g_out = out; g_level = lv.Levelize.level_of_inst.(iid) };
+            incr count
           end
         end)
     lv.Levelize.order;
-  let gates = Array.of_list (List.rev !gates) in
+  let gates = Array.sub gates 0 !count in
   (* observable sites *)
   let observes = ref [] in
   List.iter
@@ -140,20 +144,26 @@ let build (d : Design.t) =
      decrementing, which leaves each net's start in [fo_start] and its
      slots in descending (gate, pin) order *)
   let fo_start = Array.make (nn + 1) 0 in
-  Array.iter (fun g -> Array.iter (fun n -> fo_start.(n) <- fo_start.(n) + 1) g.g_ins) gates;
+  Array.iter
+    (fun g ->
+      for pos = 0 to Array.length g.g_ins - 1 do
+        let n = g.g_ins.(pos) in
+        fo_start.(n) <- fo_start.(n) + 1
+      done)
+    gates;
   for n = 1 to nn do
     fo_start.(n) <- fo_start.(n) + fo_start.(n - 1)
   done;
   let fo_gate = Array.make fo_start.(nn) 0 and fo_pos = Array.make fo_start.(nn) 0 in
-  Array.iteri
-    (fun gi g ->
-      Array.iteri
-        (fun pos n ->
-          fo_start.(n) <- fo_start.(n) - 1;
-          fo_gate.(fo_start.(n)) <- gi;
-          fo_pos.(fo_start.(n)) <- pos)
-        g.g_ins)
-    gates;
+  for gi = 0 to Array.length gates - 1 do
+    let ins = gates.(gi).g_ins in
+    for pos = 0 to Array.length ins - 1 do
+      let n = ins.(pos) in
+      fo_start.(n) <- fo_start.(n) - 1;
+      fo_gate.(fo_start.(n)) <- gi;
+      fo_pos.(fo_start.(n)) <- pos
+    done
+  done;
   { design = d;
     gates;
     gate_of_inst;
@@ -172,19 +182,3 @@ let build (d : Design.t) =
 let fanout_count t n = t.fo_start.(n + 1) - t.fo_start.(n)
 
 let in_model t n = n >= 0 && n < t.num_nets && t.modeled.(n)
-
-let cone_size_to_inputs t net =
-  let seen = Hashtbl.create 64 in
-  let count = ref 0 in
-  let rec visit n =
-    if (not (Hashtbl.mem seen n)) && n >= 0 then begin
-      Hashtbl.replace seen n ();
-      let gi = t.driver_gate.(n) in
-      if gi >= 0 then begin
-        incr count;
-        Array.iter visit t.gates.(gi).g_ins
-      end
-    end
-  in
-  visit net;
-  !count

@@ -53,7 +53,3 @@ val fanout_count : t -> int -> int
 val in_model : t -> int -> bool
 (** Whether a net carries a modelled logic signal (reachable from a source
     or constant through modelled gates, or itself a source/constant). *)
-
-val cone_size_to_inputs : t -> int -> int
-(** Number of gates in the transitive fan-in cone of a net; a crude size
-    measure used by test point selection. *)

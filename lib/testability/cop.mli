@@ -14,6 +14,20 @@ type t = {
 
 val compute : Netlist.Cmodel.t -> t
 
+val truth_table : Stdcell.Cell.kind -> int
+(** The kind's logic function as a bitmask over its [2^arity] input
+    vectors: bit [v] is the output for the vector whose input [i] is bit
+    [i] of [v]. Filled once per kind from {!Stdcell.Cell.eval64}. Raises
+    [Invalid_argument] for sequential kinds and fillers. *)
+
+val gate_c : float array -> Netlist.Cmodel.gate -> float
+(** The COP kernel: [P(out = 1)] of the gate when its input nets carry 1
+    with the probabilities in the array (indexed by net id), summed over
+    the vectors of {!truth_table} in ascending order, each a product over
+    inputs [0 .. arity-1] starting from [1.0]. {!compute} and test point
+    selection both evaluate through it, so their floats agree bit for
+    bit. Allocates nothing. *)
+
 val detect_prob0 : t -> int -> float
 (** Estimated per-pattern detection probability of stuck-at-0 on the net. *)
 

@@ -2,7 +2,7 @@ module Cmodel = Netlist.Cmodel
 
 type t = {
   head_of_net : int array;
-  size_of_head : (int, int) Hashtbl.t;
+  size_of_head : int array;
 }
 
 let compute (m : Cmodel.t) =
@@ -33,17 +33,20 @@ let compute (m : Cmodel.t) =
           head_of_net.(n) <- head_of_net.(out))
       g.Cmodel.g_ins
   done;
-  let size_of_head = Hashtbl.create 256 in
+  let size_of_head = Array.make nn 0 in
   Array.iter
     (fun g ->
       let h = head_of_net.(g.Cmodel.g_out) in
-      if h >= 0 then
-        Hashtbl.replace size_of_head h
-          (1 + Option.value ~default:0 (Hashtbl.find_opt size_of_head h)))
+      if h >= 0 then size_of_head.(h) <- size_of_head.(h) + 1)
     m.Cmodel.gates;
   { head_of_net; size_of_head }
 
 let heads t =
-  Hashtbl.fold (fun h _ acc -> h :: acc) t.size_of_head []
+  let out = ref [] in
+  for h = Array.length t.size_of_head - 1 downto 0 do
+    if t.size_of_head.(h) > 0 then out := h :: !out
+  done;
+  !out
 
-let size t head = Option.value ~default:0 (Hashtbl.find_opt t.size_of_head head)
+let size t head =
+  if head >= 0 && head < Array.length t.size_of_head then t.size_of_head.(head) else 0

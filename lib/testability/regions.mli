@@ -8,13 +8,13 @@
 
 type t = {
   head_of_net : int array;  (** net id -> head net id of its FFR; -1 if unmodelled *)
-  size_of_head : (int, int) Hashtbl.t;  (** head net -> #gates in region *)
+  size_of_head : int array;  (** net id -> #gates in its region if a head, else 0 *)
 }
 
 val compute : Netlist.Cmodel.t -> t
 
 val heads : t -> int list
-(** All FFR head nets. *)
+(** All FFR head nets that own at least one gate, ascending. *)
 
 val size : t -> int -> int
 (** [size t head] = gates in the region; 0 for unknown heads. *)

@@ -13,7 +13,7 @@ let infinity_cost = 1e18
    X): SCOAP's AND-gate CC0 is min(CC0 inputs) + 1, i.e. the other inputs
    are left unassigned, so enumerating only full vectors would overcount.
    Arity <= 3, so 3^arity <= 27 cubes. *)
-let cubes arity =
+let all_cubes arity =
   let out = ref [] in
   let rec go acc = function
     | 0 -> out := Array.of_list (List.rev acc) :: !out
@@ -22,64 +22,66 @@ let cubes arity =
   go [] arity;
   !out
 
-let cube_cost cc0 cc1 (g : Cmodel.gate) ?(skip = -1) cube =
+(* the cubes of every library arity (0 to 3), built once, in
+   [all_cubes] order *)
+let cubes_of_arity = Array.init 4 (fun a -> Array.of_list (all_cubes a))
+
+(* the sum of the input costs a cube assigns, inputs ascending, input
+   [skip] left out *)
+let cube_cost cc0 cc1 (g : Cmodel.gate) skip cube =
   let cost = ref 0.0 in
-  Array.iteri
-    (fun i v ->
-      if i <> skip then
-        match v with
-        | 0 -> cost := !cost +. cc0.(g.g_ins.(i))
-        | 1 -> cost := !cost +. cc1.(g.g_ins.(i))
-        | _ -> ())
-    cube;
+  for i = 0 to Array.length cube - 1 do
+    if i <> skip then
+      match cube.(i) with
+      | 0 -> cost := !cost +. cc0.(g.g_ins.(i))
+      | 1 -> cost := !cost +. cc1.(g.g_ins.(i))
+      | _ -> ()
+  done;
   !cost
 
-(* CC_v(y) = 1 + min over cubes forcing the output to v. *)
+let cube_at cube pos v i = if i = pos then v else if i < Array.length cube then cube.(i) else 0
+
+(* the gate's output under the cube, input [pos] (none if -1) set to [v] *)
+let eval_with (g : Cmodel.gate) cube pos v =
+  Cell.eval3 g.g_kind (cube_at cube pos v 0) (cube_at cube pos v 1) (cube_at cube pos v 2)
+
+(* CC_v(y) = 1 + min over cubes forcing the output to v; folded into the
+   output's current costs *)
 let gate_cc cc0 cc1 (g : Cmodel.gate) =
-  let arity = Array.length g.g_ins in
+  let cubes = cubes_of_arity.(Array.length g.g_ins) in
   let best0 = ref infinity_cost and best1 = ref infinity_cost in
-  List.iter
-    (fun cube ->
-      match Cell.eval3 g.g_kind
-              (if arity > 0 then cube.(0) else 0)
-              (if arity > 1 then cube.(1) else 0)
-              (if arity > 2 then cube.(2) else 0)
-      with
-      | 0 ->
-        let c = cube_cost cc0 cc1 g cube in
-        if c < !best0 then best0 := c
-      | 1 ->
-        let c = cube_cost cc0 cc1 g cube in
-        if c < !best1 then best1 := c
-      | _ -> ())
-    (cubes arity);
+  for k = 0 to Array.length cubes - 1 do
+    let cube = cubes.(k) in
+    match eval_with g cube (-1) 0 with
+    | 0 ->
+      let c = cube_cost cc0 cc1 g (-1) cube in
+      if c < !best0 then best0 := c
+    | 1 ->
+      let c = cube_cost cc0 cc1 g (-1) cube in
+      if c < !best1 then best1 := c
+    | _ -> ()
+  done;
   let clamp c = if c >= infinity_cost then infinity_cost else c +. 1.0 in
-  (clamp !best0, clamp !best1)
+  let out = g.g_out in
+  cc0.(out) <- min cc0.(out) (clamp !best0);
+  cc1.(out) <- min cc1.(out) (clamp !best1)
 
 (* Observability of input [pos]: the cheapest side cube under which the
    output is determined by that input alone, plus the output's own
    observability. *)
 let gate_input_co cc0 cc1 co_out (g : Cmodel.gate) pos =
-  let arity = Array.length g.g_ins in
+  let cubes = cubes_of_arity.(Array.length g.g_ins) in
   let best = ref infinity_cost in
-  List.iter
-    (fun cube ->
-      if cube.(pos) = 2 then begin
-        let with_v v =
-          let c = Array.copy cube in
-          c.(pos) <- v;
-          Cell.eval3 g.g_kind
-            (if arity > 0 then c.(0) else 0)
-            (if arity > 1 then c.(1) else 0)
-            (if arity > 2 then c.(2) else 0)
-        in
-        let o0 = with_v 0 and o1 = with_v 1 in
-        if o0 <> 2 && o1 <> 2 && o0 <> o1 then begin
-          let c = cube_cost cc0 cc1 g ~skip:pos cube in
-          if c < !best then best := c
-        end
-      end)
-    (cubes arity);
+  for k = 0 to Array.length cubes - 1 do
+    let cube = cubes.(k) in
+    if cube.(pos) = 2 then begin
+      let o0 = eval_with g cube pos 0 and o1 = eval_with g cube pos 1 in
+      if o0 <> 2 && o1 <> 2 && o0 <> o1 then begin
+        let c = cube_cost cc0 cc1 g pos cube in
+        if c < !best then best := c
+      end
+    end
+  done;
   if !best >= infinity_cost || co_out >= infinity_cost then infinity_cost
   else co_out +. !best +. 1.0
 
@@ -96,31 +98,15 @@ let compute (m : Cmodel.t) =
   Array.iter
     (fun (n, v) -> if v then cc1.(n) <- 0.0 else cc0.(n) <- 0.0)
     m.Cmodel.consts;
-  Array.iter
-    (fun g ->
-      let c0, c1 = gate_cc cc0 cc1 g in
-      cc0.(g.Cmodel.g_out) <- min cc0.(g.Cmodel.g_out) c0;
-      cc1.(g.Cmodel.g_out) <- min cc1.(g.Cmodel.g_out) c1)
-    m.Cmodel.gates;
+  Array.iter (gate_cc cc0 cc1) m.Cmodel.gates;
   Array.iter (fun (n, _) -> co.(n) <- 0.0) m.Cmodel.observes;
   for gi = Array.length m.Cmodel.gates - 1 downto 0 do
     let g = m.Cmodel.gates.(gi) in
     let co_out = co.(g.Cmodel.g_out) in
-    Array.iteri
-      (fun pos n ->
-        let c = gate_input_co cc0 cc1 co_out g pos in
-        if c < co.(n) then co.(n) <- c)
-      g.Cmodel.g_ins
+    for pos = 0 to Array.length g.Cmodel.g_ins - 1 do
+      let n = g.Cmodel.g_ins.(pos) in
+      let c = gate_input_co cc0 cc1 co_out g pos in
+      if c < co.(n) then co.(n) <- c
+    done
   done;
   { cc0; cc1; co }
-
-let hardest_to_control t (m : Cmodel.t) k =
-  let scored = ref [] in
-  for n = 0 to m.Cmodel.num_nets - 1 do
-    if m.Cmodel.modeled.(n) && not m.Cmodel.is_source.(n) then begin
-      let s = Float.max t.cc0.(n) t.cc1.(n) in
-      if s < infinity_cost then scored := (n, s) :: !scored
-    end
-  done;
-  let sorted = List.sort (fun (_, a) (_, b) -> compare b a) !scored in
-  List.filteri (fun i _ -> i < k) sorted

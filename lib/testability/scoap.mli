@@ -14,7 +14,3 @@ val infinity_cost : float
 (** Cost assigned to unreachable/unobservable nets. *)
 
 val compute : Netlist.Cmodel.t -> t
-
-val hardest_to_control : t -> Netlist.Cmodel.t -> int -> (int * float) list
-(** [hardest_to_control t m k] = the [k] modelled nets with the largest
-    [max cc0 cc1], hardest first. *)

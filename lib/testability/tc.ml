@@ -29,12 +29,3 @@ let global_cost t (m : Cmodel.t) =
     end
   done;
   if !count = 0 then 0.0 else !total /. float_of_int !count
-
-let hardest t (m : Cmodel.t) k =
-  let scored = ref [] in
-  for n = 0 to m.Cmodel.num_nets - 1 do
-    if m.Cmodel.modeled.(n) && not m.Cmodel.is_source.(n) then
-      scored := (n, Float.min t.detect0.(n) t.detect1.(n)) :: !scored
-  done;
-  let sorted = List.sort (fun (_, a) (_, b) -> compare a b) !scored in
-  List.filteri (fun i _ -> i < k) sorted

@@ -17,7 +17,3 @@ val fault_cost : float -> float
 
 val global_cost : t -> Netlist.Cmodel.t -> float
 (** Mean fault cost over both polarities of all modelled nets. *)
-
-val hardest : t -> Netlist.Cmodel.t -> int -> (int * float) list
-(** [hardest t m k]: the [k] modelled non-source nets with the lowest
-    detectability, hardest first, with their detectability. *)

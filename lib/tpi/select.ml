@@ -50,19 +50,20 @@ let candidates (d : Design.t) (m : Cmodel.t) ~blocked =
    HEAD, not at the ranked net itself: a control point at the head frees
    the entire region (the decoder output rather than a node inside its AND
    tree), which is where the classical methods put points too. *)
-let take_diverse ranked (regions : Testability.Regions.t) ~candidate_set ~batch
+let take_diverse ranked (regions : Testability.Regions.t) ~is_candidate ~batch
     ~max_per_region =
-  let per_head = Hashtbl.create 64 in
+  let nn = Array.length is_candidate in
+  let per_head = Array.make nn 0 and taken = Array.make nn false in
   let chosen = ref [] and count = ref 0 in
   List.iter
     (fun n ->
       if !count < batch then begin
         let head = regions.Testability.Regions.head_of_net.(n) in
-        let used = Option.value ~default:0 (Hashtbl.find_opt per_head head) in
-        if used < max_per_region then begin
-          let site = if Hashtbl.mem candidate_set head then head else n in
-          if not (List.mem site !chosen) then begin
-            Hashtbl.replace per_head head (used + 1);
+        if per_head.(head) < max_per_region then begin
+          let site = if is_candidate.(head) then head else n in
+          if not taken.(site) then begin
+            per_head.(head) <- per_head.(head) + 1;
+            taken.(site) <- true;
             chosen := site :: !chosen;
             incr count
           end
@@ -71,10 +72,147 @@ let take_diverse ranked (regions : Testability.Regions.t) ~candidate_set ~batch
     ranked;
   List.rev !chosen
 
+(* heap sort of [a.(0 .. len-1)] ascending, in place *)
+let rec sift (a : int array) i len =
+  let l = (2 * i) + 1 in
+  if l < len then begin
+    let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
+    if a.(c) > a.(i) then begin
+      let t = a.(c) in
+      a.(c) <- a.(i);
+      a.(i) <- t;
+      sift a c len
+    end
+  end
+
+let sort_prefix a len =
+  for i = (len / 2) - 1 downto 0 do
+    sift a i len
+  done;
+  for last = len - 1 downto 1 do
+    let t = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- t;
+    sift a 0 last
+  done
+
+(* Seiss-style gradient, evaluated empirically per candidate: a test point
+   at [n] makes [n] perfectly observable and its load side controllable
+   (c = 0.5). Re-evaluate the downstream COP controllabilities under that
+   change and count how many hard nets it frees; add a weighted count for
+   observation gains in the backward cone. A decoder/enable output that
+   gates a whole cone scores far above any net inside the cone.
+
+   The state is flat and reused across candidates: a net stamp marks the
+   visited nets of one cone walk, a gate stamp the gates already in the
+   cone buffer, and [cw] is COP's [c] with the candidate's overrides
+   written in place and undone after scoring. Returns the scoring
+   function [n -> 2 * control_gain n + observe_gain n]. *)
+let scorer (m : Cmodel.t) (cop : Testability.Cop.t) ~hard ~threshold =
+  let cone_cap = 400 in
+  let gates = m.Cmodel.gates in
+  let ngates = Array.length gates in
+  let c = cop.Testability.Cop.c and o = cop.Testability.Cop.o in
+  (* hard nets that are controllable, and so only lack observation, which
+     the point provides directly *)
+  let observe_only =
+    Array.mapi (fun n h -> h && Float.min c.(n) (1.0 -. c.(n)) >= threshold) hard
+  in
+  let net_stamp = Array.make m.Cmodel.num_nets 0 in
+  let gate_stamp = Array.make ngates 0 in
+  let stamp = ref 0 in
+  let cone = Array.make (cone_cap + 1) 0 and cone_len = ref 0 in
+  let cw = Array.copy c in
+  let count = ref 0 and gain = ref 0 in
+  (* the bounded downstream cone; [count] counts fanout slots, repeats
+     included, which is what the cap reads *)
+  let rec forward n =
+    if !count < cone_cap && net_stamp.(n) <> !stamp then begin
+      net_stamp.(n) <- !stamp;
+      for s = m.Cmodel.fo_start.(n) to m.Cmodel.fo_start.(n + 1) - 1 do
+        if !count < cone_cap then begin
+          let gi = m.Cmodel.fo_gate.(s) in
+          incr count;
+          if gate_stamp.(gi) <> !stamp then begin
+            gate_stamp.(gi) <- !stamp;
+            (* the sort key orders the cone by (level, gate index) *)
+            cone.(!cone_len) <- (gates.(gi).Cmodel.g_level * ngates) + gi;
+            incr cone_len
+          end;
+          forward gates.(gi).Cmodel.g_out
+        end
+      done
+    end
+  in
+  let control_gain n =
+    incr stamp;
+    count := 0;
+    cone_len := 0;
+    forward n;
+    sort_prefix cone !cone_len;
+    cw.(n) <- 0.5;
+    gain := 0;
+    for k = 0 to !cone_len - 1 do
+      let g = gates.(cone.(k) mod ngates) in
+      let out = g.Cmodel.g_out in
+      let total = Testability.Cop.gate_c cw g in
+      cw.(out) <- total;
+      (* [Float.min (total * o) ((1 - total) * o) >= threshold] *)
+      if hard.(out) && total *. o.(out) >= threshold && (1.0 -. total) *. o.(out) >= threshold
+      then incr gain
+    done;
+    cw.(n) <- c.(n);
+    for k = 0 to !cone_len - 1 do
+      let out = gates.(cone.(k) mod ngates).Cmodel.g_out in
+      cw.(out) <- c.(out)
+    done;
+    !gain
+  in
+  let rec backward n =
+    if !count < cone_cap && net_stamp.(n) <> !stamp then begin
+      net_stamp.(n) <- !stamp;
+      if observe_only.(n) then incr gain;
+      let gi = m.Cmodel.driver_gate.(n) in
+      if gi >= 0 then begin
+        let ins = gates.(gi).Cmodel.g_ins in
+        for k = 0 to Array.length ins - 1 do
+          if !count < cone_cap then begin
+            incr count;
+            backward ins.(k)
+          end
+        done
+      end
+    end
+  in
+  let observe_gain n =
+    incr stamp;
+    count := 0;
+    gain := 0;
+    backward n;
+    !gain
+  in
+  fun n ->
+    let cg = control_gain n in
+    (2 * cg) + observe_gain n
+
 let run ?(config = default_config) (d : Design.t) ~count =
-  let m0 = Cmodel.build d in
+  let measures m =
+    let cop = Testability.Cop.compute m in
+    (m, cop, Testability.Tc.compute m cop)
+  in
+  (* the model of the design as it stands, rebuilt only after an insertion *)
+  let current = ref (Some (measures (Cmodel.build d))) in
+  let current_measures () =
+    match !current with
+    | Some x -> x
+    | None ->
+      let x = measures (Cmodel.build d) in
+      current := Some x;
+      x
+  in
   let cost_before =
-    Testability.Tc.global_cost (Testability.Tc.compute m0 (Testability.Cop.compute m0)) m0
+    let m0, _, tc0 = current_measures () in
+    Testability.Tc.global_cost tc0 m0
   in
   let inserted = ref [] and nets_chosen = ref [] in
   let scoap_fallbacks = ref 0 in
@@ -89,150 +227,51 @@ let run ?(config = default_config) (d : Design.t) ~count =
         max 1 ((!remaining + slots - 1) / slots)
       in
       let batch = min batch !remaining in
-      let m = Cmodel.build d in
-      let blocked = Array.make m.Cmodel.num_nets false in
-      List.iter
-        (fun n -> if n >= 0 && n < m.Cmodel.num_nets then blocked.(n) <- true)
-        config.blocked_nets;
-      let cop = Testability.Cop.compute m in
-      let tc = Testability.Tc.compute m cop in
+      let m, cop, tc = current_measures () in
+      let nn = m.Cmodel.num_nets in
+      let blocked = Array.make nn false in
+      List.iter (fun n -> if n >= 0 && n < nn then blocked.(n) <- true) config.blocked_nets;
       let regions = Testability.Regions.compute m in
       let cands = candidates d m ~blocked in
-      let hard =
-        List.filter
-          (fun n ->
-            Float.min tc.Testability.Tc.detect0.(n) tc.Testability.Tc.detect1.(n)
-            < config.detect_threshold)
-          cands
+      let threshold = config.detect_threshold in
+      let detect =
+        Array.init nn (fun n ->
+            Float.min tc.Testability.Tc.detect0.(n) tc.Testability.Tc.detect1.(n))
       in
+      let hard = Array.map (fun p -> p < threshold) detect in
+      let hard_cands = List.filter (fun n -> hard.(n)) cands in
       let ranked =
-        if List.length hard >= batch then begin
-          (* Seiss-style gradient, evaluated empirically per candidate: a
-             test point at [n] makes [n] perfectly observable and its load
-             side controllable (c = 0.5). Re-evaluate the downstream COP
-             controllabilities under that change and count how many hard
-             nets it frees; add a weighted count for observation gains in
-             the backward cone. A decoder/enable output that gates a whole
-             cone scores far above any net inside the cone. *)
-          let cone_cap = 400 in
-          let threshold = config.detect_threshold in
-          let is_hard n =
-            Float.min tc.Testability.Tc.detect0.(n) tc.Testability.Tc.detect1.(n) < threshold
-          in
-          let control_gain n =
-            (* collect the bounded downstream cone, topologically *)
-            let seen = Hashtbl.create 64 in
-            let cone = ref [] and count = ref 0 in
-            let rec dfs n =
-              if !count < cone_cap && not (Hashtbl.mem seen n) then begin
-                Hashtbl.replace seen n ();
-                for s = m.Cmodel.fo_start.(n) to m.Cmodel.fo_start.(n + 1) - 1 do
-                  if !count < cone_cap then begin
-                    let gi = m.Cmodel.fo_gate.(s) in
-                    incr count;
-                    cone := gi :: !cone;
-                    dfs m.Cmodel.gates.(gi).Cmodel.g_out
-                  end
-                done
-              end
-            in
-            dfs n;
-            let gates =
-              List.sort_uniq compare !cone
-              |> List.map (fun gi -> m.Cmodel.gates.(gi))
-              |> List.sort (fun a b -> compare a.Cmodel.g_level b.Cmodel.g_level)
-            in
-            let c' : (int, float) Hashtbl.t = Hashtbl.create 64 in
-            Hashtbl.replace c' n 0.5;
-            let lookup k =
-              Option.value ~default:cop.Testability.Cop.c.(k) (Hashtbl.find_opt c' k)
-            in
-            let gain = ref 0 in
-            List.iter
-              (fun (g : Cmodel.gate) ->
-                let arity = Array.length g.Cmodel.g_ins in
-                let total = ref 0.0 in
-                for mask = 0 to (1 lsl arity) - 1 do
-                  let p = ref 1.0 and words = Array.make arity 0L in
-                  Array.iteri
-                    (fun i inn ->
-                      let ci = lookup inn in
-                      if mask land (1 lsl i) <> 0 then begin
-                        p := !p *. ci;
-                        words.(i) <- -1L
-                      end
-                      else p := !p *. (1.0 -. ci))
-                    g.Cmodel.g_ins;
-                  if Int64.logand (Cell.eval64 g.Cmodel.g_kind words) 1L = 1L then
-                    total := !total +. !p
-                done;
-                let out = g.Cmodel.g_out in
-                Hashtbl.replace c' out !total;
-                if is_hard out then begin
-                  let o = cop.Testability.Cop.o.(out) in
-                  let pd = Float.min (!total *. o) ((1.0 -. !total) *. o) in
-                  if pd >= threshold then incr gain
-                end)
-              gates;
-            !gain
-          in
-          let observe_gain n =
-            (* hard nets in the backward cone that are controllable and so
-               only lack observation, which the point provides directly *)
-            let seen = Hashtbl.create 64 in
-            let gain = ref 0 and count = ref 0 in
-            let rec dfs n =
-              if !count < cone_cap && not (Hashtbl.mem seen n) then begin
-                Hashtbl.replace seen n ();
-                if
-                  is_hard n
-                  && Float.min cop.Testability.Cop.c.(n) (1.0 -. cop.Testability.Cop.c.(n))
-                     >= threshold
-                then incr gain;
-                let gi = m.Cmodel.driver_gate.(n) in
-                if gi >= 0 then
-                  Array.iter
-                    (fun inn ->
-                      if !count < cone_cap then begin
-                        incr count;
-                        dfs inn
-                      end)
-                    m.Cmodel.gates.(gi).Cmodel.g_ins
-              end
-            in
-            dfs n;
-            !gain
-          in
-          let score n = (2 * control_gain n) + observe_gain n in
-          let scored = List.map (fun n -> (n, score n)) hard in
+        if List.length hard_cands >= batch then begin
+          let score = scorer m cop ~hard ~threshold in
+          let scored = List.map (fun n -> (n, score n)) hard_cands in
           List.map fst
             (List.sort
                (fun (a, sa) (b, sb) ->
-                 if sa <> sb then compare sb sa
-                 else
-                   compare
-                     (Float.min tc.Testability.Tc.detect0.(a) tc.Testability.Tc.detect1.(a))
-                     (Float.min tc.Testability.Tc.detect0.(b) tc.Testability.Tc.detect1.(b)))
+                 if sa <> sb then compare sb sa else compare detect.(a) detect.(b))
                scored)
         end
         else begin
           (* not enough COP-hard nets left: rank everything by SCOAP cost *)
           incr scoap_fallbacks;
           let scoap = Testability.Scoap.compute m in
-          let score n =
-            let c = Float.max scoap.Testability.Scoap.cc0.(n) scoap.Testability.Scoap.cc1.(n) in
-            let o = scoap.Testability.Scoap.co.(n) in
-            Float.min c Testability.Scoap.infinity_cost +. Float.min o Testability.Scoap.infinity_cost
-          in
-          List.sort (fun a b -> compare (score b) (score a)) cands
+          let score = Array.make nn 0.0 in
+          List.iter
+            (fun n ->
+              let c = Float.max scoap.Testability.Scoap.cc0.(n) scoap.Testability.Scoap.cc1.(n) in
+              let o = scoap.Testability.Scoap.co.(n) in
+              score.(n) <-
+                Float.min c Testability.Scoap.infinity_cost
+                +. Float.min o Testability.Scoap.infinity_cost)
+            cands;
+          List.sort (fun a b -> compare score.(b) score.(a)) cands
         end
       in
-      let candidate_set = Hashtbl.create 256 in
-      List.iter (fun n -> Hashtbl.replace candidate_set n ()) cands;
+      let is_candidate = Array.make nn false in
+      List.iter (fun n -> is_candidate.(n) <- true) cands;
       let chosen =
-        take_diverse ranked regions ~candidate_set ~batch
-          ~max_per_region:config.max_per_region
+        take_diverse ranked regions ~is_candidate ~batch ~max_per_region:config.max_per_region
       in
+      if chosen <> [] then current := None;
       List.iter
         (fun n ->
           let i = Insert.insert_point d ~net:n ~index:!next_index in
@@ -245,9 +284,9 @@ let run ?(config = default_config) (d : Design.t) ~count =
       if chosen = [] then remaining := 0
     end
   done;
-  let m1 = Cmodel.build d in
   let cost_after =
-    Testability.Tc.global_cost (Testability.Tc.compute m1 (Testability.Cop.compute m1)) m1
+    let m1, _, tc1 = current_measures () in
+    Testability.Tc.global_cost tc1 m1
   in
   { inserted = List.rev !inserted;
     nets_chosen = List.rev !nets_chosen;

@@ -1,13 +1,21 @@
 (** Iterative test point selection (the method of Geuzebroek et al.
     [3][4] as sketched in §3.1).
 
-    Each iteration recomputes the testability measures (COP detection
+    Each iteration computes the testability measures (COP detection
     probabilities, SCOAP costs, fanout-free region sizes) on the current
     netlist, ranks candidate nets, inserts a batch of TSFFs and repeats, so
     later points react to the coverage the earlier ones already bought.
-    When no candidate is COP-hard any more the ranking switches to SCOAP
-    (the paper: "the outcome of the analyses determines which TPI method
-    and cost function are used"). *)
+    The model is rebuilt only after a batch changed the netlist: the first
+    iteration reuses the one that priced [cost_before]. When no candidate
+    is COP-hard any more the ranking switches to SCOAP (the paper: "the
+    outcome of the analyses determines which TPI method and cost function
+    are used").
+
+    COP-hard candidates are scored by re-evaluating COP controllability
+    over each one's bounded fanout cone (400 fanout slots) with the
+    {!Testability.Cop.gate_c} kernel, in (level, gate index) order, on
+    reused stamp arrays. Every choice and every cost is pinned by digests
+    in [test/test_tpi.ml]. *)
 
 type config = {
   iterations : int;          (** batches; 5 matches the reference tool's default *)

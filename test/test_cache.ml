@@ -300,6 +300,16 @@ let test_tamper_bypasses_cache () =
   (* only the design-generation memo may be present: no stage entries *)
   Alcotest.(check int) "no stage entries stored" 1 (Store.mem_entries store)
 
+(* ---- the per-key lock files of a --cache sweep are gone once it ends ---- *)
+
+let test_no_lock_files_left () =
+  let dir = tmp_dir "locks" in
+  let _ = render ~cache:(Store.create ~dir ()) () in
+  let files = Array.to_list (Sys.readdir dir) in
+  Alcotest.(check bool) "entries were written" true (files <> []);
+  Alcotest.(check (list string)) "no lock file left" []
+    (List.filter (fun f -> Filename.check_suffix f ".lock") files)
+
 let suite =
   [ Alcotest.test_case "key derivation" `Quick test_key_derivation;
     Alcotest.test_case "memory tier LRU" `Quick test_memory_tier;
@@ -312,6 +322,7 @@ let suite =
     Alcotest.test_case "sweep byte-identity (cold/warm/disk, -j)" `Slow
       test_sweep_byte_identity;
     Alcotest.test_case "hit accounting" `Quick test_hit_accounting;
+    Alcotest.test_case "no lock files left" `Quick test_no_lock_files_left;
     Alcotest.test_case "corrupted entries recompute" `Quick
       test_corrupted_entries_recompute;
     Alcotest.test_case "cancelled layout stores nothing" `Quick

@@ -288,6 +288,8 @@ let test_forked_writers () =
     pids;
   Alcotest.(check int) "exactly one compute across processes" 1
     (Unix.stat marker).Unix.st_size;
+  Alcotest.(check bool) "lock file unlinked" false
+    (Sys.file_exists (Filename.concat dir (key ^ ".lock")));
   let t = Store.create ~dir () in
   Alcotest.(check (option string)) "entry published" (Some "shared-value")
     (Store.find t key)

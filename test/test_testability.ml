@@ -93,10 +93,34 @@ let test_tpi_improves_chosen_nets () =
         cop1.Testability.Cop.o.(n))
     rep.Tpi.Select.nets_chosen
 
+(* COP's tabulated logic functions: bit [v] of a kind's table is
+   [eval64] on input vector [v], for every combinational kind (Clkbuf and
+   the tie cells included) and every vector *)
+let test_cop_truth_tables () =
+  List.iter
+    (fun kind ->
+      let arity = Cell.num_inputs kind in
+      let table = Testability.Cop.truth_table kind in
+      for v = 0 to (1 lsl arity) - 1 do
+        let words = Array.init arity (fun i -> if v land (1 lsl i) <> 0 then -1L else 0L) in
+        Alcotest.(check int)
+          (Printf.sprintf "%s vector %d" (Cell.kind_name kind) v)
+          (Int64.to_int (Int64.logand (Cell.eval64 kind words) 1L))
+          ((table lsr v) land 1)
+      done;
+      Alcotest.(check int) (Cell.kind_name kind ^ " has no bits past its vectors") 0
+        (table lsr (1 lsl arity)))
+    Cell.
+      [ Inv; Buf; Clkbuf; Nand2; Nand3; Nor2; Nor3; And2; Or2; Xor2; Xnor2; Aoi21; Oai21;
+        Mux2; Tiehi; Tielo ];
+  Alcotest.(check bool) "sequential kinds are rejected" true
+    (try ignore (Testability.Cop.truth_table Cell.Dff); false with Invalid_argument _ -> true)
+
 let suite =
   [ Alcotest.test_case "scoap and-gate" `Quick test_scoap_and_gate;
     Alcotest.test_case "cop and-gate" `Quick test_cop_and_gate;
     Alcotest.test_case "cop ranges" `Quick test_cop_probability_range;
+    Alcotest.test_case "cop truth tables" `Quick test_cop_truth_tables;
     Alcotest.test_case "scoap sources" `Quick test_scoap_monotone_with_depth;
     Alcotest.test_case "regions partition" `Quick test_regions;
     Alcotest.test_case "tpi improves chosen nets" `Quick test_tpi_improves_chosen_nets ]

@@ -105,6 +105,65 @@ let test_select_targets_hard_nets () =
     Alcotest.(check bool) "some chosen nets were hard" true (hard_chosen <> [])
   end
 
+(* MD5 of the testability vectors of a model: COP [c]/[o], SCOAP
+   [cc0]/[cc1]/[co] as IEEE bit patterns, then each net's FFR head and the
+   (head, size) pairs in ascending head order *)
+let add_float buf x = Buffer.add_int64_le buf (Int64.bits_of_float x)
+let add_int buf i = Buffer.add_int64_le buf (Int64.of_int i)
+
+let add_measures buf m =
+  let cop = Testability.Cop.compute m in
+  Array.iter (add_float buf) cop.Testability.Cop.c;
+  Array.iter (add_float buf) cop.Testability.Cop.o;
+  let s = Testability.Scoap.compute m in
+  Array.iter (add_float buf) s.Testability.Scoap.cc0;
+  Array.iter (add_float buf) s.Testability.Scoap.cc1;
+  Array.iter (add_float buf) s.Testability.Scoap.co;
+  let r = Testability.Regions.compute m in
+  Array.iter (add_int buf) r.Testability.Regions.head_of_net;
+  List.iter
+    (fun h ->
+      add_int buf h;
+      add_int buf (Testability.Regions.size r h))
+    (List.sort compare (Testability.Regions.heads r))
+
+(* one selection of [max 3 (ffs / 4)] points: the measures of
+   the design before, the report's decisions and cost bits, then the
+   measures of the design after *)
+let select_digest d =
+  let buf = Buffer.create 65536 in
+  add_measures buf (Netlist.Cmodel.build d);
+  let count = max 3 (List.length (Design.ffs d) / 4) in
+  let rep = Tpi.Select.run d ~count in
+  List.iter (add_int buf) rep.Tpi.Select.nets_chosen;
+  List.iter (add_int buf) rep.Tpi.Select.inserted;
+  add_int buf rep.Tpi.Select.scoap_fallbacks;
+  add_float buf rep.Tpi.Select.cost_before;
+  add_float buf rep.Tpi.Select.cost_after;
+  add_measures buf (Netlist.Cmodel.build d);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Test point selection is pinned, not just its count: any change to the
+   COP evaluation order, the control-gain cone (its topological order or
+   its slot cap), the ranking tie-breaks or the region diversity moves
+   these digests; a deliberate change re-records them and explains the
+   table diffs in EXPERIMENTS.md. s38417 at 0.06 is the case whose cones
+   reach the 400-slot cap. *)
+let test_select_digests () =
+  Alcotest.(check string) "s27" "d2703c2a244d3a4ced056ff4091f1167" (select_digest (Circuits.Iscas.parse ~name:"s27" Test_iscas.s27));
+  let tiny =
+    List.init 50 (fun i -> select_digest (Circuits.Bench.tiny ~seed:(i + 1) ~ffs:30 ~gates:250 ()))
+  in
+  Alcotest.(check string) "tiny seeds 1-50" "1d004eacfe3ddacc3991c672e096aabc"
+    (Digest.to_hex (Digest.string (String.concat "" tiny)));
+  List.iter
+    (fun (name, scale, expected) ->
+      Alcotest.(check string) (Printf.sprintf "%s at scale %g" name scale) expected
+        (select_digest (Circuits.Bench.by_name name ~scale)))
+    [ ("s38417", 0.03, "b4c6a46eec3b4e1aa43299cd8676d6f3");
+      ("pcore_a", 0.03, "1d025541497bb749822f8463f08e8778");
+      ("s38417", 0.06, "eda3fb3acd069c537a04b2d29656dec2") ]
+
 let test_clocking_follows_neighbourhood () =
   let d = Circuits.Bench.pcore_a ~scale:0.05 () in
   (* every FF D net should resolve to that FF's own domain via backward search *)
@@ -128,4 +187,5 @@ let suite =
     Alcotest.test_case "insert undriven" `Quick test_insert_rejects_undriven;
     Alcotest.test_case "select count/blocked" `Quick test_select_respects_count_and_blocked;
     Alcotest.test_case "select targets hard" `Quick test_select_targets_hard_nets;
+    Alcotest.test_case "select digests" `Slow test_select_digests;
     Alcotest.test_case "clocking" `Quick test_clocking_follows_neighbourhood ]

@@ -34,17 +34,6 @@ let site_net (m : Cmodel.t) = function
   | Branch (gi, pos) -> m.Cmodel.gates.(gi).Cmodel.g_ins.(pos)
   | Obs_branch k -> fst m.Cmodel.observes.(k)
 
-let pp_site (m : Cmodel.t) ppf site =
-  let d = m.Cmodel.design in
-  let net_name n = (Design.net d n).Design.nname in
-  match site with
-  | Stem n -> Format.fprintf ppf "stem %s" (net_name n)
-  | Branch (gi, pos) ->
-    let g = m.Cmodel.gates.(gi) in
-    Format.fprintf ppf "branch %s/%d (%s)" (Design.inst d g.Cmodel.g_inst).Design.iname pos
-      (net_name g.Cmodel.g_ins.(pos))
-  | Obs_branch k -> Format.fprintf ppf "capture of %s" (net_name (fst m.Cmodel.observes.(k)))
-
 (* union-find over fault ids, with the smaller id as representative *)
 let rec find (faults : fault array) i =
   let p = faults.(i).equiv_to in

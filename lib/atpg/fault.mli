@@ -55,5 +55,3 @@ val coverage : universe -> float * float
     FC = detected / total, FE = (detected + redundant) / total, where
     collapsed classes count all their members and chain-tested faults count
     as detected. *)
-
-val pp_site : Netlist.Cmodel.t -> Format.formatter -> site -> unit

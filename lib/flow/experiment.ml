@@ -177,9 +177,7 @@ let blocked_critical_nets spec ~tp_pct =
     Lint.Tpitiming.critical_nets tg baseline.Pipeline.sta
   in
   let options =
-    { (options_of spec ~with_atpg:true ~tp_pct) with
-      Pipeline.tpi_config =
-        { Tpi.Select.default_config with Tpi.Select.blocked_nets = blocked_names } }
+    { (options_of spec ~with_atpg:true ~tp_pct) with Pipeline.blocked_nets = blocked_names }
   in
   let report = Guard.run ~options ~circuit:spec.circuit (fun () -> generate spec) in
   { spec; tp_pct; result = Guard.result_exn report }

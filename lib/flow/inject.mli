@@ -25,7 +25,7 @@ type mutation =
                                buggy speculative revert would leave *)
 
 val all : mutation list
-(** The full injection matrix (10 classes). *)
+(** The full injection matrix (11 classes). *)
 
 exception No_candidate of string
 (** An injector found no suitable site in the target design (e.g. no

@@ -5,7 +5,7 @@ type options = {
   chain_config : Scan.Chains.config;
   utilization : float;
   run_atpg : bool;
-  tpi_config : Tpi.Select.config;
+  blocked_nets : int list;
   seed : int;
   cache : Cache.Store.t option;
   lint : bool;
@@ -17,7 +17,7 @@ let default_options =
     chain_config = Scan.Chains.Max_length 100;
     utilization = 0.97;
     run_atpg = true;
-    tpi_config = Tpi.Select.default_config;
+    blocked_nets = [];
     seed = 0x71C0;
     cache = None;
     lint = false;
@@ -117,7 +117,8 @@ let stage_tpi_scan st =
     int_of_float (Float.round (options.tp_percent *. float_of_int ffs_before /. 100.0))
   in
   let tpi_report =
-    if tp_count > 0 then Some (Tpi.Select.run ~config:options.tpi_config d ~count:tp_count)
+    if tp_count > 0 then
+      Some (Tpi.Select.run ~blocked_nets:options.blocked_nets d ~count:tp_count)
     else None
   in
   let (_ : int) = Scan.Replace.run d in
@@ -263,7 +264,7 @@ let options_fingerprint o =
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
-          ( o.tp_percent, o.chain_config, o.utilization, o.run_atpg, o.tpi_config,
+          ( o.tp_percent, o.chain_config, o.utilization, o.run_atpg, o.blocked_nets,
             o.seed, o.repair )
           []))
 

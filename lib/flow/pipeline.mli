@@ -24,7 +24,9 @@ type options = {
   chain_config : Scan.Chains.config;
   utilization : float;             (** target row utilization *)
   run_atpg : bool;                 (** Table 1 needs it; Tables 2-3 do not *)
-  tpi_config : Tpi.Select.config;  (** e.g. blocked nets for the §5 ablation *)
+  blocked_nets : int list;
+      (** nets barred from test point insertion: the critical-path
+          exclusion of the §5 ablation; [] by default *)
   seed : int;
   cache : Cache.Store.t option;
       (** content-addressed layout cache: a layout whose entry is present
@@ -42,8 +44,7 @@ type options = {
   repair : bool;
       (** run the step-7 {!Repair} stage: WNS/TNS-driven ECO repair of the
           routed design, updating [route]/[rc]/[sta] to the repaired
-          state, with {!Repair.default_config}. Part of the cache
-          key. Default [false] *)
+          state. Part of the cache key. Default [false] *)
 }
 
 val default_options : options

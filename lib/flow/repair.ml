@@ -15,22 +15,21 @@ module Design = Netlist.Design
 module Cell = Stdcell.Cell
 module Place = Layout.Place
 
-type config = {
-  margin_ps : float;
-  max_edits : int;
-  max_passes : int;
-  area_recovery : bool;
-  slack_guard_ps : float;
-  buffer_min_sinks : int;
-}
+(* criticality window: nets whose slack is within this of the worst *)
+let margin_ps = 120.0
 
-let default_config =
-  { margin_ps = 120.0;
-    max_edits = 200;
-    max_passes = 3;
-    area_recovery = true;
-    slack_guard_ps = 250.0;
-    buffer_min_sinks = 2 }
+(* trial budget, applied once to the timing passes together and once
+   more to the area-recovery pass *)
+let max_edits = 200
+
+(* sweeps over the (recomputed) critical set *)
+let max_passes = 3
+
+(* headroom every net of a downsize candidate must keep *)
+let slack_guard_ps = 250.0
+
+(* only nets with at least this many sinks get a trial buffer *)
+let buffer_min_sinks = 2
 
 type eco_kind = Insert_buffer | Upsize | Downsize | Swap_pins
 
@@ -114,7 +113,6 @@ let commutative_pins (c : Cell.t) =
 
 type engine = {
   ctx : Retime.t;
-  cfg : config;
   mutable obj : float * float;
   mutable tried : int;
   mutable budget_base : int;
@@ -128,7 +126,7 @@ type engine = {
   mutable edits : eco list;  (* newest first *)
 }
 
-let budget_left e = e.tried - e.budget_base < e.cfg.max_edits
+let budget_left e = e.tried - e.budget_base < max_edits
 
 (* one speculative ECO: [apply] mutates the context, [revert] must undo it
    exactly. Records the trial, moves the objective on acceptance. *)
@@ -217,7 +215,7 @@ let try_downsize e ~inst =
    every Retime edit invalidates them, so the set is always fresh *)
 let critical_candidates e =
   let tg = Retime.tgraph e.ctx in
-  let nets = Sta.Tgraph.critical_nets tg ~margin_ps:e.cfg.margin_ps in
+  let nets = Sta.Tgraph.critical_nets tg ~margin_ps in
   let slack_of nid =
     match Sta.Tgraph.net_slack tg nid with Some s -> s | None -> infinity
   in
@@ -249,7 +247,7 @@ let repair_net e ~net =
      match (Design.net d net).Design.driver with
      | Design.Cell_pin (iid, _) -> try_upsize e ~inst:iid
      | _ -> ());
-  if budget_left e && List.length sinks >= e.cfg.buffer_min_sinks then
+  if budget_left e && List.length sinks >= buffer_min_sinks then
     try_buffer e ~net
 
 (* off-critical area recovery: shrink any combinational cell whose every
@@ -263,7 +261,7 @@ let recover_area e =
   Sta.Tgraph.compute_required tg;
   let relaxed nid =
     match Sta.Tgraph.net_slack tg nid with
-    | Some s -> s >= e.cfg.slack_guard_ps
+    | Some s -> s >= slack_guard_ps
     | None -> true
   in
   let candidates = ref [] in
@@ -280,7 +278,7 @@ let recover_area e =
     (fun iid -> if budget_left e then try_downsize e ~inst:iid)
     (List.rev !candidates)
 
-let run ?(config = default_config) ?route ?rc (pl : Place.t) =
+let run ?route ?rc (pl : Place.t) =
   Obs.Trace.with_span ~name:"flow.repair" @@ fun () ->
   let d = pl.Place.design in
   let cell_area_before = cell_area d in
@@ -291,7 +289,6 @@ let run ?(config = default_config) ?route ?rc (pl : Place.t) =
   let t_cp_before = Option.value ~default:0.0 (Sta.Analysis.worst_tcp pre_sta) in
   let e =
     { ctx;
-      cfg = config;
       obj = objective ctx;
       tried = 0;
       budget_base = 0;
@@ -305,7 +302,7 @@ let run ?(config = default_config) ?route ?rc (pl : Place.t) =
   let wns_before, tns_before = e.obj in
   let passes = ref 0 in
   let continue_ = ref true in
-  while !continue_ && !passes < config.max_passes && budget_left e do
+  while !continue_ && !passes < max_passes && budget_left e do
     incr passes;
     let accepted_before = e.accepted in
     Obs.Trace.with_span ~name:"repair.pass"
@@ -316,8 +313,7 @@ let run ?(config = default_config) ?route ?rc (pl : Place.t) =
           (critical_candidates e));
     if e.accepted = accepted_before then continue_ := false
   done;
-  if config.area_recovery then
-    Obs.Trace.with_span ~name:"repair.area-recovery" (fun () -> recover_area e);
+  Obs.Trace.with_span ~name:"repair.area-recovery" (fun () -> recover_area e);
   let sta = Retime.analysis ctx in
   let wns_after, tns_after = e.obj in
   { passes = !passes;

@@ -16,22 +16,6 @@
     the repair test suite against a fresh route/extract/analysis of the
     repaired placement. *)
 
-type config = {
-  margin_ps : float;
-  (** criticality window: nets whose slack is within this of the worst *)
-  max_edits : int;
-  (** trial budget, applied once to the timing passes together and once
-      more to the area-recovery pass *)
-  max_passes : int;      (** sweeps over the (recomputed) critical set *)
-  area_recovery : bool;  (** run the off-critical downsize pass *)
-  slack_guard_ps : float;
-  (** headroom every net of a downsize candidate must keep *)
-  buffer_min_sinks : int;
-  (** only nets with at least this many sinks get a trial buffer *)
-}
-
-val default_config : config
-
 type eco_kind = Insert_buffer | Upsize | Downsize | Swap_pins
 
 type eco = {
@@ -70,12 +54,12 @@ type report = {
 val kind_name : eco_kind -> string
 
 val run :
-  ?config:config ->
   ?route:Layout.Route.t ->
   ?rc:Layout.Extract.net_rc array ->
   Layout.Place.t ->
   report
 (** Repair the placed design in place. [route]/[rc] reuse an existing
     routing/extraction of exactly this placement (the pipeline passes its
-    stage products); both are recomputed when absent. Default config:
-    {!default_config}. *)
+    stage products); both are recomputed when absent. The criticality
+    window, trial budget, pass count and slack guard are fixed tool
+    settings (DESIGN.md §6.7). *)

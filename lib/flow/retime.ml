@@ -26,8 +26,6 @@ type t = {
   mutable rc : Extract.net_rc array;
   mutable next_tp : int;
   mutable leaf_clocks : (int * int) list;  (* (domain, leaf clock net) *)
-  mutable last_stats : Sta.Tgraph.retime_stats option;
-  mutable edits : int;
 }
 
 (* CTS leaf buffers: clock buffers whose output net feeds sequential
@@ -66,15 +64,12 @@ let create (pl : Place.t) (rt : Route.t) (rc : Extract.net_rc array) =
     routes = Array.copy rt.Route.routes;
     rc = Array.copy rc;
     next_tp = !next_tp;
-    leaf_clocks = List.map (fun (dom, _, o) -> (dom, o)) (find_leaf_clocks d);
-    last_stats = None;
-    edits = 0 }
+    leaf_clocks = List.map (fun (dom, _, o) -> (dom, o)) (find_leaf_clocks d) }
 
 let design t = t.pl.Place.design
 let tgraph t = t.tg
 let placement t = t.pl
 let rc t = t.rc
-let last_stats t = t.last_stats
 
 let analysis t = Sta.Tgraph.analysis t.tg
 
@@ -171,8 +166,6 @@ let refresh t ~old_ni ~old_nn ~old_np ~near ~nets ~insts =
       Sta.Tgraph.update_rc t.tg nid t.rc.(nid))
     !dirty;
   let stats = Sta.Tgraph.retime t.tg ~dirty_nets:!dirty ~dirty_insts:insts in
-  t.last_stats <- Some stats;
-  t.edits <- t.edits + 1;
   Obs.Metrics.incr m_edits;
   stats
 
@@ -300,7 +293,5 @@ let remove_buffer t ~inst =
   t.rc.(net) <- Extract.extract_net t.pl t.routes.(net) n;
   Sta.Tgraph.update_rc t.tg net t.rc.(net);
   let stats = Sta.Tgraph.retime t.tg ~dirty_nets:[ net ] ~dirty_insts:[] in
-  t.last_stats <- Some stats;
-  t.edits <- t.edits + 1;
   Obs.Metrics.incr m_edits;
   stats

@@ -74,6 +74,3 @@ val rc : t -> Layout.Extract.net_rc array
 val design : t -> Netlist.Design.t
 val placement : t -> Layout.Place.t
 val tgraph : t -> Sta.Tgraph.t
-
-val last_stats : t -> Sta.Tgraph.retime_stats option
-(** Cone statistics of the most recent edit. *)

@@ -110,6 +110,11 @@ let route_net (pl : Place.t) (n : Design.net) =
     end
   end
 
+(* the grid [run] defaults to and [rebuild_stats] always uses, so a
+   patched routes array rebuilds the congestion a fresh [run] reports *)
+let default_gcell_um = 20.0
+let default_capacity = 14
+
 (* congestion grid shared by [run] and [rebuild_stats] *)
 let grid ~gcell_um (pl : Place.t) =
   let chip = pl.Place.fp.Floorplan.chip in
@@ -153,7 +158,7 @@ let count_overflow ~capacity ~rows ~cols usage_h usage_v =
   done;
   !overflowed
 
-let run ?(gcell_um = 20.0) ?(capacity = 14) (pl : Place.t) =
+let run ?(gcell_um = default_gcell_um) ?(capacity = default_capacity) (pl : Place.t) =
   let d = pl.Place.design in
   let rows, cols, usage_h, usage_v, add_h, add_v = grid ~gcell_um pl in
   let routes = Array.make (Design.num_nets d) None in
@@ -182,10 +187,11 @@ let run ?(gcell_um = 20.0) ?(capacity = 14) (pl : Place.t) =
 
 (* recompute the aggregate view (wirelength, congestion, overflow) from a
    routes array whose entries were patched net by net: the result equals
-   what [run] would build if it produced the same routes. No route.*
-   counters move — this is bookkeeping, not routing work. *)
-let rebuild_stats ?(gcell_um = 20.0) ?(capacity = 14) (pl : Place.t)
-    (routes : net_route option array) =
+   what [run] on its default grid would build if it produced the same
+   routes. No route.* counters move — this is bookkeeping, not routing
+   work. *)
+let rebuild_stats (pl : Place.t) (routes : net_route option array) =
+  let gcell_um = default_gcell_um in
   let rows, cols, usage_h, usage_v, add_h, add_v = grid ~gcell_um pl in
   let total = ref 0.0 in
   Array.iter
@@ -196,7 +202,7 @@ let rebuild_stats ?(gcell_um = 20.0) ?(capacity = 14) (pl : Place.t)
         add_route_to_grid ~add_h ~add_v r;
         total := !total +. r.length)
     routes;
-  let overflowed = count_overflow ~capacity ~rows ~cols usage_h usage_v in
+  let overflowed = count_overflow ~capacity:default_capacity ~rows ~cols usage_h usage_v in
   Obs.Metrics.set g_overflowed (float_of_int overflowed);
   { routes;
     total_wirelength = !total;
@@ -204,8 +210,3 @@ let rebuild_stats ?(gcell_um = 20.0) ?(capacity = 14) (pl : Place.t)
     usage_h;
     usage_v;
     overflowed_gcells = overflowed }
-
-let net_length t nid =
-  match t.routes.(nid) with
-  | Some r -> r.length
-  | None -> 0.0

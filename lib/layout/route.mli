@@ -36,11 +36,8 @@ val route_net : Place.t -> Netlist.Design.net -> net_route option
     exactly the route a whole-design {!run} would give it. [None] for
     degenerate (driverless or single-terminal) nets. *)
 
-val rebuild_stats :
-  ?gcell_um:float -> ?capacity:int -> Place.t -> net_route option array -> t
+val rebuild_stats : Place.t -> net_route option array -> t
 (** Recompute wirelength, congestion and overflow from a routes array
-    whose entries were patched net by net; equal to what {!run} would
-    build had it produced the same routes. Moves no [route.*] counters
+    whose entries were patched net by net; equal to what {!run} on its
+    default grid would build had it produced the same routes. Moves no [route.*] counters
     (it does no routing work), but refreshes the overflow gauge. *)
-
-val net_length : t -> int -> float

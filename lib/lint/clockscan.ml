@@ -132,82 +132,38 @@ let tp_domain =
 
 let ti_pin = 1 (* TI on both SDFF and TSFF *)
 
+(* the TI of every scan cell must ride a plausible shift source *)
 let chain_stitch =
   rule "scan.chain-stitch" "broken scan stitching" Diag.Error
     (fun r ctx ->
       let d = ctx.Rule.design in
-      match ctx.Rule.arts.Rule.chains with
-      | Some chains ->
-        (match Scan.Chains.verify d chains with
-         | None -> []
-         | Some msg ->
-           [ Rule.diag r ~loc:(Diag.Stage "scan-chains")
-               ~hint:"restitch the chains from the current plan" msg ])
-      | None ->
-        (* no plan to check against: the TI of every scan cell must still
-           ride a plausible shift source *)
-        let diags = ref [] in
-        Design.iter_insts d (fun i ->
-            match i.Design.cell.Cell.kind with
-            | Cell.Sdff | Cell.Tsff ->
-              let bad detail =
-                diags :=
-                  Rule.diag r ~loc:(Diag.Inst i.Design.id)
-                    ~hint:"stitch TI to the previous scan cell's Q or a scan-in port"
-                    detail
-                  :: !diags
-              in
-              let ti = i.Design.conns.(ti_pin) in
-              if ti < 0 then bad "scan TI pin is unconnected"
-              else begin
-                match (Design.net d ti).Design.driver with
-                | Design.No_driver -> bad "scan TI rides an undriven net"
-                | Design.Port_in _ -> ()
-                | Design.Cell_pin (src, _) ->
-                  let s = Design.inst d src in
-                  (match s.Design.cell.Cell.kind with
-                   | Cell.Sdff | Cell.Tsff | Cell.Tiehi | Cell.Tielo -> ()
-                   | k ->
-                     bad
-                       (Printf.sprintf "scan TI is driven by combinational %s"
-                          (Cell.kind_name k)))
-              end
-            | _ -> ());
-        List.rev !diags)
+      let diags = ref [] in
+      Design.iter_insts d (fun i ->
+          match i.Design.cell.Cell.kind with
+          | Cell.Sdff | Cell.Tsff ->
+            let bad detail =
+              diags :=
+                Rule.diag r ~loc:(Diag.Inst i.Design.id)
+                  ~hint:"stitch TI to the previous scan cell's Q or a scan-in port"
+                  detail
+                :: !diags
+            in
+            let ti = i.Design.conns.(ti_pin) in
+            if ti < 0 then bad "scan TI pin is unconnected"
+            else begin
+              match (Design.net d ti).Design.driver with
+              | Design.No_driver -> bad "scan TI rides an undriven net"
+              | Design.Port_in _ -> ()
+              | Design.Cell_pin (src, _) ->
+                let s = Design.inst d src in
+                (match s.Design.cell.Cell.kind with
+                 | Cell.Sdff | Cell.Tsff | Cell.Tiehi | Cell.Tielo -> ()
+                 | k ->
+                   bad
+                     (Printf.sprintf "scan TI is driven by combinational %s"
+                        (Cell.kind_name k)))
+            end
+          | _ -> ());
+      List.rev !diags)
 
-let lockup_crossing =
-  rule "scan.lockup-crossing" "chain crosses domains without a lockup element"
-    Diag.Warn
-    (fun r ctx ->
-      match ctx.Rule.arts.Rule.chains with
-      | None -> []
-      | Some chains ->
-        let d = ctx.Rule.design in
-        let diags = ref [] in
-        Array.iteri
-          (fun k chain ->
-            Array.iteri
-              (fun j iid ->
-                if j > 0 then begin
-                  let prev = Design.inst d chain.(j - 1) and cur = Design.inst d iid in
-                  if
-                    prev.Design.domain >= 0 && cur.Design.domain >= 0
-                    && prev.Design.domain <> cur.Design.domain
-                  then
-                    diags :=
-                      Rule.diag r
-                        ~loc:(Diag.Stage (Printf.sprintf "scan-chain-%d[%d]" k j))
-                        ~hint:"insert a lockup latch at the domain boundary"
-                        (Printf.sprintf
-                           "%s (domain %d) shifts into %s (domain %d) with no lockup"
-                           prev.Design.iname prev.Design.domain cur.Design.iname
-                           cur.Design.domain)
-                      :: !diags
-                end)
-              chain)
-          chains.Scan.Chains.chains;
-        List.rev !diags)
-
-let rules =
-  [ ff_no_domain; ff_clock_mismatch; cdc_unsynced; tp_domain; chain_stitch;
-    lockup_crossing ]
+let rules = [ ff_no_domain; ff_clock_mismatch; cdc_unsynced; tp_domain; chain_stitch ]

@@ -10,12 +10,10 @@
       synchronizer);
     - [clock.tp-domain] (error) — inserted test point clocked in a
       different domain than {!Tpi.Clocking} assigns its tapped net;
-    - [scan.chain-stitch] (error) — scan stitching broken: against the
-      planned chains when the caller provides them, structurally (every
-      TI must ride a scan Q, scan-in port or tie) otherwise;
-    - [scan.lockup-crossing] (warn) — adjacent chain cells in different
-      domains with no lockup element between them (needs the chains
-      artifact). *)
+    - [scan.chain-stitch] (error) — scan stitching broken: every TI
+      must ride a scan Q, a scan-in port or a tie. The stitching against
+      the chain plan is checked by [Flow.Guard] after reordering
+      ([Scan.Chains.verify]). *)
 
 val pack_name : string
 val rules : Rule.t list

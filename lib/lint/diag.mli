@@ -2,13 +2,13 @@
 
     Every finding of the static-analysis engine is one [t]: a stable rule
     id, a severity, a location anchored in the design (net, instance,
-    port, a stage artifact, or the design as a whole), a human message and
+    port, a flow stage, or the design as a whole), a human message and
     an optional fix hint. Diagnostics are plain immutable data — rendering
     (text/JSON/SARIF) lives in {!Emit}, waiver fingerprints in {!Waiver}.
 
     Rule ids are part of the tool's public contract (DESIGN.md §6.5):
     they are kebab-case, namespaced by pack ([struct.], [clock.],
-    [scan.], [tpi.]) and never reused for a different check. *)
+    [scan.], [tpi.], [repair.]) and never reused for a different check. *)
 
 type severity =
   | Error  (** the flow would mis-build or crash on this design *)
@@ -26,8 +26,8 @@ type location =
   | Inst of int    (** instance id *)
   | Port of int    (** port id *)
   | Stage of string
-      (** anchored in a stage artifact (e.g. a scan chain), not the
-          netlist graph; the string names the artifact element *)
+      (** anchored in a flow stage, not the netlist graph; the string
+          names the stage (["lint"] for a crashed rule) *)
   | Design         (** whole-design finding *)
 
 type t = {

@@ -18,7 +18,6 @@ let packs =
     (Tpirepair.pack_name, Tpirepair.rules) ]
 
 let all_rules = List.concat_map snd packs
-let find_pack name = List.assoc_opt name packs
 
 let c_rules_run = Obs.Metrics.counter "lint.rules_run"
 let c_diags = Obs.Metrics.counter "lint.diags"
@@ -41,9 +40,9 @@ let run_rule ctx (r : Rule.t) =
   Obs.Metrics.add c_diags (List.length diags);
   (diags, { rule_id = r.Rule.id; pack = r.Rule.pack; count = List.length diags; ms })
 
-let run ?arts ?(rules = all_rules) ?(waivers = Waiver.empty) design =
+let run ?(rules = all_rules) ?(waivers = Waiver.empty) design =
   let timer = Obs.Trace.enter ~name:"lint.run" () in
-  let ctx = Rule.make_ctx ?arts design in
+  let ctx = Rule.make_ctx design in
   let per_rule = List.map (run_rule ctx) rules in
   let emitted = List.concat_map fst per_rule in
   let stats = List.map snd per_rule in

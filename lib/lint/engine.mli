@@ -34,14 +34,12 @@ type report = {
 }
 
 val all_rules : Rule.t list
-(** Every registered rule: structural, clock/scan, TPI/timing packs in
-    that order. *)
+(** Every registered rule: structural, clock/scan, TPI/timing and
+    TPI/repair packs in that order. *)
 
 val packs : (string * Rule.t list) list
-val find_pack : string -> Rule.t list option
 
 val run :
-  ?arts:Rule.artifacts ->
   ?rules:Rule.t list ->
   ?waivers:Waiver.t ->
   Netlist.Design.t ->

@@ -1,14 +1,5 @@
-type artifacts = {
-  chains : Scan.Chains.t option;
-  slack : Sta.Tgraph.slack_report option;
-  crit_nets : int list option;
-}
-
-let no_artifacts = { chains = None; slack = None; crit_nets = None }
-
 type ctx = {
   design : Netlist.Design.t;
-  arts : artifacts;
   cmodel : Netlist.Cmodel.t option lazy_t;
   cop : Testability.Cop.t option lazy_t;
   regions : Testability.Regions.t option lazy_t;
@@ -16,11 +7,10 @@ type ctx = {
   facts : Structfacts.t lazy_t;
 }
 
-let make_ctx ?(arts = no_artifacts) design =
+let make_ctx design =
   let cmodel = lazy (try Some (Netlist.Cmodel.build design) with _ -> None) in
   let on_model f = lazy (match Lazy.force cmodel with None -> None | Some m -> (try Some (f m) with _ -> None)) in
   { design;
-    arts;
     cmodel;
     cop = on_model Testability.Cop.compute;
     regions = on_model Testability.Regions.compute;

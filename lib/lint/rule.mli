@@ -9,22 +9,8 @@
     computed lazily and at most once per engine run, so a pack's rules
     share one traversal instead of re-deriving the world. *)
 
-(** Optional stage artifacts a caller may already have. Rules degrade
-    gracefully without them: scan-chain rules fall back to structural
-    stitching checks, the critical-path rule falls back to the
-    pre-layout timing graph ({!ctx.timing}) when no post-layout
-    critical-net set exists yet. *)
-type artifacts = {
-  chains : Scan.Chains.t option;   (** planned scan chains *)
-  slack : Sta.Tgraph.slack_report option;  (** post-layout slack report *)
-  crit_nets : int list option;     (** nets on near-critical paths (STA) *)
-}
-
-val no_artifacts : artifacts
-
 type ctx = {
   design : Netlist.Design.t;
-  arts : artifacts;
   cmodel : Netlist.Cmodel.t option lazy_t;
       (** capture-mode combinational view; [None] if the design cannot
           be modelled (e.g. a combinational loop) *)
@@ -41,11 +27,12 @@ type ctx = {
           structural pack *)
 }
 
-val make_ctx : ?arts:artifacts -> Netlist.Design.t -> ctx
+val make_ctx : Netlist.Design.t -> ctx
 
 type t = {
   id : string;           (** stable, kebab-case, pack-prefixed *)
-  pack : string;         (** ["structural"], ["clock-scan"], ["tpi-timing"] *)
+  pack : string;
+      (** ["structural"], ["clock-scan"], ["tpi-timing"], ["tpi-repair"] *)
   title : string;        (** one-line description (SARIF shortDescription) *)
   severity : Diag.severity;  (** default severity of this rule's findings *)
   check : ctx -> Diag.t list;

@@ -1,5 +1,5 @@
-(** The structural rule pack: netlist-graph sanity independent of any
-    stage artifact. Rule ids (stable, DESIGN.md §6.5):
+(** The structural rule pack: netlist-graph sanity. Rule ids (stable,
+    DESIGN.md §6.5):
 
     - [struct.comb-loop] (error) — application-mode combinational loop;
     - [struct.multi-driver] (error) — net driven by more than one pin;

@@ -34,18 +34,6 @@ let next_buf (d : Design.t) (i : Design.instance) =
       if is_buf s then Some s else None
     | _ -> None
 
-let timing_violations =
-  rule "repair.timing-violations" "unrepaired setup violations" Diag.Warn
-    (fun r ctx ->
-      match ctx.Rule.arts.Rule.slack with
-      | Some s when s.Sta.Tgraph.violations > 0 ->
-        [ Rule.diag r ~loc:Diag.Design
-            ~hint:"run the post-route repair stage (tpi_flow --repair)"
-            (Printf.sprintf
-               "%d endpoint(s) violate setup, WNS %.0f ps, TNS %.0f ps"
-               s.Sta.Tgraph.violations s.Sta.Tgraph.wns s.Sta.Tgraph.tns) ]
-      | _ -> [])
-
 let buffer_chain =
   rule "repair.buffer-chain" "buffers chained back to back" Diag.Warn
     (fun r ctx ->
@@ -104,4 +92,4 @@ let oversized_driver =
           end);
       List.sort Diag.compare !diags)
 
-let rules = [ timing_violations; buffer_chain; oversized_driver ]
+let rules = [ buffer_chain; oversized_driver ]

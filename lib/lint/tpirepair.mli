@@ -2,10 +2,6 @@
     timing-repair ECO stage ({!Flow.Repair}). Rule ids (stable,
     DESIGN.md §6.5):
 
-    - [repair.timing-violations] (warn) — the caller's
-      {!Sta.Tgraph.slack_report} artifact reports setup violations the
-      repair stage could work on; fires only when a slack report is
-      provided.
     - [repair.buffer-chain] (warn) — three or more buffers in series,
       each one's whole fanout being the next: repeated repair/ECO churn
       piling up cell delay where one stronger driver would do.

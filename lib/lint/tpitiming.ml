@@ -35,48 +35,33 @@ let critical_path =
     (fun r ctx ->
       let d = ctx.Rule.design in
       let tsffs = (facts ctx).Structfacts.tsffs in
-      let hint = "block this net in Tpi.Select.config.blocked_nets" in
+      let hint = "block this net in Tpi.Select.run ~blocked_nets" in
       if tsffs = [] then []
       else
-        match ctx.Rule.arts.Rule.crit_nets with
-        | Some crit ->
-          (* post-layout truth from STA: nets within the slack margin *)
-          let critical = net_set crit in
-          List.filter_map
-            (fun iid ->
-              let tap = tap_net d iid in
-              if tap >= 0 && critical tap then
-                Some
-                  (Rule.diag r ~loc:(Diag.Inst iid) ~hint
-                     "test point taps a net on an STA-critical path")
-              else None)
-            tsffs
-        | None ->
-          (* pre-layout: the same graph over zero parasitics *)
-          let tg, _ = Lazy.force ctx.Rule.timing in
-          let period =
-            Array.fold_left
-              (fun acc (dom : Design.domain) -> Float.min acc dom.Design.period_ps)
-              Float.infinity d.Design.domains
-          in
-          let near = lazy (net_set (critical_nets tg (Sta.Tgraph.analysis tg))) in
-          List.filter_map
-            (fun iid ->
-              let tap = tap_net d iid in
-              match if tap < 0 then None else Sta.Tgraph.net_slack tg tap with
-              | Some slack when slack < 0.0 ->
-                Some
-                  (Rule.diag r ~loc:(Diag.Inst iid) ~hint
-                     (Printf.sprintf
-                        "test point pushes a %.0f ps path past the %.0f ps period"
-                        (period -. slack) period))
-              | Some slack when Lazy.force near tap ->
-                Some
-                  (Rule.diag_at r ~severity:Diag.Warn ~loc:(Diag.Inst iid) ~hint
-                     (Printf.sprintf "test point on a near-critical path (%.0f ps slack)"
-                        slack))
-              | _ -> None)
-            tsffs)
+        let tg, _ = Lazy.force ctx.Rule.timing in
+        let period =
+          Array.fold_left
+            (fun acc (dom : Design.domain) -> Float.min acc dom.Design.period_ps)
+            Float.infinity d.Design.domains
+        in
+        let near = lazy (net_set (critical_nets tg (Sta.Tgraph.analysis tg))) in
+        List.filter_map
+          (fun iid ->
+            let tap = tap_net d iid in
+            match if tap < 0 then None else Sta.Tgraph.net_slack tg tap with
+            | Some slack when slack < 0.0 ->
+              Some
+                (Rule.diag r ~loc:(Diag.Inst iid) ~hint
+                   (Printf.sprintf
+                      "test point pushes a %.0f ps path past the %.0f ps period"
+                      (period -. slack) period))
+            | Some slack when Lazy.force near tap ->
+              Some
+                (Rule.diag_at r ~severity:Diag.Warn ~loc:(Diag.Inst iid) ~hint
+                   (Printf.sprintf "test point on a near-critical path (%.0f ps slack)"
+                      slack))
+            | _ -> None)
+          tsffs)
 
 let density =
   rule "tpi.density" "test point density outside the paper's envelope" Diag.Warn

@@ -5,11 +5,9 @@
     - [tpi.critical-path] — a test point sits on a critical or
       near-critical path (§5: "this approach requires timing analysis
       for identifying all paths with slack below a certain threshold").
-      Uses the caller's post-layout critical-net artifact when present
-      (any tapped net in it is an error). Otherwise it reads the
-      pre-layout {!Sta.Tgraph} over zero parasitics ({!Rule.ctx}): a TP
-      whose tapped net has negative slack is an error, one in the
-      near-critical set ({!critical_nets}) a warning.
+      Reads the pre-layout {!Sta.Tgraph} over zero parasitics
+      ({!Rule.ctx}): a TP whose tapped net has negative slack is an
+      error, one in the near-critical set ({!critical_nets}) a warning.
     - [tpi.density] (warn) — test point count outside the paper's 1–3 %
       envelope (§4: beyond ~3 % the area and timing cost outgrows the
       coverage gain), or several TPs piled into one fanout-free region

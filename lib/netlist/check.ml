@@ -140,13 +140,7 @@ let report (d : Design.t) vs =
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
-let assert_clean ?(allow_dangling = false) d =
-  let vs = run d in
-  let vs =
-    if allow_dangling then
-      List.filter (function Dangling_output _ -> false | _ -> true) vs
-    else vs
-  in
-  match vs with
+let assert_clean d =
+  match run d with
   | [] -> ()
   | vs -> raise (Check_failed vs)

@@ -31,5 +31,5 @@ val report : Design.t -> violation list -> string
 (** Human-readable rendering: the total count, the first 20 violations,
     and an ["... and N more"] line when the list is longer. *)
 
-val assert_clean : ?allow_dangling:bool -> Design.t -> unit
+val assert_clean : Design.t -> unit
 (** Raises {!Check_failed} with every remaining violation. *)

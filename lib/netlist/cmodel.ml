@@ -180,5 +180,3 @@ let build (d : Design.t) =
     num_nets = nn }
 
 let fanout_count t n = t.fo_start.(n + 1) - t.fo_start.(n)
-
-let in_model t n = n >= 0 && n < t.num_nets && t.modeled.(n)

@@ -49,7 +49,3 @@ val build : Design.t -> t
 
 val fanout_count : t -> int -> int
 (** Number of modelled gate input pins the net drives. *)
-
-val in_model : t -> int -> bool
-(** Whether a net carries a modelled logic signal (reachable from a source
-    or constant through modelled gates, or itself a source/constant). *)

@@ -76,10 +76,6 @@ let output_pin t =
   | Filler -> invalid_arg "Cell.output_pin: filler cell"
   | _ -> Array.length t.pins - 1
 
-let input_pin_indices t =
-  let n = Array.length t.pins in
-  List.filter (fun i -> Pin.is_input t.pins.(i)) (List.init n Fun.id)
-
 let clock_pin t =
   let found = ref None in
   Array.iteri (fun i p -> if Pin.is_clock p then found := Some i) t.pins;

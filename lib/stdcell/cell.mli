@@ -61,9 +61,6 @@ val num_inputs : kind -> int
 val output_pin : t -> int
 (** Index of the [Y]/[Q] pin. Raises for [Filler]. *)
 
-val input_pin_indices : t -> int list
-(** All input pin indices, including clock/test pins. *)
-
 val clock_pin : t -> int option
 val data_pin : t -> int option
 (** The functional [D]/[A] input for sequential cells. *)

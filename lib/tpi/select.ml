@@ -2,15 +2,16 @@ module Design = Netlist.Design
 module Cmodel = Netlist.Cmodel
 module Cell = Stdcell.Cell
 
-type config = {
-  iterations : int;
-  blocked_nets : int list;
-  max_per_region : int;
-  detect_threshold : float;
-}
+(* 8 selection batches: each one re-prices the design the previous ones
+   inserted into *)
+let iterations = 8
 
-let default_config =
-  { iterations = 8; blocked_nets = []; max_per_region = 1; detect_threshold = 2e-4 }
+(* region diversity: at most this many points per fanout-free region in
+   one batch *)
+let max_per_region = 1
+
+(* a net is COP-hard below this detectability *)
+let detect_threshold = 2e-4
 
 type report = {
   inserted : int list;
@@ -108,7 +109,7 @@ let sort_prefix a len =
    cone buffer, and [cw] is COP's [c] with the candidate's overrides
    written in place and undone after scoring. Returns the scoring
    function [n -> 2 * control_gain n + observe_gain n]. *)
-let scorer (m : Cmodel.t) (cop : Testability.Cop.t) ~hard ~threshold =
+let scorer (m : Cmodel.t) (cop : Testability.Cop.t) ~hard =
   let cone_cap = 400 in
   let gates = m.Cmodel.gates in
   let ngates = Array.length gates in
@@ -116,7 +117,7 @@ let scorer (m : Cmodel.t) (cop : Testability.Cop.t) ~hard ~threshold =
   (* hard nets that are controllable, and so only lack observation, which
      the point provides directly *)
   let observe_only =
-    Array.mapi (fun n h -> h && Float.min c.(n) (1.0 -. c.(n)) >= threshold) hard
+    Array.mapi (fun n h -> h && Float.min c.(n) (1.0 -. c.(n)) >= detect_threshold) hard
   in
   let net_stamp = Array.make m.Cmodel.num_nets 0 in
   let gate_stamp = Array.make ngates 0 in
@@ -157,8 +158,11 @@ let scorer (m : Cmodel.t) (cop : Testability.Cop.t) ~hard ~threshold =
       let out = g.Cmodel.g_out in
       let total = Testability.Cop.gate_c cw g in
       cw.(out) <- total;
-      (* [Float.min (total * o) ((1 - total) * o) >= threshold] *)
-      if hard.(out) && total *. o.(out) >= threshold && (1.0 -. total) *. o.(out) >= threshold
+      (* [Float.min (total * o) ((1 - total) * o) >= detect_threshold] *)
+      if
+        hard.(out)
+        && total *. o.(out) >= detect_threshold
+        && (1.0 -. total) *. o.(out) >= detect_threshold
       then incr gain
     done;
     cw.(n) <- c.(n);
@@ -195,7 +199,7 @@ let scorer (m : Cmodel.t) (cop : Testability.Cop.t) ~hard ~threshold =
     let cg = control_gain n in
     (2 * cg) + observe_gain n
 
-let run ?(config = default_config) (d : Design.t) ~count =
+let run ?(blocked_nets = []) (d : Design.t) ~count =
   let measures m =
     let cop = Testability.Cop.compute m in
     (m, cop, Testability.Tc.compute m cop)
@@ -219,7 +223,6 @@ let run ?(config = default_config) (d : Design.t) ~count =
   let next_index = ref 0 in
   Design.iter_insts d (fun i -> if i.Design.cell.Cell.kind = Cell.Tsff then incr next_index);
   let remaining = ref count in
-  let iterations = max 1 config.iterations in
   for it = 0 to iterations - 1 do
     if !remaining > 0 then begin
       let batch =
@@ -230,19 +233,18 @@ let run ?(config = default_config) (d : Design.t) ~count =
       let m, cop, tc = current_measures () in
       let nn = m.Cmodel.num_nets in
       let blocked = Array.make nn false in
-      List.iter (fun n -> if n >= 0 && n < nn then blocked.(n) <- true) config.blocked_nets;
+      List.iter (fun n -> if n >= 0 && n < nn then blocked.(n) <- true) blocked_nets;
       let regions = Testability.Regions.compute m in
       let cands = candidates d m ~blocked in
-      let threshold = config.detect_threshold in
       let detect =
         Array.init nn (fun n ->
             Float.min tc.Testability.Tc.detect0.(n) tc.Testability.Tc.detect1.(n))
       in
-      let hard = Array.map (fun p -> p < threshold) detect in
+      let hard = Array.map (fun p -> p < detect_threshold) detect in
       let hard_cands = List.filter (fun n -> hard.(n)) cands in
       let ranked =
         if List.length hard_cands >= batch then begin
-          let score = scorer m cop ~hard ~threshold in
+          let score = scorer m cop ~hard in
           let scored = List.map (fun n -> (n, score n)) hard_cands in
           List.map fst
             (List.sort
@@ -269,7 +271,7 @@ let run ?(config = default_config) (d : Design.t) ~count =
       let is_candidate = Array.make nn false in
       List.iter (fun n -> is_candidate.(n) <- true) cands;
       let chosen =
-        take_diverse ranked regions ~is_candidate ~batch ~max_per_region:config.max_per_region
+        take_diverse ranked regions ~is_candidate ~batch ~max_per_region
       in
       if chosen <> [] then current := None;
       List.iter

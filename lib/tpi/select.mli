@@ -17,15 +17,6 @@
     reused stamp arrays. Every choice and every cost is pinned by digests
     in [test/test_tpi.ml]. *)
 
-type config = {
-  iterations : int;          (** batches; 5 matches the reference tool's default *)
-  blocked_nets : int list;   (** never insert here (critical-path exclusion, §5) *)
-  max_per_region : int;      (** region diversity per batch *)
-  detect_threshold : float;  (** a net is COP-hard below this detectability *)
-}
-
-val default_config : config
-
 type report = {
   inserted : int list;            (** TSFF instance ids, in insertion order *)
   nets_chosen : int list;         (** the nets that were split *)
@@ -34,5 +25,9 @@ type report = {
   scoap_fallbacks : int;          (** batches ranked by SCOAP instead of COP *)
 }
 
-val run : ?config:config -> Netlist.Design.t -> count:int -> report
-(** Inserts [count] test points into the design in place. *)
+val run : ?blocked_nets:int list -> Netlist.Design.t -> count:int -> report
+(** Inserts [count] test points into the design in place, over 8
+    batches, at most one point per fanout-free region in a batch, with
+    a net COP-hard below detectability 2e-4. No point is inserted on a
+    net of [blocked_nets] (default none): the critical-path exclusion of
+    §5. *)

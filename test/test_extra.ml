@@ -49,8 +49,7 @@ let test_blocked_nets_are_avoided () =
   Alcotest.(check bool) "some nets near critical" true (List.length blocked > 0);
   (* a fresh identical design: TPI with those nets blocked avoids them *)
   let d2 = Circuits.Bench.tiny ~ffs:40 ~gates:500 () in
-  let config = { Tpi.Select.default_config with Tpi.Select.blocked_nets = blocked } in
-  let rep = Tpi.Select.run ~config d2 ~count:4 in
+  let rep = Tpi.Select.run ~blocked_nets:blocked d2 ~count:4 in
   Alcotest.(check bool) "some test points chosen" true (rep.Tpi.Select.nets_chosen <> []);
   List.iter
     (fun n -> Alcotest.(check bool) "blocked net not chosen" true (not (List.mem n blocked)))

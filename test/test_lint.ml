@@ -12,7 +12,7 @@ module Emit = Lint.Emit
 
 let cell = Helpers.cell
 
-let run ?arts ?rules ?waivers d = Engine.run ?arts ?rules ?waivers d
+let run = Engine.run
 let ids (r : Engine.report) = List.map (fun (d, _) -> d.Diag.rule) r.Engine.diags
 let has id r = List.mem id (ids r)
 
@@ -101,7 +101,7 @@ let test_clean_design () =
 
 let test_registry () =
   let rules = Engine.all_rules in
-  Alcotest.(check int) "20 registered rules" 20 (List.length rules);
+  Alcotest.(check int) "18 registered rules" 18 (List.length rules);
   Alcotest.(check int) "4 packs" 4 (List.length Engine.packs);
   let ids = List.map (fun r -> r.Rule.id) rules in
   let uniq = List.sort_uniq compare ids in
@@ -122,7 +122,10 @@ let test_stats_cover_rules () =
 
 (* --- structural pack ----------------------------------------------- *)
 
-let test_comb_loop () =
+(* each fixture below is the clean base plus one seeded fault; the
+   per-rule tests and "every rule can fire" share them *)
+
+let comb_loop () =
   let d = clean () in
   (* l1 -> l2 -> l3 -> l1 *)
   let mk name = Design.add_instance d ~name ~cell:(cell Cell.Inv) in
@@ -133,12 +136,9 @@ let test_comb_loop () =
     Design.connect d ~inst:dst.Design.id ~pin:0 ~net:n.Design.nid
   in
   wire l1 l2; wire l2 l3; wire l3 l1;
-  let r = run d in
-  check_has r "struct.comb-loop";
-  Alcotest.(check bool) "is an error" true
-    ((find_diag "struct.comb-loop" r).Diag.severity = Diag.Error)
+  d
 
-let test_multi_driver () =
+let multi_driver () =
   let d = clean () in
   (* second driver wired behind Design.connect's back: the connection
      array is the ground truth the fact sweep audits *)
@@ -146,92 +146,101 @@ let test_multi_driver () =
   let h = Design.add_instance d ~name:"h" ~cell:(cell Cell.Inv) in
   Design.connect d ~inst:h.Design.id ~pin:0 ~net:n1.Design.nid;
   h.Design.conns.(1) <- n1.Design.nid;
-  let r = run d in
-  check_has r "struct.multi-driver";
-  check_not (run (clean ())) "struct.multi-driver"
+  d
 
-let test_undriven_and_unloaded () =
+let undriven_and_unloaded () =
   let d = clean () in
   let u = Design.add_net d "u" in
   let w = Design.add_net d "w" in
   let g = Design.add_instance d ~name:"dead" ~cell:(cell Cell.Inv) in
   Design.connect d ~inst:g.Design.id ~pin:0 ~net:u.Design.nid;
   Design.connect d ~inst:g.Design.id ~pin:1 ~net:w.Design.nid;
-  let r = run d in
-  check_has r "struct.undriven-net";
-  check_has r "struct.unloaded-output"
+  d
 
-let test_floating_input () =
+let floating_input () =
   let d = clean () in
   let g = Design.add_instance d ~name:"half" ~cell:(cell Cell.Inv) in
   let w = Design.add_net d "half_y" in
   Design.connect d ~inst:g.Design.id ~pin:1 ~net:w.Design.nid;
-  let r = run d in
-  check_has r "struct.floating-input"
+  d
 
-let test_unbound_port () =
+let unbound_port () =
   let d = clean () in
   let p = Design.add_port d "px" Design.In in
   (Design.port d p.Design.pid).Design.pnet <- -1;
-  check_has (run d) "struct.unbound-port"
+  d
 
-let test_dangling_ff () =
+let dangling_ff () =
   let d = clean () in
   let clk = (net_named d "clk").Design.nid in
   let (_ : int) =
     add_dff d "ff_dead" ~data:(net_named d "n1").Design.nid ~clk ~domain:0
   in
-  let r = run d in
-  check_has r "struct.dangling-ff";
-  Alcotest.(check bool) "warn, not error" true
-    ((find_diag "struct.dangling-ff" r).Diag.severity = Diag.Warn)
+  d
 
-let test_arity_mismatch () =
+let arity_mismatch () =
   let d = clean () in
   let bogus = { (cell Cell.Inv) with Cell.name = "BOGUS_X1" } in
   let g = Design.add_instance d ~name:"alien" ~cell:bogus in
   Design.connect d ~inst:g.Design.id ~pin:0 ~net:(net_named d "n1").Design.nid;
   let w = Design.add_net d "alien_y" in
   Design.connect d ~inst:g.Design.id ~pin:1 ~net:w.Design.nid;
-  check_has (run d) "struct.arity-mismatch"
+  d
+
+let test_comb_loop () =
+  let r = run (comb_loop ()) in
+  check_has r "struct.comb-loop";
+  Alcotest.(check bool) "is an error" true
+    ((find_diag "struct.comb-loop" r).Diag.severity = Diag.Error)
+
+let test_multi_driver () =
+  check_has (run (multi_driver ())) "struct.multi-driver";
+  check_not (run (clean ())) "struct.multi-driver"
+
+let test_undriven_and_unloaded () =
+  let r = run (undriven_and_unloaded ()) in
+  check_has r "struct.undriven-net";
+  check_has r "struct.unloaded-output"
+
+let test_floating_input () = check_has (run (floating_input ())) "struct.floating-input"
+let test_unbound_port () = check_has (run (unbound_port ())) "struct.unbound-port"
+
+let test_dangling_ff () =
+  let r = run (dangling_ff ()) in
+  check_has r "struct.dangling-ff";
+  Alcotest.(check bool) "warn, not error" true
+    ((find_diag "struct.dangling-ff" r).Diag.severity = Diag.Warn)
+
+let test_arity_mismatch () = check_has (run (arity_mismatch ())) "struct.arity-mismatch"
 
 (* --- clock/scan pack ----------------------------------------------- *)
 
-let test_ff_no_domain () =
+let ff_no_domain () =
   let d = clean () in
   (inst_named d "ff0").Design.domain <- -1;
-  check_has (run d) "clock.ff-no-domain"
+  d
 
-let test_ff_clock_mismatch () =
+let ff_clock_mismatch () =
   let d = clean () in
   (* clock pin quietly rewired onto a data net *)
   (inst_named d "ff0").Design.conns.(1) <- (net_named d "n1").Design.nid;
-  check_has (run d) "clock.ff-clock-mismatch"
+  d
 
 let two_domain d =
   let clk2 = Design.add_port d "clk2" Design.In in
   Design.add_domain d ~name:"io" ~period_ps:8000.0 ~clock_net:clk2.Design.pnet
 
-let add_capture_ff d ~data ~through_gate =
+(* ff0's Q captured in a second domain, optionally through a gate *)
+let cdc ~through_gate () =
+  let d = clean () in
+  let data = Design.net_of_output d (inst_named d "ff0") in
   let dom2 = two_domain d in
   let clk2 = d.Design.domains.(dom2).Design.clock_net in
   let src = if through_gate then add_gate d "x1" Cell.Inv [ data ] else data in
-  add_dff d "ff_io" ~data:src ~clk:clk2 ~domain:dom2
+  let (_ : int) = add_dff d "ff_io" ~data:src ~clk:clk2 ~domain:dom2 in
+  d
 
-let test_cdc_unsynced () =
-  let d = clean () in
-  let q0 = Design.net_of_output d (inst_named d "ff0") in
-  let (_ : int) = add_capture_ff d ~data:q0 ~through_gate:true in
-  check_has (run d) "clock.cdc-unsynced"
-
-let test_cdc_direct_hop_quiet () =
-  (* a straight FF->FF hop is the first stage of a synchronizer *)
-  let d = clean () in
-  let q0 = Design.net_of_output d (inst_named d "ff0") in
-  let (_ : int) = add_capture_ff d ~data:q0 ~through_gate:false in
-  check_not (run d) "clock.cdc-unsynced"
-
-let test_tp_domain () =
+let tp_domain () =
   let d = clean () in
   (* tap behind ff0's Q, so the neighbourhood domain is pinned by ff0
      (domain 0) and not by the test point's own flop *)
@@ -240,7 +249,32 @@ let test_tp_domain () =
   let tp = Tpi.Insert.insert_point d ~net:n4 ~index:0 in
   let dom2 = two_domain d in
   tp.Design.domain <- dom2;
-  check_has (run d) "clock.tp-domain"
+  d
+
+let unstitched_scan_cell () =
+  let d = clean () in
+  let clk = (net_named d "clk").Design.nid in
+  let s = Design.add_instance d ~name:"s0" ~cell:(cell Cell.Sdff) in
+  s.Design.domain <- 0;
+  Design.connect d ~inst:s.Design.id ~pin:0 ~net:(net_named d "n1").Design.nid;
+  (* TI (pin 1) left unconnected: broken stitching *)
+  Design.connect d ~inst:s.Design.id ~pin:3 ~net:clk;
+  let q = Design.add_net d "s0_q" in
+  Design.connect d ~inst:s.Design.id ~pin:4 ~net:q.Design.nid;
+  d
+
+let test_ff_no_domain () = check_has (run (ff_no_domain ())) "clock.ff-no-domain"
+
+let test_ff_clock_mismatch () =
+  check_has (run (ff_clock_mismatch ())) "clock.ff-clock-mismatch"
+
+let test_cdc_unsynced () = check_has (run (cdc ~through_gate:true ())) "clock.cdc-unsynced"
+
+let test_cdc_direct_hop_quiet () =
+  (* a straight FF->FF hop is the first stage of a synchronizer *)
+  check_not (run (cdc ~through_gate:false ())) "clock.cdc-unsynced"
+
+let test_tp_domain () = check_has (run (tp_domain ())) "clock.tp-domain"
 
 let test_tp_insertion_is_clean () =
   (* a test point inserted through the real API on an off-critical net
@@ -259,64 +293,35 @@ let test_tp_insertion_is_clean () =
   check_not r "tpi.critical-path";
   check_has r "tpi.density"
 
-let scan_pair () =
-  (* mini + a second observed flop, both converted to SDFFs and stitched *)
-  let d = clean () in
-  let clk = (net_named d "clk").Design.nid in
-  let q1 = add_dff d "ff1" ~data:(net_named d "n1").Design.nid ~clk ~domain:0 in
-  let o = add_gate d "gq" Cell.Inv [ q1 ] in
-  let po = Design.add_port d "po1" Design.Out in
-  Design.connect_out_port d ~port:po.Design.pid ~net:o;
-  let (_ : int) = Scan.Replace.run d in
-  let plan = Scan.Chains.plan d (Scan.Chains.Max_length 100) in
-  Scan.Chains.stitch d plan;
-  (d, plan)
-
-let arts_with_chains plan = { Rule.no_artifacts with Rule.chains = Some plan }
-
 let test_chain_stitch_structural () =
-  let d = clean () in
-  let clk = (net_named d "clk").Design.nid in
-  let s = Design.add_instance d ~name:"s0" ~cell:(cell Cell.Sdff) in
-  s.Design.domain <- 0;
-  Design.connect d ~inst:s.Design.id ~pin:0 ~net:(net_named d "n1").Design.nid;
-  (* TI (pin 1) left unconnected: broken stitching *)
-  Design.connect d ~inst:s.Design.id ~pin:3 ~net:clk;
-  let q = Design.add_net d "s0_q" in
-  Design.connect d ~inst:s.Design.id ~pin:4 ~net:q.Design.nid;
-  check_has (run d) "scan.chain-stitch"
-
-let test_chain_stitch_with_plan () =
-  let d, plan = scan_pair () in
-  check_not (run ~arts:(arts_with_chains plan) d) "scan.chain-stitch";
-  (* a plan the stitching does not realise: same cells, reversed order *)
-  let rev =
-    Array.map
-      (fun c ->
-        let n = Array.length c in
-        Array.init n (fun i -> c.(n - 1 - i)))
-      plan.Scan.Chains.chains
-  in
-  let bad = { plan with Scan.Chains.chains = rev } in
-  check_has (run ~arts:(arts_with_chains bad) d) "scan.chain-stitch"
-
-let test_lockup_crossing () =
-  let d, plan = scan_pair () in
-  Alcotest.(check int) "one chain of two" 2
-    (Array.length plan.Scan.Chains.chains.(0));
-  let dom2 = two_domain d in
-  let second = Design.inst d plan.Scan.Chains.chains.(0).(1) in
-  second.Design.domain <- dom2;
-  check_has (run ~arts:(arts_with_chains plan) d) "scan.lockup-crossing";
-  (* same-domain chain stays quiet *)
-  second.Design.domain <- 0;
-  check_not (run ~arts:(arts_with_chains plan) d) "scan.lockup-crossing"
+  check_has (run (unstitched_scan_cell ())) "scan.chain-stitch"
 
 (* --- tpi/timing pack ----------------------------------------------- *)
 
-let test_critical_path_estimate () =
+let critical_design () =
   let d, _, _ = critical_tp () in
-  let r = run d in
+  d
+
+(* 1 test point on 1 plain flip-flop = 100% of the 3% envelope *)
+let dense_design () =
+  let d, _, _ = critical_tp ~stages:10 ~period_ps:1_000_000.0 ~tap:"c3_y" () in
+  d
+
+let unobservable_tp () =
+  let d = Design.create "blind" in
+  let clk = Design.add_port d "clk" Design.In in
+  let a = Design.add_port d "a" Design.In in
+  let (_ : int) =
+    Design.add_domain d ~name:"core" ~period_ps:4000.0 ~clock_net:clk.Design.pnet
+  in
+  let n1 = add_gate d "g1" Cell.Inv [ a.Design.pnet ] in
+  (* g2's output observes nothing, so values injected on n1 die there *)
+  let (_ : int) = add_gate d "g2" Cell.Inv [ n1 ] in
+  let (_ : Design.instance) = Tpi.Insert.insert_point d ~net:n1 ~index:0 in
+  d
+
+let test_critical_path_estimate () =
+  let r = run (critical_design ()) in
   check_has r "tpi.critical-path";
   let diag = find_diag "tpi.critical-path" r in
   Alcotest.(check bool) "error severity" true (diag.Diag.severity = Diag.Error);
@@ -331,33 +336,10 @@ let test_near_critical_warns () =
   Alcotest.(check bool) "demoted to warn" true
     ((find_diag "tpi.critical-path" r).Diag.severity = Diag.Warn)
 
-let test_critical_path_sta_artifact () =
-  let d = clean () in
-  let tap = (net_named d "n1").Design.nid in
-  let (_ : Design.instance) = Tpi.Insert.insert_point d ~net:tap ~index:0 in
-  let arts = { Rule.no_artifacts with Rule.crit_nets = Some [ tap ] } in
-  check_has (run ~arts d) "tpi.critical-path";
-  (* the same design against an empty critical set is quiet *)
-  let arts = { Rule.no_artifacts with Rule.crit_nets = Some [] } in
-  check_not (run ~arts d) "tpi.critical-path"
-
-let test_density_envelope () =
-  (* 1 test point on 1 plain flip-flop = 100% of the 3% envelope *)
-  let d, _, _ = critical_tp ~stages:10 ~period_ps:1_000_000.0 ~tap:"c3_y" () in
-  check_has (run d) "tpi.density"
+let test_density_envelope () = check_has (run (dense_design ())) "tpi.density"
 
 let test_low_observability_cop () =
-  let d = Design.create "blind" in
-  let clk = Design.add_port d "clk" Design.In in
-  let a = Design.add_port d "a" Design.In in
-  let (_ : int) =
-    Design.add_domain d ~name:"core" ~period_ps:4000.0 ~clock_net:clk.Design.pnet
-  in
-  let n1 = add_gate d "g1" Cell.Inv [ a.Design.pnet ] in
-  (* g2's output observes nothing, so values injected on n1 die there *)
-  let (_ : int) = add_gate d "g2" Cell.Inv [ n1 ] in
-  let (_ : Design.instance) = Tpi.Insert.insert_point d ~net:n1 ~index:0 in
-  let r = run d in
+  let r = run (unobservable_tp ()) in
   check_has r "tpi.low-observability";
   Alcotest.(check bool) "names the dead downstream" true
     (contains (find_diag "tpi.low-observability" r).Diag.message "unobservable")
@@ -384,6 +366,61 @@ let test_low_observability_redundant () =
          dg.Diag.rule = "tpi.low-observability"
          && contains dg.Diag.message "already directly observed")
        r.Engine.diags)
+
+(* --- tpi/repair pack ----------------------------------------------- *)
+
+(* n1 -> three buffers in series -> g2, in place of the n1 -> g2 wire *)
+let buffer_chain () =
+  let d = clean () in
+  let g2 = inst_named d "g2" in
+  let out =
+    List.fold_left
+      (fun net name -> add_gate d name Cell.Buf [ net ])
+      (net_named d "n1").Design.nid [ "b1"; "b2"; "b3" ]
+  in
+  Design.disconnect d ~inst:g2.Design.id ~pin:0;
+  Design.connect d ~inst:g2.Design.id ~pin:0 ~net:out;
+  d
+
+(* g2 at drive 4, still driving only ff0's D *)
+let oversized_driver () =
+  let d = clean () in
+  let g2 = inst_named d "g2" in
+  g2.Design.cell <- Stdcell.Library.find Helpers.lib Cell.Inv ~drive:4;
+  d
+
+(* --- every registered rule can fire -------------------------------- *)
+
+(* one seeded fixture per rule id; a rule with no row here, or one that
+   stays quiet on its row under the engine's default arguments, is a
+   rule no caller can ever see fire *)
+let firing_fixtures =
+  [ ("struct.comb-loop", comb_loop);
+    ("struct.multi-driver", multi_driver);
+    ("struct.undriven-net", undriven_and_unloaded);
+    ("struct.floating-input", floating_input);
+    ("struct.unbound-port", unbound_port);
+    ("struct.unloaded-output", undriven_and_unloaded);
+    ("struct.dangling-ff", dangling_ff);
+    ("struct.arity-mismatch", arity_mismatch);
+    ("clock.ff-no-domain", ff_no_domain);
+    ("clock.ff-clock-mismatch", ff_clock_mismatch);
+    ("clock.cdc-unsynced", cdc ~through_gate:true);
+    ("clock.tp-domain", tp_domain);
+    ("scan.chain-stitch", unstitched_scan_cell);
+    ("tpi.critical-path", critical_design);
+    ("tpi.density", dense_design);
+    ("tpi.low-observability", unobservable_tp);
+    ("repair.buffer-chain", buffer_chain);
+    ("repair.oversized-driver", oversized_driver) ]
+
+let test_every_rule_fires () =
+  List.iter
+    (fun (r : Rule.t) ->
+      match List.assoc_opt r.Rule.id firing_fixtures with
+      | None -> Alcotest.fail (r.Rule.id ^ ": no fixture fires it")
+      | Some fixture -> check_has (Engine.run (fixture ())) r.Rule.id)
+    Engine.all_rules
 
 (* --- engine behaviour ---------------------------------------------- *)
 
@@ -746,17 +783,14 @@ let suite =
     Alcotest.test_case "tp insertion is lint-clean" `Quick test_tp_insertion_is_clean;
     Alcotest.test_case "scan.chain-stitch structural" `Quick
       test_chain_stitch_structural;
-    Alcotest.test_case "scan.chain-stitch vs plan" `Quick test_chain_stitch_with_plan;
-    Alcotest.test_case "scan.lockup-crossing" `Quick test_lockup_crossing;
     Alcotest.test_case "tpi.critical-path estimate" `Quick test_critical_path_estimate;
     Alcotest.test_case "tpi.critical-path near-critical warn" `Quick
       test_near_critical_warns;
-    Alcotest.test_case "tpi.critical-path via STA artifact" `Quick
-      test_critical_path_sta_artifact;
     Alcotest.test_case "tpi.density" `Quick test_density_envelope;
     Alcotest.test_case "tpi.low-observability (COP)" `Quick test_low_observability_cop;
     Alcotest.test_case "tpi.low-observability (redundant)" `Quick
       test_low_observability_redundant;
+    Alcotest.test_case "every registered rule can fire" `Quick test_every_rule_fires;
     Alcotest.test_case "rule crash contained" `Quick test_rule_crash_contained;
     Alcotest.test_case "gate raises Lint_failed" `Quick test_gate;
     Alcotest.test_case "lint is read-only" `Quick test_read_only;

@@ -77,8 +77,7 @@ let test_select_respects_count_and_blocked () =
   let m = Netlist.Cmodel.build d in
   (* block every net: selection must insert nothing *)
   let all_nets = List.init m.Netlist.Cmodel.num_nets Fun.id in
-  let config = { Tpi.Select.default_config with Tpi.Select.blocked_nets = all_nets } in
-  let rep = Tpi.Select.run ~config d ~count:5 in
+  let rep = Tpi.Select.run ~blocked_nets:all_nets d ~count:5 in
   Alcotest.(check int) "all blocked -> none inserted" 0 (List.length rep.Tpi.Select.inserted);
   (* unblocked: exactly the requested count *)
   let d2 = Circuits.Bench.tiny ~gates:400 () in

@@ -133,7 +133,7 @@ let ablations () =
   say "=== Ablation (paper section 5): excluding test points from critical paths ===";
   let spec = Core.Experiment.spec_for ~scale:0.35 "s38417" in
   let unrestricted =
-    Core.Experiment.row_exn (Core.Experiment.run_one_guarded ~with_atpg:true spec ~tp_pct:2)
+    Core.Experiment.row_exn (List.hd (Core.Experiment.sweep ~tp_levels:[ 2 ] spec))
   in
   let restricted =
     Core.Experiment.blocked_critical_nets spec ~tp_pct:2

@@ -17,9 +17,7 @@ type node = {
 
 type t = {
   mutex : Mutex.t;
-  cond : Condition.t;                  (* single-flight wakeups *)
   table : (string, node) Hashtbl.t;
-  inflight : (string, unit) Hashtbl.t; (* keys being computed right now *)
   mutable head : node option;
   mutable tail : node option;
   mutable bytes : int;
@@ -37,23 +35,9 @@ let rec mkdir_p path =
 
 (* "<key>.tmp-<pid>-<seq>" -> Some pid *)
 let tmp_owner name =
-  let marker = ".tmp-" in
-  let mlen = String.length marker in
-  let n = String.length name in
-  let rec last_at i best =
-    if i + mlen > n then best
-    else
-      last_at (i + 1) (if String.sub name i mlen = marker then Some i else best)
-  in
-  match last_at 0 None with
-  | None -> None
-  | Some i ->
-    (match
-       Scanf.sscanf (String.sub name (i + mlen) (n - i - mlen)) "%d-%d%!"
-         (fun pid _seq -> pid)
-     with
-     | pid -> Some pid
-     | exception _ -> None)
+  match Scanf.sscanf (Filename.extension name) ".tmp-%d-%d%!" (fun pid _seq -> pid) with
+  | pid -> Some pid
+  | exception _ -> None
 
 let pid_alive pid =
   match Unix.kill pid 0 with
@@ -80,9 +64,7 @@ let create ?(mem_capacity = default_capacity) ?dir () =
   Option.iter mkdir_p dir;
   Option.iter clean_stale_tmp dir;
   { mutex = Mutex.create ();
-    cond = Condition.create ();
     table = Hashtbl.create 64;
-    inflight = Hashtbl.create 8;
     head = None;
     tail = None;
     bytes = 0;
@@ -148,11 +130,7 @@ let magic = "TPICACHE1\n"
 
 let path_of dir key = Filename.concat dir key
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* verify magic + payload digest before handing bytes to a caller (which
    will typically Marshal.from_string them -- unchecked input could crash
@@ -193,17 +171,16 @@ let disk_write t key value =
   match t.dir with
   | None -> ()
   | Some dir ->
-    (* written unconditionally: an add only happens after a disk miss, so
-       an existing file here is a corrupted entry being healed *)
+    (* written unconditionally: an add follows a miss, so an existing file
+       here is a corrupted entry being healed or the same bytes published
+       by another process sharing the directory; either way the rename
+       replaces it whole *)
     let path = path_of dir key in
     let tmp =
       Printf.sprintf "%s.tmp-%d-%d" path (Unix.getpid ()) (Atomic.fetch_and_add tmp_seq 1)
     in
     (match
-       let oc = open_out_bin tmp in
-       Fun.protect
-         ~finally:(fun () -> close_out_noerr oc)
-         (fun () ->
+       Out_channel.with_open_bin tmp (fun oc ->
            output_string oc magic;
            output_string oc (Digest.string value);
            output_string oc value);
@@ -215,144 +192,32 @@ let disk_write t key value =
 
 (* ---- lookups ---- *)
 
-let find_unlocked t key =
-  match Hashtbl.find_opt t.table key with
-  | Some n ->
-    touch t n;
-    Obs.Metrics.incr m_mem_hits;
-    Some n.n_value
-  | None ->
-    (match disk_read t key with
-     | Some value ->
-       Obs.Metrics.incr m_disk_hits;
-       mem_insert t key value;
-       Some value
-     | None -> None)
-
-let add_unlocked t key value =
-  Obs.Metrics.incr m_stores;
-  mem_insert t key value;
-  disk_write t key value
-
 let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
 let find t key =
   with_lock t (fun () ->
-      let v = find_unlocked t key in
-      if Option.is_none v then Obs.Metrics.incr m_misses;
-      v)
+      match Hashtbl.find_opt t.table key with
+      | Some n ->
+        touch t n;
+        Obs.Metrics.incr m_mem_hits;
+        Some n.n_value
+      | None ->
+        (match disk_read t key with
+         | Some value ->
+           Obs.Metrics.incr m_disk_hits;
+           mem_insert t key value;
+           Some value
+         | None ->
+           Obs.Metrics.incr m_misses;
+           None))
 
-let add t key value = with_lock t (fun () -> add_unlocked t key value)
-
-(* An exclusive fcntl lock on the lock file at [path]: [Some fd] once the
-   file this process locked is still the one at [path], [None] when no
-   lock can be had (read-only dir, fd exhaustion, no lock support). A
-   previous owner unlinks the file before it lets go, so a waiter that
-   wakes holding a file no longer at the path drops it and retries on
-   the one that is there now (or creates it). *)
-let rec lock_file path =
-  match Unix.openfile path [ Unix.O_CREAT; Unix.O_WRONLY ] 0o644 with
-  | exception Unix.Unix_error _ -> None
-  | fd ->
-    let current () =
-      let held = Unix.fstat fd and at_path = Unix.stat path in
-      held.Unix.st_dev = at_path.Unix.st_dev && held.Unix.st_ino = at_path.Unix.st_ino
-    in
-    (match Unix.lockf fd Unix.F_LOCK 0 with
-     | exception Unix.Unix_error _ ->
-       Unix.close fd;
-       None
-     | () ->
-       (match current () with
-        | true -> Some fd
-        | false | (exception Unix.Unix_error _) ->
-          Unix.close fd;
-          lock_file path))
-
-(* cross-process single-flight: compute under an exclusive fcntl lock on
-   "<path>.lock", re-checking the disk tier once the lock is ours — if a
-   concurrent process got there first we take its entry instead of
-   duplicating the work. The entry is published (atomic tmp + rename)
-   and the lock file unlinked before the lock is released, so the next
-   lock owner's re-check hits and no lock file outlives its computation.
-   fcntl locks are per-process, which is exactly right here: in-process
-   racers are already serialized by the inflight table, so the second
-   thread never reaches this function for the same key. Returns
-   [(value, served_from_disk)]; called with the store mutex NOT held. *)
-let compute_locked t key f =
-  match t.dir with
-  | None -> (f (), false)
-  | Some dir ->
-    let lock_path = path_of dir key ^ ".lock" in
-    (match lock_file lock_path with
-     | None ->
-       (* unlockable: degrade to the in-process guarantee rather than
-          failing the computation *)
-       let value = f () in
-       disk_write t key value;
-       (value, false)
-     | Some fd ->
-       Fun.protect
-         ~finally:(fun () ->
-           (try Unix.unlink lock_path with Unix.Unix_error _ -> ());
-           try Unix.close fd (* releases the lock *) with _ -> ())
-         (fun () ->
-           match disk_read t key with
-           | Some value -> (value, true)
-           | None ->
-             let value = f () in
-             disk_write t key value;
-             (value, false)))
-
-let find_or_compute t ~key f =
-  Mutex.lock t.mutex;
-  let rec lookup () =
-    match find_unlocked t key with
-    | Some value ->
-      Mutex.unlock t.mutex;
-      (value, true)
-    | None ->
-      if Hashtbl.mem t.inflight key then begin
-        (* another domain is computing this key: wait for it, then re-run
-           the lookup (the wait can also wake on an unrelated store) *)
-        Condition.wait t.cond t.mutex;
-        lookup ()
-      end
-      else begin
-        Hashtbl.replace t.inflight key ();
-        Obs.Metrics.incr m_misses;
-        Mutex.unlock t.mutex;
-        let release () =
-          Hashtbl.remove t.inflight key;
-          Condition.broadcast t.cond;
-          Mutex.unlock t.mutex
-        in
-        match compute_locked t key f with
-        | exception e ->
-          Mutex.lock t.mutex;
-          release ();
-          raise e
-        | value, from_disk ->
-          Mutex.lock t.mutex;
-          if from_disk then begin
-            Obs.Metrics.incr m_disk_hits;
-            mem_insert t key value
-          end
-          else begin
-            Obs.Metrics.incr m_stores;
-            mem_insert t key value
-          end;
-          release ();
-          (value, from_disk)
-      end
-  in
-  lookup ()
-
-let memo t ~key f =
-  let bytes, _hit = find_or_compute t ~key (fun () -> Marshal.to_string (f ()) []) in
-  Marshal.from_string bytes 0
+let add t key value =
+  with_lock t (fun () ->
+      Obs.Metrics.incr m_stores;
+      mem_insert t key value;
+      disk_write t key value)
 
 let mem_entries t = with_lock t (fun () -> Hashtbl.length t.table)
 let mem_bytes t = with_lock t (fun () -> t.bytes)

@@ -8,29 +8,24 @@
     repeated sweeps without touching the §6.1 bit-identity contract.
 
     {b Domains.} One store may be shared by any number of domains and
-    threads: every operation holds an internal mutex, and concurrent
-    {!find_or_compute} requests for the same missing key are
-    single-flighted — exactly one caller computes while the rest block
-    and then take the hit. Hit/miss totals are therefore identical at any
-    [-j], which keeps the [cache.*] counters deterministic.
+    threads: every operation holds an internal mutex. The store is a
+    plain find/add map; a caller that must not compute one value twice
+    looks it up once before it fans out (as {!Flow.Experiment.sweep}
+    does with the generated design).
 
     {b Disk tier.} Entries are written atomically (temp file + rename) as
     a magic header, an MD5 digest of the payload and the payload itself;
     the digest is verified before a disk entry is returned, so truncated
-    or corrupted files fall back to a recompute (counted in
-    [cache.disk_corrupt]) instead of feeding [Marshal] unchecked bytes.
+    or corrupted files read as a miss (counted in [cache.disk_corrupt])
+    instead of feeding [Marshal] unchecked bytes, and the caller's
+    recompute overwrites them.
 
     {b Processes.} A disk directory may be shared by several processes
-    (e.g. a serving daemon next to one-shot CLI runs). {!find_or_compute}
-    extends single-flight across them with an exclusive [fcntl] lock on
-    a per-key ["<key>.lock"] file: the computing process publishes the
-    entry and unlinks the lock file before releasing the lock, and a
-    process that loses the race finds the entry on its post-lock re-check
-    instead of recomputing (counted as a disk hit). A waiter that wakes
-    holding an unlinked file retries on the file now at the path, so no
-    lock file outlives its computation. {!create} sweeps debris left by crashed
-    writers — temp files whose recorded owner PID is dead — while leaving
-    live writers' files alone.
+    (e.g. a serving daemon next to one-shot CLI runs). Two of them that
+    miss the same key both compute it; each publishes the same bytes
+    atomically, so a reader sees one whole entry or none. {!create}
+    sweeps debris left by crashed writers — temp files whose recorded
+    owner PID is dead — while leaving live writers' files alone.
 
     Effectiveness is observable in the metrics registry: [cache.mem_hits],
     [cache.disk_hits], [cache.misses], [cache.stores], [cache.evictions],
@@ -55,20 +50,8 @@ val find : t -> string -> string option
     in [cache.misses]. *)
 
 val add : t -> string -> string -> unit
-(** Insert into both tiers. Adding an existing key is a no-op. *)
-
-val find_or_compute : t -> key:string -> (unit -> string) -> string * bool
-(** [find_or_compute t ~key f] returns [(value, hit)]. On a miss, [f]
-    runs outside the store lock and its result is inserted; concurrent
-    callers of the same missing key wait for the computing one instead
-    of duplicating the work. If [f] raises, nothing is stored and every
-    waiter re-races the computation. *)
-
-val memo : t -> key:string -> (unit -> 'a) -> 'a
-(** [find_or_compute] with [Marshal] round-tripping: always returns a
-    structurally fresh copy, safe for callers that mutate the result.
-    The caller is responsible for keying so that the stored type is
-    unambiguous (include a version token in the key parts). *)
+(** Insert into both tiers. A key already in memory keeps its entry
+    there; the disk file is always (re)written. *)
 
 val mem_entries : t -> int
 val mem_bytes : t -> int

@@ -29,7 +29,9 @@ let mark_used st idx = (Vec.get st.pool idx).uses <- (Vec.get st.pool idx).uses 
 
 (* Pick a pool index with level < max_level. Preference order: an unused net
    (keeps dangling outputs rare), then a recent net (builds depth), then a
-   uniform one. Level-0 entries always exist, so this terminates. *)
+   uniform one, then a scan from the front. At tiny scales every level-0
+   entry can be in [avoid]; the scan then ends at the pool's end with a
+   [Generation_error]. *)
 let pick_input st ~max_level ~avoid =
   let n = Vec.length st.pool in
   let ok idx =
@@ -72,7 +74,16 @@ let pick_input st ~max_level ~avoid =
   in
   let fallback () =
     (* level-0 seeds live at the front of the pool *)
-    let rec loop idx = if ok idx then idx else loop (idx + 1) in
+    let rec loop idx =
+      if idx >= n then
+        raise
+          (Generation_error
+             (Printf.sprintf
+                "no pool net below level %d besides %d avoided inputs (%d pool nets, %d gates made)"
+                max_level (List.length avoid) n st.gates_made))
+      else if ok idx then idx
+      else loop (idx + 1)
+    in
     loop 0
   in
   let choice =

@@ -79,4 +79,5 @@ let quickstart ?(circuit = "s38417") ?(scale = 0.25) ?(tp_percent = 1.0)
     ?(with_atpg = true) () =
   let spec = Flow.Experiment.spec_for ~scale circuit in
   Flow.Experiment.row_exn
-    (Flow.Experiment.run_one_guarded ~with_atpg spec ~tp_pct:(int_of_float tp_percent))
+    (List.hd
+       (Flow.Experiment.sweep ~with_atpg ~tp_levels:[ int_of_float tp_percent ] spec))

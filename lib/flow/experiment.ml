@@ -8,7 +8,9 @@ type spec = {
 let spec_for ?scale circuit =
   let scale =
     match scale with
-    | Some s -> s
+    | Some s when Float.is_finite s && s > 0.0 -> s
+    | Some s ->
+      invalid_arg (Printf.sprintf "Experiment.spec_for: scale %g is not positive and finite" s)
     | None ->
       (match List.assoc_opt circuit Circuits.Bench.default_scales with
        | Some s -> s
@@ -39,19 +41,32 @@ let options_of ?cache ?(lint = false) ?(repair = false) spec ~with_atpg ~tp_pct 
     lint;
     repair }
 
-(* design generation is level-invariant: with a cache every level of a
-   sweep shares one generator run (the store single-flights concurrent
-   requests), each taking a structurally fresh unmarshaled copy so the
-   levels can still mutate their designs independently *)
-let generate ?cache spec =
-  let mk () = Circuits.Bench.by_name spec.circuit ~scale:spec.scale in
-  match cache with
-  | None -> mk ()
-  | Some store ->
-    let key =
-      Cache.Store.key [ "tpi-design-gen-v1"; spec.circuit; Printf.sprintf "%h" spec.scale ]
-    in
-    Cache.Store.memo store ~key mk
+(* design generation is level-invariant: a sweep generates the design
+   (or, with a cache, reads it back) once, as marshalled bytes, and each
+   level unmarshals its own structurally fresh copy to mutate. A failed
+   generation is kept and re-raised by every level, which reports it as
+   its typed design-generation error. *)
+let design_source ?cache spec =
+  let generate () =
+    match Circuits.Bench.by_name spec.circuit ~scale:spec.scale with
+    | d -> Ok (Marshal.to_string d [])
+    | exception e -> Error (e, Printexc.get_raw_backtrace ())
+  in
+  let key =
+    Cache.Store.key [ "tpi-design-gen-v1"; spec.circuit; Printf.sprintf "%h" spec.scale ]
+  in
+  let bytes =
+    match Option.bind cache (fun store -> Cache.Store.find store key) with
+    | Some b -> Ok b
+    | None ->
+      let r = generate () in
+      (match (cache, r) with Some store, Ok b -> Cache.Store.add store key b | _ -> ());
+      r
+  in
+  fun () ->
+    match bytes with
+    | Ok b -> (Marshal.from_string b 0 : Netlist.Design.t)
+    | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
 let check_levels levels =
   match List.find_opt (fun l -> l < 0 || l > 100) levels with
@@ -63,15 +78,6 @@ type guarded_row = {
   g_tp_pct : int;
   g_report : Guard.report;
 }
-
-let run_one_guarded ?cache ?policy ?retries ?tamper ?cancel ?on_stage ?lint
-    ?repair ?(with_atpg = true) spec ~tp_pct =
-  let report =
-    Guard.run ?policy ?retries ?tamper ?cancel ?on_stage ~circuit:spec.circuit
-      ~options:(options_of ?cache ?lint ?repair spec ~with_atpg ~tp_pct)
-      (fun () -> generate ?cache spec)
-  in
-  { g_spec = spec; g_tp_pct = tp_pct; g_report = report }
 
 (* Runs [run] on every level on [domains] domains, the calling one and
    [domains - 1] spawned ones, each taking the next level index from an
@@ -129,12 +135,18 @@ let fan_out ~domains ~stops levels run =
    first failed level, otherwise a failed level becomes a degraded row and
    the sweep goes on *)
 let sweep ?(jobs = 1) ?cache ?(policy = Guard.Fail_fast) ?retries ?tamper ?cancel
-    ?on_stage ?lint ?repair ?with_atpg ?(tp_levels = [ 0; 1; 2; 3; 4; 5 ]) spec =
+    ?on_stage ?lint ?repair ?(with_atpg = true) ?(tp_levels = [ 0; 1; 2; 3; 4; 5 ]) spec =
   if jobs < 1 then invalid_arg "Experiment.sweep: jobs must be at least 1";
+  let mk_design = design_source ?cache spec in
   let run tp_pct =
-    run_one_guarded ?cache ~policy ?retries ?tamper ?cancel
-      ?on_stage:(Option.map (fun f -> f ~tp_pct) on_stage)
-      ?lint ?repair ?with_atpg spec ~tp_pct
+    let report =
+      Guard.run ~policy ?retries ?tamper ?cancel
+        ?on_stage:(Option.map (fun f -> f ~tp_pct) on_stage)
+        ~circuit:spec.circuit
+        ~options:(options_of ?cache ?lint ?repair spec ~with_atpg ~tp_pct)
+        mk_design
+    in
+    { g_spec = spec; g_tp_pct = tp_pct; g_report = report }
   in
   let stops g = policy = Guard.Fail_fast && g.g_report.Guard.result = None in
   let domains = min jobs (List.length tp_levels) in
@@ -166,8 +178,11 @@ let degraded_rows grows =
    is timed on one graph, and the nets the lint [tpi.critical-path] rule
    calls near-critical are off limits for insertion. *)
 let blocked_critical_nets spec ~tp_pct =
+  let generate () = Circuits.Bench.by_name spec.circuit ~scale:spec.scale in
   let baseline =
-    (row_exn (run_one_guarded ~with_atpg:false spec ~tp_pct:0)).result
+    Guard.result_exn
+      (Guard.run ~options:(options_of spec ~with_atpg:false ~tp_pct:0)
+         ~circuit:spec.circuit generate)
   in
   let tg = Sta.Tgraph.compile baseline.Pipeline.design baseline.Pipeline.rc in
   Sta.Tgraph.propagate tg;
@@ -179,5 +194,5 @@ let blocked_critical_nets spec ~tp_pct =
   let options =
     { (options_of spec ~with_atpg:true ~tp_pct) with Pipeline.blocked_nets = blocked_names }
   in
-  let report = Guard.run ~options ~circuit:spec.circuit (fun () -> generate spec) in
+  let report = Guard.run ~options ~circuit:spec.circuit generate in
   { spec; tp_pct; result = Guard.result_exn report }

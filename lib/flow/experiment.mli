@@ -4,8 +4,8 @@
     row utilization targets).
 
     Every layout runs under {!Guard}, so each one passes the post-stage
-    invariant checks or reports a typed error. {!run_one_guarded} and
-    {!sweep} return the guard's reports; {!row_exn} turns one into a plain
+    invariant checks or reports a typed error. {!sweep} returns the
+    guard's reports; {!row_exn} turns one into a plain
     {!row} for the table renderers, raising on a failed level. *)
 
 type spec = {
@@ -18,7 +18,8 @@ type spec = {
 val spec_for : ?scale:float -> string -> spec
 (** Paper settings: 100-FF chains and 97% utilization for s38417 and
     pcore_a; 32 chains and 50% utilization for pcore_b. Default scales come
-    from {!Circuits.Bench.default_scales}. *)
+    from {!Circuits.Bench.default_scales}. Raises [Invalid_argument] on an
+    unknown circuit and on a [scale] that is not positive and finite. *)
 
 val check_levels : int list -> (int list, string) result
 (** The levels unchanged, or an error naming the first one outside the
@@ -41,28 +42,6 @@ type guarded_row = {
   g_report : Guard.report;
 }
 
-val run_one_guarded :
-  ?cache:Cache.Store.t ->
-  ?policy:Guard.policy ->
-  ?retries:int ->
-  ?tamper:(attempt:int -> Guard.stage -> Pipeline.state -> unit) ->
-  ?cancel:Cancel.t ->
-  ?on_stage:(Guard.stage -> Guard.stage_status -> unit) ->
-  ?lint:bool ->
-  ?repair:bool ->
-  ?with_atpg:bool ->
-  spec ->
-  tp_pct:int ->
-  guarded_row
-(** [lint] (default false) turns on the {!Pipeline.preflight} gate:
-    error-severity {!Lint} findings on the generated design fail the level
-    with a ["lint-failed"] error before the first stage. [repair] (default
-    false) appends the step-7 {!Repair} stage, so the row's [result.sta]
-    is the repaired timing and [result.repair] carries the report
-    (including the unrepaired [pre_sta]). [with_atpg] (default true)
-    runs ATPG. [policy], [retries], [tamper], [cancel] and [on_stage] go
-    straight to {!Guard.run}. *)
-
 val sweep :
   ?jobs:int ->
   ?cache:Cache.Store.t ->
@@ -78,31 +57,38 @@ val sweep :
   spec ->
   guarded_row list
 (** The experiment's one level loop: each of [tp_levels] (default
-    [0;1;2;3;4;5]) through {!run_one_guarded} with the same arguments,
-    rows in level order; [on_stage] is told the level as well. Never
-    raises on a stage failure. Under [policy] {!Guard.Fail_fast} (the default) the
-    sweep stops after the first failed level, which is the last row;
-    under {!Guard.Recover} and {!Guard.Degrade} every level is attempted
-    and a failed one is a degraded row. [tamper] is the chaos/
-    fault-injection hook (tampered runs bypass the cache); [cancel] is
-    the service layer's cancellation token, and a cancelled level is a
-    row with a typed ["cancelled"] error.
+    [0;1;2;3;4;5]) through {!Guard.run} ([retries], [tamper], [cancel]
+    and [on_stage], told the level as well, go straight to it), rows in
+    level order. Never raises on a stage failure. Under [policy]
+    {!Guard.Fail_fast} (the default) the sweep stops after the first
+    failed level, which is the last row; under {!Guard.Recover} and
+    {!Guard.Degrade} every level is attempted and a failed one is a
+    degraded row. Tampered layouts bypass the cache; a cancelled level
+    is a row with a typed ["cancelled"] error.
+
+    [lint] (default false) turns on the {!Pipeline.preflight} gate, so
+    error-severity {!Lint} findings fail a level with ["lint-failed"]
+    before its first stage. [repair] (default false) appends the step-7
+    {!Repair} stage: [result.sta] is then the repaired timing and
+    [result.repair] the report. [with_atpg] (default true) runs ATPG.
+
+    The design is generated once per sweep, before any level starts —
+    with [cache], looked up once and generated and stored on a miss —
+    and every level builds on its own unmarshalled copy; a generation
+    failure fails every level with the same ["design-generation"]
+    error. Each layout is one [cache] entry ({!Pipeline.cache_open}), so
+    a repeated sweep is served from cache, byte-identical to a cold,
+    cache-less run.
 
     [jobs] (default 1; [Invalid_argument] below 1) is the number of
-    layouts built at once: with [jobs > 1] the levels run on
-    [min jobs (List.length tp_levels)] domains, the calling one included,
-    each taking the next level as it finishes one. Rows, the
-    {!Obs.Metrics} registry and the span ids are those of a [jobs = 1]
-    sweep (each level's metrics and spans are absorbed in level order
-    after the workers join); under {!Guard.Fail_fast} no level starts
-    after a failed one, and a level that had already started past it
-    is dropped with its metrics. [on_stage] then runs on whichever
-    domain builds the level: a level's events come in stage order, but
-    the events of different levels interleave. With [cache], design
-    generation runs once per sweep and every level is looked up in the
-    content-addressed cache as one entry ({!Pipeline.cache_open}), so a
-    repeated sweep is served almost entirely from cache and still
-    byte-identical to a cold, cache-less run. *)
+    layouts built at once, on [min jobs (List.length tp_levels)]
+    domains, the calling one included. Rows, the {!Obs.Metrics}
+    registry ([cache.*] counters included) and the span ids are those
+    of a [jobs = 1] sweep: each level's metrics and spans are absorbed
+    in level order after the workers join, and under {!Guard.Fail_fast}
+    no level starts after a failed one, while one already started past
+    it is dropped with its metrics. [on_stage] runs on the domain that
+    builds the level, so the events of different levels interleave. *)
 
 val row_exn : guarded_row -> row
 (** The level as a plain row; raises {!Guard.Stage_failure} with the

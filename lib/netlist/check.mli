@@ -18,8 +18,12 @@ val class_name : violation -> string
 val pp_violation : Design.t -> Format.formatter -> violation -> unit
 
 val run : Design.t -> violation list
-(** Empty list = clean design. Dangling outputs are reported but tolerated
-    by the flow (tie cells and spare logic can legitimately dangle). *)
+(** Empty list = clean design. Every violation is an error: {!Flow.Guard}
+    fails the stage on any of them, a dangling output included (the
+    ["dangling-output"] class that {!Flow.Inject}'s dangling-output and
+    orphan-repair-buffer faults are detected by). The one exemption is
+    tie cells, whose outputs may go sinkless once scan stitching reclaims
+    the parked test-input pins; they are never reported. *)
 
 exception Check_failed of violation list
 (** The complete violation list — never truncated — so callers (and

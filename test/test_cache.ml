@@ -1,8 +1,7 @@
 (* Stage cache: store tiers (LRU memory, digest-verified disk), key
-   derivation, single-flight under domains, metrics-delta capture, and the
-   §6.2 contract — cold, warm-memory and warm-disk sweeps byte-identical
-   in tables and kernel metrics at any -j, with corruption falling back to
-   recompute. *)
+   derivation, metrics-delta capture, and the §6.2 contract — cold,
+   warm-memory and warm-disk sweeps byte-identical in tables and kernel
+   metrics at any -j, with corruption falling back to recompute. *)
 
 module Store = Cache.Store
 module Design = Netlist.Design
@@ -85,47 +84,11 @@ let test_disk_corruption_falls_back () =
   Alcotest.(check int) "corruptions counted"
     (corrupt_before + 2)
     (M.value (M.counter "cache.disk_corrupt"));
-  (* find_or_compute recomputes and heals the entry in place *)
-  let v, hit = Store.find_or_compute fresh ~key:"cafe" (fun () -> "recomputed") in
-  Alcotest.(check string) "recomputed" "recomputed" v;
-  Alcotest.(check bool) "was a miss" false hit;
+  (* the caller's recompute heals the entry in place *)
+  Store.add fresh "cafe" "recomputed";
   let t3 = Store.create ~dir () in
   Alcotest.(check (option string)) "healed on disk" (Some "recomputed")
     (Store.find t3 "cafe")
-
-(* ---- memo: structurally fresh copies ---- *)
-
-let test_memo_fresh_copies () =
-  let t = Store.create () in
-  let built = ref 0 in
-  let mk () =
-    incr built;
-    Array.init 4 (fun i -> i)
-  in
-  let a = Store.memo t ~key:"arr" mk in
-  a.(0) <- 99;
-  let b = Store.memo t ~key:"arr" mk in
-  Alcotest.(check int) "built once" 1 !built;
-  Alcotest.(check int) "caller mutation does not leak" 0 b.(0);
-  Alcotest.(check bool) "distinct copies" true (a != b)
-
-(* ---- single flight: concurrent requesters, one compute ---- *)
-
-let test_single_flight () =
-  let t = Store.create () in
-  let computed = Atomic.make 0 in
-  let compute () =
-    Atomic.incr computed;
-    Unix.sleepf 0.02;
-    "shared-value"
-  in
-  let workers =
-    Array.init 4 (fun _ ->
-        Domain.spawn (fun () -> fst (Store.find_or_compute t ~key:"sf" compute)))
-  in
-  let values = Array.map Domain.join workers in
-  Array.iter (fun v -> Alcotest.(check string) "same value" "shared-value" v) values;
-  Alcotest.(check int) "computed exactly once" 1 (Atomic.get computed)
 
 (* ---- Design.fingerprint: structural, mutation-sensitive ---- *)
 
@@ -171,13 +134,22 @@ let render ?jobs ?cache () =
   in
   (Flow.Report.table2 rows ^ Flow.Report.table3 rows, metrics_sans_cache ())
 
+(* every cache.* counter line of the registry *)
+let cache_metrics () =
+  Format.asprintf "%a" M.pp ()
+  |> String.split_on_char '\n'
+  |> List.filter (fun line -> Astring_contains.contains line "cache.")
+  |> String.concat "\n"
+
 let test_sweep_byte_identity () =
   let dir = tmp_dir "sweep" in
   let t0, m0 = render () in
   let store = Store.create ~dir () in
   let t_cold, m_cold = render ~cache:store () in
+  let c_cold = cache_metrics () in
   let t_warm, m_warm = render ~cache:store () in
   let t_disk, m_disk = render ~cache:(Store.create ~dir ()) () in
+  let c_disk = cache_metrics () in
   Alcotest.(check string) "cold-with-cache tables" t0 t_cold;
   Alcotest.(check string) "warm-memory tables" t0 t_warm;
   Alcotest.(check string) "warm-disk tables" t0 t_disk;
@@ -186,7 +158,33 @@ let test_sweep_byte_identity () =
   Alcotest.(check string) "warm-disk metrics" m0 m_disk;
   let t_j4, m_j4 = render ~jobs:4 ~cache:(Store.create ~dir ()) () in
   Alcotest.(check string) "warm-disk -j4 tables" t0 t_j4;
-  Alcotest.(check string) "warm-disk -j4 metrics" m0 m_j4
+  Alcotest.(check string) "warm-disk -j4 metrics" m0 m_j4;
+  Alcotest.(check string) "warm-disk -j4 cache counters" c_disk (cache_metrics ());
+  let t_j4, m_j4 = render ~jobs:4 ~cache:(Store.create ~dir:(tmp_dir "sweep-j4") ()) () in
+  Alcotest.(check string) "cold -j4 tables" t0 t_j4;
+  Alcotest.(check string) "cold -j4 metrics" m0 m_j4;
+  Alcotest.(check string) "cold -j4 cache counters" c_cold (cache_metrics ())
+
+(* every level mutates its design, so no two levels of a sweep may share
+   one: each unmarshals its own copy, with or without a cache *)
+let test_level_design_copies () =
+  let designs ?cache () =
+    match
+      Flow.Experiment.sweep ?cache ~with_atpg:false ~tp_levels:[ 0; 1 ]
+        (Flow.Experiment.spec_for ~scale:0.03 "s38417")
+    with
+    | [ a; b ] ->
+      let design g = (Flow.Experiment.row_exn g).Flow.Experiment.result.Flow.Pipeline.design in
+      (design a, design b)
+    | grows -> Alcotest.failf "%d rows for two levels" (List.length grows)
+  in
+  let a, b = designs () in
+  Alcotest.(check bool) "uncached levels own their designs" true (a != b);
+  let store = Store.create () in
+  let a, b = designs ~cache:store () in
+  Alcotest.(check bool) "cold cached levels own their designs" true (a != b);
+  let a, b = designs ~cache:store () in
+  Alcotest.(check bool) "warm cached levels own their designs" true (a != b)
 
 let test_hit_accounting () =
   let store = Store.create () in
@@ -224,8 +222,7 @@ let test_cancelled_layout_stores_nothing () =
   let dir = tmp_dir "cancelled" in
   let entries () =
     Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f ->
-           not (Filename.check_suffix f ".lock" || Astring_contains.contains f ".tmp-"))
+    |> List.filter (fun f -> not (Astring_contains.contains f ".tmp-"))
     |> List.length
   in
   let count n = M.value (M.counter n) in
@@ -259,7 +256,7 @@ let test_cancelled_layout_stores_nothing () =
    | grows, _ -> Alcotest.failf "%d rows for one level" (List.length grows));
   Alcotest.(check int) "cancelled run: computed stages are misses" 3
     (count "cache.stage_misses");
-  Alcotest.(check int) "only the design memo is stored" 1 (entries ());
+  Alcotest.(check int) "only the design is stored" 1 (entries ());
   let g, m = run ~cache:(Store.create ~dir ()) () in
   Alcotest.(check string) "recomputed tables" t0 (tables g);
   Alcotest.(check string) "recomputed metrics" m0 m;
@@ -294,33 +291,37 @@ let test_tamper_bypasses_cache () =
   let spec = Flow.Experiment.spec_for ~scale:0.06 "s38417" in
   let tamper ~attempt:_ _stage _st = () in
   let g =
-    Flow.Experiment.run_one_guarded ~cache:store ~tamper ~with_atpg:false spec ~tp_pct:2
+    List.hd
+      (Flow.Experiment.sweep ~cache:store ~tamper ~with_atpg:false ~tp_levels:[ 2 ] spec)
   in
   Alcotest.(check bool) "flow completed" true (Flow.Guard.succeeded g.Flow.Experiment.g_report);
-  (* only the design-generation memo may be present: no stage entries *)
+  (* only the generated design may be present: no layout entry *)
   Alcotest.(check int) "no stage entries stored" 1 (Store.mem_entries store)
 
-(* ---- the per-key lock files of a --cache sweep are gone once it ends ---- *)
+(* ---- a --cache sweep leaves only whole entries behind: no lock files
+   and no temp files ---- *)
 
 let test_no_lock_files_left () =
   let dir = tmp_dir "locks" in
   let _ = render ~cache:(Store.create ~dir ()) () in
   let files = Array.to_list (Sys.readdir dir) in
-  Alcotest.(check bool) "entries were written" true (files <> []);
-  Alcotest.(check (list string)) "no lock file left" []
-    (List.filter (fun f -> Filename.check_suffix f ".lock") files)
+  Alcotest.(check int) "one entry per layout plus the design" 4 (List.length files);
+  Alcotest.(check (list string)) "no lock or temp file left" []
+    (List.filter
+       (fun f -> Filename.check_suffix f ".lock" || Astring_contains.contains f ".tmp-")
+       files)
 
 let suite =
   [ Alcotest.test_case "key derivation" `Quick test_key_derivation;
     Alcotest.test_case "memory tier LRU" `Quick test_memory_tier;
     Alcotest.test_case "disk tier roundtrip" `Quick test_disk_tier;
     Alcotest.test_case "disk corruption falls back" `Quick test_disk_corruption_falls_back;
-    Alcotest.test_case "memo returns fresh copies" `Quick test_memo_fresh_copies;
-    Alcotest.test_case "single flight" `Quick test_single_flight;
     Alcotest.test_case "design fingerprint" `Quick test_fingerprint;
     Alcotest.test_case "with_scoped exact delta" `Quick test_with_scoped_delta;
     Alcotest.test_case "sweep byte-identity (cold/warm/disk, -j)" `Slow
       test_sweep_byte_identity;
+    Alcotest.test_case "each level gets its own design copy" `Quick
+      test_level_design_copies;
     Alcotest.test_case "hit accounting" `Quick test_hit_accounting;
     Alcotest.test_case "no lock files left" `Quick test_no_lock_files_left;
     Alcotest.test_case "corrupted entries recompute" `Quick

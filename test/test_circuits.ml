@@ -77,6 +77,22 @@ let test_no_sinkless_ff_output () =
         (List.length (Netlist.Check.run d)))
     [ 257; 280 ]
 
+(* at these scales every level-0 net a gate may draw on is already among
+   its inputs; the generator used to scan past its net pool forever *)
+let test_tiny_scales_raise () =
+  List.iter
+    (fun (name, scale) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s at scale %g: generation error" name scale)
+        true
+        (match Circuits.Bench.by_name name ~scale with
+         | _ -> false
+         | exception Circuits.Synth.Generation_error _ -> true))
+    [ ("s38417", 0.005); ("s38417", 0.0); ("s38417", -1.0); ("s38417", Float.nan);
+      ("s38417", Float.infinity); ("pcore_a", 0.002); ("pcore_b", 0.001) ];
+  Alcotest.(check int) "s38417 at scale 0.01 still generates" 303
+    (Design.num_insts (Circuits.Bench.by_name "s38417" ~scale:0.01))
+
 let suite =
   [ Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_changes_netlist;
@@ -87,4 +103,5 @@ let suite =
     Alcotest.test_case "named circuits" `Quick test_named_circuits_exist;
     Alcotest.test_case "pcore_a domains" `Quick test_pcore_a_two_domains;
     Alcotest.test_case "no sink-less flip-flop output" `Quick test_no_sinkless_ff_output;
+    Alcotest.test_case "tiny scales raise" `Quick test_tiny_scales_raise;
     QCheck_alcotest.to_alcotest prop_generated_designs_clean ]

@@ -61,7 +61,9 @@ let test_ablation_avoids_critical_nets () =
   let module E = Flow.Experiment in
   let module P = Flow.Pipeline in
   let spec = E.spec_for ~scale:0.03 "s38417" in
-  let base = (E.row_exn (E.run_one_guarded ~with_atpg:false spec ~tp_pct:0)).E.result in
+  let base =
+    (E.row_exn (List.hd (E.sweep ~with_atpg:false ~tp_levels:[ 0 ] spec))).E.result
+  in
   let tg = Sta.Tgraph.compile base.P.design base.P.rc in
   Sta.Tgraph.propagate tg;
   let critical = Lint.Tpitiming.critical_nets tg base.P.sta in

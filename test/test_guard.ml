@@ -272,6 +272,27 @@ let test_check_failed_classified () =
     Alcotest.(check bool) "first class named" true
       (Astring_contains.contains e.G.detail "undriven-net")
 
+(* a design too small to generate is a typed row of the sweep, not a hang
+   or an escaped exception; a scale that is not positive and finite is
+   rejected before any sweep starts *)
+let test_sweep_generation_error () =
+  let module E = Flow.Experiment in
+  (match E.sweep ~with_atpg:false ~tp_levels:[ 0 ] (E.spec_for ~scale:0.005 "s38417") with
+   | [ g ] ->
+     (match g.E.g_report.G.error with
+      | Some e -> Alcotest.(check string) "error class" "design-generation" (G.error_class e)
+      | None -> Alcotest.fail "generation at scale 0.005 succeeded")
+   | grows -> Alcotest.failf "%d rows for one level" (List.length grows));
+  List.iter
+    (fun scale ->
+      Alcotest.(check bool)
+        (Printf.sprintf "scale %g rejected" scale)
+        true
+        (match E.spec_for ~scale "s38417" with
+         | _ -> false
+         | exception Invalid_argument _ -> true))
+    [ 0.0; -1.0; Float.nan; Float.infinity ]
+
 let suite =
   [ Alcotest.test_case "guarded flow completes" `Quick test_guarded_flow_completes;
     Alcotest.test_case "injection matrix" `Slow test_injection_matrix;
@@ -290,4 +311,5 @@ let suite =
     Alcotest.test_case "tiny fixtures complete" `Quick test_tiny_fixtures_complete;
     Alcotest.test_case "policy strings" `Quick test_policy_strings;
     Alcotest.test_case "stages enforce order" `Quick test_stage_out_of_order;
-    Alcotest.test_case "check-failed classified" `Quick test_check_failed_classified ]
+    Alcotest.test_case "check-failed classified" `Quick test_check_failed_classified;
+    Alcotest.test_case "sweep reports generation errors" `Quick test_sweep_generation_error ]

@@ -206,8 +206,9 @@ let test_cancel_token () =
   let cancel = Cancel.create () in
   Cancel.cancel cancel ~reason:"test-stop";
   let g =
-    Experiment.run_one_guarded ~policy:Guard.Degrade ~cancel ~with_atpg:false spec
-      ~tp_pct:0
+    List.hd
+      (Experiment.sweep ~policy:Guard.Degrade ~cancel ~with_atpg:false ~tp_levels:[ 0 ]
+         spec)
   in
   (match g.Experiment.g_report.Guard.error with
    | Some e ->
@@ -231,8 +232,9 @@ let test_transient_class () =
     if stage = Guard.Extract then raise (Guard.Transient "injected hiccup")
   in
   let g =
-    Experiment.run_one_guarded ~policy:Guard.Degrade ~tamper ~with_atpg:false spec
-      ~tp_pct:0
+    List.hd
+      (Experiment.sweep ~policy:Guard.Degrade ~tamper ~with_atpg:false ~tp_levels:[ 0 ]
+         spec)
   in
   match g.Experiment.g_report.Guard.error with
   | Some e ->
@@ -263,36 +265,39 @@ let test_stale_tmp_cleanup () =
   Alcotest.(check (option string)) "real entry untouched" (Some "payload")
     (Store.find t2 "deadbeef")
 
-(* two separate writer processes race find_or_compute on the same key;
-   the per-key file lock must let exactly one of them compute. Spawned as
-   fork+exec of a helper binary: a bare Unix.fork is forbidden here once
-   earlier suites have created domains. *)
-let test_forked_writers () =
-  let dir = tmp_dir "forked" in
-  ignore (Store.create ~dir ()); (* materialize the directory *)
-  let key = Store.key [ "forked-single-flight" ] in
-  let marker = Filename.concat dir "compute-count" in
-  let writer =
-    Filename.concat (Filename.dirname Sys.executable_name) "forked_writer.exe"
+(* two writers sharing one directory (separate handles, so no shared
+   mutex, as with two processes) both miss a key and both publish it,
+   while a third handle reads: every read sees the whole entry or none,
+   never a partly written file *)
+let test_concurrent_publish () =
+  let dir = tmp_dir "publish" in
+  let key = Store.key [ "concurrent-publish" ] in
+  let value = String.init 200_000 (fun i -> Char.chr (i land 0xff)) in
+  let writer () =
+    let t = Store.create ~mem_capacity:0 ~dir () in
+    for _ = 1 to 20 do Store.add t key value done
   in
-  let spawn () =
-    Unix.create_process writer [| writer; dir; key; marker |] Unix.stdin Unix.stdout
-      Unix.stderr
+  let corrupt = Obs.Metrics.counter "cache.disk_corrupt" in
+  let corrupt_before = Obs.Metrics.value corrupt in
+  let torn = ref 0 in
+  let reader () =
+    let t = Store.create ~mem_capacity:0 ~dir () in
+    for _ = 1 to 200 do
+      match Store.find t key with
+      | None -> ()
+      | Some v -> if v <> value then incr torn
+    done
   in
-  let pids = [ spawn (); spawn () ] in
-  List.iter
-    (fun pid ->
-      match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> ()
-      | _ -> Alcotest.fail "forked writer failed")
-    pids;
-  Alcotest.(check int) "exactly one compute across processes" 1
-    (Unix.stat marker).Unix.st_size;
-  Alcotest.(check bool) "lock file unlinked" false
-    (Sys.file_exists (Filename.concat dir (key ^ ".lock")));
-  let t = Store.create ~dir () in
-  Alcotest.(check (option string)) "entry published" (Some "shared-value")
-    (Store.find t key)
+  List.iter Thread.join
+    [ Thread.create writer (); Thread.create writer (); Thread.create reader () ];
+  Alcotest.(check int) "no torn read" 0 !torn;
+  Alcotest.(check int) "no partial file seen" corrupt_before (Obs.Metrics.value corrupt);
+  Alcotest.(check (option string)) "entry published whole" (Some value)
+    (Store.find (Store.create ~dir ()) key);
+  Alcotest.(check (list string)) "no tmp debris" []
+    (List.filter
+       (fun f -> String.starts_with ~prefix:".tmp-" (Filename.extension f))
+       (Array.to_list (Sys.readdir dir)))
 
 (* ---- -j below 1: rejected before any socket or domain exists ---- *)
 let test_jobs_validated () =
@@ -516,7 +521,7 @@ let suite =
     Alcotest.test_case "cancel: token stops guarded flow" `Quick test_cancel_token;
     Alcotest.test_case "guard: transient class retryable" `Quick test_transient_class;
     Alcotest.test_case "cache: stale tmp swept on open" `Quick test_stale_tmp_cleanup;
-    Alcotest.test_case "cache: forked writers single-flight" `Quick test_forked_writers;
+    Alcotest.test_case "cache: concurrent publish is whole" `Quick test_concurrent_publish;
     Alcotest.test_case "daemon: served bytes = one-shot" `Quick test_served_byte_identity;
     Alcotest.test_case "daemon: warm cache identical" `Quick test_served_warm_cache_identity;
     Alcotest.test_case "daemon: retry recovers transient" `Quick test_served_retry_recovery;

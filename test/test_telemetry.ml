@@ -516,7 +516,7 @@ let test_daemon_dump_when_retries_exhaust () =
 
 let render_tiny_table () =
   let spec = Flow.Experiment.spec_for ~scale:0.05 "s38417" in
-  let grows = [ Flow.Experiment.run_one_guarded ~with_atpg:false spec ~tp_pct:0 ] in
+  let grows = Flow.Experiment.sweep ~with_atpg:false ~tp_levels:[ 0 ] spec in
   Flow.Report.table2 (Flow.Experiment.completed_rows grows)
 
 let test_telemetry_does_not_change_tables () =

@@ -359,9 +359,9 @@ let lint_design target scale =
       Error (Printf.sprintf "%s:%d: %s" target line msg)
     | exception Sys_error msg -> Error msg
   else
-    match validated ?scale ~circuit:target ~levels:[] () with
-    | Error msg -> Error msg
-    | Ok spec ->
+    match Core.Experiment.spec_for ?scale target with
+    | exception Invalid_argument msg -> Error msg
+    | spec ->
       Ok (Core.Bench.by_name spec.Core.Experiment.circuit ~scale:spec.Core.Experiment.scale)
 
 let lint () target scale waive_file json_file sarif_file write_waivers strict =

@@ -68,10 +68,12 @@ let design_source ?cache spec =
     | Ok b -> (Marshal.from_string b 0 : Netlist.Design.t)
     | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
-let check_levels levels =
-  match List.find_opt (fun l -> l < 0 || l > 100) levels with
-  | Some l -> Error (Printf.sprintf "test point level %d%% out of range 0-100" l)
-  | None -> Ok levels
+let check_levels = function
+  | [] -> Error "no test point level given"
+  | levels ->
+    (match List.find_opt (fun l -> l < 0 || l > 100) levels with
+     | Some l -> Error (Printf.sprintf "test point level %d%% out of range 0-100" l)
+     | None -> Ok levels)
 
 type guarded_row = {
   g_spec : spec;

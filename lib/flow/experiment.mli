@@ -22,7 +22,8 @@ val spec_for : ?scale:float -> string -> spec
     unknown circuit and on a [scale] that is not positive and finite. *)
 
 val check_levels : int list -> (int list, string) result
-(** The levels unchanged, or an error naming the first one outside the
+(** The levels unchanged, or an error: for an empty list, a sweep that
+    would run nothing, and otherwise naming the first level outside the
     0-100 % test-point range. *)
 
 type row = {

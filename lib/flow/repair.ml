@@ -81,9 +81,7 @@ let m_swaps = Obs.Metrics.counter "repair.pins_swapped"
    WNS is the *smallest* slack regardless of sign, so repair keeps
    buying timing margin even when the design already closes — which is
    what turns the paper's Table 3 T_cp increases back down. *)
-let objective ctx =
-  let s = Sta.Tgraph.slack (Retime.tgraph ctx) in
-  (s.Sta.Tgraph.wns, s.Sta.Tgraph.tns)
+let objective ctx = Sta.Tgraph.wns_tns (Retime.tgraph ctx)
 
 (* timing ECOs must strictly improve; ties are reverts (no free churn) *)
 let better (w', t') (w, t) = w' > w || (w' = w && t' > t)

@@ -141,7 +141,6 @@ let parse_submit j =
     match int_list_field "levels" j with
     | None when member "levels" j = None -> Ok default_spec.tp_levels
     | None -> Error "levels must be an array of integers"
-    | Some [] -> Error "levels must be non-empty"
     | Some ls -> Flow.Experiment.check_levels ls
   in
   let* tables =

@@ -43,7 +43,6 @@ type t = {
   mutable elm_vals : float array array;
   mutable driver : int array;           (* considered driving instance or -1 *)
   mutable required : float array;       (* required arrival at driver output *)
-  mutable net_mark : bool array;        (* worklist scratch, all-false at rest *)
   (* --- per-instance (length >= num_insts d; [ni] live) --- *)
   mutable ni : int;
   mutable considered : bool array;
@@ -55,6 +54,7 @@ type t = {
   mutable arc_lo : int array;           (* CSR range into the arc arrays *)
   mutable arc_hi : int array;
   mutable inst_mark : bool array;       (* worklist scratch, all-false at rest *)
+  mutable neg_slack : float array;      (* [wns_tns] scratch *)
   (* --- flat application-mode arcs (append-only CSR) --- *)
   mutable na : int;
   mutable a_from : int array;
@@ -65,20 +65,23 @@ type t = {
   mutable order : int array;            (* considered insts, (level, id) order *)
   mutable order_valid : bool;
   mutable required_valid : bool;
+  (* [Lut.interp]'s slew, load and value: the lookups of [eval_inst]
+     and [set_required] box no float. Each graph owns its buffer: a -j
+     sweep times several graphs over one shared library at once. *)
+  buf : float array;
 }
 
 let num_nets t = t.nn
 let level t iid = t.level.(iid)
 let arrival t nid = t.arrival.(nid)
 
-let elmore t nid ~inst ~pin =
+let[@inline] elmore t nid ~inst ~pin =
   let keys = t.elm_keys.(nid) in
   let key = elm_key ~inst ~pin in
   let n = Array.length keys in
-  let rec find k =
-    if k >= n then 0.0 else if keys.(k) = key then t.elm_vals.(nid).(k) else find (k + 1)
-  in
-  find 0
+  let k = ref 0 in
+  while !k < n && keys.(!k) <> key do incr k done;
+  if !k < n then t.elm_vals.(nid).(!k) else 0.0
 
 (* ---- array growth ---- *)
 
@@ -120,8 +123,7 @@ let ensure_net_capacity t n =
     t.elm_keys <- grow_ints_arr t.elm_keys c;
     t.elm_vals <- grow_floats_arr t.elm_vals c;
     t.driver <- grow_ints t.driver c (-1);
-    t.required <- grow_floats t.required c infinity;
-    t.net_mark <- grow_bools t.net_mark c
+    t.required <- grow_floats t.required c infinity
   end
 
 let ensure_inst_capacity t n =
@@ -136,7 +138,8 @@ let ensure_inst_capacity t n =
     t.out_pin <- grow_ints t.out_pin c (-1);
     t.arc_lo <- grow_ints t.arc_lo c 0;
     t.arc_hi <- grow_ints t.arc_hi c 0;
-    t.inst_mark <- grow_bools t.inst_mark c
+    t.inst_mark <- grow_bools t.inst_mark c;
+    t.neg_slack <- grow_floats t.neg_slack c 0.0
   end
 
 (* [filler] seeds the slots of a freshly grown arc array; every live slot
@@ -420,62 +423,40 @@ let reset_net t nid =
   t.from_inst.(nid) <- -1;
   t.from_pin.(nid) <- -1
 
-(* one instance's arcs. Reads only finalised arrivals of its input nets
-   and writes only state this instance owns (its unique output net's
-   arrival/slew/provenance and its own slow flag), so instances of one
-   level can be evaluated in any order, bit-identically *)
+(* one instance's arcs (a launch element times only those from its clock
+   pin). Reads only finalised arrivals of its input nets and writes only
+   state this instance owns (its unique output net's arrival/slew/
+   provenance and its own slow flag), so instances of one level can be
+   evaluated in any order, bit-identically. Boxes no float: both
+   lookups go through [t.buf]. *)
 let eval_inst t counter iid =
-  let i = Design.inst t.d iid in
-  let conns = i.Design.conns in
-  let update_out on cand_arr cand_slew pin extrapolated =
-    Obs.Metrics.incr counter;
-    if cand_arr > t.arrival.(on) then begin
-      t.arrival.(on) <- cand_arr;
-      t.slew.(on) <- cand_slew;
-      t.from_inst.(on) <- iid;
-      t.from_pin.(on) <- pin
-    end;
-    if extrapolated then t.slow.(iid) <- true
-  in
-  if t.launch.(iid) then begin
-    let ck = t.ck_pin.(iid) in
-    if ck >= 0 then begin
-      let cknet = conns.(ck) in
-      if cknet >= 0 && t.arrival.(cknet) > neg_infinity then begin
-        let ck_arr = t.arrival.(cknet) +. elmore t cknet ~inst:iid ~pin:ck in
-        let ck_slew = t.slew.(cknet) +. (2.0 *. elmore t cknet ~inst:iid ~pin:ck) in
-        for k = t.arc_lo.(iid) to t.arc_hi.(iid) - 1 do
-          if t.a_from.(k) = ck then begin
-            let on = conns.(t.a_to.(k)) in
-            if on >= 0 then begin
-              let a = t.a_arc.(k) in
-              let load = t.total_cap.(on) in
-              let dl = Lut.eval a.Cell.delay ~slew:ck_slew ~load in
-              let sl = Lut.eval a.Cell.out_slew ~slew:ck_slew ~load in
-              update_out on (ck_arr +. dl.Lut.value) sl.Lut.value ck
-                (dl.Lut.extrapolated || sl.Lut.extrapolated)
-            end
-          end
-        done
+  let conns = (Design.inst t.d iid).Design.conns in
+  let buf = t.buf in
+  let launch = t.launch.(iid) and ck = t.ck_pin.(iid) in
+  for k = t.arc_lo.(iid) to t.arc_hi.(iid) - 1 do
+    let fp = t.a_from.(k) in
+    if (not launch) || fp = ck then begin
+      let in_net = conns.(fp) and on = conns.(t.a_to.(k)) in
+      if in_net >= 0 && on >= 0 && t.arrival.(in_net) > neg_infinity then begin
+        Obs.Metrics.incr counter;
+        let e = elmore t in_net ~inst:iid ~pin:fp in
+        buf.(0) <- t.slew.(in_net) +. (2.0 *. e);
+        buf.(1) <- t.total_cap.(on);
+        let a = t.a_arc.(k) in
+        let x_delay = Lut.interp a.Cell.delay buf in
+        let cand = t.arrival.(in_net) +. e +. buf.(2) in
+        let x_slew = Lut.interp a.Cell.out_slew buf in
+        (* first arc wins ties *)
+        if cand > t.arrival.(on) then begin
+          t.arrival.(on) <- cand;
+          t.slew.(on) <- buf.(2);
+          t.from_inst.(on) <- iid;
+          t.from_pin.(on) <- fp
+        end;
+        if x_delay || x_slew then t.slow.(iid) <- true
       end
     end
-  end
-  else
-    for k = t.arc_lo.(iid) to t.arc_hi.(iid) - 1 do
-      let fp = t.a_from.(k) in
-      let in_net = conns.(fp) in
-      let on = conns.(t.a_to.(k)) in
-      if in_net >= 0 && on >= 0 && t.arrival.(in_net) > neg_infinity then begin
-        let pa = t.arrival.(in_net) +. elmore t in_net ~inst:iid ~pin:fp in
-        let ps = t.slew.(in_net) +. (2.0 *. elmore t in_net ~inst:iid ~pin:fp) in
-        let a = t.a_arc.(k) in
-        let load = t.total_cap.(on) in
-        let dl = Lut.eval a.Cell.delay ~slew:ps ~load in
-        let sl = Lut.eval a.Cell.out_slew ~slew:ps ~load in
-        update_out on (pa +. dl.Lut.value) sl.Lut.value fp
-          (dl.Lut.extrapolated || sl.Lut.extrapolated)
-      end
-    done
+  done
 
 let count_slow t =
   let c = ref 0 in
@@ -525,7 +506,6 @@ let compile_partial (d : Design.t)
       elm_vals = Array.make (max nn 1) empty_floats;
       driver = Array.make (max nn 1) (-1);
       required = Array.make (max nn 1) infinity;
-      net_mark = Array.make (max nn 1) false;
       ni;
       considered = Array.make (max ni 1) false;
       launch = Array.make (max ni 1) false;
@@ -536,6 +516,7 @@ let compile_partial (d : Design.t)
       arc_lo = Array.make (max ni 1) 0;
       arc_hi = Array.make (max ni 1) 0;
       inst_mark = Array.make (max ni 1) false;
+      neg_slack = Array.make (max ni 1) 0.0;
       na = 0;
       a_from = empty_ints;
       a_to = empty_ints;
@@ -543,7 +524,8 @@ let compile_partial (d : Design.t)
       max_level = 0;
       order = empty_ints;
       order_valid = false;
-      required_valid = false }
+      required_valid = false;
+      buf = Array.make 3 0.0 }
   in
   for iid = 0 to ni - 1 do
     sync_inst t iid
@@ -576,7 +558,8 @@ let run d rc =
 
 (* ---- required times / slacks ---- *)
 
-let ck_arrival t iid =
+(* clock arrival at [iid]'s clock pin (0 when unclocked or untimed) *)
+let[@inline] ck_arrival t iid =
   let ck = t.ck_pin.(iid) in
   if ck < 0 then 0.0
   else begin
@@ -586,46 +569,51 @@ let ck_arrival t iid =
     else 0.0
   end
 
-(* min over the net's consumers: setup checks at sequential data pins
-   (period + capture latency - setup - wire), plus propagation through
-   combinational consumers (required at their output minus the arc delay
-   the forward pass would use). Clock-network nets keep +inf — hold/clock
-   checks are out of scope, exactly as in [slack]. *)
-let required_of t nid =
-  let d = t.d in
+(* [t.required.(nid)]: min over the net's consumers of setup checks at
+   sequential data pins (period + capture latency - setup - wire), plus
+   propagation through combinational consumers (required at their output
+   minus the arc delay the forward pass would use). Clock-network nets
+   keep +inf — hold/clock checks are out of scope, exactly as in
+   [slack]. *)
+let set_required t nid =
+  let d = t.d and buf = t.buf in
   let req = ref infinity in
-  List.iter
-    (fun (sid, pin) ->
-      if sid < t.ni && t.considered.(sid) then begin
-        let s = Design.inst d sid in
-        let cell = s.Design.cell in
-        (if cell.Cell.sequential && s.Design.domain >= 0
-            && s.Design.domain < Array.length d.Design.domains then
-           match Cell.data_pin cell with
-           | Some dp when dp = pin ->
-             let period = d.Design.domains.(s.Design.domain).Design.period_ps in
-             let c =
-               period +. ck_arrival t sid -. cell.Cell.setup -. elmore t nid ~inst:sid ~pin
-             in
-             if c < !req then req := c
-           | _ -> ());
-        if (not t.launch.(sid)) && t.arrival.(nid) > neg_infinity then
-          for k = t.arc_lo.(sid) to t.arc_hi.(sid) - 1 do
-            if t.a_from.(k) = pin then begin
-              let m = s.Design.conns.(t.a_to.(k)) in
-              if m >= 0 && t.required.(m) < infinity then begin
-                let e = elmore t nid ~inst:sid ~pin in
-                let ps = t.slew.(nid) +. (2.0 *. e) in
-                let a = t.a_arc.(k) in
-                let dl = Lut.eval a.Cell.delay ~slew:ps ~load:t.total_cap.(m) in
-                let c = t.required.(m) -. dl.Lut.value -. e in
-                if c < !req then req := c
-              end
-            end
-          done
-      end)
-    (Design.net d nid).Design.sinks;
-  !req
+  let sinks = ref (Design.net d nid).Design.sinks in
+  while !sinks <> [] do
+    (match !sinks with
+     | [] -> ()
+     | (sid, pin) :: rest ->
+       sinks := rest;
+       if sid < t.ni && t.considered.(sid) then begin
+         let s = Design.inst d sid in
+         let cell = s.Design.cell in
+         (if cell.Cell.sequential && s.Design.domain >= 0
+             && s.Design.domain < Array.length d.Design.domains then
+            match Cell.data_pin cell with
+            | Some dp when dp = pin ->
+              let period = d.Design.domains.(s.Design.domain).Design.period_ps in
+              let c =
+                period +. ck_arrival t sid -. cell.Cell.setup -. elmore t nid ~inst:sid ~pin
+              in
+              if c < !req then req := c
+            | _ -> ());
+         if (not t.launch.(sid)) && t.arrival.(nid) > neg_infinity then
+           for k = t.arc_lo.(sid) to t.arc_hi.(sid) - 1 do
+             if t.a_from.(k) = pin then begin
+               let m = s.Design.conns.(t.a_to.(k)) in
+               if m >= 0 && t.required.(m) < infinity then begin
+                 let e = elmore t nid ~inst:sid ~pin in
+                 buf.(0) <- t.slew.(nid) +. (2.0 *. e);
+                 buf.(1) <- t.total_cap.(m);
+                 ignore (Lut.interp t.a_arc.(k).Cell.delay buf : bool);
+                 let c = t.required.(m) -. buf.(2) -. e in
+                 if c < !req then req := c
+               end
+             end
+           done
+       end)
+  done;
+  t.required.(nid) <- !req
 
 let net_level t nid = if t.driver.(nid) >= 0 then t.level.(t.driver.(nid)) else 0
 
@@ -638,7 +626,7 @@ let compute_required t =
     buckets.(net_level t nid) <- nid :: buckets.(net_level t nid)
   done;
   for l = t.max_level downto 0 do
-    List.iter (fun nid -> t.required.(nid) <- required_of t nid) buckets.(l)
+    List.iter (set_required t) buckets.(l)
   done;
   t.required_valid <- true
 
@@ -660,52 +648,91 @@ type slack_report = {
   violations : int;
 }
 
-(* endpoint setup slacks. Repair breaks (WNS, TNS) ties on these bits, so
-   the slack expression and the ascending-slack summation order of [tns]
-   are part of the tables *)
+(* data pin of sequential [i] when it is a timed setup endpoint, else
+   -1 *)
+let endpoint_pin t (i : Design.instance) =
+  if i.Design.cell.Cell.sequential && i.Design.domain >= 0
+     && i.Design.domain < Array.length t.d.Design.domains then
+    match Cell.data_pin i.Design.cell with
+    | Some dp ->
+      let dnet = i.Design.conns.(dp) in
+      if dnet >= 0 && t.arrival.(dnet) > neg_infinity then dp else -1
+    | None -> -1
+  else -1
+
+(* setup slack at endpoint [i]'s data pin [dp]. Repair breaks (WNS, TNS)
+   ties on these bits *)
+let[@inline] endpoint_slack t (i : Design.instance) dp =
+  let dnet = i.Design.conns.(dp) in
+  let arr = t.arrival.(dnet) +. elmore t dnet ~inst:i.Design.id ~pin:dp in
+  let period = t.d.Design.domains.(i.Design.domain).Design.period_ps in
+  period +. ck_arrival t i.Design.id -. (arr +. i.Design.cell.Cell.setup)
+
+(* ascending in-place heapsort of [a.(0 .. n-1)], NaN-free *)
+let rec sift (a : float array) i n =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
+    if a.(c) > a.(i) then begin
+      let x = a.(i) in
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift a c n
+    end
+  end
+
+let sort_floats (a : float array) n =
+  for i = (n / 2) - 1 downto 0 do
+    sift a i n
+  done;
+  for k = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(k);
+    a.(k) <- x;
+    sift a 0 k
+  done
+
+(* WNS is the smallest endpoint slack under [compare] (0 with no
+   endpoint; ties to the highest instance id, as a stable sort of the
+   slacks would keep); TNS sums the negative ones in ascending order,
+   which fixes its rounding. No list, no record, no boxed float per
+   endpoint *)
+let wns_tns t =
+  let d = t.d and neg = t.neg_slack in
+  let wns = ref 0.0 and found = ref false and nneg = ref 0 in
+  for iid = 0 to Design.num_insts d - 1 do
+    let i = Design.inst d iid in
+    let dp = endpoint_pin t i in
+    if dp >= 0 then begin
+      let s = endpoint_slack t i dp in
+      if (not !found) || Float.compare s !wns <= 0 then wns := s;
+      found := true;
+      if s < 0.0 then begin
+        neg.(!nneg) <- s;
+        incr nneg
+      end
+    end
+  done;
+  sort_floats neg !nneg;
+  let tns = ref 0.0 in
+  for k = 0 to !nneg - 1 do
+    tns := !tns +. neg.(k)
+  done;
+  (!wns, !tns)
+
+(* endpoint setup slacks, worst first *)
 let slack t =
-  let d = t.d in
   let acc = ref [] in
-  Design.iter_insts d (fun i ->
-      if i.Design.cell.Cell.sequential && i.Design.domain >= 0
-         && i.Design.domain < Array.length d.Design.domains then begin
-        match Cell.data_pin i.Design.cell with
-        | Some dp ->
-          let dnet = i.Design.conns.(dp) in
-          if dnet >= 0 && t.arrival.(dnet) > neg_infinity then begin
-            let arr = t.arrival.(dnet) +. elmore t dnet ~inst:i.Design.id ~pin:dp in
-            let capture = ck_arrival t i.Design.id in
-            let period = d.Design.domains.(i.Design.domain).Design.period_ps in
-            let slack = period +. capture -. (arr +. i.Design.cell.Cell.setup) in
-            acc := { ff = i.Design.id; domain = i.Design.domain; slack_ps = slack } :: !acc
-          end
-        | None -> ()
-      end);
+  Design.iter_insts t.d (fun i ->
+      let dp = endpoint_pin t i in
+      if dp >= 0 then
+        acc :=
+          { ff = i.Design.id; domain = i.Design.domain; slack_ps = endpoint_slack t i dp }
+          :: !acc);
   let endpoints = List.sort (fun x y -> compare x.slack_ps y.slack_ps) !acc in
-  let wns = match endpoints with [] -> 0.0 | e :: _ -> e.slack_ps in
-  let tns =
-    List.fold_left (fun s e -> if e.slack_ps < 0.0 then s +. e.slack_ps else s) 0.0 endpoints
-  in
+  let wns, tns = wns_tns t in
   let violations = List.length (List.filter (fun e -> e.slack_ps < 0.0) endpoints) in
   { endpoints; wns; tns; violations }
-
-(* data nets of the sequential elements clocked by [cknet]: their setup
-   checks read the clock arrival, so a changed clock net dirties their
-   required times *)
-let data_sinks_of_clock t cknet =
-  let out = ref [] in
-  List.iter
-    (fun (sid, pin) ->
-      if sid < t.ni && t.considered.(sid) && pin = t.ck_pin.(sid) then begin
-        let s = Design.inst t.d sid in
-        match Cell.data_pin s.Design.cell with
-        | Some dp ->
-          let dnet = s.Design.conns.(dp) in
-          if dnet >= 0 then out := dnet :: !out
-        | None -> ()
-      end)
-    (Design.net t.d cknet).Design.sinks;
-  !out
 
 (* nets within margin of the worst per-net slack: the lint pack's
    critical-net set, post-layout over extracted parasitics and pre-layout
@@ -739,7 +766,8 @@ let critical_nets t ~margin_ps =
    seed and replays its arcs in declaration order, which reproduces bit
    for bit what a from-scratch pass computes for that net; propagation
    stops at nets whose (arrival, slew, provenance) came out unchanged.
-   Required times are then patched backward from the nets that changed.
+   Required times are left invalid; [critical_nets] recomputes them on
+   demand.
 
    The contract (DESIGN.md §6.6): after [sync_topology] and [update_rc]
    for every touched net, [retime] leaves the graph in the exact state a
@@ -749,23 +777,21 @@ let critical_nets t ~margin_ps =
    Bookkeeping lands in its own [sta.incremental.*] counters, never in
    the whole-graph [sta.*] ones.
 
-   The worklist membership flags are the graph's [inst_mark]/[net_mark]
-   scratch arrays (all-false between calls): a repair sweep retimes
-   thousands of times, and fresh instance- and net-sized arrays per call
-   would go straight to the major heap. *)
+   The worklist membership flags are the graph's [inst_mark] scratch
+   array (all-false between calls): a repair sweep retimes thousands of
+   times, and a fresh instance-sized array per call would go straight to
+   the major heap. *)
 
 let m_retimes = Obs.Metrics.counter "sta.incremental.retimes"
 let m_inc_arcs = Obs.Metrics.counter "sta.incremental.arcs_evaluated"
 let m_insts = Obs.Metrics.counter "sta.incremental.insts_evaluated"
 let m_changed = Obs.Metrics.counter "sta.incremental.nets_changed"
 let m_settled = Obs.Metrics.counter "sta.incremental.nets_settled"
-let m_required = Obs.Metrics.counter "sta.incremental.required_patched"
 
 type retime_stats = {
   insts_evaluated : int;
   nets_changed : int;
   nets_settled : int;
-  required_patched : int;
 }
 
 let same_float a b = Int64.bits_of_float a = Int64.bits_of_float b
@@ -800,7 +826,6 @@ let retime t ~dirty_nets ~dirty_insts =
   List.iter enqueue dirty_insts;
   let insts_evaluated = ref 0 in
   let nets_changed = ref 0 and nets_settled = ref 0 in
-  let changed_nets = ref [] in
   for l = 0 to nlev - 1 do
     List.iter
       (fun iid ->
@@ -826,60 +851,12 @@ let retime t ~dirty_nets ~dirty_insts =
           else begin
             incr nets_changed;
             Obs.Metrics.incr m_changed;
-            changed_nets := on :: !changed_nets;
             consumers_of on enqueue
           end)
       (List.rev buckets.(l))
   done;
   Obs.Metrics.set g_slow_nodes (float_of_int (count_slow t));
-  (* ---- backward: patch required times where the forward pass moved ---- *)
-  let required_patched = ref 0 in
-  if t.required_valid then begin
-    let required = t.required in
-    let nqueued = t.net_mark in
-    let nbuckets = Array.make nlev [] in
-    let nenqueue nid =
-      if nid >= 0 && nid < t.nn && not nqueued.(nid) then begin
-        nqueued.(nid) <- true;
-        nbuckets.(net_level t nid) <- nid :: nbuckets.(net_level t nid)
-      end
-    in
-    (* a net's required moves when its own forward state or parasitics
-       moved, when a consumer net's load changed, or — for data nets —
-       when the clock arrival at a capturing element moved *)
-    let seed nid =
-      nenqueue nid;
-      let drv = t.driver.(nid) in
-      if drv >= 0 then begin
-        let i = Design.inst d drv in
-        Array.iter (fun inn -> if inn >= 0 && inn <> nid then nenqueue inn) i.Design.conns
-      end;
-      List.iter nenqueue (data_sinks_of_clock t nid)
-    in
-    List.iter seed !changed_nets;
-    List.iter seed dirty_nets;
-    for l = nlev - 1 downto 0 do
-      List.iter
-        (fun nid ->
-          nqueued.(nid) <- false;
-          let r = required_of t nid in
-          incr required_patched;
-          Obs.Metrics.incr m_required;
-          if not (same_float r required.(nid)) then begin
-            required.(nid) <- r;
-            (* propagate upstream: the driver's input nets read this
-               required *)
-            let drv = t.driver.(nid) in
-            if drv >= 0 then begin
-              let i = Design.inst d drv in
-              Array.iter (fun inn -> if inn >= 0 then nenqueue inn) i.Design.conns
-            end
-          end)
-        nbuckets.(l)
-    done;
-    t.required_valid <- true
-  end;
+  t.required_valid <- false;
   { insts_evaluated = !insts_evaluated;
     nets_changed = !nets_changed;
-    nets_settled = !nets_settled;
-    required_patched = !required_patched }
+    nets_settled = !nets_settled }

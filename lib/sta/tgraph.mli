@@ -64,7 +64,6 @@ type retime_stats = {
   insts_evaluated : int;   (** instances re-evaluated forward *)
   nets_changed : int;      (** nets whose (arrival, slew, provenance) moved *)
   nets_settled : int;      (** re-evaluated outputs that came out unchanged *)
-  required_patched : int;  (** nets whose required time was recomputed *)
 }
 
 val retime : t -> dirty_nets:int list -> dirty_insts:int list -> retime_stats
@@ -80,9 +79,8 @@ val retime : t -> dirty_nets:int list -> dirty_insts:int list -> retime_stats
     replays the driver's arcs in declaration order, and stops at nets
     whose (arrival, slew, provenance) came out bitwise unchanged.
 
-    Required times are patched backward only if {!compute_required} had
-    been run (otherwise they stay uncomputed and [required_patched] is
-    0). Bookkeeping lands in [sta.incremental.*] counters only; the
+    Required times are invalidated ({!critical_nets} recomputes them on
+    demand). Bookkeeping lands in [sta.incremental.*] counters only; the
     whole-graph counters ([sta.arcs_evaluated], ...) are never touched. *)
 
 (** {1 Queries} *)
@@ -117,6 +115,12 @@ type slack_report = {
 val slack : t -> slack_report
 (** Endpoint setup slacks against each domain's declared period, from the
     current propagated state. *)
+
+val wns_tns : t -> float * float
+(** [(wns, tns)] of {!slack} (which takes them from here) without
+    building the report: no list, no sort of records, no boxed float per
+    endpoint. [tns] sums the negative slacks in ascending order. The
+    repair objective evaluates it after every trial ECO. *)
 
 val critical_nets : t -> margin_ps:float -> int list
 (** Nets whose slack is within [margin_ps] of the worst net slack —

@@ -35,14 +35,12 @@ let write ppf (lib : Library.t) =
                    pr "          index_1 (%a);@." pp_floats slews;
                    pr "          index_2 (%a);@." pp_floats loads;
                    pr "          values ( \\@.";
+                   let values = Lut.values_of a.Cell.delay in
                    Array.iteri
-                     (fun i slew ->
-                       let row =
-                         Array.map (fun load -> Lut.value a.Cell.delay ~slew ~load) loads
-                       in
+                     (fun i row ->
                        pr "            %a%s \\@." pp_floats row
-                         (if i = Array.length slews - 1 then "" else ","))
-                     slews;
+                         (if i = Array.length values - 1 then "" else ","))
+                     values;
                    pr "          );@.";
                    pr "        }@.";
                    pr "      }@."

@@ -27,7 +27,15 @@ type lookup = {
   extrapolated : bool;  (** true when (slew, load) fell outside the table *)
 }
 
+val interp : t -> float array -> bool
+(** The lookup kernel, allocation-free: reads the input slew from
+    [buf.(0)] and the load from [buf.(1)], stores the interpolated (or
+    extrapolated) value in [buf.(2)] and returns whether the point fell
+    outside the table. [buf] (at least 3 slots) belongs to the caller, so
+    domains sharing one library never share scratch. *)
+
 val eval : t -> slew:float -> load:float -> lookup
+(** {!interp} through a fresh buffer. *)
 
 val value : t -> slew:float -> load:float -> float
 (** [eval] without the flag. *)
@@ -43,3 +51,6 @@ val slew_axis_of : t -> float array
 (** Copy of the slew axis (for table export). *)
 
 val load_axis_of : t -> float array
+
+val values_of : t -> float array array
+(** Copy of the table, [values.(i).(j)] at slew [i] and load [j]. *)

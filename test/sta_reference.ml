@@ -7,12 +7,51 @@
    it bit for bit: both replay the same per-arc float
    operations in an order that only has to respect the same dependencies,
    so any divergence is a propagation-order or mirroring bug in the
-   engine. The report is built by the shared Analysis.build_result. *)
+   engine. Its NLDM lookups go through [lut_eval], not the engine's
+   kernel. The report is built by the shared Analysis.build_result. *)
 
 module Design = Netlist.Design
 module Cell = Stdcell.Cell
 module Lut = Stdcell.Lut
 module A = Sta.Analysis
+
+(* The NLDM lookup as a record-returning pair of recursive helpers, kept
+   as written before [Stdcell.Lut.interp] replaced it: the oracle the
+   allocation-free kernel must match bit for bit. [values.(i).(j)] is the
+   entry at [slews.(i)], [loads.(j)]. *)
+let lut_eval ~(slews : float array) ~(loads : float array) ~(values : float array array)
+    ~slew ~load =
+  let segment axis x =
+    let n = Array.length axis in
+    if n = 1 then 0
+    else begin
+      let rec find i = if i >= n - 2 || x < axis.(i + 1) then i else find (i + 1) in
+      if x <= axis.(0) then 0 else find 0
+    end
+  in
+  let axis_fraction axis i x =
+    if Array.length axis = 1 then 0.0
+    else (x -. axis.(i)) /. (axis.(i + 1) -. axis.(i))
+  in
+  let i = segment slews slew and j = segment loads load in
+  let u = axis_fraction slews i slew and v = axis_fraction loads j load in
+  let at di dj =
+    let i' = min (i + di) (Array.length slews - 1)
+    and j' = min (j + dj) (Array.length loads - 1) in
+    values.(i').(j')
+  in
+  let v00 = at 0 0 and v01 = at 0 1 and v10 = at 1 0 and v11 = at 1 1 in
+  let value =
+    ((1.0 -. u) *. (((1.0 -. v) *. v00) +. (v *. v01)))
+    +. (u *. (((1.0 -. v) *. v10) +. (v *. v11)))
+  in
+  let extrapolated =
+    slew < slews.(0)
+    || slew > slews.(Array.length slews - 1)
+    || load < loads.(0)
+    || load > loads.(Array.length loads - 1)
+  in
+  (value, extrapolated)
 
 (* timing input pins of an instance in application mode *)
 let timing_inputs (i : Design.instance) =
@@ -78,14 +117,17 @@ let run (pl : Layout.Place.t) (rc : Layout.Extract.net_rc array) =
     let pa = arrival.(in_net) +. elmore in_net ~inst:iid ~pin in
     let ps = slew.(in_net) +. (2.0 *. elmore in_net ~inst:iid ~pin) in
     let load = rc.(out_net).Layout.Extract.total_cap_ff in
-    let dl = Lut.eval a.Cell.delay ~slew:ps ~load in
-    let sl = Lut.eval a.Cell.out_slew ~slew:ps ~load in
-    if pa +. dl.Lut.value > arrival.(out_net) then begin
-      arrival.(out_net) <- pa +. dl.Lut.value;
-      slew.(out_net) <- sl.Lut.value;
+    let lookup tbl =
+      lut_eval ~slews:(Lut.slew_axis_of tbl) ~loads:(Lut.load_axis_of tbl)
+        ~values:(Lut.values_of tbl) ~slew:ps ~load
+    in
+    let dl, dl_x = lookup a.Cell.delay and sl, sl_x = lookup a.Cell.out_slew in
+    if pa +. dl > arrival.(out_net) then begin
+      arrival.(out_net) <- pa +. dl;
+      slew.(out_net) <- sl;
       from_pin.(out_net) <- pin
     end;
-    if dl.Lut.extrapolated || sl.Lut.extrapolated then slow_flag.(iid) <- true
+    if dl_x || sl_x then slow_flag.(iid) <- true
   in
   let eval_inst iid =
     let i = Design.inst d iid in

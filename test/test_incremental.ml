@@ -97,6 +97,24 @@ let test_required_consistent () =
   Alcotest.(check bool) "worst net slack = wns" true
     (Float.abs (!min_net_slack -. wns) < 1e-6)
 
+(* a warm propagate boxes no float: NLDM lookups, Elmore reads and
+   arrival updates all stay unboxed, so the minor words it allocates
+   (span and gauge bookkeeping) stay below one per evaluated arc *)
+let test_propagate_allocation_free () =
+  let d = Circuits.Bench.tiny ~ffs:40 ~gates:500 () in
+  let pl, _, rc = analysed d in
+  let tg = T.compile pl.Layout.Place.design rc in
+  T.propagate tg;
+  let arcs = Obs.Metrics.counter "sta.arcs_evaluated" in
+  let a0 = Obs.Metrics.value arcs in
+  let w0 = Gc.minor_words () in
+  T.propagate tg;
+  let words = Gc.minor_words () -. w0 in
+  let evaluated = Obs.Metrics.value arcs - a0 in
+  Alcotest.(check bool) "arcs evaluated" true (evaluated > 100);
+  if words >= float_of_int evaluated then
+    Alcotest.failf "propagate allocated %.0f minor words for %d arcs" words evaluated
+
 (* ---- ECO context: every edit must leave the context byte-identical to a
    from-scratch route/extract/analyse of the same mutated design ---- *)
 
@@ -199,7 +217,9 @@ let test_eco_cone_bounded () =
 
 (* QCheck: on a random design, a random sequence of ECO edits (TP insert,
    buffer insert, gate resize) leaves the context equal to a from-scratch
-   full run after EVERY edit — the incremental timing contract *)
+   full run after EVERY edit — the incremental timing contract — and the
+   repair objective's list-free (WNS, TNS) equal to the sorted endpoint
+   list's *)
 let gen_eco_case =
   QCheck.make
     ~print:(fun (seed, edits) ->
@@ -251,7 +271,19 @@ let prop_random_eco_sequence =
           let rc = Layout.Extract.run pl rt in
           let full = Sta_reference.run pl rc in
           let inc = Flow.Retime.analysis ctx in
-          Array.for_all2 (fun a b -> bits a = bits b) full.A.arrival inc.A.arrival
+          let tg = Flow.Retime.tgraph ctx in
+          (* the objective's old definition: head of the sorted endpoint
+             list, negatives folded in list order *)
+          let eps = (T.slack tg).T.endpoints and wns, tns = T.wns_tns tg in
+          let ref_wns = match eps with [] -> 0.0 | e :: _ -> e.T.slack_ps in
+          let ref_tns =
+            List.fold_left
+              (fun acc e -> if e.T.slack_ps < 0.0 then acc +. e.T.slack_ps else acc)
+              0.0 eps
+          in
+          bits wns = bits ref_wns
+          && bits tns = bits ref_tns
+          && Array.for_all2 (fun a b -> bits a = bits b) full.A.arrival inc.A.arrival
           && Array.for_all2 (fun a b -> bits a = bits b) full.A.slew inc.A.slew
           && full.A.per_domain = inc.A.per_domain
           && full.A.worst = inc.A.worst
@@ -268,4 +300,5 @@ let suite =
     Alcotest.test_case "eco upsize = full rerun" `Quick test_eco_upsize;
     Alcotest.test_case "eco buffer = full rerun" `Quick test_eco_buffer;
     Alcotest.test_case "eco cone bounded" `Quick test_eco_cone_bounded;
-    QCheck_alcotest.to_alcotest prop_random_eco_sequence ]
+    QCheck_alcotest.to_alcotest prop_random_eco_sequence;
+    Alcotest.test_case "warm propagate allocation-free" `Quick test_propagate_allocation_free ]

@@ -474,6 +474,28 @@ let test_deadline_and_cancel_op () =
               (Protocol.str_field "class" j)
           | None -> Alcotest.fail "queued victim not cancelled"))
 
+(* a sweep with no level is a usage error: [check_levels] rejects it, so
+   the CLI exits 2 (test/dune) and the daemon answers bad-request *)
+let test_empty_levels () =
+  Alcotest.(check bool) "check_levels []" true (Result.is_error (Experiment.check_levels []));
+  with_daemon "nolevels" (fun socket_path _ ->
+      let c = Client.connect ~socket_path in
+      Fun.protect ~finally:(fun () -> Client.close c)
+        (fun () ->
+          Client.request c (tiny_submit ~id:"none" ~levels:[] ());
+          let rec await () =
+            match Client.next_event c with
+            | None -> None
+            | Some j -> if Protocol.event_of j = "rejected" then Some j else await ()
+          in
+          match await () with
+          | Some j ->
+            Alcotest.(check (option string)) "class" (Some "bad-request")
+              (Protocol.str_field "class" j);
+            Alcotest.(check (option string)) "detail" (Some "no test point level given")
+              (Protocol.str_field "detail" j)
+          | None -> Alcotest.fail "empty level list was not rejected"))
+
 let test_backpressure_depth () =
   with_daemon ~capacity:1 "bp" (fun socket_path _ ->
       let c = Client.connect ~socket_path in
@@ -529,4 +551,5 @@ let suite =
     Alcotest.test_case "daemon: graceful drain" `Quick test_graceful_drain;
     Alcotest.test_case "daemon: deadline + cancel op" `Quick test_deadline_and_cancel_op;
     Alcotest.test_case "daemon: typed backpressure" `Quick test_backpressure_depth;
-    Alcotest.test_case "daemon: -j below 1 rejected" `Quick test_jobs_validated ]
+    Alcotest.test_case "daemon: -j below 1 rejected" `Quick test_jobs_validated;
+    Alcotest.test_case "daemon: empty levels bad-request" `Quick test_empty_levels ]

@@ -28,6 +28,68 @@ let test_lut_bad_axes () =
     (Invalid_argument "Lut.make slews: axis not increasing") (fun () ->
       ignore (Lut.make ~slews:[| 2.0; 1.0 |] ~loads:[| 0.0 |] ~values:[| [| 0. |]; [| 0. |] |]))
 
+(* the allocation-free kernel against the record-returning oracle it
+   replaced, bit for bit: on and between grid points, past every side of
+   the table, and on tables whose slew or load axis has one point *)
+let prop_lut_interp_matches_oracle =
+  let axis n =
+    QCheck.Gen.(
+      map2
+        (fun start steps ->
+          let a = Array.make n start in
+          List.iteri (fun i s -> a.(i + 1) <- a.(i) +. s) steps;
+          a)
+        (float_range (-50.0) 200.0)
+        (list_repeat (n - 1) (float_range 0.5 100.0)))
+  in
+  let gen =
+    QCheck.Gen.(
+      int_range 1 4 >>= fun ns ->
+      int_range 1 4 >>= fun nl ->
+      quad (axis ns) (axis nl)
+        (array_repeat ns (array_repeat nl (float_range (-10.0) 500.0)))
+        (pair (float_range 0.0 1.0) (float_range 0.0 1.0)))
+  in
+  let print (slews, loads, _, (fu, fv)) =
+    let fs a = String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+    Printf.sprintf "slews=[%s] loads=[%s] f=(%h,%h)" (fs slews) (fs loads) fu fv
+  in
+  QCheck.Test.make ~name:"Lut.interp = reference lookup, bitwise" ~count:500
+    (QCheck.make ~print gen) (fun (slews, loads, values, (fu, fv)) ->
+      let check ~slews ~loads ~values =
+        let lo a = a.(0) and hi a = a.(Array.length a - 1) in
+        let inside a f = lo a +. (f *. (hi a -. lo a)) in
+        let s_in = inside slews fu and l_in = inside loads fv in
+        let below a = lo a -. 37.5 and above a = hi a +. 41.25 in
+        let points =
+          [ (s_in, l_in);
+            (below slews, l_in); (above slews, l_in);
+            (s_in, below loads); (s_in, above loads);
+            (below slews, above loads); (above slews, below loads) ]
+          @ List.concat_map
+              (fun s -> List.map (fun l -> (s, l)) (Array.to_list loads))
+              (Array.to_list slews)
+        in
+        let t = Lut.make ~slews ~loads ~values in
+        let buf = Array.make 3 0.0 in
+        List.for_all
+          (fun (slew, load) ->
+            let value, extrapolated = Sta_reference.lut_eval ~slews ~loads ~values ~slew ~load in
+            buf.(0) <- slew;
+            buf.(1) <- load;
+            let flag = Lut.interp t buf in
+            let e = Lut.eval t ~slew ~load in
+            Int64.bits_of_float buf.(2) = Int64.bits_of_float value
+            && flag = extrapolated
+            && Int64.bits_of_float e.Lut.value = Int64.bits_of_float value
+            && e.Lut.extrapolated = extrapolated)
+          points
+      in
+      check ~slews ~loads ~values
+      && check ~slews:[| slews.(0) |] ~loads ~values:[| values.(0) |]
+      && check ~slews ~loads:[| loads.(0) |]
+           ~values:(Array.map (fun row -> [| row.(0) |]) values))
+
 let test_eval64_truth_tables () =
   let t = -1L and f = 0L in
   Alcotest.(check int64) "nand2" (-1L) (Cell.eval64 Cell.Nand2 [| t; f |]);
@@ -206,4 +268,5 @@ let suite =
     Alcotest.test_case "wide input names" `Quick test_wide_input_names;
     Alcotest.test_case "wide gate construction" `Quick test_wide_gate_construction;
     QCheck_alcotest.to_alcotest prop_eval3_matches_eval_ternary;
-    QCheck_alcotest.to_alcotest prop_eval3_refines_eval64 ]
+    QCheck_alcotest.to_alcotest prop_eval3_refines_eval64;
+    QCheck_alcotest.to_alcotest prop_lut_interp_matches_oracle ]

@@ -45,6 +45,66 @@ let bit_set mask bit = Int64.logand (Int64.shift_right_logical mask bit) 1L = 1L
 let random_words rng ns =
   Array.init ns (fun _ -> Rng.int64 rng)
 
+(* detection masks by fault position, unboxed: eight bytes each *)
+let mask masks i = Bytes.get_int64_le masks (8 * i)
+
+(* Best fill: the pattern bit set in the most of the first [n] masks, the
+   lowest bit on ties. The 64 counters are kept bit-sliced, so each mask
+   is one ripple-carry add over the count planes (plane [p] holds bit [p]
+   of every counter); the maximum is then read off the planes from the
+   most significant down, narrowing the candidate bits to those that
+   carry the plane's bit whenever any candidate does. *)
+let best_fill masks n =
+  let planes = Bytes.make (8 * 64) '\000' in
+  let used = ref 0 in
+  for i = 0 to n - 1 do
+    let carry = ref (mask masks i) and p = ref 0 in
+    while not (Int64.equal !carry 0L) do
+      let w = mask planes !p in
+      Bytes.set_int64_le planes (8 * !p) (Int64.logxor w !carry);
+      carry := Int64.logand w !carry;
+      incr p
+    done;
+    if !p > !used then used := !p
+  done;
+  let cand = ref (-1L) in
+  for p = !used - 1 downto 0 do
+    let c = Int64.logand !cand (mask planes p) in
+    if not (Int64.equal c 0L) then cand := c
+  done;
+  let bit = ref 0 in
+  while !bit < 63 && not (bit_set !cand !bit) do
+    incr bit
+  done;
+  !bit
+
+(* the highest set bit of a nonzero word, alone *)
+let highest_bit w =
+  let w = Int64.logor w (Int64.shift_right_logical w 1) in
+  let w = Int64.logor w (Int64.shift_right_logical w 2) in
+  let w = Int64.logor w (Int64.shift_right_logical w 4) in
+  let w = Int64.logor w (Int64.shift_right_logical w 8) in
+  let w = Int64.logor w (Int64.shift_right_logical w 16) in
+  let w = Int64.logor w (Int64.shift_right_logical w 32) in
+  Int64.logxor w (Int64.shift_right_logical w 1)
+
+(* One static-compaction batch. Walking the patterns newest first, a
+   pattern is kept iff it detects a fault no kept pattern has: that is
+   exactly the highest set bit of some still-undetected fault's mask. A
+   fault's higher bits were not kept, or it would be detected; and its
+   highest bit finds it undetected, so it is kept. *)
+let batch_keep masks undetected ~width =
+  let valid = if width >= 64 then -1L else Int64.pred (Int64.shift_left 1L width) in
+  let keep = ref 0L in
+  for i = 0 to Array.length undetected - 1 do
+    let w = Int64.logand (mask masks i) valid in
+    if undetected.(i) && not (Int64.equal w 0L) then begin
+      keep := Int64.logor !keep (highest_bit w);
+      undetected.(i) <- false
+    end
+  done;
+  !keep
+
 (* Reverse-order static compaction: re-simulate the final pattern set newest
    first (in batches of 64) and keep only patterns that detect something not
    already covered by a kept pattern. Late patterns carry the hard targeted
@@ -63,31 +123,24 @@ let static_compact masks_for (universe : Fault.universe) patterns =
   let np = Array.length pats in
   let keep = Array.make np false in
   let ns = if np > 0 then Bytes.length pats.(0) else 0 in
-  let masks = Array.make (Array.length live) 0L in
+  let masks = Bytes.make (8 * Array.length live) '\000' in
   let pos = ref (np - 1) in
   while !pos >= 0 do
     let first = max 0 (!pos - 63) in
     let width = !pos - first + 1 in
-    let words = Array.make ns 0L in
-    for bit = 0 to width - 1 do
-      let p = pats.(first + bit) in
-      for s = 0 to ns - 1 do
-        if Bytes.unsafe_get p s = '\001' then
-          words.(s) <- Int64.logor words.(s) (Int64.shift_left 1L bit)
-      done
-    done;
+    let words =
+      Array.init ns (fun s ->
+          let w = ref 0L in
+          for bit = 0 to width - 1 do
+            if Bytes.unsafe_get pats.(first + bit) s = '\001' then
+              w := Int64.logor !w (Int64.shift_left 1L bit)
+          done;
+          !w)
+    in
     masks_for ~keep:(fun i -> undetected.(i)) words live (Array.length live) masks;
-    for bit = width - 1 downto 0 do
-      let adds = ref false in
-      Array.iteri
-        (fun i m -> if undetected.(i) && bit_set m bit then adds := true)
-        masks;
-      if !adds then begin
-        keep.(first + bit) <- true;
-        Array.iteri
-          (fun i m -> if bit_set m bit then undetected.(i) <- false)
-          masks
-      end
+    let kept = batch_keep masks undetected ~width in
+    for bit = 0 to width - 1 do
+      if bit_set kept bit then keep.(first + bit) <- true
     done;
     pos := first - 1
   done;
@@ -107,7 +160,7 @@ let run (m : Cmodel.t) =
   let masks_for ~keep words (faults : Fault.fault array) n out =
     Fsim.set_sources sim words;
     for i = 0 to n - 1 do
-      out.(i) <- (if keep i then Fsim.detect_mask sim faults.(i) else 0L)
+      Bytes.set_int64_le out (8 * i) (if keep i then Fsim.detect_mask sim faults.(i) else 0L)
     done
   in
   let ns = Array.length m.Cmodel.sources in
@@ -123,8 +176,7 @@ let run (m : Cmodel.t) =
          (Array.to_seq universe.Fault.representatives))
   in
   let nlive = ref (Array.length live) in
-  let masks = Array.make !nlive 0L in
-  let counts = Array.make 64 0 in
+  let masks = Bytes.make (8 * !nlive) '\000' in
   (* ---- deterministic phase with dynamic compaction ---- *)
   let podem = Podem.create m in
   let aborted = ref 0 and redundant = ref 0 in
@@ -135,8 +187,12 @@ let run (m : Cmodel.t) =
     let n = Fault.site_net m f.Fault.site in
     Testability.Cop.detectability cop n
   in
-  let targets = Array.copy live in
-  Array.sort (fun a b -> compare (hardness a) (hardness b)) targets;
+  (* sort positions by a precomputed key: the comparisons, and so the
+     order, are those of sorting the faults by [hardness] itself *)
+  let key = Array.map hardness live in
+  let order = Array.init (Array.length live) Fun.id in
+  Array.sort (fun i j -> Float.compare key.(i) key.(j)) order;
+  let targets = Array.map (fun i -> live.(i)) order in
   let ntargets = Array.length targets in
   Obs.Trace.with_span ~name:"atpg.deterministic"
     ~attrs:[ ("targets", Obs.Json.Int ntargets) ]
@@ -172,6 +228,9 @@ let run (m : Cmodel.t) =
             incr tj;
             if g.Fault.status = Fault.Undetected then begin
               incr tries;
+              (* the limit is split over PODEM's restarts with a floor of
+                 16 each (podem.mli, [attempt]): 8 allows up to 80
+                 backtracks, not 8 *)
               Obs.Metrics.incr m_podem_attempts;
               match Podem.attempt ~backtrack_limit:8 podem ~keep:true g with
               | Podem.Test cube' ->
@@ -187,18 +246,8 @@ let run (m : Cmodel.t) =
           List.iter (fun (s, v) -> words.(s) <- (if v then -1L else 0L)) !cube;
           let n = !nlive in
           masks_for ~keep:(fun _ -> true) words live n masks;
-          Array.fill counts 0 64 0;
-          for i = 0 to n - 1 do
-            let mask = masks.(i) in
-            for bit = 0 to 63 do
-              if bit_set mask bit then counts.(bit) <- counts.(bit) + 1
-            done
-          done;
-          let best = ref 0 in
-          for bit = 1 to 63 do
-            if counts.(bit) > counts.(!best) then best := bit
-          done;
-          patterns := column words !best :: !patterns;
+          let best = best_fill masks n in
+          patterns := column words best :: !patterns;
           incr deterministic_patterns;
           Obs.Metrics.incr m_patterns;
           Obs.Metrics.observe h_merge_tries (float_of_int !tries);
@@ -206,7 +255,7 @@ let run (m : Cmodel.t) =
           for i = 0 to n - 1 do
             let g = live.(i) in
             if g.Fault.status = Fault.Undetected then
-              if bit_set masks.(i) !best then g.Fault.status <- Fault.Detected
+              if bit_set (mask masks i) best then g.Fault.status <- Fault.Detected
               else begin
                 live.(!kept) <- g;
                 incr kept

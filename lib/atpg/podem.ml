@@ -34,6 +34,7 @@ type t = {
      both circuits), and an offset into [tab]: entry [off + 9a + 3b + c]
      is [Cell.eval3 kind a b c] *)
   g_in : int array;
+  g_out : int array;
   g_arity : int array;
   g_off : int array;
   tab : int array;
@@ -101,6 +102,7 @@ let create (m : Cmodel.t) =
     d_len = 0;
     queue = Array.make cap 0;
     g_in;
+    g_out = Array.map (fun (g : Cmodel.gate) -> g.Cmodel.g_out) m.Cmodel.gates;
     g_arity;
     g_off;
     tab = Array.concat (List.rev !blocks);
@@ -163,17 +165,19 @@ let push_trail t n old st =
   t.tr_stamp.(t.tr_len) <- st;
   t.tr_len <- t.tr_len + 1
 
+(* record [n] as a D-net as of the current trail length *)
+let push_d t n =
+  if t.d_len = Array.length t.d_net then begin
+    t.d_net <- grow t.d_net;
+    t.d_mark <- grow t.d_mark
+  end;
+  t.d_net.(t.d_len) <- n;
+  t.d_mark.(t.d_len) <- t.tr_len;
+  t.d_len <- t.d_len + 1
+
 let mark_d t n =
   let g = t.gv.(n) and f = eff_fv t n in
-  if g <> x && f <> x && g <> f then begin
-    if t.d_len = Array.length t.d_net then begin
-      t.d_net <- grow t.d_net;
-      t.d_mark <- grow t.d_mark
-    end;
-    t.d_net.(t.d_len) <- n;
-    t.d_mark.(t.d_len) <- t.tr_len;
-    t.d_len <- t.d_len + 1
-  end
+  if g <> x && f <> x && g <> f then push_d t n
 
 let set_gv t n v =
   let old = t.gv.(n) in
@@ -214,10 +218,16 @@ let reset t =
 
 (* ---- implication ---- *)
 
-(* forward implication from a changed net; values only refine *)
+(* forward implication from a changed net; values only refine. The
+   [set_gv]/[set_fv]/[mark_d] steps are inlined on the values in hand: the
+   same trail entries in the same order, and a D-net is marked after both
+   of its entries, as [mark_d] would. *)
 let imply t ctx start =
-  let m = t.m and tab = t.tab and gv = t.gv in
+  let m = t.m and tab = t.tab and gv = t.gv and fv = t.fv and fstamp = t.fstamp in
   let fo_start = m.Cmodel.fo_start and fo_gate = m.Cmodel.fo_gate in
+  let g_in = t.g_in and g_off = t.g_off and g_out = t.g_out and stamp = t.stamp in
+  let branch_gi = ctx.branch_gi and branch_pos = ctx.branch_pos in
+  let stuck_v = ctx.stuck_v and stem_net = ctx.stem_net in
   t.queue.(0) <- start;
   let head = ref 0 and tail = ref 1 in
   while !head < !tail do
@@ -225,26 +235,40 @@ let imply t ctx start =
     incr head;
     for s = fo_start.(n) to fo_start.(n + 1) - 1 do
       let gi = fo_gate.(s) in
-      let b = 3 * gi and off = t.g_off.(gi) in
-      let i0 = t.g_in.(b) and i1 = t.g_in.(b + 1) and i2 = t.g_in.(b + 2) in
+      let b = 3 * gi and off = g_off.(gi) in
+      let i0 = g_in.(b) and i1 = g_in.(b + 1) and i2 = g_in.(b + 2) in
       let gout = tab.(off + (9 * gv.(i0)) + (3 * gv.(i1)) + gv.(i2)) in
-      let fa = eff_fv t i0 and fb = eff_fv t i1 and fc = eff_fv t i2 in
+      let fa = if fstamp.(i0) = stamp then fv.(i0) else gv.(i0) in
+      let fb = if fstamp.(i1) = stamp then fv.(i1) else gv.(i1) in
+      let fc = if fstamp.(i2) = stamp then fv.(i2) else gv.(i2) in
+      let out = g_out.(gi) in
       let fout =
-        if gi <> ctx.branch_gi then tab.(off + (9 * fa) + (3 * fb) + fc)
+        (* the stem net is pinned in the faulty circuit *)
+        if out = stem_net then stuck_v
+        else if gi <> branch_gi then tab.(off + (9 * fa) + (3 * fb) + fc)
         else
-          let sv = ctx.stuck_v in
-          match ctx.branch_pos with
-          | 0 -> tab.(off + (9 * sv) + (3 * fb) + fc)
-          | 1 -> tab.(off + (9 * fa) + (3 * sv) + fc)
-          | _ -> tab.(off + (9 * fa) + (3 * fb) + sv)
+          match branch_pos with
+          | 0 -> tab.(off + (9 * stuck_v) + (3 * fb) + fc)
+          | 1 -> tab.(off + (9 * fa) + (3 * stuck_v) + fc)
+          | _ -> tab.(off + (9 * fa) + (3 * fb) + stuck_v)
       in
-      let out = m.Cmodel.gates.(gi).Cmodel.g_out in
-      (* the stem net is pinned in the faulty circuit *)
-      let fout = if out = ctx.stem_net then ctx.stuck_v else fout in
-      let changed_g = set_gv t out gout in
-      let changed_f = set_fv t out fout in
+      let old_g = gv.(out) in
+      let changed_g = old_g <> gout in
+      if changed_g then begin
+        push_trail t out old_g gv_entry;
+        gv.(out) <- gout
+      end;
+      (* the faulty value as [eff_fv] reads it, after the good update *)
+      let old_st = fstamp.(out) in
+      let old_f = if old_st = stamp then fv.(out) else gout in
+      let changed_f = old_f <> fout in
+      if changed_f then begin
+        push_trail t out fv.(out) old_st;
+        fv.(out) <- fout;
+        fstamp.(out) <- stamp
+      end;
       if changed_g || changed_f then begin
-        mark_d t out;
+        if gout <> x && fout <> x && gout <> fout then push_d t out;
         if !tail = Array.length t.queue then t.queue <- grow t.queue;
         t.queue.(!tail) <- out;
         incr tail
@@ -283,7 +307,7 @@ let rec x_path_from t stamp n =
       let s = ref m.Cmodel.fo_start.(n) and stop = m.Cmodel.fo_start.(n + 1) in
       let found = ref false in
       while (not !found) && !s < stop do
-        let out = m.Cmodel.gates.(m.Cmodel.fo_gate.(!s)).Cmodel.g_out in
+        let out = t.g_out.(m.Cmodel.fo_gate.(!s)) in
         if (t.gv.(out) = x || eff_fv t out = x) && x_path_from t stamp out then found := true;
         incr s
       done;
@@ -298,9 +322,9 @@ let has_x_path t n =
 (* rank by SCOAP observability cost, not distance: a wide XOR tree sits
    next to an output yet needs its whole support justified *)
 let consider t gi =
-  let out = t.m.Cmodel.gates.(gi).Cmodel.g_out in
+  let out = t.g_out.(gi) in
   if (t.gv.(out) = x || eff_fv t out = x)
-     && (t.frontier < 0 || t.co.(out) < t.co.(t.m.Cmodel.gates.(t.frontier).Cmodel.g_out))
+     && (t.frontier < 0 || t.co.(out) < t.co.(t.g_out.(t.frontier)))
      && has_x_path t out
   then t.frontier <- gi
 

@@ -9,10 +9,10 @@
 
     The engine state is flat: the trail and the D-nets live in int arrays
     that grow on demand and are reused across attempts, implication walks
-    the model's CSR fanout with a reusable FIFO, and gates are evaluated
-    through a 27-entry ternary table per cell kind filled from
-    {!Stdcell.Cell.eval3}, so a search allocates nothing per gate
-    evaluation or trail entry.
+    the model's CSR fanout with a reusable FIFO, reads gate outputs from a
+    flat array, and evaluates gates through a 27-entry ternary table per
+    cell kind filled from {!Stdcell.Cell.eval3}, so a search allocates
+    nothing per gate evaluation or trail entry.
 
     The overlay design makes dynamic compaction cheap: a successful test's
     source assignments can be kept in place ([~keep:true]) and further
@@ -44,7 +44,13 @@ val attempt : ?backtrack_limit:int -> t -> keep:bool -> Fault.fault -> result
 (** Search for a test of the fault consistent with the currently applied
     assignments. With [~keep:true] a successful test's assignments stay
     applied (compaction); otherwise, and on failure, the state returns to
-    what it was before the call. Default backtrack limit 250. *)
+    what it was before the call.
+
+    The backtrack limit (default 250) is split over up to 5 randomised
+    restarts, each allowed [max 16 (backtrack_limit / 5)] backtracks; a
+    restart follows only an [Abort]. So an attempt may backtrack up to
+    [5 * max 16 (backtrack_limit / 5)] times: 250 for the default, but 80
+    for [~backtrack_limit:8]. *)
 
 val generate : ?backtrack_limit:int -> t -> Fault.fault -> result
 (** Stand-alone test generation from a clean state; [Untestable] here is a

@@ -48,6 +48,7 @@ type t = {
   mutable considered : bool array;
   mutable launch : bool array;
   mutable slow : bool array;
+  mutable slow_count : int;             (* set [slow] flags among the [ni] live *)
   mutable level : int array;
   mutable ck_pin : int array;           (* clock pin index or -1 *)
   mutable out_pin : int array;          (* output pin index or -1 *)
@@ -360,6 +361,14 @@ let relevel t ~seeds =
     end
   done
 
+(* how many slow flags are set in slots [lo, hi) *)
+let count_slow t lo hi =
+  let c = ref 0 in
+  for iid = lo to hi - 1 do
+    if t.slow.(iid) then incr c
+  done;
+  !c
+
 let sync_topology t ~nets ~insts =
   let d = t.d in
   let old_ni = t.ni and old_nn = t.nn in
@@ -367,6 +376,10 @@ let sync_topology t ~nets ~insts =
   ensure_net_capacity t (Design.num_nets d);
   t.ni <- Design.num_insts d;
   t.nn <- Design.num_nets d;
+  (* [slow_count] follows the live range: a dropped slot's flag leaves
+     it, a reborn slot's stale flag counts until the slot is re-evaluated *)
+  if t.ni < old_ni then t.slow_count <- t.slow_count - count_slow t t.ni old_ni
+  else t.slow_count <- t.slow_count + count_slow t old_ni t.ni;
   (* shrink: a speculative-edit rollback (Design.remove_last_instance/net)
      dropped the
      newest cells/nets. Their slots go stale — harmless, every live read is
@@ -458,13 +471,6 @@ let eval_inst t counter iid =
     end
   done
 
-let count_slow t =
-  let c = ref 0 in
-  for iid = 0 to t.ni - 1 do
-    if t.slow.(iid) then incr c
-  done;
-  !c
-
 (* full propagation from seeds, level-ordered; moves [sta.arcs_evaluated]
    once per evaluated arc and sets [sta.slow_nodes] *)
 let propagate t =
@@ -477,7 +483,8 @@ let propagate t =
   if not t.order_valid then rebuild_order t;
   Obs.Trace.with_span ~name:"sta.propagate" (fun () ->
       Array.iter (eval_inst t m_arcs) t.order);
-  Obs.Metrics.set g_slow_nodes (float_of_int (count_slow t));
+  t.slow_count <- count_slow t 0 t.ni;
+  Obs.Metrics.set g_slow_nodes (float_of_int t.slow_count);
   t.required_valid <- false
 
 let analysis t =
@@ -486,7 +493,7 @@ let analysis t =
     ~arrival:(Array.sub t.arrival 0 nn)
     ~slew:(Array.sub t.slew 0 nn)
     ~from_pin:(Array.sub t.from_pin 0 nn)
-    ~slow_nodes:(count_slow t)
+    ~slow_nodes:t.slow_count
 
 (* ---- compile ---- *)
 
@@ -510,6 +517,7 @@ let compile_partial (d : Design.t)
       considered = Array.make (max ni 1) false;
       launch = Array.make (max ni 1) false;
       slow = Array.make (max ni 1) false;
+      slow_count = 0;
       level = Array.make (max ni 1) 0;
       ck_pin = Array.make (max ni 1) (-1);
       out_pin = Array.make (max ni 1) (-1);
@@ -832,6 +840,7 @@ let retime t ~dirty_nets ~dirty_insts =
         queued.(iid) <- false;
         incr insts_evaluated;
         Obs.Metrics.incr m_insts;
+        if t.slow.(iid) then t.slow_count <- t.slow_count - 1;
         t.slow.(iid) <- false;
         match out_net t iid with
         | -1 -> ()
@@ -840,6 +849,7 @@ let retime t ~dirty_nets ~dirty_insts =
           let old_fi = from_inst.(on) and old_fp = from_pin.(on) in
           reset_net t on;
           eval_inst t m_inc_arcs iid;
+          if t.slow.(iid) then t.slow_count <- t.slow_count + 1;
           if
             same_float old_arr arrival.(on)
             && same_float old_slew slew.(on)
@@ -855,7 +865,7 @@ let retime t ~dirty_nets ~dirty_insts =
           end)
       (List.rev buckets.(l))
   done;
-  Obs.Metrics.set g_slow_nodes (float_of_int (count_slow t));
+  Obs.Metrics.set g_slow_nodes (float_of_int t.slow_count);
   t.required_valid <- false;
   { insts_evaluated = !insts_evaluated;
     nets_changed = !nets_changed;

@@ -29,5 +29,9 @@ val gaussian : t -> mean:float -> stddev:float -> float
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 
+val shuffle_prefix : t -> 'a array -> int -> unit
+(** [shuffle_prefix t a n] shuffles [a.(0) .. a.(n - 1)] in place, with
+    the draws [shuffle] makes on an array of length [n]. *)
+
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)

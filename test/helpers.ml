@@ -8,6 +8,30 @@ let lib = Lib.default
 
 let cell kind = Lib.min_drive_strength lib kind
 
+(* One X1 inverter driving 150 flip-flops: no DRC fix is applied, so the
+   inverter's load lies beyond its NLDM tables and STA flags it slow. The
+   inverter drives net "y". *)
+let slow_fanout_design () =
+  let d = Design.create "slow" in
+  let clk = Design.add_port d "clk" Design.In in
+  let dom = Design.add_domain d ~name:"clk" ~period_ps:10000.0 ~clock_net:clk.Design.pnet in
+  let a = Design.add_port d "a" Design.In in
+  let inv = Design.add_instance d ~name:"inv" ~cell:(cell Cell.Inv) in
+  let y = Design.add_net d "y" in
+  Design.connect d ~inst:inv.Design.id ~pin:0 ~net:a.Design.pnet;
+  Design.connect d ~inst:inv.Design.id ~pin:1 ~net:y.Design.nid;
+  for k = 0 to 149 do
+    let ff = Design.add_instance d ~name:(Printf.sprintf "ff%d" k) ~cell:(cell Cell.Dff) in
+    ff.Design.domain <- dom;
+    Design.connect d ~inst:ff.Design.id ~pin:0 ~net:y.Design.nid;
+    Design.connect d ~inst:ff.Design.id ~pin:1 ~net:clk.Design.pnet;
+    let q = Design.add_net d (Printf.sprintf "q%d" k) in
+    Design.connect d ~inst:ff.Design.id ~pin:2 ~net:q.Design.nid;
+    let po = Design.add_port d (Printf.sprintf "po%d" k) Design.Out in
+    Design.connect_out_port d ~port:po.Design.pid ~net:q.Design.nid
+  done;
+  d
+
 (* A tiny hand-built sequential circuit:
 
    pi0 --+--[NAND2 g1]--[INV g2]-- n2 --> ff0.D     ff0.Q -- q0 --> po0

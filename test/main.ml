@@ -12,6 +12,7 @@ let () =
       ("scan", Test_scan.suite);
       ("atpg", Test_atpg.suite);
       ("layout", Test_layout.suite);
+      ("place-exact", Test_layout.exactness);
       ("sta", Test_sta.suite);
       ("incremental", Test_incremental.suite);
       ("extra", Test_extra.suite);

@@ -290,6 +290,41 @@ let prop_random_eco_sequence =
           && full.A.slow_nodes = inc.A.slow_nodes)
         edits)
 
+(* retime keeps [sta.slow_nodes] by adjusting it for the instances it
+   re-evaluates: lightening the overloaded net clears its driver's flag,
+   restoring the load sets it again, and both counts equal a from-scratch
+   propagation's *)
+let test_retime_slow_count () =
+  let d = Helpers.slow_fanout_design () in
+  let pl = Layout.Place.run d (Layout.Floorplan.create ~utilization:0.8 d) in
+  let rc = Layout.Extract.run pl (Layout.Route.run pl) in
+  let gauge = Obs.Metrics.gauge "sta.slow_nodes" in
+  let fresh rc =
+    let f = T.compile d rc in
+    T.propagate f;
+    (T.analysis f).A.slow_nodes
+  in
+  let tg = T.compile d rc in
+  T.propagate tg;
+  let heavy = (T.analysis tg).A.slow_nodes in
+  Alcotest.(check bool) "the overloaded driver is slow" true (heavy >= 1);
+  let y = ref (-1) in
+  Design.iter_nets d (fun n -> if n.Design.nname = "y" then y := n.Design.nid);
+  let y = !y in
+  let light_rc = Array.copy rc in
+  light_rc.(y) <- { (rc.(y)) with Layout.Extract.total_cap_ff = 1.0 };
+  let step msg rcs =
+    T.update_rc tg y rcs.(y);
+    ignore (T.retime tg ~dirty_nets:[ y ] ~dirty_insts:[]);
+    let expected = fresh rcs in
+    Alcotest.(check int) (msg ^ ": analysis") expected (T.analysis tg).A.slow_nodes;
+    Alcotest.(check int) (msg ^ ": gauge") expected (int_of_float (Obs.Metrics.gauge_value gauge));
+    expected
+  in
+  let light = step "lightened" light_rc in
+  Alcotest.(check bool) "lightening clears a flag" true (light < heavy);
+  Alcotest.(check int) "restored" heavy (step "restored" rc)
+
 let suite =
   [ Alcotest.test_case "tgraph mini = analysis" `Quick test_tgraph_mini;
     Alcotest.test_case "tgraph tiny = analysis" `Quick test_tgraph_tiny;
@@ -301,4 +336,5 @@ let suite =
     Alcotest.test_case "eco buffer = full rerun" `Quick test_eco_buffer;
     Alcotest.test_case "eco cone bounded" `Quick test_eco_cone_bounded;
     QCheck_alcotest.to_alcotest prop_random_eco_sequence;
-    Alcotest.test_case "warm propagate allocation-free" `Quick test_propagate_allocation_free ]
+    Alcotest.test_case "warm propagate allocation-free" `Quick test_propagate_allocation_free;
+    Alcotest.test_case "retime keeps the slow-node count" `Quick test_retime_slow_count ]

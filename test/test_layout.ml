@@ -82,8 +82,8 @@ let test_overfull_rows_repacked () =
 
 (* MD5 of a portable rendering of (x, row): each x's IEEE bits, then
    each row, as little-endian 64-bit words *)
-let placement_digest d =
-  let pl = Layout.Place.run d (Layout.Floorplan.create d) in
+let placement_digest ?utilization d =
+  let pl = Layout.Place.run d (Layout.Floorplan.create ?utilization d) in
   let buf = Buffer.create 4096 in
   Array.iter (fun x -> Buffer.add_int64_le buf (Int64.bits_of_float x)) pl.Layout.Place.x;
   Array.iter (fun r -> Buffer.add_int64_le buf (Int64.of_int r)) pl.Layout.Place.row;
@@ -111,7 +111,38 @@ let test_placement_deterministic () =
       Alcotest.(check string) (name ^ " at scale 0.03") expected
         (placement_digest (Circuits.Bench.by_name name ~scale:0.03)))
     [ ("s38417", "7598ab4fa4a4a5ee2977c1a027d477c6");
-      ("pcore_a", "d2084ffcbdc33823d548990a9785240b") ]
+      ("pcore_a", "d2084ffcbdc33823d548990a9785240b") ];
+  (* deeper bisection, and pcore_b at its Table 2-3 utilization of 0.50 *)
+  List.iter
+    (fun (name, utilization, expected) ->
+      Alcotest.(check string) (name ^ " at scale 0.1") expected
+        (placement_digest ~utilization (Circuits.Bench.by_name name ~scale:0.1)))
+    [ ("pcore_a", 0.97, "2ea9ac3f734e733a4116428c5b73f805");
+      ("pcore_b", 0.50, "e94d425fd1b23193cb699ad38d577a5e") ]
+
+let float_bits a = Array.map Int64.bits_of_float a
+
+(* Place.run against the plain partitioner it replaced (Place_reference),
+   bit for bit, over random small circuits, utilizations and placement
+   seeds *)
+let prop_place_matches_reference =
+  let utilizations = [| 0.50; 0.80; 0.97 |] in
+  QCheck.Test.make ~name:"placement matches the reference partitioner" ~count:30
+    (QCheck.make
+       ~print:(fun (seed, ffs, gates, (u, pseed)) ->
+         Printf.sprintf "seed=%d ffs=%d gates=%d utilization=%.2f place seed=%d" seed ffs
+           gates utilizations.(u) pseed)
+       QCheck.Gen.(
+         quad (int_range 1 10_000) (int_range 8 48) (int_range 100 600)
+           (pair (int_range 0 2) (int_range 0 0xFFFF))))
+    (fun (seed, ffs, gates, (u, pseed)) ->
+      let d = Circuits.Bench.tiny ~seed ~ffs ~gates () in
+      let fp = Layout.Floorplan.create ~utilization:utilizations.(u) d in
+      let pl = Layout.Place.run ~seed:pseed d fp in
+      let r = Place_reference.run ~seed:pseed d fp in
+      float_bits pl.Layout.Place.x = float_bits r.Layout.Place.x
+      && pl.Layout.Place.row = r.Layout.Place.row
+      && float_bits pl.Layout.Place.row_used = float_bits r.Layout.Place.row_used)
 
 let test_placement_beats_random () =
   (* min-cut placement should clearly beat a random shuffle in HPWL *)
@@ -236,3 +267,6 @@ let suite =
     Alcotest.test_case "extract elmore" `Quick test_extract_elmore;
     Alcotest.test_case "drc upsizing" `Quick test_drc_upsizes;
     Alcotest.test_case "render" `Quick test_render_outputs ]
+
+(* its own group, so CI can rerun it under other QCHECK_SEEDs *)
+let exactness = [ QCheck_alcotest.to_alcotest prop_place_matches_reference ]

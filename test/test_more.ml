@@ -93,24 +93,7 @@ let test_conflicting_base_aborts () =
 let test_sta_slow_node_flagging () =
   (* drive an absurd fanout from one X1 inverter and skip the DRC fix:
      the STA must flag the driver as a slow node *)
-  let d = Design.create "slow" in
-  let clk = Design.add_port d "clk" Design.In in
-  let dom = Design.add_domain d ~name:"clk" ~period_ps:10000.0 ~clock_net:clk.Design.pnet in
-  let a = Design.add_port d "a" Design.In in
-  let inv = Design.add_instance d ~name:"inv" ~cell:(Helpers.cell Cell.Inv) in
-  let y = Design.add_net d "y" in
-  Design.connect d ~inst:inv.Design.id ~pin:0 ~net:a.Design.pnet;
-  Design.connect d ~inst:inv.Design.id ~pin:1 ~net:y.Design.nid;
-  for k = 0 to 149 do
-    let ff = Design.add_instance d ~name:(Printf.sprintf "ff%d" k) ~cell:(Helpers.cell Cell.Dff) in
-    ff.Design.domain <- dom;
-    Design.connect d ~inst:ff.Design.id ~pin:0 ~net:y.Design.nid;
-    Design.connect d ~inst:ff.Design.id ~pin:1 ~net:clk.Design.pnet;
-    let q = Design.add_net d (Printf.sprintf "q%d" k) in
-    Design.connect d ~inst:ff.Design.id ~pin:2 ~net:q.Design.nid;
-    let po = Design.add_port d (Printf.sprintf "po%d" k) Design.Out in
-    Design.connect_out_port d ~port:po.Design.pid ~net:q.Design.nid
-  done;
+  let d = Helpers.slow_fanout_design () in
   let fp = Layout.Floorplan.create ~utilization:0.8 d in
   let pl = Layout.Place.run d fp in
   let rt = Layout.Route.run pl in

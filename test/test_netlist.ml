@@ -205,6 +205,40 @@ let test_report_short_list_untruncated () =
   Alcotest.(check bool) "no truncation line" true
     (not (Astring_contains.contains r "more"))
 
+(* a sink entry moved to the wrong net's list, and a net whose driver names
+   the wrong pin: exactly those two pins are inconsistent, in instance and
+   pin order *)
+let test_check_inconsistent_conn () =
+  let d = Circuits.Bench.tiny ~seed:1 ~ffs:30 ~gates:250 () in
+  Netlist.Check.assert_clean d;
+  let gate_out kind_ok =
+    let found = ref None in
+    Design.iter_insts d (fun i ->
+        if !found = None && kind_ok i.Design.cell.Cell.kind then begin
+          let out = Array.length i.Design.conns - 1 in
+          let nid = i.Design.conns.(out) in
+          if nid >= 0 && (Design.net d nid).Design.sinks <> [] then found := Some (i, out, nid)
+        end);
+    Option.get !found
+  in
+  let _, _, n1 = gate_out (fun k -> k = Cell.Nand2) in
+  let g2, out2, n2 = gate_out (fun k -> k = Cell.Nor2) in
+  let net1 = Design.net d n1 and net2 = Design.net d n2 in
+  (* sink side: the first sink of the first NAND2's output net is listed
+     by the first NOR2's output net instead *)
+  let sink_inst, sink_pin = List.hd net1.Design.sinks in
+  net1.Design.sinks <- List.tl net1.Design.sinks;
+  net2.Design.sinks <- (sink_inst, sink_pin) :: net2.Design.sinks;
+  (* driver side: that NOR2 output net names the gate's first input pin *)
+  net2.Design.driver <- Design.Cell_pin (g2.Design.id, 0);
+  let expected =
+    List.sort compare
+      [ Netlist.Check.Inconsistent_conn (sink_inst, sink_pin);
+        Netlist.Check.Inconsistent_conn (g2.Design.id, out2) ]
+  in
+  Alcotest.(check bool) "two distinct pins" true (List.length (List.sort_uniq compare expected) = 2);
+  Alcotest.(check bool) "exactly the two corrupted pins" true (Netlist.Check.run d = expected)
+
 let suite =
   [ Alcotest.test_case "mini construction" `Quick test_mini_construction;
     Alcotest.test_case "double driver" `Quick test_double_driver_rejected;
@@ -221,4 +255,5 @@ let suite =
     Alcotest.test_case "verilog pin connected twice" `Quick test_verilog_pin_twice;
     Alcotest.test_case "cmodel structure" `Quick test_cmodel_structure;
     Alcotest.test_case "check-failed typed" `Quick test_check_failed_typed;
-    Alcotest.test_case "report untruncated" `Quick test_report_short_list_untruncated ]
+    Alcotest.test_case "report untruncated" `Quick test_report_short_list_untruncated;
+    Alcotest.test_case "check inconsistent conn" `Quick test_check_inconsistent_conn ]

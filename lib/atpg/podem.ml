@@ -47,6 +47,7 @@ type t = {
   mutable xpath_stamp : int;
   mutable frontier : int;       (* [d_frontier]'s best gate so far, or -1 *)
   rng : Util.Rng.t;  (* randomises search tie-breaks between restarts *)
+  jitter : float array;         (* [backtrace]'s draw, unboxed *)
 }
 
 let create (m : Cmodel.t) =
@@ -114,7 +115,8 @@ let create (m : Cmodel.t) =
     xpath_seen = Array.make nn (-1);
     xpath_stamp = 0;
     frontier = -1;
-    rng = Util.Rng.create 0x90DE }
+    rng = Util.Rng.create 0x90DE;
+    jitter = Array.make 1 0.0 }
 
 (* ---- fault context ---- *)
 
@@ -406,7 +408,8 @@ let backtrace t n v =
                 cost := !cost +. (if (mask lsr i) land 1 = 1 then t.cc1.(inn) else t.cc0.(inn))
             done;
             (* jitter breaks ties differently on every restart *)
-            let cost = !cost *. (1.0 +. Util.Rng.float t.rng 0.25) in
+            Util.Rng.float_into t.rng 0.25 t.jitter 0;
+            let cost = !cost *. (1.0 +. t.jitter.(0)) in
             (* the earlier mask wins ties *)
             if !best < 0 || not (!best_cost <= cost) then begin
               best := mask;
@@ -496,8 +499,7 @@ let extract_cube t =
    tie-breaks succeed far more often than one long one. *)
 let restarts = 5
 
-let attempt ?(backtrack_limit = 250) t ~keep (f : Fault.fault) =
-  let ctx = make_ctx t.m f in
+let search_restarts t ~keep ~backtrack_limit ctx =
   let mark = t.tr_len in
   let run_once limit =
     t.stamp <- t.stamp + 1;
@@ -528,6 +530,31 @@ let attempt ?(backtrack_limit = 250) t ~keep (f : Fault.fault) =
     | r -> r
   in
   go 1
+
+(* Exact filter: a site whose good value already equals the stuck value
+   cannot be activated under the current assignments (values only
+   refine), and [search_restarts] would return [Untestable] without a trace:
+   - a stem fault's [set_fv] writes nothing: under the fresh stamp the
+     stem's faulty value reads as its good one, already the stuck value;
+     the [imply] from the stem then computes each faulty value
+     from faulty inputs equal to the good ones, so it marks no D-net,
+     and the good-value refinements it may make are trail entries the
+     [Untestable] outcome undoes;
+   - a branch fault runs no implication at all;
+   - [search] then finds no observed D-net (an observation branch: the
+     site at the wrong value), and [objective] returns [Refuted] before
+     any [backtrace], so no [Rng] value is drawn and the stream is the
+     same as if the attempt had run.
+   Skipping the run also skips its [stamp] increment and [d_len] reset.
+   Both are harmless. A stamp need only differ from the ones already in
+   [fstamp], which are all at most the current one, and every [run_once]
+   takes a fresh one. The D-nets left from an earlier kept attempt are
+   never read: [detected] and [d_frontier] run only inside [search],
+   after [run_once] has reset [d_len]. *)
+let attempt ?(backtrack_limit = 250) t ~keep (f : Fault.fault) =
+  let ctx = make_ctx t.m f in
+  if t.gv.(ctx.site_net) = ctx.stuck_v then Untestable
+  else search_restarts t ~keep ~backtrack_limit ctx
 
 let apply_cube t cube =
   (* a throwaway fault-free context: stem -1, no branch *)

@@ -254,7 +254,7 @@ let finish st =
 
 (* bump whenever the products layout or any stage semantics change: old
    on-disk entries then simply never match a key again *)
-let cache_version = "tpi-stage-cache-v7"
+let cache_version = "tpi-stage-cache-v8"
 
 (* every option a stage outcome can depend on; the cache itself and the
    lint flag (read-only over the design) are deliberately excluded.

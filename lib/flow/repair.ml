@@ -6,10 +6,10 @@
    and commutative-pin swapping — plus off-critical downsizing for area
    recovery. Every ECO is speculative: it is re-timed individually and
    accepted only if the (WNS, TNS) objective improves lexicographically,
-   reverted exactly otherwise. Because each revert restores the context
-   byte-for-byte (§6.6), a rejected trial leaves no trace in timing,
-   routing or area, and the report always describes a state no worse
-   than the one repair started from. *)
+   rolled back otherwise, without re-timing the cone. A rollback leaves
+   the context exactly as a fresh route, extraction and analysis of the
+   reverted design would (§6.6), and the report always describes a state
+   no worse than the one repair started from. *)
 
 module Design = Netlist.Design
 module Cell = Stdcell.Cell
@@ -126,20 +126,23 @@ type engine = {
 
 let budget_left e = e.tried - e.budget_base < max_edits
 
-(* one speculative ECO: [apply] mutates the context, [revert] must undo it
-   exactly. Records the trial, moves the objective on acceptance. *)
-let trial e ~kind ~target ~accept apply revert =
+(* one speculative ECO: [apply] edits the context inside a Retime
+   trial, which a rejection rolls back exactly. Records the trial, moves
+   the objective on acceptance. *)
+let trial e ~kind ~target ~accept apply =
   e.tried <- e.tried + 1;
   Obs.Metrics.incr m_tried;
+  Retime.open_trial e.ctx;
   apply ();
   let obj' = objective e.ctx in
   let ok = accept obj' e.obj in
   if ok then begin
+    Retime.commit e.ctx;
     e.accepted <- e.accepted + 1;
     Obs.Metrics.incr m_accepted
   end
   else begin
-    revert ();
+    Retime.rollback e.ctx;
     Obs.Metrics.incr m_reverted
   end;
   e.edits <-
@@ -154,21 +157,19 @@ let try_swap e ~inst ~fast_pin ~slow_pin =
   let swap () =
     ignore (Retime.swap_pins e.ctx ~inst ~pin_a:fast_pin ~pin_b:slow_pin)
   in
-  if trial e ~kind:Swap_pins ~target ~accept:better swap swap then begin
+  if trial e ~kind:Swap_pins ~target ~accept:better swap then begin
     e.swaps <- e.swaps + 1;
     Obs.Metrics.incr m_swaps
   end
 
 let try_upsize e ~inst =
   let d = Retime.design e.ctx in
-  let old_cell = (Design.inst d inst).Design.cell in
-  match Stdcell.Library.upsize d.Design.lib old_cell with
+  match Stdcell.Library.upsize d.Design.lib (Design.inst d inst).Design.cell with
   | None -> ()
   | Some _ ->
     let ok =
       trial e ~kind:Upsize ~target:(Design.inst d inst).Design.iname ~accept:better
         (fun () -> ignore (Retime.upsize e.ctx ~inst))
-        (fun () -> ignore (Retime.resize e.ctx ~inst ~cell:old_cell))
     in
     if ok then begin
       e.upsizes <- e.upsizes + 1;
@@ -178,13 +179,9 @@ let try_upsize e ~inst =
 let try_buffer e ~net =
   let d = Retime.design e.ctx in
   let target = (Design.net d net).Design.nname in
-  let buf = ref (-1) in
   let ok =
-    trial e ~kind:Insert_buffer ~target ~accept:better
-      (fun () ->
-        let b, _ = Retime.insert_buffer e.ctx ~net in
-        buf := b.Design.id)
-      (fun () -> ignore (Retime.remove_buffer e.ctx ~inst:!buf))
+    trial e ~kind:Insert_buffer ~target ~accept:better (fun () ->
+        ignore (Retime.insert_buffer e.ctx ~net))
   in
   if ok then begin
     e.buffers <- e.buffers + 1;
@@ -193,15 +190,13 @@ let try_buffer e ~net =
 
 let try_downsize e ~inst =
   let d = Retime.design e.ctx in
-  let old_cell = (Design.inst d inst).Design.cell in
-  match Stdcell.Library.downsize d.Design.lib old_cell with
+  match Stdcell.Library.downsize d.Design.lib (Design.inst d inst).Design.cell with
   | None -> ()
   | Some _ ->
     let ok =
       trial e ~kind:Downsize ~target:(Design.inst d inst).Design.iname
         ~accept:no_worse
         (fun () -> ignore (Retime.downsize e.ctx ~inst))
-        (fun () -> ignore (Retime.resize e.ctx ~inst ~cell:old_cell))
     in
     if ok then begin
       e.downsizes <- e.downsizes + 1;

@@ -6,8 +6,9 @@
     off-critical downsizing for area recovery. Every ECO is speculative:
     re-timed individually, accepted only if the (WNS, TNS) objective
     improves lexicographically (area moves: only if it does not degrade),
-    and reverted {e exactly} otherwise, so a rejected trial leaves no
-    trace in timing, routing or area.
+    and rolled back otherwise ({!Retime.rollback}), which leaves the
+    context exactly as a fresh route, extraction and analysis of the
+    reverted design would.
 
     Each trial is evaluated by a worklist cone retime
     ({!Sta.Tgraph.retime}), which leaves the graph exactly as a

@@ -9,7 +9,13 @@
    exact, the state after any edit sequence is byte-identical to tearing
    the layout down and re-running Route.run + Extract.run + a fresh
    timing analysis on the same mutated design — the property the
-   incremental suite and the QCheck random-ECO property pin down. *)
+   incremental suite and the QCheck random-ECO property pin down.
+
+   A trial ([open_trial] .. [commit]/[rollback]) makes the edits in
+   between speculative: each edit logs its structural inverse and the
+   routes/parasitics of the nets it is about to re-route, the graph
+   journals the timing values it rewrites, and a rollback reverts the
+   netlist, then restores those values instead of re-timing the cone. *)
 
 module Design = Netlist.Design
 module Cell = Stdcell.Cell
@@ -19,6 +25,23 @@ module Extract = Layout.Extract
 
 let m_edits = Obs.Metrics.counter "sta.incremental.eco_edits"
 
+(* the structural inverse of one trial edit *)
+type undo =
+  | Unbuffer of int               (* the buffer instance *)
+  | Unresize of int * Cell.t      (* instance, its cell before the edit *)
+  | Unswap of int * int * int     (* instance, the two exchanged pins *)
+
+(* a pre-existing net as a trial found it: the route and parasitics, and
+   the connectivity they were derived from *)
+type saved_net = {
+  s_nid : int;
+  s_route : Route.net_route option;
+  s_rc : Extract.net_rc;
+  s_driver : Design.driver;
+  s_sinks : (int * int) list;
+  s_out_port : int;
+}
+
 type t = {
   pl : Place.t;
   tg : Sta.Tgraph.t;
@@ -26,6 +49,9 @@ type t = {
   mutable rc : Extract.net_rc array;
   mutable next_tp : int;
   mutable leaf_clocks : (int * int) list;  (* (domain, leaf clock net) *)
+  mutable trial : bool;
+  mutable undo : undo list;                (* newest first *)
+  mutable saved : saved_net list;          (* once per net, newest first *)
 }
 
 (* CTS leaf buffers: clock buffers whose output net feeds sequential
@@ -64,7 +90,10 @@ let create (pl : Place.t) (rt : Route.t) (rc : Extract.net_rc array) =
     routes = Array.copy rt.Route.routes;
     rc = Array.copy rc;
     next_tp = !next_tp;
-    leaf_clocks = List.map (fun (dom, _, o) -> (dom, o)) (find_leaf_clocks d) }
+    leaf_clocks = List.map (fun (dom, _, o) -> (dom, o)) (find_leaf_clocks d);
+    trial = false;
+    undo = [];
+    saved = [] }
 
 let design t = t.pl.Place.design
 let tgraph t = t.tg
@@ -174,9 +203,88 @@ let touched_nets (i : Design.instance) ~old_nn =
   |> List.filter (fun nid -> nid >= 0 && nid < old_nn)
   |> List.sort_uniq compare
 
+(* ---- trial bookkeeping ---- *)
+
+(* inside a trial, remember [nets] as they are before the edit that is
+   about to re-route them *)
+let save_nets t nets =
+  if t.trial then begin
+    let d = design t in
+    List.iter
+      (fun nid ->
+        if not (List.exists (fun s -> s.s_nid = nid) t.saved) then begin
+          let n = Design.net d nid in
+          t.saved <-
+            { s_nid = nid;
+              s_route = t.routes.(nid);
+              s_rc = t.rc.(nid);
+              s_driver = n.Design.driver;
+              s_sinks = n.Design.sinks;
+              s_out_port = n.Design.out_port }
+            :: t.saved
+        end)
+      nets
+  end
+
+let log_undo t u = if t.trial then t.undo <- u :: t.undo
+
+(* mirror a structural edit into the graph without re-timing *)
+let resync t ~nets ~insts =
+  Sta.Tgraph.sync_topology t.tg ~nets ~insts;
+  Obs.Metrics.incr m_edits
+
+(* ---- structural edits, shared by the edits and their inverses ---- *)
+
+(* [inst] becomes [cell] (identity pin map); its row's occupancy follows *)
+let set_cell t ~inst ~cell =
+  let d = design t in
+  let i = Design.inst d inst in
+  let old_width = i.Design.cell.Cell.width in
+  let pins = List.init (Array.length i.Design.cell.Cell.pins) (fun k -> (k, k)) in
+  Design.replace_cell d ~inst ~cell ~pin_map:pins;
+  if Place.is_placed t.pl inst then begin
+    let r = t.pl.Place.row.(inst) in
+    t.pl.Place.row_used.(r) <- t.pl.Place.row_used.(r) +. cell.Cell.width -. old_width
+  end
+
+(* exchange the nets on two input pins; returns the nets touched *)
+let exchange t ~inst ~pin_a ~pin_b =
+  let d = design t in
+  let i = Design.inst d inst in
+  let na = i.Design.conns.(pin_a) and nb = i.Design.conns.(pin_b) in
+  Design.disconnect d ~inst ~pin:pin_a;
+  Design.disconnect d ~inst ~pin:pin_b;
+  Design.connect d ~inst ~pin:pin_a ~net:nb;
+  Design.connect d ~inst ~pin:pin_b ~net:na;
+  List.sort_uniq compare [ na; nb ]
+
+(* exact structural undo of the newest [insert_buffer]: the split moved
+   the whole sink list, so unsplitting restores the net bit for bit; the
+   buffer is unplaced and its graph/route mirror slots retired *)
+let unbuffer t ~inst =
+  let d = design t in
+  let b = Design.inst d inst in
+  let net = b.Design.conns.(0) and nb = b.Design.conns.(1) in
+  Design.disconnect d ~inst ~pin:1;
+  Design.disconnect d ~inst ~pin:0;
+  Design.unsplit_net d ~net ~fresh:nb;
+  Design.remove_last_instance d;
+  Design.remove_last_net d;
+  if Place.is_placed t.pl inst then begin
+    let r = t.pl.Place.row.(inst) in
+    t.pl.Place.row_used.(r) <-
+      t.pl.Place.row_used.(r) -. b.Design.cell.Cell.width;
+    t.pl.Place.x.(inst) <- Float.nan;
+    t.pl.Place.row.(inst) <- -1
+  end;
+  (* retire the dead net's route: route stats iterate the raw array *)
+  if nb < Array.length t.routes then t.routes.(nb) <- None;
+  resync t ~nets:[ net ] ~insts:[]
+
 (* ---- edits ---- *)
 
 let insert_tp t ~net =
+  if t.trial then invalid_arg "Retime.insert_tp: not undoable inside a trial";
   let d = design t in
   let old_ni = Design.num_insts d and old_nn = Design.num_nets d in
   let old_np = Util.Vec.length d.Design.ports in
@@ -197,9 +305,11 @@ let insert_buffer t ~net =
   let old_np = Util.Vec.length d.Design.ports in
   let near = anchor t net in
   let n = Design.net d net in
+  save_nets t [ net ];
   let buf = Stdcell.Library.min_drive_strength d.Design.lib Cell.Buf in
   let nb = Design.split_net d ~net ~name:(n.Design.nname ^ "_buf") in
   let b = Design.add_instance d ~name:(n.Design.nname ^ "_ecobuf") ~cell:buf in
+  log_undo t (Unbuffer b.Design.id);
   Design.connect d ~inst:b.Design.id ~pin:0 ~net;
   Design.connect d ~inst:b.Design.id ~pin:1 ~net:nb.Design.nid;
   Layout.Eco.add_cell t.pl ~inst:b.Design.id ~near;
@@ -213,18 +323,15 @@ let resize t ~inst ~cell =
   let i = Design.inst d inst in
   if Array.length (cell : Cell.t).Cell.pins <> Array.length i.Design.cell.Cell.pins then
     invalid_arg "Retime.resize: pin interface differs";
-  let old_width = i.Design.cell.Cell.width in
-  let pins = List.init (Array.length i.Design.cell.Cell.pins) (fun k -> (k, k)) in
-  Design.replace_cell d ~inst ~cell ~pin_map:pins;
-  if Place.is_placed t.pl inst then begin
-    let r = t.pl.Place.row.(inst) in
-    t.pl.Place.row_used.(r) <- t.pl.Place.row_used.(r) +. cell.Cell.width -. old_width
-  end;
+  let nets = touched_nets i ~old_nn in
+  save_nets t nets;
+  log_undo t (Unresize (inst, i.Design.cell));
+  set_cell t ~inst ~cell;
   let near =
     if Place.is_placed t.pl inst then Place.position t.pl inst
-    else anchor t (List.hd (touched_nets i ~old_nn))
+    else anchor t (List.hd nets)
   in
-  refresh t ~old_ni ~old_nn ~old_np ~near ~nets:(touched_nets i ~old_nn) ~insts:[ inst ]
+  refresh t ~old_ni ~old_nn ~old_np ~near ~nets ~insts:[ inst ]
 
 let upsize t ~inst =
   let d = design t in
@@ -251,47 +358,72 @@ let swap_pins t ~inst ~pin_a ~pin_b =
   if not (input pin_a && input pin_b) then invalid_arg "Retime.swap_pins: not input pins";
   let na = i.Design.conns.(pin_a) and nb = i.Design.conns.(pin_b) in
   if na < 0 || nb < 0 then invalid_arg "Retime.swap_pins: disconnected pin";
-  Design.disconnect d ~inst ~pin:pin_a;
-  Design.disconnect d ~inst ~pin:pin_b;
-  Design.connect d ~inst ~pin:pin_a ~net:nb;
-  Design.connect d ~inst ~pin:pin_b ~net:na;
   let nets = List.sort_uniq compare [ na; nb ] in
+  save_nets t nets;
+  log_undo t (Unswap (inst, pin_a, pin_b));
+  ignore (exchange t ~inst ~pin_a ~pin_b : int list);
   refresh t ~old_ni ~old_nn ~old_np ~near:(anchor t na) ~nets ~insts:[ inst ]
 
-(* exact structural undo of the *most recent* [insert_buffer]: the buffer
-   must still be the newest instance and its output net the newest net.
-   Restores the design bit for bit (the split moved the whole sink list, so
-   unsplitting preserves its order), unplaces the buffer, retires its
-   graph/route/rc mirror slots and re-times the restored net's cone back
-   onto the pre-edit fixpoint. *)
-let remove_buffer t ~inst =
+(* ---- trials ---- *)
+
+let open_trial t =
+  if t.trial then invalid_arg "Retime.open_trial: a trial is already open";
+  Sta.Tgraph.open_journal t.tg;
+  t.trial <- true
+
+let close_trial t =
+  t.trial <- false;
+  t.undo <- [];
+  t.saved <- []
+
+let commit t =
+  if not t.trial then invalid_arg "Retime.commit: no open trial";
+  Sta.Tgraph.commit t.tg;
+  close_trial t
+
+(* Revert the netlist edit by edit, newest first, with the writes the
+   edits' own inverses make (design, placement, graph topology), then
+   restore the journaled timing. A saved net whose connectivity came back
+   as it was routes and extracts exactly as before the trial (both are
+   pure per-net functions of it and of unchanged pin positions), so its
+   saved route and parasitics are restored. Undoing a resize or a pin
+   swap re-attaches the pin at the head of its nets' sink lists, so such
+   a net is re-routed and re-extracted; where that moves a value the
+   graph reads, the net is re-timed from the restored state. *)
+let rollback t =
+  if not t.trial then invalid_arg "Retime.rollback: no open trial";
+  List.iter
+    (function
+      | Unbuffer inst -> unbuffer t ~inst
+      | Unresize (inst, cell) ->
+        let d = design t in
+        set_cell t ~inst ~cell;
+        resync t
+          ~nets:(touched_nets (Design.inst d inst) ~old_nn:(Design.num_nets d))
+          ~insts:[ inst ]
+      | Unswap (inst, pin_a, pin_b) ->
+        resync t ~nets:(exchange t ~inst ~pin_a ~pin_b) ~insts:[ inst ])
+    t.undo;
+  Sta.Tgraph.rollback t.tg;
   let d = design t in
-  let old_ni = Design.num_insts d and old_nn = Design.num_nets d in
-  let b = Design.inst d inst in
-  if inst <> old_ni - 1 then invalid_arg "Retime.remove_buffer: not the newest instance";
-  if b.Design.cell.Cell.kind <> Cell.Buf then
-    invalid_arg "Retime.remove_buffer: not a buffer";
-  let net = b.Design.conns.(0) and nb = b.Design.conns.(1) in
-  if nb <> old_nn - 1 then invalid_arg "Retime.remove_buffer: not the newest net";
-  Design.disconnect d ~inst ~pin:1;
-  Design.disconnect d ~inst ~pin:0;
-  Design.unsplit_net d ~net ~fresh:nb;
-  Design.remove_last_instance d;
-  Design.remove_last_net d;
-  if Place.is_placed t.pl inst then begin
-    let r = t.pl.Place.row.(inst) in
-    t.pl.Place.row_used.(r) <-
-      t.pl.Place.row_used.(r) -. b.Design.cell.Cell.width;
-    t.pl.Place.x.(inst) <- Float.nan;
-    t.pl.Place.row.(inst) <- -1
-  end;
-  (* retire the dead net's mirrors: route stats iterate the raw array *)
-  if nb < Array.length t.routes then t.routes.(nb) <- None;
-  Sta.Tgraph.sync_topology t.tg ~nets:[ net ] ~insts:[];
-  let n = Design.net d net in
-  t.routes.(net) <- Route.route_net t.pl n;
-  t.rc.(net) <- Extract.extract_net t.pl t.routes.(net) n;
-  Sta.Tgraph.update_rc t.tg net t.rc.(net);
-  let stats = Sta.Tgraph.retime t.tg ~dirty_nets:[ net ] ~dirty_insts:[] in
-  Obs.Metrics.incr m_edits;
-  stats
+  let dirty = ref [] in
+  List.iter
+    (fun s ->
+      let nid = s.s_nid in
+      let n = Design.net d nid in
+      if n.Design.driver = s.s_driver && n.Design.sinks = s.s_sinks
+         && n.Design.out_port = s.s_out_port
+      then begin
+        t.routes.(nid) <- s.s_route;
+        t.rc.(nid) <- s.s_rc
+      end
+      else begin
+        t.routes.(nid) <- Route.route_net t.pl n;
+        t.rc.(nid) <- Extract.extract_net t.pl t.routes.(nid) n;
+        if Sta.Tgraph.rc_differs t.tg nid t.rc.(nid) then dirty := nid :: !dirty;
+        Sta.Tgraph.update_rc t.tg nid t.rc.(nid)
+      end)
+    t.saved;
+  if !dirty <> [] then
+    ignore (Sta.Tgraph.retime t.tg ~dirty_nets:!dirty ~dirty_insts:[] : Sta.Tgraph.retime_stats);
+  close_trial t

@@ -7,7 +7,11 @@
     yet leaves the context byte-identical to re-running
     [Route.run → Extract.run → Sta.Tgraph.run] from scratch on the same
     mutated design (routing and extraction are pure per-net maps and
-    {!Sta.Tgraph.retime} is exact). *)
+    {!Sta.Tgraph.retime} is exact).
+
+    Edits between {!open_trial} and {!commit}/{!rollback} are
+    speculative: {!rollback} takes the context back to the state of the
+    open without re-timing the cone the trial touched. *)
 
 type t
 
@@ -24,7 +28,8 @@ val insert_tp :
     post-layout ECO: clocked from the nearest CTS leaf buffer of its
     domain (root clock net when no tree exists), legalized near the
     net's driver, with only the split net, the test-control nets and
-    the leaf clock net re-routed and re-timed. *)
+    the leaf clock net re-routed and re-timed. Raises [Invalid_argument]
+    inside a trial: a test point adds ports, which no rollback undoes. *)
 
 val insert_buffer :
   t -> net:int -> Netlist.Design.instance * Sta.Tgraph.retime_stats
@@ -40,26 +45,41 @@ val downsize : t -> inst:int -> Sta.Tgraph.retime_stats option
     and the exact inverse of {!upsize}; [None] at minimum drive. *)
 
 val resize : t -> inst:int -> cell:Stdcell.Cell.t -> Sta.Tgraph.retime_stats
-(** Swap [inst] for [cell] (same pin interface, identity pin map). The
-    revert primitive behind speculative sizing: remember the old cell,
-    trial an {!upsize}/{!downsize}, and [resize] back if timing regressed.
-    Raises [Invalid_argument] if the pin counts differ. *)
+(** Swap [inst] for [cell] (same pin interface, identity pin map); the
+    edit behind {!upsize} and {!downsize}. Raises [Invalid_argument] if
+    the pin counts differ. *)
 
 val swap_pins : t -> inst:int -> pin_a:int -> pin_b:int -> Sta.Tgraph.retime_stats
 (** Exchange the nets on two input pins of [inst] — the commutative-pin
     ECO: with per-pin arc asymmetry ({!Stdcell.Library.default}, pin A
     fastest), moving the latest-arriving signal onto the fastest pin
-    shortens the worst arc. Self-inverse, so a regressing swap is
-    reverted by swapping back. Raises [Invalid_argument] unless both
-    pins are connected inputs. *)
+    shortens the worst arc. Raises [Invalid_argument] unless both pins
+    are connected inputs. *)
 
-val remove_buffer : t -> inst:int -> Sta.Tgraph.retime_stats
-(** Exact structural undo of the most recent {!insert_buffer}: [inst]
-    must still be the newest instance and its output net the newest net.
-    Unsplits the net (sink order preserved), removes the buffer cell and
-    net, unplaces it, and re-times the restored cone — leaving the
-    context byte-identical to one in which the buffer was never
-    inserted. Raises [Invalid_argument] if anything was appended since. *)
+(** {1 Speculative trials} (DESIGN.md §6.7) *)
+
+val open_trial : t -> unit
+(** Make the following {!insert_buffer}, {!resize}/{!upsize}/{!downsize}
+    and {!swap_pins} edits speculative: each logs its structural inverse
+    and the route and parasitics of the nets it re-routes, and the graph
+    journals the timing values it rewrites ({!Sta.Tgraph.open_journal}).
+    Raises [Invalid_argument] if a trial is already open. *)
+
+val commit : t -> unit
+(** Keep the trial's edits. *)
+
+val rollback : t -> unit
+(** Undo the trial's edits, newest first, with each edit's own inverse
+    (a buffer is unsplit and removed, a cell resized back, two pins
+    swapped back): design, placement and graph topology take the writes
+    those inverses always made. Then restore the journaled timing values
+    and, for every net whose connectivity came back as it was, its saved
+    route and parasitics, so nothing is re-timed. Undoing a resize or a
+    swap re-attaches the pin at the head of its nets' sink lists; those
+    nets are re-routed and re-extracted, and re-timed from the restored
+    state where that moves a load or an Elmore delay. The context is then
+    byte-identical to re-running route, extraction and timing on the
+    reverted design. *)
 
 val analysis : t -> Sta.Analysis.t
 (** Full report from the current graph state — endpoint slacks, eq. 3

@@ -13,7 +13,12 @@
    [update_rc] refreshes one net's parasitics after re-extraction,
    [sync_topology] absorbs appended instances/nets and rewired pins and
    incrementally re-levelizes the affected cone (levels only ever rise —
-   netlist surgery here only lengthens paths). *)
+   netlist surgery here only lengthens paths).
+
+   An open journal ([open_journal] .. [commit]/[rollback]) records the
+   old value of every pre-existing slot [update_rc] and [retime] rewrite,
+   once per slot, so a rejected speculative edit is rolled back by
+   restoring them instead of re-timing its cone. *)
 
 module Design = Netlist.Design
 module Cell = Stdcell.Cell
@@ -28,6 +33,29 @@ let empty_floats : float array = [||]
 (* sink-Elmore keys pack (instance, pin): pin indices are < 8 for every
    cell kind (Tsff has 6 pins) *)
 let elm_key ~inst ~pin = (inst lsl 4) lor (pin land 15)
+
+(* the undo journal of one speculative edit. Each journaled net keeps its
+   old (arrival, slew, total_cap) in [n_floats], its (id, from_inst,
+   from_pin) in [n_ints] and its sink-Elmore arrays (which [update_rc]
+   replaces, never mutates) in [n_keys]/[n_vals]; each journaled
+   instance keeps [2 * id + old slow flag] in [insts]. Slots at or past
+   the live sizes of the open ([nn0]/[ni0]) are fresh: the undo retires
+   them and regrowth re-initialises them, so they are not journaled. *)
+type journal = {
+  mutable live : bool;
+  mutable nn0 : int;
+  mutable ni0 : int;
+  mutable slow_count0 : int;
+  mutable net_seen : bool array;        (* per net: journaled this trial *)
+  mutable inst_seen : bool array;       (* per instance *)
+  mutable n_len : int;
+  mutable n_floats : float array;
+  mutable n_ints : int array;
+  mutable n_keys : int array array;
+  mutable n_vals : float array array;
+  mutable i_len : int;
+  mutable insts : int array;
+}
 
 type t = {
   d : Design.t;
@@ -55,7 +83,11 @@ type t = {
   mutable arc_lo : int array;           (* CSR range into the arc arrays *)
   mutable arc_hi : int array;
   mutable inst_mark : bool array;       (* worklist scratch, all-false at rest *)
+  mutable bucket_next : int array;      (* [retime]'s per-level lists *)
   mutable neg_slack : float array;      (* [wns_tns] scratch *)
+  mutable seq : bool array;             (* sequential cell: an endpoint candidate *)
+  mutable eps : int array;              (* the [seq] instances, ascending id *)
+  mutable neps : int;
   (* --- flat application-mode arcs (append-only CSR) --- *)
   mutable na : int;
   mutable a_from : int array;
@@ -66,6 +98,8 @@ type t = {
   mutable order : int array;            (* considered insts, (level, id) order *)
   mutable order_valid : bool;
   mutable required_valid : bool;
+  mutable bucket_head : int array;      (* by level, -1 = empty; all -1 at rest *)
+  j : journal;
   (* [Lut.interp]'s slew, load and value: the lookups of [eval_inst]
      and [set_required] box no float. Each graph owns its buffer: a -j
      sweep times several graphs over one shared library at once. *)
@@ -75,6 +109,11 @@ type t = {
 let num_nets t = t.nn
 let level t iid = t.level.(iid)
 let arrival t nid = t.arrival.(nid)
+let slew t nid = t.slew.(nid)
+let from_inst t nid = t.from_inst.(nid)
+let from_pin t nid = t.from_pin.(nid)
+let slow t iid = t.slow.(iid)
+let slow_count t = t.slow_count
 
 let[@inline] elmore t nid ~inst ~pin =
   let keys = t.elm_keys.(nid) in
@@ -124,7 +163,8 @@ let ensure_net_capacity t n =
     t.elm_keys <- grow_ints_arr t.elm_keys c;
     t.elm_vals <- grow_floats_arr t.elm_vals c;
     t.driver <- grow_ints t.driver c (-1);
-    t.required <- grow_floats t.required c infinity
+    t.required <- grow_floats t.required c infinity;
+    t.j.net_seen <- grow_bools t.j.net_seen c
   end
 
 let ensure_inst_capacity t n =
@@ -140,7 +180,11 @@ let ensure_inst_capacity t n =
     t.arc_lo <- grow_ints t.arc_lo c 0;
     t.arc_hi <- grow_ints t.arc_hi c 0;
     t.inst_mark <- grow_bools t.inst_mark c;
-    t.neg_slack <- grow_floats t.neg_slack c 0.0
+    t.bucket_next <- grow_ints t.bucket_next c (-1);
+    t.neg_slack <- grow_floats t.neg_slack c 0.0;
+    t.seq <- grow_bools t.seq c;
+    t.eps <- grow_ints t.eps c 0;
+    t.j.inst_seen <- grow_bools t.j.inst_seen c
   end
 
 (* [filler] seeds the slots of a freshly grown arc array; every live slot
@@ -167,11 +211,117 @@ let considered_kind = function
 let is_timing_input t iid pin =
   if t.launch.(iid) then pin = t.ck_pin.(iid)
   else begin
-    let rec scan k = k < t.arc_hi.(iid) && (t.a_from.(k) = pin || scan (k + 1)) in
-    scan t.arc_lo.(iid)
+    let k = ref t.arc_lo.(iid) and hi = t.arc_hi.(iid) in
+    while !k < hi && t.a_from.(!k) <> pin do incr k done;
+    !k < hi
   end
 
+(* ---- the undo journal ---- *)
+
+let journal_net t nid =
+  let j = t.j in
+  if j.live && nid < j.nn0 && not j.net_seen.(nid) then begin
+    j.net_seen.(nid) <- true;
+    let k = j.n_len in
+    if k = Array.length j.n_keys then begin
+      let c = max 16 (2 * k) in
+      j.n_floats <- grow_floats j.n_floats (3 * c) 0.0;
+      j.n_ints <- grow_ints j.n_ints (3 * c) 0;
+      j.n_keys <- grow_ints_arr j.n_keys c;
+      j.n_vals <- grow_floats_arr j.n_vals c
+    end;
+    j.n_floats.(3 * k) <- t.arrival.(nid);
+    j.n_floats.((3 * k) + 1) <- t.slew.(nid);
+    j.n_floats.((3 * k) + 2) <- t.total_cap.(nid);
+    j.n_ints.(3 * k) <- nid;
+    j.n_ints.((3 * k) + 1) <- t.from_inst.(nid);
+    j.n_ints.((3 * k) + 2) <- t.from_pin.(nid);
+    j.n_keys.(k) <- t.elm_keys.(nid);
+    j.n_vals.(k) <- t.elm_vals.(nid);
+    j.n_len <- k + 1
+  end
+
+let journal_inst t iid =
+  let j = t.j in
+  if j.live && iid < j.ni0 && not j.inst_seen.(iid) then begin
+    j.inst_seen.(iid) <- true;
+    if j.i_len = Array.length j.insts then
+      j.insts <- grow_ints j.insts (max 16 (2 * j.i_len)) 0;
+    j.insts.(j.i_len) <- (2 * iid) + if t.slow.(iid) then 1 else 0;
+    j.i_len <- j.i_len + 1
+  end
+
+let open_journal t =
+  let j = t.j in
+  if j.live then invalid_arg "Tgraph.open_journal: a journal is already open";
+  j.live <- true;
+  j.nn0 <- t.nn;
+  j.ni0 <- t.ni;
+  j.slow_count0 <- t.slow_count
+
+(* forget the entries: clears the seen marks and drops the Elmore
+   references, so the journal holds no dead arrays between trials *)
+let close_journal t =
+  let j = t.j in
+  if not j.live then invalid_arg "Tgraph: no open journal";
+  for k = 0 to j.n_len - 1 do
+    j.net_seen.(j.n_ints.(3 * k)) <- false;
+    j.n_keys.(k) <- empty_ints;
+    j.n_vals.(k) <- empty_floats
+  done;
+  for k = 0 to j.i_len - 1 do
+    j.inst_seen.(j.insts.(k) lsr 1) <- false
+  done;
+  j.n_len <- 0;
+  j.i_len <- 0;
+  j.live <- false
+
+let commit t = close_journal t
+
+let rollback t =
+  let j = t.j in
+  if not j.live then invalid_arg "Tgraph: no open journal";
+  for k = j.n_len - 1 downto 0 do
+    let nid = j.n_ints.(3 * k) in
+    t.arrival.(nid) <- j.n_floats.(3 * k);
+    t.slew.(nid) <- j.n_floats.((3 * k) + 1);
+    t.total_cap.(nid) <- j.n_floats.((3 * k) + 2);
+    t.from_inst.(nid) <- j.n_ints.((3 * k) + 1);
+    t.from_pin.(nid) <- j.n_ints.((3 * k) + 2);
+    t.elm_keys.(nid) <- j.n_keys.(k);
+    t.elm_vals.(nid) <- j.n_vals.(k)
+  done;
+  for k = j.i_len - 1 downto 0 do
+    let e = j.insts.(k) in
+    t.slow.(e lsr 1) <- e land 1 = 1
+  done;
+  t.slow_count <- j.slow_count0;
+  Obs.Metrics.set g_slow_nodes (float_of_int t.slow_count);
+  t.required_valid <- false;
+  close_journal t
+
+let same_float a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* whether [update_rc t nid rc] would move a value timing reads: the
+   load, or the Elmore delay of some sink (looked up by key, so the
+   order of [sink_delays] does not matter) *)
+let rc_differs t nid (rc : Layout.Extract.net_rc) =
+  let keys = t.elm_keys.(nid) and vals = t.elm_vals.(nid) in
+  let n = Array.length keys in
+  let rec differs = function
+    | [] -> false
+    | (s : Layout.Extract.sink_rc) :: rest ->
+      let key = elm_key ~inst:s.Layout.Extract.s_inst ~pin:s.Layout.Extract.s_pin in
+      let k = ref 0 in
+      while !k < n && keys.(!k) <> key do incr k done;
+      !k = n || (not (same_float vals.(!k) s.Layout.Extract.elmore_ps)) || differs rest
+  in
+  (not (same_float t.total_cap.(nid) rc.Layout.Extract.total_cap_ff))
+  || List.length rc.Layout.Extract.sink_delays <> n
+  || differs rc.Layout.Extract.sink_delays
+
 let update_rc t nid (rc : Layout.Extract.net_rc) =
+  journal_net t nid;
   t.total_cap.(nid) <- rc.Layout.Extract.total_cap_ff;
   let sd = rc.Layout.Extract.sink_delays in
   let k = List.length sd in
@@ -215,6 +365,7 @@ let sync_inst t iid =
   let i = Design.inst t.d iid in
   let cell = i.Design.cell in
   t.considered.(iid) <- considered_kind cell.Cell.kind;
+  t.seq.(iid) <- cell.Cell.sequential;
   t.launch.(iid) <- Analysis.is_launch i;
   t.ck_pin.(iid) <- (match Cell.clock_pin cell with Some p -> p | None -> -1);
   t.out_pin.(iid) <-
@@ -369,6 +520,17 @@ let count_slow t lo hi =
   done;
   !c
 
+(* the endpoint candidates [wns_tns] walks: every sequential instance,
+   in ascending id order *)
+let rebuild_endpoints t =
+  t.neps <- 0;
+  for iid = 0 to t.ni - 1 do
+    if t.seq.(iid) then begin
+      t.eps.(t.neps) <- iid;
+      t.neps <- t.neps + 1
+    end
+  done
+
 let sync_topology t ~nets ~insts =
   let d = t.d in
   let old_ni = t.ni and old_nn = t.nn in
@@ -395,9 +557,18 @@ let sync_topology t ~nets ~insts =
      an order that predates this instance. Zero the reborn slots and force
      an order rebuild. *)
   if t.ni > old_ni then t.order_valid <- false;
+  (* the endpoint list loses the dropped slots and gains the new ones;
+     ids only grow, so both ends of it stay sorted *)
+  while t.neps > 0 && t.eps.(t.neps - 1) >= t.ni do
+    t.neps <- t.neps - 1
+  done;
   for iid = old_ni to t.ni - 1 do
     t.level.(iid) <- 0;
-    sync_inst t iid
+    sync_inst t iid;
+    if t.seq.(iid) then begin
+      t.eps.(t.neps) <- iid;
+      t.neps <- t.neps + 1
+    end
   done;
   for nid = old_nn to t.nn - 1 do
     sync_net t nid;
@@ -409,7 +580,16 @@ let sync_topology t ~nets ~insts =
     t.from_inst.(nid) <- -1;
     t.from_pin.(nid) <- -1
   done;
-  List.iter (fun iid -> if iid < old_ni then sync_inst t iid) insts;
+  let reseq = ref false in
+  List.iter
+    (fun iid ->
+      if iid < old_ni then begin
+        let was = t.seq.(iid) in
+        sync_inst t iid;
+        if t.seq.(iid) <> was then reseq := true
+      end)
+    insts;
+  if !reseq then rebuild_endpoints t;
   List.iter (fun nid -> if nid < old_nn then sync_net t nid) nets;
   (* instances whose input topology may have changed: edited ones, new
      ones, and every sink of an edited net *)
@@ -441,17 +621,19 @@ let reset_net t nid =
    state this instance owns (its unique output net's arrival/slew/
    provenance and its own slow flag), so instances of one level can be
    evaluated in any order, bit-identically. Boxes no float: both
-   lookups go through [t.buf]. *)
-let eval_inst t counter iid =
+   lookups go through [t.buf]. Returns how many arcs it evaluated: the
+   callers move their arc counter once per pass, not once per arc. *)
+let eval_inst t iid =
   let conns = (Design.inst t.d iid).Design.conns in
   let buf = t.buf in
   let launch = t.launch.(iid) and ck = t.ck_pin.(iid) in
+  let arcs = ref 0 in
   for k = t.arc_lo.(iid) to t.arc_hi.(iid) - 1 do
     let fp = t.a_from.(k) in
     if (not launch) || fp = ck then begin
       let in_net = conns.(fp) and on = conns.(t.a_to.(k)) in
       if in_net >= 0 && on >= 0 && t.arrival.(in_net) > neg_infinity then begin
-        Obs.Metrics.incr counter;
+        incr arcs;
         let e = elmore t in_net ~inst:iid ~pin:fp in
         buf.(0) <- t.slew.(in_net) +. (2.0 *. e);
         buf.(1) <- t.total_cap.(on);
@@ -469,11 +651,13 @@ let eval_inst t counter iid =
         if x_delay || x_slew then t.slow.(iid) <- true
       end
     end
-  done
+  done;
+  !arcs
 
-(* full propagation from seeds, level-ordered; moves [sta.arcs_evaluated]
-   once per evaluated arc and sets [sta.slow_nodes] *)
+(* full propagation from seeds, level-ordered; adds the evaluated arcs to
+   [sta.arcs_evaluated] and sets [sta.slow_nodes] *)
 let propagate t =
+  if t.j.live then invalid_arg "Tgraph.propagate: a journal is open";
   for nid = 0 to t.nn - 1 do
     reset_net t nid
   done;
@@ -482,7 +666,9 @@ let propagate t =
   done;
   if not t.order_valid then rebuild_order t;
   Obs.Trace.with_span ~name:"sta.propagate" (fun () ->
-      Array.iter (eval_inst t m_arcs) t.order);
+      let arcs = ref 0 in
+      Array.iter (fun iid -> arcs := !arcs + eval_inst t iid) t.order;
+      Obs.Metrics.add m_arcs !arcs);
   t.slow_count <- count_slow t 0 t.ni;
   Obs.Metrics.set g_slow_nodes (float_of_int t.slow_count);
   t.required_valid <- false
@@ -524,7 +710,11 @@ let compile_partial (d : Design.t)
       arc_lo = Array.make (max ni 1) 0;
       arc_hi = Array.make (max ni 1) 0;
       inst_mark = Array.make (max ni 1) false;
+      bucket_next = Array.make (max ni 1) (-1);
       neg_slack = Array.make (max ni 1) 0.0;
+      seq = Array.make (max ni 1) false;
+      eps = Array.make (max ni 1) 0;
+      neps = 0;
       na = 0;
       a_from = empty_ints;
       a_to = empty_ints;
@@ -533,11 +723,27 @@ let compile_partial (d : Design.t)
       order = empty_ints;
       order_valid = false;
       required_valid = false;
+      bucket_head = empty_ints;
+      j =
+        { live = false;
+          nn0 = 0;
+          ni0 = 0;
+          slow_count0 = 0;
+          net_seen = Array.make (max nn 1) false;
+          inst_seen = Array.make (max ni 1) false;
+          n_len = 0;
+          n_floats = empty_floats;
+          n_ints = empty_ints;
+          n_keys = [||];
+          n_vals = [||];
+          i_len = 0;
+          insts = empty_ints };
       buf = Array.make 3 0.0 }
   in
   for iid = 0 to ni - 1 do
     sync_inst t iid
   done;
+  rebuild_endpoints t;
   for nid = 0 to nn - 1 do
     sync_net t nid;
     update_rc t nid rc.(nid)
@@ -703,13 +909,14 @@ let sort_floats (a : float array) n =
 (* WNS is the smallest endpoint slack under [compare] (0 with no
    endpoint; ties to the highest instance id, as a stable sort of the
    slacks would keep); TNS sums the negative ones in ascending order,
-   which fixes its rounding. No list, no record, no boxed float per
+   which fixes its rounding. Walks only the endpoint candidates, in
+   ascending id order. No list, no record, no boxed float per
    endpoint *)
 let wns_tns t =
   let d = t.d and neg = t.neg_slack in
   let wns = ref 0.0 and found = ref false and nneg = ref 0 in
-  for iid = 0 to Design.num_insts d - 1 do
-    let i = Design.inst d iid in
+  for k = 0 to t.neps - 1 do
+    let i = Design.inst d t.eps.(k) in
     let dp = endpoint_pin t i in
     if dp >= 0 then begin
       let s = endpoint_slack t i dp in
@@ -731,12 +938,14 @@ let wns_tns t =
 (* endpoint setup slacks, worst first *)
 let slack t =
   let acc = ref [] in
-  Design.iter_insts t.d (fun i ->
-      let dp = endpoint_pin t i in
-      if dp >= 0 then
-        acc :=
-          { ff = i.Design.id; domain = i.Design.domain; slack_ps = endpoint_slack t i dp }
-          :: !acc);
+  for k = 0 to t.neps - 1 do
+    let i = Design.inst t.d t.eps.(k) in
+    let dp = endpoint_pin t i in
+    if dp >= 0 then
+      acc :=
+        { ff = i.Design.id; domain = i.Design.domain; slack_ps = endpoint_slack t i dp }
+        :: !acc
+  done;
   let endpoints = List.sort (fun x y -> compare x.slack_ps y.slack_ps) !acc in
   let wns, tns = wns_tns t in
   let violations = List.length (List.filter (fun e -> e.slack_ps < 0.0) endpoints) in
@@ -785,10 +994,11 @@ let critical_nets t ~margin_ps =
    Bookkeeping lands in its own [sta.incremental.*] counters, never in
    the whole-graph [sta.*] ones.
 
-   The worklist membership flags are the graph's [inst_mark] scratch
-   array (all-false between calls): a repair sweep retimes thousands of
-   times, and a fresh instance-sized array per call would go straight to
-   the major heap. *)
+   The worklist lives in the graph, as in [Atpg.Fsim]: membership flags
+   in [inst_mark] (all-false between calls) and one intrusive list per
+   level through [bucket_head]/[bucket_next] (all-empty between calls).
+   A repair sweep retimes thousands of times, and per-call buckets would
+   allocate on every one. *)
 
 let m_retimes = Obs.Metrics.counter "sta.incremental.retimes"
 let m_inc_arcs = Obs.Metrics.counter "sta.incremental.arcs_evaluated"
@@ -802,69 +1012,84 @@ type retime_stats = {
   nets_settled : int;
 }
 
-let same_float a b = Int64.bits_of_float a = Int64.bits_of_float b
+(* push [iid] onto its level's intrusive list, once per retime *)
+let enqueue t iid =
+  if iid >= 0 && iid < t.ni && not t.inst_mark.(iid) then begin
+    t.inst_mark.(iid) <- true;
+    let l = t.level.(iid) in
+    t.bucket_next.(iid) <- t.bucket_head.(l);
+    t.bucket_head.(l) <- iid
+  end
+
+let rec enqueue_consumers t = function
+  | [] -> ()
+  | (sid, pin) :: rest ->
+    if is_timing_input t sid pin then enqueue t sid;
+    enqueue_consumers t rest
+
+(* frontier: a dirty net's parasitics feed both its driver (load) and
+   its consumers (sink arrival/slew) *)
+let rec enqueue_dirty_nets t = function
+  | [] -> ()
+  | nid :: rest ->
+    enqueue t t.driver.(nid);
+    enqueue_consumers t (Design.net t.d nid).Design.sinks;
+    enqueue_dirty_nets t rest
+
+let rec enqueue_insts t = function
+  | [] -> ()
+  | iid :: rest ->
+    enqueue t iid;
+    enqueue_insts t rest
 
 let retime t ~dirty_nets ~dirty_insts =
   Obs.Metrics.incr m_retimes;
-  let d = t.d in
   let arrival = t.arrival and slew = t.slew in
   let from_inst = t.from_inst and from_pin = t.from_pin in
   let nlev = t.max_level + 1 in
-  (* ---- forward: level-bucketed worklist ---- *)
-  let buckets = Array.make nlev [] in
-  let queued = t.inst_mark in
-  let enqueue iid =
-    if iid >= 0 && iid < t.ni && not queued.(iid) then begin
-      queued.(iid) <- true;
-      buckets.(t.level.(iid)) <- iid :: buckets.(t.level.(iid))
-    end
-  in
-  let consumers_of nid f =
-    List.iter
-      (fun (sid, pin) -> if is_timing_input t sid pin then f sid)
-      (Design.net d nid).Design.sinks
-  in
-  (* frontier: a dirty net's parasitics feed both its driver (load) and
-     its consumers (sink arrival/slew) *)
-  List.iter
-    (fun nid ->
-      enqueue t.driver.(nid);
-      consumers_of nid enqueue)
-    dirty_nets;
-  List.iter enqueue dirty_insts;
-  let insts_evaluated = ref 0 in
+  if Array.length t.bucket_head < nlev then t.bucket_head <- Array.make (2 * nlev) (-1);
+  enqueue_dirty_nets t dirty_nets;
+  enqueue_insts t dirty_insts;
+  let insts_evaluated = ref 0 and arcs = ref 0 in
   let nets_changed = ref 0 and nets_settled = ref 0 in
+  (* a consumer sits on a strictly higher level, so a level's list is
+     complete when the walk reaches it; the order within a level does
+     not matter ([eval_inst]) *)
   for l = 0 to nlev - 1 do
-    List.iter
-      (fun iid ->
-        queued.(iid) <- false;
-        incr insts_evaluated;
-        Obs.Metrics.incr m_insts;
-        if t.slow.(iid) then t.slow_count <- t.slow_count - 1;
-        t.slow.(iid) <- false;
-        match out_net t iid with
-        | -1 -> ()
-        | on ->
-          let old_arr = arrival.(on) and old_slew = slew.(on) in
-          let old_fi = from_inst.(on) and old_fp = from_pin.(on) in
-          reset_net t on;
-          eval_inst t m_inc_arcs iid;
-          if t.slow.(iid) then t.slow_count <- t.slow_count + 1;
-          if
-            same_float old_arr arrival.(on)
-            && same_float old_slew slew.(on)
-            && old_fi = from_inst.(on) && old_fp = from_pin.(on)
-          then begin
-            incr nets_settled;
-            Obs.Metrics.incr m_settled
-          end
-          else begin
-            incr nets_changed;
-            Obs.Metrics.incr m_changed;
-            consumers_of on enqueue
-          end)
-      (List.rev buckets.(l))
+    let next = ref t.bucket_head.(l) in
+    t.bucket_head.(l) <- -1;
+    while !next >= 0 do
+      let iid = !next in
+      next := t.bucket_next.(iid);
+      t.inst_mark.(iid) <- false;
+      incr insts_evaluated;
+      journal_inst t iid;
+      if t.slow.(iid) then t.slow_count <- t.slow_count - 1;
+      t.slow.(iid) <- false;
+      let on = out_net t iid in
+      if on >= 0 then begin
+        journal_net t on;
+        let old_arr = arrival.(on) and old_slew = slew.(on) in
+        let old_fi = from_inst.(on) and old_fp = from_pin.(on) in
+        reset_net t on;
+        arcs := !arcs + eval_inst t iid;
+        if t.slow.(iid) then t.slow_count <- t.slow_count + 1;
+        if
+          same_float old_arr arrival.(on)
+          && same_float old_slew slew.(on)
+          && old_fi = from_inst.(on) && old_fp = from_pin.(on)
+        then incr nets_settled
+        else begin
+          incr nets_changed;
+          enqueue_consumers t (Design.net t.d on).Design.sinks
+        end
+      end
+    done
   done;
+  Obs.Metrics.add m_insts !insts_evaluated;
+  Obs.Metrics.add m_inc_arcs !arcs;
+  Obs.Metrics.add m_changed !nets_changed;
+  Obs.Metrics.add m_settled !nets_settled;
   Obs.Metrics.set g_slow_nodes (float_of_int t.slow_count);
   t.required_valid <- false;
   { insts_evaluated = !insts_evaluated;

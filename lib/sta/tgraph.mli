@@ -32,7 +32,8 @@ val compile_partial :
     times exactly as under {!compile}. *)
 
 val propagate : t -> unit
-(** Full from-seed level-ordered propagation. *)
+(** Full from-seed level-ordered propagation. Raises [Invalid_argument]
+    while a journal is open. *)
 
 val analysis : t -> Analysis.t
 (** Endpoint/critical-path report from the current propagated state, via
@@ -48,6 +49,11 @@ val run : Netlist.Design.t -> Layout.Extract.net_rc array -> Analysis.t
 val update_rc : t -> int -> Layout.Extract.net_rc -> unit
 (** Refresh one net's load and sink Elmores after re-extraction. *)
 
+val rc_differs : t -> int -> Layout.Extract.net_rc -> bool
+(** Whether {!update_rc} with this parasitics record would change a value
+    timing reads: the net's load or some sink's Elmore delay, bit for bit
+    (sinks matched by instance and pin, in any order). *)
+
 val sync_topology : t -> nets:int list -> insts:int list -> unit
 (** Absorb netlist surgery: appended instances and nets are mirrored
     automatically; [nets]/[insts] must list every {e pre-existing} net
@@ -56,7 +62,34 @@ val sync_topology : t -> nets:int list -> insts:int list -> unit
     Also absorbs a shrink — a speculative-edit rollback that removed the
     newest instances/nets ({!Netlist.Design.remove_last_instance}) — by
     retiring their mirror slots and rebuilding the evaluation order.
+    Keeps the endpoint-candidate list {!wns_tns} walks: appended
+    sequential instances join it, dropped slots leave it.
     Raises {!Analysis.Combinational_cycle} if the edit closed a loop. *)
+
+(** {1 Speculative edits}
+
+    A rejected trial edit is undone in two halves: the caller reverts
+    the netlist and re-{!sync_topology}s it (levels, arcs, drivers,
+    endpoint list), and {!rollback} restores the timing values the
+    trial changed, so nothing is re-timed (DESIGN.md §6.6). *)
+
+val open_journal : t -> unit
+(** Start recording. Until {!commit} or {!rollback}, {!update_rc} and
+    {!retime} journal the old (arrival, slew, provenance, load, sink
+    Elmores) of every net they rewrite and the old slow flag of every
+    instance they evaluate, once per slot; slots appended after the
+    open are not journaled. Raises [Invalid_argument] if one is open. *)
+
+val commit : t -> unit
+(** Keep the trial: forget the journal. *)
+
+val rollback : t -> unit
+(** Restore every journaled value (newest entry first) and the slow-node
+    count of the open, set the [sta.slow_nodes] gauge and invalidate
+    required times. Exact once the netlist has been reverted and
+    re-synced: the restored values are the propagated state of the
+    design as it was at the open, which routing, extraction and timing
+    would recompute bit for bit (pure functions of that design). *)
 
 (** {1 Cone re-timing} *)
 
@@ -79,15 +112,22 @@ val retime : t -> dirty_nets:int list -> dirty_insts:int list -> retime_stats
     replays the driver's arcs in declaration order, and stops at nets
     whose (arrival, slew, provenance) came out bitwise unchanged.
 
-    Required times are invalidated ({!critical_nets} recomputes them on
-    demand). Bookkeeping lands in [sta.incremental.*] counters only; the
-    whole-graph counters ([sta.arcs_evaluated], ...) are never touched. *)
+    The worklist is per-level intrusive lists in the graph, so a retime
+    allocates only its result record. Required times are invalidated
+    ({!critical_nets} recomputes them on demand). Bookkeeping lands in
+    [sta.incremental.*] counters only; the whole-graph counters
+    ([sta.arcs_evaluated], ...) are never touched. *)
 
 (** {1 Queries} *)
 
 val num_nets : t -> int
 val level : t -> int -> int
 val arrival : t -> int -> float
+val slew : t -> int -> float
+val from_inst : t -> int -> int
+val from_pin : t -> int -> int
+val slow : t -> int -> bool
+val slow_count : t -> int
 
 (** {1 Required times and slacks} *)
 
@@ -119,8 +159,10 @@ val slack : t -> slack_report
 val wns_tns : t -> float * float
 (** [(wns, tns)] of {!slack} (which takes them from here) without
     building the report: no list, no sort of records, no boxed float per
-    endpoint. [tns] sums the negative slacks in ascending order. The
-    repair objective evaluates it after every trial ECO. *)
+    endpoint. It walks the graph's list of sequential instances (in
+    ascending id order, which fixes ties) instead of every instance.
+    [tns] sums the negative slacks in ascending order. The repair
+    objective evaluates it after every trial ECO. *)
 
 val critical_nets : t -> margin_ps:float -> int list
 (** Nets whose slack is within [margin_ps] of the worst net slack —

@@ -28,9 +28,15 @@ let[@inline] int t bound =
   let v = Int64.to_int (Int64.logand (int64 t) 0x3FFFFFFFFFFFFFFFL) in
   v mod bound
 
-let[@inline] float t bound =
+let[@inline] draw_float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   bound *. v /. 9007199254740992.0 (* 2^53 *)
+
+let float t bound = draw_float t bound
+
+(* the same draw stored unboxed: a float returned across modules is
+   boxed, one written into a float array is not *)
+let float_into t bound (a : float array) i = a.(i) <- draw_float t bound
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 

@@ -21,6 +21,11 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
+val float_into : t -> float -> float array -> int -> unit
+(** [float_into t bound a i] stores in [a.(i)] the value [float t bound]
+    would return, bit for bit, from the same state. Allocates nothing:
+    the result is not boxed. *)
+
 val bool : t -> bool
 
 val gaussian : t -> mean:float -> stddev:float -> float

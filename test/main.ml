@@ -15,6 +15,7 @@ let () =
       ("place-exact", Test_layout.exactness);
       ("sta", Test_sta.suite);
       ("incremental", Test_incremental.suite);
+      ("rollback", Test_incremental.rollback);
       ("extra", Test_extra.suite);
       ("repair", Test_repair.suite);
       ("properties", Test_props.suite);

@@ -325,6 +325,36 @@ let test_retime_slow_count () =
   Alcotest.(check bool) "lightening clears a flag" true (light < heavy);
   Alcotest.(check int) "restored" heavy (step "restored" rc)
 
+(* the cone worklist lives in the graph: a retime that evaluates a wide
+   cone allocates its result record and nothing per instance *)
+let test_retime_allocation_free () =
+  let d = Circuits.Bench.tiny ~ffs:40 ~gates:500 () in
+  let pl, _, rc = analysed d in
+  let tg = T.compile d rc in
+  T.propagate tg;
+  (* the widest cell-driven net: loading it moves its whole cone *)
+  let net = ref (-1) in
+  Design.iter_nets d (fun n ->
+      match n.Design.driver with
+      | Design.Cell_pin _
+        when !net < 0
+             || List.length n.Design.sinks > List.length (Design.net d !net).Design.sinks ->
+        net := n.Design.nid
+      | _ -> ());
+  let nid = !net and dirty = [ !net ] in
+  ignore pl;
+  let retime_words cap =
+    T.update_rc tg nid { (rc.(nid)) with Layout.Extract.total_cap_ff = cap };
+    let w0 = Gc.minor_words () in
+    let st = T.retime tg ~dirty_nets:dirty ~dirty_insts:[] in
+    (Gc.minor_words () -. w0, st.T.insts_evaluated)
+  in
+  ignore (retime_words (rc.(nid).Layout.Extract.total_cap_ff +. 40.0));
+  let words, evaluated = retime_words rc.(nid).Layout.Extract.total_cap_ff in
+  Alcotest.(check bool) (Printf.sprintf "cone of %d insts" evaluated) true (evaluated > 20);
+  if words > 16.0 then
+    Alcotest.failf "retime of %d instances allocated %.0f minor words" evaluated words
+
 let suite =
   [ Alcotest.test_case "tgraph mini = analysis" `Quick test_tgraph_mini;
     Alcotest.test_case "tgraph tiny = analysis" `Quick test_tgraph_tiny;
@@ -337,4 +367,179 @@ let suite =
     Alcotest.test_case "eco cone bounded" `Quick test_eco_cone_bounded;
     QCheck_alcotest.to_alcotest prop_random_eco_sequence;
     Alcotest.test_case "warm propagate allocation-free" `Quick test_propagate_allocation_free;
-    Alcotest.test_case "retime keeps the slow-node count" `Quick test_retime_slow_count ]
+    Alcotest.test_case "retime keeps the slow-node count" `Quick test_retime_slow_count;
+    Alcotest.test_case "retime allocation-free" `Quick test_retime_allocation_free ]
+
+(* ---- speculative trials: commit or roll back ---- *)
+
+(* two-input commutative instances whose A/B pins carry different nets *)
+let swappable_insts d =
+  let acc = ref [] in
+  Design.iter_insts d (fun i ->
+      match i.Design.cell.Cell.kind with
+      | Cell.Nand2 | Cell.Nand3 | Cell.Nor2 | Cell.Nor3 | Cell.And2 | Cell.Or2 | Cell.Xor2
+      | Cell.Xnor2 ->
+        let a = i.Design.conns.(0) and b = i.Design.conns.(1) in
+        if a >= 0 && b >= 0 && a <> b then acc := i.Design.id :: !acc
+      | _ -> ());
+  Array.of_list (List.rev !acc)
+
+let downsizable_insts d =
+  let acc = ref [] in
+  Design.iter_insts d (fun i ->
+      if Stdcell.Library.downsize d.Design.lib i.Design.cell <> None then
+        acc := i.Design.id :: !acc);
+  Array.of_list (List.rev !acc)
+
+(* the graph's timing state over the live slots *)
+type timing_snapshot = {
+  s_arrival : float array;
+  s_slew : float array;
+  s_from_inst : int array;
+  s_from_pin : int array;
+  s_slow : bool array;
+  s_slow_count : int;
+}
+
+let snapshot (ctx : Flow.Retime.t) =
+  let tg = Flow.Retime.tgraph ctx and d = Flow.Retime.design ctx in
+  let nn = Design.num_nets d and ni = Design.num_insts d in
+  { s_arrival = Array.init nn (T.arrival tg);
+    s_slew = Array.init nn (T.slew tg);
+    s_from_inst = Array.init nn (T.from_inst tg);
+    s_from_pin = Array.init nn (T.from_pin tg);
+    s_slow = Array.init ni (T.slow tg);
+    s_slow_count = T.slow_count tg }
+
+let same_snapshot a b =
+  let floats x y = Array.length x = Array.length y && Array.for_all2 (fun p q -> bits p = bits q) x y in
+  floats a.s_arrival b.s_arrival && floats a.s_slew b.s_slew
+  && a.s_from_inst = b.s_from_inst && a.s_from_pin = b.s_from_pin
+  && a.s_slow = b.s_slow && a.s_slow_count = b.s_slow_count
+
+(* the values timing reads off one net's parasitics: load and each sink's
+   Elmore delay, keyed by sink *)
+let rc_values (r : Layout.Extract.net_rc) =
+  ( bits r.Layout.Extract.total_cap_ff,
+    List.sort compare
+      (List.map
+         (fun (s : Layout.Extract.sink_rc) ->
+           (s.Layout.Extract.s_inst, s.Layout.Extract.s_pin, bits s.Layout.Extract.elmore_ps))
+         r.Layout.Extract.sink_delays) )
+
+(* the context against a fresh route/extract/reference analysis: timing
+   bit for bit, every live net's route and parasitics structurally *)
+let ctx_is_fresh ctx =
+  let pl = Flow.Retime.placement ctx in
+  let rt = Layout.Route.run pl in
+  let rc = Layout.Extract.run pl rt in
+  let full = Sta_reference.run pl rc in
+  let inc = Flow.Retime.analysis ctx in
+  let crc = Flow.Retime.rc ctx and croutes = (Flow.Retime.route ctx).Layout.Route.routes in
+  Array.for_all2 (fun a b -> bits a = bits b) full.A.arrival inc.A.arrival
+  && Array.for_all2 (fun a b -> bits a = bits b) full.A.slew inc.A.slew
+  && full.A.per_domain = inc.A.per_domain
+  && full.A.worst = inc.A.worst
+  && full.A.slow_nodes = inc.A.slow_nodes
+  && full.A.slow_nodes = T.slow_count (Flow.Retime.tgraph ctx)
+  && List.for_all
+       (fun nid ->
+         bits rc.(nid).Layout.Extract.total_cap_ff = bits crc.(nid).Layout.Extract.total_cap_ff
+         && rc.(nid).Layout.Extract.sink_delays = crc.(nid).Layout.Extract.sink_delays
+         && rt.Layout.Route.routes.(nid) = croutes.(nid))
+       (List.init (Array.length rc) Fun.id)
+
+let gen_trial_case =
+  QCheck.make
+    ~print:(fun (seed, trials) ->
+      Printf.sprintf "seed=%d trials=[%s]" seed
+        (String.concat ";"
+           (List.map (fun (k, i, c) -> Printf.sprintf "(%d,%d,%b)" k i c) trials)))
+    QCheck.Gen.(
+      pair (int_range 1 10_000)
+        (list_size (int_range 4 8) (triple (int_range 0 3) (int_range 0 1_000) bool)))
+
+(* QCheck: random trials (buffer, upsize, downsize, pin swap), each
+   committed or rolled back at random. After every step the context equals
+   a fresh route/extract/reference analysis of the design. A rollback
+   restores the graph's timing state bit for bit whenever the reverted
+   design's parasitics are the pre-trial ones: always after a buffer, and
+   after a resize or swap unless re-attaching the pin at the head of a
+   sink list moved a load or an Elmore delay, when the fresh-analysis
+   check is the one that applies. *)
+let prop_trial_rollback =
+  QCheck.Test.make ~name:"trial rollback is exact" ~count:6 gen_trial_case
+    (fun (seed, trials) ->
+      let d = Circuits.Bench.tiny ~seed ~ffs:30 ~gates:250 () in
+      let options =
+        { Flow.Pipeline.default_options with
+          Flow.Pipeline.tp_percent = 1.0;
+          run_atpg = false }
+      in
+      let r = Helpers.run_flow ~options d in
+      let ctx =
+        Flow.Retime.create r.Flow.Pipeline.placement r.Flow.Pipeline.route
+          r.Flow.Pipeline.rc
+      in
+      List.for_all
+        (fun (kind, pick, keep) ->
+          let d = Flow.Retime.design ctx in
+          let before = snapshot ctx in
+          let rc_before = Array.map rc_values (Array.sub (Flow.Retime.rc ctx) 0 (Design.num_nets d)) in
+          (* an empty candidate set leaves the trial empty *)
+          let with_pick a f = if Array.length a > 0 then f a.(pick mod Array.length a) in
+          Flow.Retime.open_trial ctx;
+          (match kind with
+           | 0 ->
+             with_pick (Array.of_list (pick_nets d 8)) (fun net ->
+                 ignore (Flow.Retime.insert_buffer ctx ~net))
+           | 1 -> with_pick (upsizable_insts d) (fun inst -> ignore (Flow.Retime.upsize ctx ~inst))
+           | 2 ->
+             with_pick (downsizable_insts d) (fun inst -> ignore (Flow.Retime.downsize ctx ~inst))
+           | _ ->
+             with_pick (swappable_insts d) (fun inst ->
+                 ignore (Flow.Retime.swap_pins ctx ~inst ~pin_a:0 ~pin_b:1)));
+          if keep then Flow.Retime.commit ctx else Flow.Retime.rollback ctx;
+          let restored =
+            keep
+            ||
+            let d = Flow.Retime.design ctx in
+            let nn = Design.num_nets d in
+            let rc_after = Array.map rc_values (Array.sub (Flow.Retime.rc ctx) 0 nn) in
+            rc_after <> rc_before || same_snapshot before (snapshot ctx)
+          in
+          restored && ctx_is_fresh ctx)
+        trials)
+
+(* slow flags and the slow-node count roll back too: a trial buffer
+   takes the overloaded net's load off its inverter (clearing the
+   inverter's flag); the rollback sets the flag, the count and the
+   [sta.slow_nodes] gauge back *)
+let test_rollback_slow_flags () =
+  let d = Helpers.slow_fanout_design () in
+  let pl = Layout.Place.run d (Layout.Floorplan.create ~utilization:0.8 d) in
+  let rt = Layout.Route.run pl in
+  let ctx = Flow.Retime.create pl rt (Layout.Extract.run pl rt) in
+  let tg = Flow.Retime.tgraph ctx in
+  let gauge = Obs.Metrics.gauge "sta.slow_nodes" in
+  let y = ref (-1) in
+  Design.iter_nets d (fun n -> if n.Design.nname = "y" then y := n.Design.nid);
+  let inv =
+    match (Design.net d !y).Design.driver with
+    | Design.Cell_pin (iid, _) -> iid
+    | _ -> Alcotest.fail "y has no cell driver"
+  in
+  Alcotest.(check bool) "the overloaded inverter is slow" true (T.slow tg inv);
+  let before = snapshot ctx in
+  Flow.Retime.open_trial ctx;
+  ignore (Flow.Retime.insert_buffer ctx ~net:!y);
+  Alcotest.(check bool) "the buffer takes the load" false (T.slow tg inv);
+  Flow.Retime.rollback ctx;
+  Alcotest.(check bool) "timing state restored" true (same_snapshot before (snapshot ctx));
+  Alcotest.(check int) "gauge" before.s_slow_count
+    (int_of_float (Obs.Metrics.gauge_value gauge));
+  Alcotest.(check bool) "equal to a fresh analysis" true (ctx_is_fresh ctx)
+
+let rollback =
+  [ QCheck_alcotest.to_alcotest prop_trial_rollback;
+    Alcotest.test_case "rollback restores slow flags" `Quick test_rollback_slow_flags ]

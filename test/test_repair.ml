@@ -80,8 +80,9 @@ let test_repair_pre_sta_is_unrepaired () =
   let rep = R.run ~route:rt ~rc pl in
   check_analysis_equal "pre_sta vs unrepaired flow" unrepaired rep.R.pre_sta
 
-(* regression for the stale-level rebirth bug: a rejected buffer frees the
-   newest instance slot and the next buffer reuses it. Its true level sits
+(* regression for the stale-level rebirth bug: a rejected buffer (a trial
+   rolled back, as repair rejects one) frees the newest instance slot and
+   the next buffer reuses it. Its true level sits
    at or below the dead occupant's, so the raise-only releveler used to
    leave [order_valid] standing — and a whole-graph propagate replayed an
    order without the reborn cell, leaving its output net at the -inf
@@ -105,8 +106,9 @@ let test_slot_rebirth () =
     | _ -> ()
   done;
   Alcotest.(check bool) "level gap" true (level.(!deep) > level.(!shallow));
+  Flow.Retime.open_trial ctx;
   let b1, _ = Flow.Retime.insert_buffer ctx ~net:!deep in
-  ignore (Flow.Retime.remove_buffer ctx ~inst:b1.Design.id);
+  Flow.Retime.rollback ctx;
   (* a whole-graph propagate here rebuilds the evaluation order without
      the dead buffer, the order the next insert must not inherit *)
   T.propagate tg;

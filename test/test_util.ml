@@ -70,14 +70,15 @@ let test_rng_stream_pinned () =
                  2226173963666258022L; -6085511320791375594L; -7677820967625356292L;
                  657159616876179323L; -1643695632770382395L ]) ]
 
-(* a draw updates the state in place: past warm-up, [int] and [shuffle]
-   over an int array allocate nothing, and [float] allocates only the box
-   of the float it returns (2 words; the dev profile compiles with
-   -opaque, so no caller can inline it away) *)
+(* a draw updates the state in place: past warm-up, [int], [float_into]
+   and [shuffle] over an int array allocate nothing, and [float]
+   allocates only the box of the float it returns (2 words; the dev
+   profile compiles with -opaque, so no caller can inline it away).
+   [float_into] stores the bits [float] returns from the same state. *)
 let test_rng_allocation_free () =
   let rng = Rng.create 7 in
   let a = Array.init 64 Fun.id in
-  let ints = Array.make 1 0 and floats = Array.make 1 0.0 in
+  let ints = Array.make 1 0 and floats = Array.make 2 0.0 in
   let words f =
     f ();
     let w0 = Gc.minor_words () in
@@ -98,7 +99,23 @@ let test_rng_allocation_free () =
           floats.(0) <- floats.(0) +. Rng.float rng 1.0
         done)
   in
+  let twin = Rng.create 11 and into = Rng.create 11 in
+  for _ = 1 to 100 do
+    Rng.float_into into 0.25 floats 1;
+    let x = Rng.float twin 0.25 in
+    if Int64.bits_of_float x <> Int64.bits_of_float floats.(1) then
+      Alcotest.failf "float_into stored %h where float returned %h" floats.(1) x
+  done;
+  let into_words =
+    words (fun () ->
+        for _ = 1 to draws do
+          Rng.float_into rng 1.0 floats 1;
+          floats.(0) <- floats.(0) +. floats.(1)
+        done)
+  in
   Alcotest.(check bool) "draws are used" true (ints.(0) > 0 && floats.(0) > 0.0);
+  if into_words > 8.0 then
+    Alcotest.failf "%d Rng.float_into draws allocated %.0f minor words" draws into_words;
   if int_words > 8.0 then Alcotest.failf "%d Rng.int draws allocated %.0f minor words" draws int_words;
   if shuffle_words > 8.0 then Alcotest.failf "a 64-slot shuffle allocated %.0f minor words" shuffle_words;
   if float_words > float_of_int (2 * draws) +. 8.0 then

@@ -98,11 +98,17 @@ let create (pl : Place.t) (rt : Route.t) (rc : Extract.net_rc array) =
 let design t = t.pl.Place.design
 let tgraph t = t.tg
 let placement t = t.pl
-let rc t = t.rc
+(* the per-net mirrors keep spare capacity past the last net; callers
+   get one entry per net *)
+let per_net t a =
+  let nn = Design.num_nets (design t) in
+  if Array.length a = nn then a else Array.sub a 0 nn
+
+let rc t = per_net t t.rc
 
 let analysis t = Sta.Tgraph.analysis t.tg
 
-let route t = Route.rebuild_stats t.pl t.routes
+let route t = Route.rebuild_stats t.pl (per_net t t.routes)
 
 (* nearest leaf clock net of a domain; falls back to the domain's root
    clock net (pre-CTS designs wire flip-flops to the root directly) *)
@@ -173,12 +179,14 @@ let refresh t ~old_ni ~old_nn ~old_np ~near ~nets ~insts =
     if not (Place.is_placed t.pl iid) then Layout.Eco.add_cell t.pl ~inst:iid ~near
   done;
   Sta.Tgraph.sync_topology t.tg ~nets ~insts;
-  (* grow the per-net mirrors *)
+  (* grow the per-net mirrors, at least doubling: repair adds its buffer
+     nets one trial at a time *)
   if nn > Array.length t.routes then begin
-    let routes = Array.make nn None in
+    let cap = max nn (2 * Array.length t.routes) in
+    let routes = Array.make cap None in
     Array.blit t.routes 0 routes 0 old_nn;
     t.routes <- routes;
-    let rc = Array.make nn t.rc.(0) in
+    let rc = Array.make cap t.rc.(0) in
     Array.blit t.rc 0 rc 0 old_nn;
     t.rc <- rc
   end;

@@ -86,10 +86,12 @@ val analysis : t -> Sta.Analysis.t
     breakdown, critical paths — without any propagation. *)
 
 val route : t -> Layout.Route.t
-(** Congestion/wirelength statistics rebuilt over the patched routes. *)
+(** Congestion/wirelength statistics rebuilt over the patched routes, one
+    route slot per net of the design. *)
 
 val rc : t -> Layout.Extract.net_rc array
-(** Live per-net parasitics (do not mutate). *)
+(** Per-net parasitics, one entry per net of the design (do not mutate:
+    it may be the live array). *)
 
 val design : t -> Netlist.Design.t
 val placement : t -> Layout.Place.t

@@ -16,8 +16,10 @@ type t = {
 }
 
 val ensure_capacity : t -> int -> unit
-(** Grow the position arrays to cover instance ids added after placement
-    (used by ECO). *)
+(** Grow the position arrays to cover instance ids below the given count,
+    added after placement (used by ECO). They at least double, so they
+    may be longer than the design's instance count; the slots past the
+    last instance read as unplaced. *)
 
 val run : ?seed:int -> Netlist.Design.t -> Floorplan.t -> t
 (** Places every non-filler instance. *)

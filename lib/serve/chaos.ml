@@ -36,13 +36,11 @@ let class_of_event j = Protocol.str_field "class" j
 
 (* wait on [c] for the first event matching [pred]; None after ~3 s *)
 let await c pred =
-  let deadline = Obs.Clock.now_us () +. 3.0e6 in
+  let deadline_us = Obs.Clock.now_us () +. 3.0e6 in
   let rec go () =
-    if Obs.Clock.now_us () > deadline then None
-    else
-      match Client.next_event c with
-      | None -> None
-      | Some j -> if pred j then Some j else go ()
+    match Client.read_event ~deadline_us c with
+    | Client.Closed | Client.Timed_out -> None
+    | Client.Event j -> if pred j then Some j else go ()
   in
   go ()
 

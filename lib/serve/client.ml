@@ -1,9 +1,15 @@
 module J = Obs.Json
 
+(* Reads go to the descriptor directly, under [Unix.select], so a read
+   can give up at a deadline; bytes past the returned line wait in
+   [buf.(pos) .. buf.(len - 1)], a line not yet complete in [line]. *)
 type t = {
   fd : Unix.file_descr;
-  ic : in_channel;
   oc : out_channel;
+  buf : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+  line : Buffer.t;
 }
 
 let connect ~socket_path =
@@ -12,11 +18,11 @@ let connect ~socket_path =
    with e ->
      (try Unix.close fd with _ -> ());
      raise e);
-  { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
+  { fd; oc = Unix.out_channel_of_descr fd; buf = Bytes.create 65536; pos = 0; len = 0;
+    line = Buffer.create 256 }
 
-(* the two channels share one descriptor: close it once, through the out
-   channel (which flushes first). Closing both would close the number
-   twice, and in a process that also hosts the daemon the second close can
+(* the descriptor is closed once, through the out channel (which flushes
+   first). In a process that also hosts the daemon a second close could
    hit a connection accepted under the same number in between. *)
 let close t =
   (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with _ -> ());
@@ -31,11 +37,54 @@ let send_raw t line =
   output_char t.oc '\n';
   flush t.oc
 
-let rec next_event t =
-  match input_line t.ic with
-  | exception (End_of_file | Sys_error _) -> None
-  | line ->
-    (match J.parse line with Ok j -> Some j | Error _ -> next_event t)
+type read = Event of J.t | Closed | Timed_out
+
+let take_line t =
+  let l = Buffer.contents t.line in
+  Buffer.clear t.line;
+  l
+
+(* the next line, [`Closed] once the daemon closed the connection (a
+   final unterminated line comes first, as from [input_line]), or
+   [`Timed_out] once [deadline_us] passed; an infinite deadline waits *)
+let rec read_line t ~deadline_us =
+  let rec newline i = if i >= t.len || Bytes.get t.buf i = '\n' then i else newline (i + 1) in
+  let nl = newline t.pos in
+  if nl < t.len then begin
+    Buffer.add_subbytes t.line t.buf t.pos (nl - t.pos);
+    t.pos <- nl + 1;
+    `Line (take_line t)
+  end
+  else begin
+    Buffer.add_subbytes t.line t.buf t.pos (t.len - t.pos);
+    t.pos <- 0;
+    t.len <- 0;
+    let bounded = Float.is_finite deadline_us in
+    let wait = if bounded then (deadline_us -. Obs.Clock.now_us ()) /. 1e6 else -1.0 in
+    if bounded && wait <= 0.0 then `Timed_out
+    else
+      match Unix.select [ t.fd ] [] [] wait with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line t ~deadline_us
+      | [], _, _ -> read_line t ~deadline_us
+      | _ ->
+        (match Unix.read t.fd t.buf 0 (Bytes.length t.buf) with
+         | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) ->
+           read_line t ~deadline_us
+         | exception Unix.Unix_error _ -> `Closed
+         | 0 -> if Buffer.length t.line > 0 then `Line (take_line t) else `Closed
+         | n ->
+           t.len <- n;
+           read_line t ~deadline_us)
+  end
+
+let rec read_event ?(deadline_us = Float.infinity) t =
+  match read_line t ~deadline_us with
+  | `Closed -> Closed
+  | `Timed_out -> Timed_out
+  | `Line line ->
+    (match J.parse line with Ok j -> Event j | Error _ -> read_event ~deadline_us t)
+
+let next_event t = match read_event t with Event j -> Some j | Closed | Timed_out -> None
 
 let ping t =
   match request t (J.Obj [ ("op", J.String "ping") ]) with

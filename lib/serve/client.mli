@@ -19,9 +19,18 @@ val send_raw : t -> string -> unit
 (** Send arbitrary bytes plus a newline — the chaos/fuzz harness's way of
     putting hostile lines on the wire. *)
 
+type read =
+  | Event of Obs.Json.t
+  | Closed     (** the daemon closed the connection *)
+  | Timed_out  (** the deadline passed first *)
+
+val read_event : ?deadline_us:float -> t -> read
+(** Next event line from the daemon, waiting until [deadline_us] (an
+    {!Obs.Clock.now_us} time) at most; without one it waits for as long as
+    it takes. Skips lines that do not parse (there should be none). *)
+
 val next_event : t -> Obs.Json.t option
-(** Next event line from the daemon; [None] on EOF. Skips lines that do
-    not parse (there should be none). *)
+(** {!read_event} without a deadline; [None] once the connection closed. *)
 
 val ping : t -> bool
 

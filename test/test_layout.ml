@@ -118,7 +118,24 @@ let test_placement_deterministic () =
       Alcotest.(check string) (name ^ " at scale 0.1") expected
         (placement_digest ~utilization (Circuits.Bench.by_name name ~scale:0.1)))
     [ ("pcore_a", 0.97, "2ea9ac3f734e733a4116428c5b73f805");
-      ("pcore_b", 0.50, "e94d425fd1b23193cb699ad38d577a5e") ]
+      ("pcore_b", 0.50, "e94d425fd1b23193cb699ad38d577a5e") ];
+  (* deeper still: about 20 bisection levels *)
+  Alcotest.(check string) "pcore_a at scale 0.3" "1ae80fe4379a1b7cb3002d660e6aa104"
+    (placement_digest (Circuits.Bench.by_name "pcore_a" ~scale:0.3))
+
+(* An FM pass stops once no later prefix can beat its best one. The
+   search is unchanged (the digests above), so every pass still runs, but
+   fewer moves are made than a pass run until no cell can move: 501
+   passes and 19,494 moves on this design. *)
+let test_fm_early_exit () =
+  let passes = Obs.Metrics.counter "place.fm_passes"
+  and moves = Obs.Metrics.counter "place.fm_moves" in
+  let d = Circuits.Bench.by_name "pcore_a" ~scale:0.03 in
+  let p0 = Obs.Metrics.value passes and m0 = Obs.Metrics.value moves in
+  ignore (Layout.Place.run d (Layout.Floorplan.create d) : Layout.Place.t);
+  Alcotest.(check int) "every pass runs" 501 (Obs.Metrics.value passes - p0);
+  let made = Obs.Metrics.value moves - m0 in
+  if made >= 19_494 then Alcotest.failf "%d moves: the early exit never fired" made
 
 let float_bits a = Array.map Int64.bits_of_float a
 
@@ -137,6 +154,36 @@ let prop_place_matches_reference =
            (pair (int_range 0 2) (int_range 0 0xFFFF))))
     (fun (seed, ffs, gates, (u, pseed)) ->
       let d = Circuits.Bench.tiny ~seed ~ffs ~gates () in
+      let fp = Layout.Floorplan.create ~utilization:utilizations.(u) d in
+      let pl = Layout.Place.run ~seed:pseed d fp in
+      let r = Place_reference.run ~seed:pseed d fp in
+      float_bits pl.Layout.Place.x = float_bits r.Layout.Place.x
+      && pl.Layout.Place.row = r.Layout.Place.row
+      && float_bits pl.Layout.Place.row_used = float_bits r.Layout.Place.row_used)
+
+(* the same oracle on the benchmark circuits, whose regions go through
+   many more bisection levels than the small random circuits above *)
+let prop_place_matches_reference_deep =
+  let utilizations = [| 0.50; 0.80; 0.97 |] in
+  let circuit (c, hundredths) =
+    match c with
+    | 0 -> ("s38417", float_of_int hundredths /. 100.0)
+    | 1 -> ("pcore_a", float_of_int hundredths /. 100.0)
+    | _ -> ("pcore_b", 0.1)
+  in
+  QCheck.Test.make ~name:"placement matches the reference on benchmark circuits" ~count:10
+    (QCheck.make
+       ~print:(fun (c, (u, pseed)) ->
+         let name, scale = circuit c in
+         Printf.sprintf "%s scale=%.2f utilization=%.2f place seed=%d" name scale
+           utilizations.(u) pseed)
+       QCheck.Gen.(
+         pair
+           (pair (int_range 0 2) (int_range 2 10))
+           (pair (int_range 0 2) (int_range 0 0xFFFF))))
+    (fun (c, (u, pseed)) ->
+      let name, scale = circuit c in
+      let d = Circuits.Bench.by_name name ~scale in
       let fp = Layout.Floorplan.create ~utilization:utilizations.(u) d in
       let pl = Layout.Place.run ~seed:pseed d fp in
       let r = Place_reference.run ~seed:pseed d fp in
@@ -177,6 +224,38 @@ let test_eco_and_filler () =
   Alcotest.(check bool) "filler added" true (rep.Layout.Filler.cells_added > 0);
   Alcotest.(check bool) "filler pct sane" true
     (rep.Layout.Filler.filler_area_pct >= 0.0 && rep.Layout.Filler.filler_area_pct < 60.0)
+
+(* ECO cells arrive one at a time; the placement arrays at least double
+   when they grow, and growing moves no cell already placed *)
+let test_eco_capacity_geometric () =
+  let d, fp, pl = placed_tiny () in
+  let n0 = Design.num_insts d and added = 2000 in
+  let near = Rect.center fp.Layout.Floorplan.core in
+  let reallocs = ref 0 and x_arr = ref pl.Layout.Place.x in
+  let placed = ref [] in
+  for i = 0 to n0 - 1 do
+    if Layout.Place.is_placed pl i then
+      placed := (i, Int64.bits_of_float pl.Layout.Place.x.(i), pl.Layout.Place.row.(i)) :: !placed
+  done;
+  for k = 1 to added do
+    let b = Design.add_instance d ~name:(Printf.sprintf "grow_%d" k) ~cell:(Helpers.cell Cell.Buf) in
+    Layout.Eco.add_cell pl ~inst:b.Design.id ~near;
+    if pl.Layout.Place.x != !x_arr then begin
+      incr reallocs;
+      x_arr := pl.Layout.Place.x
+    end;
+    let iid = b.Design.id in
+    placed := (iid, Int64.bits_of_float pl.Layout.Place.x.(iid), pl.Layout.Place.row.(iid)) :: !placed
+  done;
+  (* k doublings of a length-n0 array hold n0 * 2^k ids *)
+  let bound = 1 + int_of_float (Float.log2 (float_of_int (n0 + added) /. float_of_int n0)) in
+  if !reallocs > bound then
+    Alcotest.failf "%d reallocations for %d cells (at most %d)" !reallocs added bound;
+  List.iter
+    (fun (iid, x, r) ->
+      if Int64.bits_of_float pl.Layout.Place.x.(iid) <> x || pl.Layout.Place.row.(iid) <> r then
+        Alcotest.failf "instance %d moved" iid)
+    !placed
 
 let test_cts_tree () =
   let d, _, pl = placed_tiny () in
@@ -260,8 +339,10 @@ let suite =
     Alcotest.test_case "placement legality" `Quick test_placement_legality;
     Alcotest.test_case "overfull rows repacked" `Quick test_overfull_rows_repacked;
     Alcotest.test_case "placement deterministic" `Quick test_placement_deterministic;
+    Alcotest.test_case "fm early exit" `Quick test_fm_early_exit;
     Alcotest.test_case "placement beats random" `Quick test_placement_beats_random;
     Alcotest.test_case "eco and filler" `Quick test_eco_and_filler;
+    Alcotest.test_case "eco capacity grows geometrically" `Quick test_eco_capacity_geometric;
     Alcotest.test_case "cts tree" `Quick test_cts_tree;
     Alcotest.test_case "route trees" `Quick test_route_trees;
     Alcotest.test_case "extract elmore" `Quick test_extract_elmore;
@@ -269,4 +350,6 @@ let suite =
     Alcotest.test_case "render" `Quick test_render_outputs ]
 
 (* its own group, so CI can rerun it under other QCHECK_SEEDs *)
-let exactness = [ QCheck_alcotest.to_alcotest prop_place_matches_reference ]
+let exactness =
+  [ QCheck_alcotest.to_alcotest prop_place_matches_reference;
+    QCheck_alcotest.to_alcotest prop_place_matches_reference_deep ]

@@ -71,6 +71,18 @@ let test_repair_state_coherent () =
     (bits rep.R.cell_area_after
     = bits (Netlist.Stats.compute pl.Layout.Place.design).Netlist.Stats.cell_area)
 
+(* a rejected buffer trial adds a net and takes it back: the report
+   still holds one route and one parasitics entry per net *)
+let test_repair_report_per_net () =
+  let pl, rt, rc = placed ~seed:13 () in
+  let rep = R.run ~route:rt ~rc pl in
+  Alcotest.(check bool) "a buffer trial was rejected" true
+    (List.exists (fun (e : R.eco) -> e.R.kind = R.Insert_buffer && not e.R.accepted)
+       rep.R.edits);
+  let nn = Design.num_nets pl.Layout.Place.design in
+  Alcotest.(check int) "rc entries" nn (Array.length rep.R.rc);
+  Alcotest.(check int) "route slots" nn (Array.length rep.R.route.Layout.Route.routes)
+
 let test_repair_pre_sta_is_unrepaired () =
   (* pre_sta must be byte-identical to the STA an unrepaired flow reports —
      the contract that lets one repaired sweep fill both Table 3 columns *)
@@ -169,6 +181,8 @@ let suite =
   [ Alcotest.test_case "repair improves" `Slow test_repair_improves;
     Alcotest.test_case "repair leaves coherent state" `Slow
       test_repair_state_coherent;
+    Alcotest.test_case "repair report has one entry per net" `Slow
+      test_repair_report_per_net;
     Alcotest.test_case "pre_sta = unrepaired flow" `Slow
       test_repair_pre_sta_is_unrepaired;
     Alcotest.test_case "full-STA slot rebirth" `Slow test_slot_rebirth;

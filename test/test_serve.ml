@@ -325,6 +325,36 @@ let with_daemon ?(capacity = 8) suffix f =
       end)
     (fun () -> f socket_path t)
 
+(* a peer that accepts the connection and never writes: a read with a
+   deadline comes back with the timeout instead of blocking *)
+let test_client_read_deadline () =
+  let socket_path = scratch_socket "silent" in
+  (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close listener;
+      try Unix.unlink socket_path with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.bind listener (Unix.ADDR_UNIX socket_path);
+      Unix.listen listener 1;
+      let c = Client.connect ~socket_path in
+      let peer, _ = Unix.accept listener in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close c;
+          Unix.close peer)
+        (fun () ->
+          let start = Obs.Clock.now_us () in
+          let deadline_us = start +. 200_000.0 in
+          (match Client.read_event ~deadline_us c with
+           | Client.Timed_out -> ()
+           | Client.Closed -> Alcotest.fail "read reported a closed connection"
+           | Client.Event _ -> Alcotest.fail "read returned an event nobody sent");
+          let waited = Obs.Clock.now_us () -. start in
+          if waited < 190_000.0 || waited > 2_000_000.0 then
+            Alcotest.failf "timed out after %.0f us for a 200000 us deadline" waited))
+
 let tiny_submit ~id ?priority ?deadline_ms ?fail_attempts ?sleep_ms ?(levels = [ 0 ]) () =
   Client.submit_line ~id ?priority ?deadline_ms ?fail_attempts ?sleep_ms
     ~circuit:"s38417" ~scale:0.05 ~levels ~tables:[ 2 ] ()
@@ -552,4 +582,5 @@ let suite =
     Alcotest.test_case "daemon: deadline + cancel op" `Quick test_deadline_and_cancel_op;
     Alcotest.test_case "daemon: typed backpressure" `Quick test_backpressure_depth;
     Alcotest.test_case "daemon: -j below 1 rejected" `Quick test_jobs_validated;
-    Alcotest.test_case "daemon: empty levels bad-request" `Quick test_empty_levels ]
+    Alcotest.test_case "daemon: empty levels bad-request" `Quick test_empty_levels;
+    Alcotest.test_case "client: read deadline" `Quick test_client_read_deadline ]

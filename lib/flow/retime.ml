@@ -2,14 +2,15 @@
 
    Owns the mutable post-layout state — placement, per-net routes,
    per-net parasitics, the compiled flat timing graph — and threads each
-   netlist edit through the minimal physical update: re-place only new
-   cells (ECO legalization), re-route and re-extract only the nets whose
-   terminals moved, then worklist-retime only the dirtied cone. Because
-   routing and extraction are pure per-net maps and Tgraph.retime is
-   exact, the state after any edit sequence is byte-identical to tearing
-   the layout down and re-running Route.run + Extract.run + a fresh
-   timing analysis on the same mutated design — the property the
-   incremental suite and the QCheck random-ECO property pin down.
+   of the edits timing repair makes (buffer insertion, resize, pin swap)
+   through the minimal physical update: legalize the one buffer an
+   insertion adds, re-route and re-extract only the nets whose terminals
+   moved, then worklist-retime only the dirtied cone. Because routing
+   and extraction are pure per-net maps and Tgraph.retime is exact, the
+   state after any edit sequence is byte-identical to tearing the layout
+   down and re-running Route.run + Extract.run + a fresh timing analysis
+   on the same mutated design — the property the incremental suite and
+   the QCheck random-ECO property pin down.
 
    A trial ([open_trial] .. [commit]/[rollback]) makes the edits in
    between speculative: each edit logs its structural inverse and the
@@ -47,50 +48,19 @@ type t = {
   tg : Sta.Tgraph.t;
   mutable routes : Route.net_route option array;
   mutable rc : Extract.net_rc array;
-  mutable next_tp : int;
-  mutable leaf_clocks : (int * int) list;  (* (domain, leaf clock net) *)
   mutable trial : bool;
   mutable undo : undo list;                (* newest first *)
   mutable saved : saved_net list;          (* once per net, newest first *)
 }
 
-(* CTS leaf buffers: clock buffers whose output net feeds sequential
-   clock pins directly. An ECO TSFF hangs off the nearest one so the
-   tree above — and every other leaf group's latency — stays untouched. *)
-let find_leaf_clocks (d : Design.t) =
-  let leaves = ref [] in
-  Design.iter_insts d (fun b ->
-      if b.Design.cell.Cell.kind = Cell.Clkbuf then begin
-        match Design.net_of_output d b with
-        | -1 -> ()
-        | o ->
-          let dom = ref (-1) in
-          List.iter
-            (fun (sid, pin) ->
-              if !dom < 0 then begin
-                let s = Design.inst d sid in
-                if s.Design.cell.Cell.sequential
-                   && Cell.clock_pin s.Design.cell = Some pin then
-                  dom := s.Design.domain
-              end)
-            (Design.net d o).Design.sinks;
-          if !dom >= 0 then leaves := (!dom, b.Design.id, o) :: !leaves
-      end);
-  !leaves
-
 let create (pl : Place.t) (rt : Route.t) (rc : Extract.net_rc array) =
   let d = pl.Place.design in
   let tg = Sta.Tgraph.compile d rc in
   Sta.Tgraph.propagate tg;
-  let next_tp = ref 0 in
-  Design.iter_insts d (fun i ->
-      if i.Design.cell.Cell.kind = Cell.Tsff then incr next_tp);
   { pl;
     tg;
     routes = Array.copy rt.Route.routes;
     rc = Array.copy rc;
-    next_tp = !next_tp;
-    leaf_clocks = List.map (fun (dom, _, o) -> (dom, o)) (find_leaf_clocks d);
     trial = false;
     undo = [];
     saved = [] }
@@ -110,26 +80,7 @@ let analysis t = Sta.Tgraph.analysis t.tg
 
 let route t = Route.rebuild_stats t.pl (per_net t t.routes)
 
-(* nearest leaf clock net of a domain; falls back to the domain's root
-   clock net (pre-CTS designs wire flip-flops to the root directly) *)
-let leaf_clock_for t ~dom ~near =
-  let d = design t in
-  let best = ref None in
-  List.iter
-    (fun (ldom, lnet) ->
-      if ldom = dom then
-        match (Design.net d lnet).Design.driver with
-        | Design.Cell_pin (bid, _) when Place.is_placed t.pl bid ->
-          let p = Place.position t.pl bid in
-          let dist = Geom.Point.manhattan p near in
-          (match !best with
-           | Some (bd, _) when bd <= dist -> ()
-           | _ -> best := Some (dist, lnet))
-        | _ -> ())
-    t.leaf_clocks;
-  match !best with Some (_, lnet) -> Some lnet | None -> None
-
-(* a point to legalize a new cell near: the edited net's driver, else its
+(* a point to legalize a buffer near: the edited net's driver, else its
    first placed sink, else the core centre *)
 let anchor t nid =
   let d = design t in
@@ -148,36 +99,13 @@ let anchor t nid =
     in
     first n.Design.sinks
 
-(* absorb one completed design edit: legalize any new cells, mirror the
-   topology into the graph, re-route/re-extract the touched nets, retime
-   the cone. [old_ni]/[old_nn]/[old_np] are the design sizes before the
-   edit; [nets]/[insts] the pre-existing nets and instances it touched. *)
-let refresh t ~old_ni ~old_nn ~old_np ~near ~nets ~insts =
+(* absorb one completed design edit: mirror the topology into the graph,
+   re-route/re-extract the touched nets, retime the cone. [old_nn] is the
+   net count before the edit; [nets]/[insts] the pre-existing nets and
+   instances it touched. *)
+let refresh t ~old_nn ~nets ~insts =
   let d = design t in
-  let nn = Design.num_nets d and ni = Design.num_insts d in
-  (* port pin positions are a function of the total port count (they share
-     the core perimeter), so an edit that adds a port — the first TP's
-     test_se/test_tr — moves every existing port's pin and with it the
-     route of every port-connected net *)
-  let nets =
-    if Util.Vec.length d.Design.ports = old_np then nets
-    else begin
-      let acc = ref nets in
-      for nid = 0 to old_nn - 1 do
-        let n = Design.net d nid in
-        let port_connected =
-          (match n.Design.driver with Design.Port_in _ -> true | _ -> false)
-          || n.Design.out_port >= 0
-        in
-        if port_connected && not (List.mem nid !acc) then acc := nid :: !acc
-      done;
-      !acc
-    end
-  in
-  (* any cell the edit created that it did not place itself *)
-  for iid = old_ni to ni - 1 do
-    if not (Place.is_placed t.pl iid) then Layout.Eco.add_cell t.pl ~inst:iid ~near
-  done;
+  let nn = Design.num_nets d in
   Sta.Tgraph.sync_topology t.tg ~nets ~insts;
   (* grow the per-net mirrors, at least doubling: repair adds its buffer
      nets one trial at a time *)
@@ -206,10 +134,8 @@ let refresh t ~old_ni ~old_nn ~old_np ~near ~nets ~insts =
   Obs.Metrics.incr m_edits;
   stats
 
-let touched_nets (i : Design.instance) ~old_nn =
-  Array.to_list i.Design.conns
-  |> List.filter (fun nid -> nid >= 0 && nid < old_nn)
-  |> List.sort_uniq compare
+let touched_nets (i : Design.instance) =
+  Array.to_list i.Design.conns |> List.filter (fun nid -> nid >= 0) |> List.sort_uniq compare
 
 (* ---- trial bookkeeping ---- *)
 
@@ -291,26 +217,9 @@ let unbuffer t ~inst =
 
 (* ---- edits ---- *)
 
-let insert_tp t ~net =
-  if t.trial then invalid_arg "Retime.insert_tp: not undoable inside a trial";
-  let d = design t in
-  let old_ni = Design.num_insts d and old_nn = Design.num_nets d in
-  let old_np = Util.Vec.length d.Design.ports in
-  let near = anchor t net in
-  let dom = Tpi.Clocking.domain_for d ~net in
-  let clock_net = leaf_clock_for t ~dom ~near in
-  let i = Tpi.Insert.insert_point ?clock_net d ~net ~index:t.next_tp in
-  t.next_tp <- t.next_tp + 1;
-  Layout.Eco.add_cell t.pl ~inst:i.Design.id ~near;
-  let stats =
-    refresh t ~old_ni ~old_nn ~old_np ~near ~nets:(touched_nets i ~old_nn) ~insts:[]
-  in
-  (i, stats)
-
 let insert_buffer t ~net =
   let d = design t in
-  let old_ni = Design.num_insts d and old_nn = Design.num_nets d in
-  let old_np = Util.Vec.length d.Design.ports in
+  let old_nn = Design.num_nets d in
   let near = anchor t net in
   let n = Design.net d net in
   save_nets t [ net ];
@@ -321,25 +230,20 @@ let insert_buffer t ~net =
   Design.connect d ~inst:b.Design.id ~pin:0 ~net;
   Design.connect d ~inst:b.Design.id ~pin:1 ~net:nb.Design.nid;
   Layout.Eco.add_cell t.pl ~inst:b.Design.id ~near;
-  let stats = refresh t ~old_ni ~old_nn ~old_np ~near ~nets:[ net ] ~insts:[] in
+  let stats = refresh t ~old_nn ~nets:[ net ] ~insts:[] in
   (b, stats)
 
 let resize t ~inst ~cell =
   let d = design t in
-  let old_ni = Design.num_insts d and old_nn = Design.num_nets d in
-  let old_np = Util.Vec.length d.Design.ports in
+  let old_nn = Design.num_nets d in
   let i = Design.inst d inst in
   if Array.length (cell : Cell.t).Cell.pins <> Array.length i.Design.cell.Cell.pins then
     invalid_arg "Retime.resize: pin interface differs";
-  let nets = touched_nets i ~old_nn in
+  let nets = touched_nets i in
   save_nets t nets;
   log_undo t (Unresize (inst, i.Design.cell));
   set_cell t ~inst ~cell;
-  let near =
-    if Place.is_placed t.pl inst then Place.position t.pl inst
-    else anchor t (List.hd nets)
-  in
-  refresh t ~old_ni ~old_nn ~old_np ~near ~nets ~insts:[ inst ]
+  refresh t ~old_nn ~nets ~insts:[ inst ]
 
 let upsize t ~inst =
   let d = design t in
@@ -355,8 +259,7 @@ let downsize t ~inst =
 
 let swap_pins t ~inst ~pin_a ~pin_b =
   let d = design t in
-  let old_ni = Design.num_insts d and old_nn = Design.num_nets d in
-  let old_np = Util.Vec.length d.Design.ports in
+  let old_nn = Design.num_nets d in
   let i = Design.inst d inst in
   let input p =
     p >= 0
@@ -370,7 +273,7 @@ let swap_pins t ~inst ~pin_a ~pin_b =
   save_nets t nets;
   log_undo t (Unswap (inst, pin_a, pin_b));
   ignore (exchange t ~inst ~pin_a ~pin_b : int list);
-  refresh t ~old_ni ~old_nn ~old_np ~near:(anchor t na) ~nets ~insts:[ inst ]
+  refresh t ~old_nn ~nets ~insts:[ inst ]
 
 (* ---- trials ---- *)
 
@@ -404,11 +307,8 @@ let rollback t =
     (function
       | Unbuffer inst -> unbuffer t ~inst
       | Unresize (inst, cell) ->
-        let d = design t in
         set_cell t ~inst ~cell;
-        resync t
-          ~nets:(touched_nets (Design.inst d inst) ~old_nn:(Design.num_nets d))
-          ~insts:[ inst ]
+        resync t ~nets:(touched_nets (Design.inst (design t) inst)) ~insts:[ inst ]
       | Unswap (inst, pin_a, pin_b) ->
         resync t ~nets:(exchange t ~inst ~pin_a ~pin_b) ~insts:[ inst ])
     t.undo;

@@ -1,10 +1,11 @@
 (** Incremental ECO re-timing context (DESIGN.md §6.6).
 
     Binds a placed, routed, extracted design to a compiled {!Sta.Tgraph}
-    and keeps all four views consistent under netlist edits. Each edit
-    re-places only new cells, re-routes and re-extracts only the nets
-    whose terminals changed, and worklist-retimes only the dirtied cone —
-    yet leaves the context byte-identical to re-running
+    and keeps all four views consistent under the edits timing repair
+    makes ([Repair]): buffer insertion, resizing and pin swapping. Each
+    edit legalizes only the buffer it adds, re-routes and re-extracts
+    only the nets whose terminals changed, and worklist-retimes only the
+    dirtied cone — yet leaves the context byte-identical to re-running
     [Route.run → Extract.run → Sta.Tgraph.run] from scratch on the same
     mutated design (routing and extraction are pure per-net maps and
     {!Sta.Tgraph.retime} is exact).
@@ -22,15 +23,6 @@ val create : Layout.Place.t -> Layout.Route.t -> Layout.Extract.net_rc array -> 
     copied. Every edit then ends in a worklist cone retime
     ({!Sta.Tgraph.retime}). *)
 
-val insert_tp :
-  t -> net:int -> Netlist.Design.instance * Sta.Tgraph.retime_stats
-(** Splice an observe/control TSFF into [net] (§3.1 step 3) as a
-    post-layout ECO: clocked from the nearest CTS leaf buffer of its
-    domain (root clock net when no tree exists), legalized near the
-    net's driver, with only the split net, the test-control nets and
-    the leaf clock net re-routed and re-timed. Raises [Invalid_argument]
-    inside a trial: a test point adds ports, which no rollback undoes. *)
-
 val insert_buffer :
   t -> net:int -> Netlist.Design.instance * Sta.Tgraph.retime_stats
 (** Split [net] behind a minimum-drive buffer placed near its driver. *)
@@ -42,12 +34,8 @@ val upsize : t -> inst:int -> Sta.Tgraph.retime_stats option
 
 val downsize : t -> inst:int -> Sta.Tgraph.retime_stats option
 (** Swap [inst] for the next drive strength down — the area-recovery move
-    and the exact inverse of {!upsize}; [None] at minimum drive. *)
-
-val resize : t -> inst:int -> cell:Stdcell.Cell.t -> Sta.Tgraph.retime_stats
-(** Swap [inst] for [cell] (same pin interface, identity pin map); the
-    edit behind {!upsize} and {!downsize}. Raises [Invalid_argument] if
-    the pin counts differ. *)
+    and the exact inverse of {!upsize}; [None] at minimum drive. Both
+    keep the pin interface and map pins by identity. *)
 
 val swap_pins : t -> inst:int -> pin_a:int -> pin_b:int -> Sta.Tgraph.retime_stats
 (** Exchange the nets on two input pins of [inst] — the commutative-pin
@@ -59,11 +47,11 @@ val swap_pins : t -> inst:int -> pin_a:int -> pin_b:int -> Sta.Tgraph.retime_sta
 (** {1 Speculative trials} (DESIGN.md §6.7) *)
 
 val open_trial : t -> unit
-(** Make the following {!insert_buffer}, {!resize}/{!upsize}/{!downsize}
-    and {!swap_pins} edits speculative: each logs its structural inverse
-    and the route and parasitics of the nets it re-routes, and the graph
-    journals the timing values it rewrites ({!Sta.Tgraph.open_journal}).
-    Raises [Invalid_argument] if a trial is already open. *)
+(** Make the following edits speculative — {!insert_buffer}, {!upsize},
+    {!downsize} and {!swap_pins}, the whole edit set: each logs its
+    structural inverse and the route and parasitics of the nets it
+    re-routes, and the graph journals the timing values it rewrites
+    ({!Sta.Tgraph.open_journal}). Raises [Invalid_argument] if a trial is already open. *)
 
 val commit : t -> unit
 (** Keep the trial's edits. *)

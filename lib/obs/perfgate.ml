@@ -130,7 +130,7 @@ let floors doc =
   let incremental =
     List.filter_map
       (fun (name, dir, v) ->
-        if name = "incremental/single-tp-retime/speedup" then
+        if name = "incremental/single-buffer-retime/speedup" then
           Some (name, dir, Some v, min_incremental_speedup)
         else None)
       (section_speedups doc "incremental")

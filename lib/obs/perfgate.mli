@@ -14,9 +14,9 @@
     - {b against absolute floors}, whatever the baseline says: every
       workload run has [failed = 0] and [correct]; every traced run
       attributes at least 0.95 of its time to spans; [tables23-cold]
-      takes at least 4x [tables23-warm]'s [wall_s]; the single-TP
-      incremental retime is at least 3x faster than a whole-design
-      re-analysis; on a host with [parallel.host_cores >= 2] the
+      takes at least 4x [tables23-warm]'s [wall_s]; the incremental
+      retime of one buffer insertion is at least 3x faster than a
+      whole-design re-analysis; on a host with [parallel.host_cores >= 2] the
       [parallel/sweep-fanout] speedup is at least 1.3 (absent is a
       violation).
 

@@ -24,7 +24,7 @@ let tie_low_net (d : Design.t) =
     n.Design.nid
   end
 
-let insert_point ?clock_net (d : Design.t) ~net ~index =
+let insert_point (d : Design.t) ~net ~index =
   (match (Design.net d net).Design.driver with
    | Design.No_driver -> invalid_arg "Insert.insert_point: undriven net"
    | Design.Port_in _ | Design.Cell_pin _ -> ());
@@ -41,9 +41,7 @@ let insert_point ?clock_net (d : Design.t) ~net ~index =
   Design.connect d ~inst:i.Design.id ~pin:1 ~net:ti;                               (* TI *)
   Design.connect d ~inst:i.Design.id ~pin:2 ~net:se;                               (* TE *)
   Design.connect d ~inst:i.Design.id ~pin:3 ~net:tr;                               (* TR *)
-  let ck =
-    match clock_net with Some n -> n | None -> d.Design.domains.(dom).Design.clock_net
-  in
-  Design.connect d ~inst:i.Design.id ~pin:4 ~net:ck;
+  let ck = d.Design.domains.(dom).Design.clock_net in
+  Design.connect d ~inst:i.Design.id ~pin:4 ~net:ck;                               (* CK *)
   Design.connect d ~inst:i.Design.id ~pin:5 ~net:sinks_net.Design.nid;             (* Q  *)
   i

@@ -14,13 +14,10 @@ val test_tr_net : Netlist.Design.t -> int
 val tie_low_net : Netlist.Design.t -> int
 (** Output net of the shared parking tie cell, created on demand. *)
 
-val insert_point :
-  ?clock_net:int -> Netlist.Design.t -> net:int -> index:int -> Netlist.Design.instance
+val insert_point : Netlist.Design.t -> net:int -> index:int -> Netlist.Design.instance
 (** [insert_point d ~net ~index] splices TSFF [tp<index>] into [net] and
-    returns it; the clock comes from {!Clocking.domain_for}. Raises
-    [Invalid_argument] if [net] has no driver (nothing to observe).
-
-    [clock_net] overrides the CK connection (default: the domain's root
-    clock net). Post-CTS ECO insertion passes a leaf clock-buffer net so
-    the clock tree above it — and the latency of every other sink — is
-    untouched, keeping the re-timing cone bounded. *)
+    returns it, clocked from the root clock net of the domain
+    {!Clocking.domain_for} picks (test points go in before layout, so
+    clock tree synthesis later hangs it off a leaf buffer like every
+    other flip-flop). Raises [Invalid_argument] if [net] has no driver
+    (nothing to observe). *)

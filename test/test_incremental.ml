@@ -162,16 +162,6 @@ let pick_nets d k =
   done;
   List.rev !acc
 
-let test_eco_tp_insert () =
-  let ctx = eco_ctx () in
-  let nets = pick_nets (Flow.Retime.design ctx) 3 in
-  List.iteri
-    (fun k net ->
-      let _, stats = Flow.Retime.insert_tp ctx ~net in
-      Alcotest.(check bool) "cone evaluated" true (stats.T.insts_evaluated > 0);
-      check_ctx_matches_full (Printf.sprintf "tp eco %d" k) ctx)
-    nets
-
 let test_eco_upsize () =
   let ctx = eco_ctx ~seed:13 () in
   let d = Flow.Retime.design ctx in
@@ -204,19 +194,19 @@ let test_eco_buffer () =
     nets
 
 let test_eco_cone_bounded () =
-  (* the re-timed cone after one TP insert stays well below the design *)
+  (* the re-timed cone after one buffer insert stays well below the design *)
   let ctx = eco_ctx ~seed:17 ~ffs:80 ~gates:1200 () in
   let d = Flow.Retime.design ctx in
   let net = List.hd (pick_nets d 1) in
-  let _, stats = Flow.Retime.insert_tp ctx ~net in
+  let _, stats = Flow.Retime.insert_buffer ctx ~net in
   let total = Design.num_insts d in
   Alcotest.(check bool)
     (Printf.sprintf "cone %d of %d insts" stats.T.insts_evaluated total)
     true
     (stats.T.insts_evaluated < total / 2)
 
-(* QCheck: on a random design, a random sequence of ECO edits (TP insert,
-   buffer insert, gate resize) leaves the context equal to a from-scratch
+(* QCheck: on a random design, a random sequence of ECO edits (pin swap,
+   buffer insert, upsize) leaves the context equal to a from-scratch
    full run after EVERY edit — the incremental timing contract — and the
    repair objective's list-free (WNS, TNS) equal to the sorted endpoint
    list's *)
@@ -229,6 +219,18 @@ let gen_eco_case =
     QCheck.Gen.(
       pair (int_range 1 10_000)
         (list_size (int_range 3 6) (pair (int_range 0 2) (int_range 0 1_000))))
+
+(* two-input commutative instances whose A/B pins carry different nets *)
+let swappable_insts d =
+  let acc = ref [] in
+  Design.iter_insts d (fun i ->
+      match i.Design.cell.Cell.kind with
+      | Cell.Nand2 | Cell.Nand3 | Cell.Nor2 | Cell.Nor3 | Cell.And2 | Cell.Or2 | Cell.Xor2
+      | Cell.Xnor2 ->
+        let a = i.Design.conns.(0) and b = i.Design.conns.(1) in
+        if a >= 0 && b >= 0 && a <> b then acc := i.Design.id :: !acc
+      | _ -> ());
+  Array.of_list (List.rev !acc)
 
 let upsizable_insts d =
   let acc = ref [] in
@@ -256,9 +258,10 @@ let prop_random_eco_sequence =
           let d = Flow.Retime.design ctx in
           (match kind with
            | 0 ->
-             let nets = pick_nets d 8 in
-             let net = List.nth nets (pick mod List.length nets) in
-             ignore (Flow.Retime.insert_tp ctx ~net)
+             let sws = swappable_insts d in
+             ignore
+               (Flow.Retime.swap_pins ctx ~inst:sws.(pick mod Array.length sws) ~pin_a:0
+                  ~pin_b:1)
            | 1 ->
              let nets = pick_nets d 8 in
              let net = List.nth nets (pick mod List.length nets) in
@@ -361,7 +364,6 @@ let suite =
     Alcotest.test_case "tgraph full flow = analysis" `Quick test_tgraph_full_flow;
     Alcotest.test_case "tgraph wns = slack report" `Quick test_tgraph_wns_matches_slack_report;
     Alcotest.test_case "required times consistent" `Quick test_required_consistent;
-    Alcotest.test_case "eco tp insert = full rerun" `Quick test_eco_tp_insert;
     Alcotest.test_case "eco upsize = full rerun" `Quick test_eco_upsize;
     Alcotest.test_case "eco buffer = full rerun" `Quick test_eco_buffer;
     Alcotest.test_case "eco cone bounded" `Quick test_eco_cone_bounded;
@@ -371,18 +373,6 @@ let suite =
     Alcotest.test_case "retime allocation-free" `Quick test_retime_allocation_free ]
 
 (* ---- speculative trials: commit or roll back ---- *)
-
-(* two-input commutative instances whose A/B pins carry different nets *)
-let swappable_insts d =
-  let acc = ref [] in
-  Design.iter_insts d (fun i ->
-      match i.Design.cell.Cell.kind with
-      | Cell.Nand2 | Cell.Nand3 | Cell.Nor2 | Cell.Nor3 | Cell.And2 | Cell.Or2 | Cell.Xor2
-      | Cell.Xnor2 ->
-        let a = i.Design.conns.(0) and b = i.Design.conns.(1) in
-        if a >= 0 && b >= 0 && a <> b then acc := i.Design.id :: !acc
-      | _ -> ());
-  Array.of_list (List.rev !acc)
 
 let downsizable_insts d =
   let acc = ref [] in
@@ -449,6 +439,13 @@ let ctx_is_fresh ctx =
          && rt.Layout.Route.routes.(nid) = croutes.(nid))
        (List.init (Array.length rc) Fun.id)
 
+(* one parasitics entry and one route slot per net of the design: a
+   rolled-back buffer's net leaves no dead slot behind *)
+let mirrors_sized ctx =
+  let nn = Design.num_nets (Flow.Retime.design ctx) in
+  Array.length (Flow.Retime.rc ctx) = nn
+  && Array.length (Flow.Retime.route ctx).Layout.Route.routes = nn
+
 let gen_trial_case =
   QCheck.make
     ~print:(fun (seed, trials) ->
@@ -460,8 +457,9 @@ let gen_trial_case =
         (list_size (int_range 4 8) (triple (int_range 0 3) (int_range 0 1_000) bool)))
 
 (* QCheck: random trials (buffer, upsize, downsize, pin swap), each
-   committed or rolled back at random. After every step the context equals
-   a fresh route/extract/reference analysis of the design. A rollback
+   committed or rolled back at random. After every step the context has
+   one parasitics entry and one route slot per net and equals a fresh
+   route/extract/reference analysis of the design. A rollback
    restores the graph's timing state bit for bit whenever the reverted
    design's parasitics are the pre-trial ones: always after a buffer, and
    after a resize or swap unless re-attaching the pin at the head of a
@@ -485,7 +483,7 @@ let prop_trial_rollback =
         (fun (kind, pick, keep) ->
           let d = Flow.Retime.design ctx in
           let before = snapshot ctx in
-          let rc_before = Array.map rc_values (Array.sub (Flow.Retime.rc ctx) 0 (Design.num_nets d)) in
+          let rc_before = Array.map rc_values (Flow.Retime.rc ctx) in
           (* an empty candidate set leaves the trial empty *)
           let with_pick a f = if Array.length a > 0 then f a.(pick mod Array.length a) in
           Flow.Retime.open_trial ctx;
@@ -503,12 +501,10 @@ let prop_trial_rollback =
           let restored =
             keep
             ||
-            let d = Flow.Retime.design ctx in
-            let nn = Design.num_nets d in
-            let rc_after = Array.map rc_values (Array.sub (Flow.Retime.rc ctx) 0 nn) in
+            let rc_after = Array.map rc_values (Flow.Retime.rc ctx) in
             rc_after <> rc_before || same_snapshot before (snapshot ctx)
           in
-          restored && ctx_is_fresh ctx)
+          restored && mirrors_sized ctx && ctx_is_fresh ctx)
         trials)
 
 (* slow flags and the slow-node count roll back too: a trial buffer

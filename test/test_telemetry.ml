@@ -287,7 +287,7 @@ let perf_doc ?(walls = walls) ?(failed = 0) ?(share = 0.99) ?(incremental = 8.0)
   J.Obj
     [ ("workloads", J.Obj (List.map workload walls));
       ("parallel", J.Obj [ ("host_cores", J.Int cores); ("kernels", J.List [ kernel "sweep-fanout" speedup ]) ]);
-      ("incremental", J.Obj [ ("kernels", J.List [ kernel "single-tp-retime" incremental ]) ]);
+      ("incremental", J.Obj [ ("kernels", J.List [ kernel "single-buffer-retime" incremental ]) ]);
       ("serve", J.Obj [ ("throughput_jobs_per_s", J.Float throughput); ("p95_ms", J.Float p95) ]) ]
 
 let baseline = perf_doc ()
@@ -338,7 +338,7 @@ let test_perfgate_skips_missing () =
   let current = J.Obj [ ("workloads", Option.get (J.member "workloads" baseline)) ] in
   let v = PG.compare_docs ~directions ~baseline ~current ~tolerance_pct:10.0 in
   Alcotest.(check (list string)) "micro-sections skipped"
-    [ "parallel/sweep-fanout/speedup"; "incremental/single-tp-retime/speedup";
+    [ "parallel/sweep-fanout/speedup"; "incremental/single-buffer-retime/speedup";
       "serve/throughput_jobs_per_s"; "serve/p95_ms" ]
     v.PG.skipped;
   Alcotest.(check int) "no violations from absence" 0 (List.length v.PG.violations);
@@ -349,7 +349,7 @@ let test_perfgate_skips_missing () =
     (violations (perf_doc ~walls:(List.remove_assoc "table3r-repair" walls) ()))
 
 let test_perfgate_incremental_section () =
-  let name = "incremental/single-tp-retime/speedup" in
+  let name = "incremental/single-buffer-retime/speedup" in
   Alcotest.(check bool) "gated, higher is better" true
     (List.mem (name, PG.Higher_better, 8.0) (PG.gated_metrics ~directions baseline));
   (* a collapsed speedup trips the gate like any other metric *)
